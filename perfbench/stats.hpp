@@ -38,18 +38,6 @@ class OpenLoopSchedule {
     return start_ns_ + static_cast<std::uint64_t>(std::llround(period_ns_ * static_cast<double>(i)));
   }
 
-  /// Requests due at or before `now_ns`: the generator should have sent
-  /// exactly this many by then.
-  std::uint64_t due_by(std::uint64_t now_ns) const {
-    if (now_ns < start_ns_) return 0;
-    auto n = static_cast<std::uint64_t>(static_cast<double>(now_ns - start_ns_) / period_ns_) + 1;
-    // Float division may land one off next to an exact boundary; settle it
-    // against due_ns so the two never disagree.
-    while (n > 0 && due_ns(n - 1) > now_ns) --n;
-    while (due_ns(n) <= now_ns) ++n;
-    return n;
-  }
-
  private:
   double period_ns_;
   std::uint64_t start_ns_;
