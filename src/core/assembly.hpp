@@ -16,6 +16,17 @@
 //
 // Every candidate is the length of a genuine e-avoiding path, so the
 // assembled row is always an upper bound on the truth and equals it whp.
+//
+// Loop order. The targets of a chunk are swept landmark-major: per level
+// k, per landmark r, per target t, so the d(r, t) reads are contiguous and
+// T_r stays in cache across the chunk. Per (r, t) pair, the path edges
+// that lie on the canonical sr path form a prefix; one binary search over
+// the T_s stamps of the path's children finds its end, and the candidates
+// are the d(s, r, *) cells below it and |sr| + d(r, t) from it on. The
+// Algorithm 4 guard is evaluated only for a candidate below the current
+// cell. Each cell is the min over a fixed candidate set, and a candidate
+// that cannot lower the cell cannot change the min, so neither the order
+// nor the lazy guard nor the chunking changes a single cell.
 #pragma once
 
 #include "core/config.hpp"

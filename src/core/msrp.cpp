@@ -12,12 +12,14 @@
 namespace msrp {
 namespace {
 
-/// Targets per assembly chunk: small enough to spread one source's targets
-/// across every worker, large enough to amortize the task claim. Fixed (not
-/// derived from the thread count) so the chunking is identical however many
-/// threads run — chunks are independent anyway, this just keeps the
-/// execution shape easy to reason about.
-constexpr Vertex kAssemblyChunk = 1024;
+/// Targets per assembly chunk. Assembly sweeps each landmark tree T_r
+/// across a whole chunk, and 128 targets already keep T_r hot; a
+/// 4096-vertex graph still splits into 32 chunks per source, enough to keep
+/// every worker busy. Fixed, not derived from the thread count: a row is a
+/// min over the same candidates whatever chunk its target lands in, so any
+/// chunking gives the same bytes, and a fixed one keeps the execution shape
+/// easy to reason about.
+constexpr Vertex kAssemblyChunk = 128;
 
 class MsrpEngine {
  public:

@@ -8,6 +8,7 @@
 // results either — that is how QueryService runs cold builds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "core/msrp.hpp"
 #include "graph/generators.hpp"
 #include "service/snapshot.hpp"
+#include "util/fnv.hpp"
 #include "util/thread_pool.hpp"
 
 namespace msrp {
@@ -96,6 +98,58 @@ TEST(Determinism, ParallelBuildBitIdenticalToSequential) {
                            " threads=" + std::to_string(threads) + " method=" +
                            (cfg.landmark_rp == LandmarkRpMethod::kMmgPerPair ? "mmg" : "bk"));
     }
+  }
+}
+
+/// FNV-1a over every source's row offsets and cells, in source order.
+std::uint64_t rows_digest(const MsrpResult& res) {
+  std::uint64_t h = fnv::kOffset;
+  for (std::uint32_t si = 0; si < res.num_sources(); ++si) {
+    for (const std::uint64_t off : res.row_offsets(si)) h = fnv::mix_u64(h, off);
+    for (const Dist c : res.raw_rows(si)) h = fnv::mix_u64(h, c);
+  }
+  return h;
+}
+
+TEST(Determinism, AssemblyRowsMatchPinnedDigests) {
+  // The tests above compare builds of one binary with each other, so a
+  // change that altered cells identically at every thread count would pass
+  // them. These digests were recorded from the target-major assembly that
+  // preceded the landmark-major sweep; any later rewrite of the assembly
+  // (or of the phases feeding it) must reproduce them bit for bit.
+  // sigma = 4 and near_scale = 1 give T = round(sqrt(n / 4)): the chord
+  // path is deep enough for far buckets k >= 1, and every instance runs
+  // Algorithm 4 on its near edges.
+  struct Case {
+    std::string name;
+    Graph g;
+    std::uint64_t digest;
+  };
+  Rng rng(0xA55E3B1EULL);
+  std::vector<Case> cases;
+  cases.push_back({"grid24x24", gen::grid(24, 24), 0x843dded0b61ef6efULL});
+  cases.push_back(
+      {"avgdeg600", gen::connected_avg_degree(600, 6, rng), 0xaecca3f5cba1121fULL});
+  cases.push_back({"chords500", gen::path_with_chords(500, 25, rng), 0xf6997d7d5d7b9eabULL});
+
+  Config cfg;
+  cfg.seed = 0x9E3779B9ULL;
+  cfg.near_scale = 1.0;
+  cfg.build_threads = 4;
+  for (const Case& c : cases) {
+    const auto picks = rng.sample_without_replacement(c.g.num_vertices(), 4);
+    const std::vector<Vertex> sources(picks.begin(), picks.end());
+    const MsrpResult res = solve_msrp(c.g, sources, cfg);
+    if (c.name == "chords500") {
+      Dist depth = 0;
+      for (const Vertex s : sources) {
+        for (const Dist d : res.tree(s).dists()) depth = std::max(depth, d);
+      }
+      const Params params(c.g.num_vertices(), 4, cfg);
+      ASSERT_GE(depth, 4 * params.near_threshold()) << "no far bucket k >= 1 is exercised";
+    }
+    const std::uint64_t digest = rows_digest(res);
+    EXPECT_EQ(digest, c.digest) << c.name << std::hex << " digest=0x" << digest;
   }
 }
 

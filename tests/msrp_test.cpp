@@ -7,6 +7,8 @@
 // MMG baseline.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "baseline/baselines.hpp"
 #include "core/msrp.hpp"
 #include "graph/generators.hpp"
@@ -156,6 +158,46 @@ TEST(MsrpSoundness, NeverUndershootsAcrossManySeeds) {
     expect_sound(g, sources, solve_msrp(g, sources, cfg));
     cfg.landmark_rp = LandmarkRpMethod::kBkAuxGraphs;
     expect_sound(g, sources, solve_msrp(g, sources, cfg));
+  }
+}
+
+/// A cycle on n vertices plus `chords` random non-adjacent chords.
+Graph cycle_with_chords(Vertex n, std::uint32_t chords, Rng& rng) {
+  GraphBuilder b(n);
+  for (Vertex v = 0; v < n; ++v) b.add_edge(v, (v + 1) % n);
+  std::set<std::pair<Vertex, Vertex>> present;
+  while (present.size() < chords) {
+    Vertex u = static_cast<Vertex>(rng.next_below(n));
+    Vertex v = static_cast<Vertex>(rng.next_below(n));
+    if (u > v) std::swap(u, v);
+    if (v - u < 2 || v - u == n - 1) continue;  // self-loop or cycle edge
+    if (present.emplace(u, v).second) b.add_edge(u, v);
+  }
+  return b.build();
+}
+
+TEST(MsrpSoundness, NearGuardNeverAdmitsCrossingCandidate) {
+  // Algorithm 4 may only use a landmark r whose canonical rt path avoids
+  // e. Assembly checks that guard lazily, only for a candidate that would
+  // lower the cell. With lean sampling (few landmarks, small T) many cells
+  // stay above the truth, so a crossing candidate that slipped past the
+  // guard would show up as a cell below BFS(G - e).
+  Rng graph_rng(0x6A4D);
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"grid20x20", gen::grid(20, 20)},
+      {"cycle_chords", cycle_with_chords(160, 10, graph_rng)},
+  };
+  for (const auto& [name, g] : graphs) {
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+      Rng rng(seed);
+      const auto sources = pick_sources(g, 3, rng);
+      Config cfg;
+      cfg.seed = 0x5000 + seed;
+      cfg.oversample = 0.5;
+      cfg.near_scale = 0.5;
+      SCOPED_TRACE(name + " seed=" + std::to_string(seed));
+      expect_sound(g, sources, solve_msrp(g, sources, cfg));
+    }
   }
 }
 
