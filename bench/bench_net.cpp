@@ -61,25 +61,12 @@ const std::shared_ptr<const service::Snapshot>& net_oracle() {
   return snap;
 }
 
-std::vector<service::Query> make_batch(std::size_t count, std::uint64_t seed) {
+template <class W = service::Point>
+std::vector<typename W::Query> make_batch(std::size_t count, std::uint64_t seed) {
   const service::Snapshot& oracle = *net_oracle();
   Rng rng(seed);
-  return service::random_query_batch(oracle.sources(), oracle.num_vertices(),
-                                     oracle.num_edges(), count, rng);
-}
-
-std::vector<service::VitalityQuery> make_vitality_batch(std::size_t count,
-                                                        std::uint64_t seed) {
-  const service::Snapshot& oracle = *net_oracle();
-  Rng rng(seed);
-  std::vector<service::VitalityQuery> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back({oracle.sources()[rng.next_below(oracle.num_sources())],
-                   static_cast<Vertex>(rng.next_below(oracle.num_vertices())),
-                   1 + static_cast<std::uint32_t>(rng.next_below(8))});
-  }
-  return out;
+  return service::random_query_batch<W>(oracle.sources(), oracle.num_vertices(),
+                                        oracle.num_edges(), count, rng);
 }
 
 /// |F| cycles 0/1/2 so each batch carries the full k-fail answer mix:
@@ -133,7 +120,7 @@ void BM_NetRoundTrip(benchmark::State& state) {
   net::Client client(loopback_options());
   const auto batch = make_batch(static_cast<std::size_t>(state.range(0)), 7);
   for (auto _ : state) {
-    auto answers = client.query_batch(batch);
+    auto answers = client.call(batch);
     benchmark::DoNotOptimize(answers.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -273,9 +260,10 @@ void BM_NetVitality(benchmark::State& state) {
     return;
   }
   net::Client client(loopback_options());
-  const auto batch = make_vitality_batch(static_cast<std::size_t>(state.range(0)), 17);
+  const auto batch =
+      make_batch<service::Vitality>(static_cast<std::size_t>(state.range(0)), 17);
   for (auto _ : state) {
-    auto results = client.vitality_batch(batch);
+    auto results = client.call<service::Vitality>(batch);
     benchmark::DoNotOptimize(results.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -291,7 +279,7 @@ void BM_NetKFail(benchmark::State& state) {
   net::Client client(loopback_options());
   const auto batch = make_kfail_batch(static_cast<std::size_t>(state.range(0)), 18);
   for (auto _ : state) {
-    auto answers = client.kfail_batch(batch);
+    auto answers = client.call<service::KFail>(batch);
     benchmark::DoNotOptimize(answers.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -4,7 +4,7 @@
 // Gupta–Singh oracles promise and this library's MsrpResult layout delivers.
 #include "bench_common.hpp"
 
-#include "sensitivity/sensitivity_oracle.hpp"
+#include "core/msrp.hpp"
 
 namespace {
 
@@ -15,8 +15,8 @@ void BM_OracleBuild(benchmark::State& state) {
   const Graph g = er_graph(static_cast<Vertex>(state.range(0)), 8.0);
   const auto sources = spread_sources(g, 4);
   for (auto _ : state) {
-    const SensitivityOracle oracle(g, sources);
-    benchmark::DoNotOptimize(oracle.size_cells());
+    const MsrpResult oracle = solve_msrp(g, sources);
+    benchmark::DoNotOptimize(oracle.raw_rows(0).data());
   }
   state.counters["n"] = g.num_vertices();
 }
@@ -25,7 +25,7 @@ BENCHMARK(BM_OracleBuild)->Arg(256)->Arg(512)->Arg(1024)->Unit(benchmark::kMilli
 void BM_OracleQuery(benchmark::State& state) {
   const Graph g = er_graph(static_cast<Vertex>(state.range(0)), 8.0);
   const auto sources = spread_sources(g, 4);
-  const SensitivityOracle oracle(g, sources);
+  const MsrpResult oracle = solve_msrp(g, sources);
   Rng rng(5);
   const Vertex n = g.num_vertices();
   const EdgeId m = g.num_edges();
@@ -33,10 +33,12 @@ void BM_OracleQuery(benchmark::State& state) {
     const Vertex s = sources[rng.next_below(sources.size())];
     const auto t = static_cast<Vertex>(rng.next_below(n));
     const auto e = static_cast<EdgeId>(rng.next_below(m));
-    benchmark::DoNotOptimize(oracle.query(s, t, e));
+    benchmark::DoNotOptimize(oracle.avoiding(s, t, e));
   }
   state.counters["n"] = g.num_vertices();
-  state.counters["cells"] = static_cast<double>(oracle.size_cells());
+  std::size_t cells = 0;
+  for (std::uint32_t si = 0; si < sources.size(); ++si) cells += oracle.raw_rows(si).size();
+  state.counters["cells"] = static_cast<double>(cells);
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_OracleQuery)->Arg(256)->Arg(1024)->Arg(4096)->Complexity(benchmark::o1);

@@ -3,7 +3,7 @@
 // of them.
 //
 // The ranking is served through the TOP_K_VITAL workload entry point —
-// QueryService::vitality_batch() locally, or the VITALITY_BATCH wire
+// QueryService::run<service::Vitality>() locally, or the VITALITY_BATCH wire
 // opcode against a running msrp_serve --registry server:
 //
 //   $ ./examples/most_vital_edges
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   if (connect.empty()) {
     service::QueryService svc({.threads = 2});
     const auto oracle = svc.build(g, {s}, Config{});
-    results = svc.vitality_batch(*oracle, queries);
+    results = svc.run<service::Vitality>(*oracle, queries);
 
     // The service answer is the rp::most_vital_edges ordering, served from
     // the oracle instead of a fresh solve — pin that here.
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
     net::Client client(copts);
     const net::RegisterAckFrame ack =
         client.register_graph(g.num_vertices(), g.edges(), std::vector<Vertex>{s});
-    results = client.vitality_batch(queries, ack.digest);
+    results = client.call<service::Vitality>(queries, ack.digest);
   }
 
   const service::VitalityResult& top = results[0];

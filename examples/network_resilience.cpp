@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
   if (connect.empty()) {
     service::QueryService svc({.threads = 2});
     const auto oracle = svc.build(g, depots, Config{});
-    prices = svc.vickrey_batch(*oracle, audit);
-    stressed = svc.kfail_batch(*oracle, stress);
+    prices = svc.run<service::Vickrey>(*oracle, audit);
+    stressed = svc.run<service::KFail>(*oracle, stress);
   } else {
     const std::size_t colon = connect.rfind(':');
     if (colon == std::string::npos) {
@@ -91,8 +91,8 @@ int main(int argc, char** argv) {
     copts.connect_retries = 10;
     net::Client client(copts);
     const net::RegisterAckFrame ack = client.register_graph(g.num_vertices(), g.edges(), depots);
-    prices = client.vickrey_batch(audit, ack.digest);
-    stressed = client.kfail_batch(stress, ack.digest);
+    prices = client.call<service::Vickrey>(audit, ack.digest);
+    stressed = client.call<service::KFail>(stress, ack.digest);
   }
 
   std::printf("city: %ux%u grid with a 2-bridge river, n=%u m=%u, depots: 3%s\n\n", rows,

@@ -126,11 +126,6 @@ void Client::dial() {
   }
   decoder_ = FrameDecoder(opts_.max_frame_bytes);
   ready_.clear();
-  ready_vitality_.clear();
-  ready_vickrey_.clear();
-  ready_kfail_.clear();
-  failed_.clear();
-  busy_.clear();
   inflight_.clear();
   pending_frames_.clear();
   wire_deadlines_.clear();
@@ -184,8 +179,8 @@ void Client::reconnect() {
 }
 
 bool Client::try_resend() {
-  // Only idempotent batch traffic (QUERY_BATCH and the v3 workload frames)
-  // can be replayed: every in-flight id must have its frame bytes stored,
+  // Only idempotent batch traffic (every workload's batch frame) can be
+  // replayed: every in-flight id must have its frame bytes stored,
   // and no control call may be pending (REGISTER_GRAPH replayed twice
   // would build twice — and worse, a replay that half-succeeded is
   // unobservable).
@@ -197,11 +192,6 @@ bool Client::try_resend() {
   auto frames = std::move(pending_frames_);
   auto inflight = std::move(inflight_);
   auto ready = std::move(ready_);
-  auto ready_vitality = std::move(ready_vitality_);
-  auto ready_vickrey = std::move(ready_vickrey_);
-  auto ready_kfail = std::move(ready_kfail_);
-  auto failed = std::move(failed_);
-  auto busy = std::move(busy_);
   auto deadlines = std::move(wire_deadlines_);
   try {
     dial();
@@ -211,11 +201,6 @@ bool Client::try_resend() {
   pending_frames_ = std::move(frames);
   inflight_ = std::move(inflight);
   ready_ = std::move(ready);
-  ready_vitality_ = std::move(ready_vitality);
-  ready_vickrey_ = std::move(ready_vickrey);
-  ready_kfail_ = std::move(ready_kfail);
-  failed_ = std::move(failed);
-  busy_ = std::move(busy);
   wire_deadlines_ = std::move(deadlines);  // absolute instants survive a re-dial
   // Replay in send order (the map is id-ordered and ids are monotonic).
   // A loss during the replay recurses — bounded by connect_retries per
@@ -303,7 +288,7 @@ Frame Client::read_frame() {
 void Client::ensure_connected() {
   if (fd_ >= 0) return;
   // inflight() (not inflight_) on purpose: dial() clears the buffered
-  // ready_/failed_/busy_ results too, and reconnecting must never destroy
+  // ready_ replies too, and reconnecting must never destroy
   // answers the caller has yet to wait() for.
   if (!opts_.auto_reconnect || inflight() != 0) {
     throw std::runtime_error("net client: not connected");
@@ -340,65 +325,11 @@ std::uint64_t Client::track_and_write(std::uint64_t id, std::vector<std::uint8_t
   return id;
 }
 
-void Client::require_v3(const char* opcode) const {
-  if (hello_.version >= 3) return;
-  throw std::runtime_error("net client: " + std::string(opcode) +
-                           " needs protocol version 3, but the server speaks version " +
+void Client::require_version(std::uint32_t version, const char* opcode) const {
+  if (hello_.version >= version) return;
+  throw std::runtime_error("net client: " + std::string(opcode) + " needs protocol version " +
+                           std::to_string(version) + ", but the server speaks version " +
                            std::to_string(hello_.version));
-}
-
-void Client::require_v4(const char* opcode) const {
-  if (hello_.version >= 4) return;
-  throw std::runtime_error("net client: " + std::string(opcode) +
-                           " needs protocol version 4, but the server speaks version " +
-                           std::to_string(hello_.version));
-}
-
-std::uint64_t Client::send(std::span<const service::Query> queries,
-                           std::optional<std::uint64_t> digest,
-                           std::optional<std::uint32_t> deadline_ms) {
-  ensure_connected();
-  const std::uint64_t id = next_id_++;
-  std::vector<std::uint8_t> bytes;
-  append_query_batch(bytes, id, queries, digest, deadline_ms);
-  return track_and_write(id, std::move(bytes), FrameType::kAnswerBatch, queries.size(),
-                         deadline_ms);
-}
-
-std::uint64_t Client::send_vitality(std::span<const service::VitalityQuery> queries,
-                                    std::optional<std::uint64_t> digest,
-                                    std::optional<std::uint32_t> deadline_ms) {
-  ensure_connected();
-  require_v3("VITALITY_BATCH");
-  const std::uint64_t id = next_id_++;
-  std::vector<std::uint8_t> bytes;
-  append_vitality_batch(bytes, id, queries, digest, deadline_ms);
-  return track_and_write(id, std::move(bytes), FrameType::kVitalityAnswer, queries.size(),
-                         deadline_ms);
-}
-
-std::uint64_t Client::send_vickrey(std::span<const service::VickreyQuery> queries,
-                                   std::optional<std::uint64_t> digest,
-                                   std::optional<std::uint32_t> deadline_ms) {
-  ensure_connected();
-  require_v3("VICKREY_BATCH");
-  const std::uint64_t id = next_id_++;
-  std::vector<std::uint8_t> bytes;
-  append_vickrey_batch(bytes, id, queries, digest, deadline_ms);
-  return track_and_write(id, std::move(bytes), FrameType::kVickreyAnswer, queries.size(),
-                         deadline_ms);
-}
-
-std::uint64_t Client::send_kfail(std::span<const service::KFailQuery> queries,
-                                 std::optional<std::uint64_t> digest,
-                                 std::optional<std::uint32_t> deadline_ms) {
-  ensure_connected();
-  require_v3("KFAIL_BATCH");
-  const std::uint64_t id = next_id_++;
-  std::vector<std::uint8_t> bytes;
-  append_kfail_batch(bytes, id, queries, digest, deadline_ms);
-  return track_and_write(id, std::move(bytes), FrameType::kKFailAnswer, queries.size(),
-                         deadline_ms);
 }
 
 void Client::settle_inflight(std::uint64_t request_id, FrameType got, std::size_t answered) {
@@ -426,31 +357,17 @@ void Client::settle_inflight(std::uint64_t request_id, FrameType got, std::size_
 
 std::optional<Frame> Client::route_one(std::uint64_t control_id) {
   Frame frame = read_frame();
+  bool answer = false;
+  service::for_each_workload([&](auto tag) {
+    using W = typename decltype(tag)::type;
+    if (answer || frame.type != W::kAnswerFrame) return;
+    answer = true;
+    AnswerFrame<W> a = decode_answer<W>(frame.payload);
+    settle_inflight(a.request_id, frame.type, a.answers.size());
+    ready_.emplace(a.request_id, Reply{frame.type, std::move(a.answers), {}});
+  });
+  if (answer) return std::nullopt;
   switch (frame.type) {
-    case FrameType::kAnswerBatch: {
-      AnswerBatchFrame ab = decode_answer_batch(frame.payload);
-      settle_inflight(ab.request_id, FrameType::kAnswerBatch, ab.answers.size());
-      ready_.emplace(ab.request_id, BatchAnswer{ab.request_id, std::move(ab.answers)});
-      return std::nullopt;
-    }
-    case FrameType::kVitalityAnswer: {
-      VitalityAnswerFrame va = decode_vitality_answer(frame.payload);
-      settle_inflight(va.request_id, FrameType::kVitalityAnswer, va.results.size());
-      ready_vitality_.emplace(va.request_id, std::move(va.results));
-      return std::nullopt;
-    }
-    case FrameType::kVickreyAnswer: {
-      VickreyAnswerFrame va = decode_vickrey_answer(frame.payload);
-      settle_inflight(va.request_id, FrameType::kVickreyAnswer, va.results.size());
-      ready_vickrey_.emplace(va.request_id, std::move(va.results));
-      return std::nullopt;
-    }
-    case FrameType::kKFailAnswer: {
-      KFailAnswerFrame ka = decode_kfail_answer(frame.payload);
-      settle_inflight(ka.request_id, FrameType::kKFailAnswer, ka.answers.size());
-      ready_kfail_.emplace(ka.request_id, std::move(ka.answers));
-      return std::nullopt;
-    }
     case FrameType::kError: {
       ErrorFrame err = decode_error(frame.payload);
       if (err.request_id == 0) {
@@ -467,7 +384,7 @@ std::optional<Frame> Client::route_one(std::uint64_t control_id) {
       inflight_.erase(it);
       pending_frames_.erase(err.request_id);
       wire_deadlines_.erase(err.request_id);
-      failed_.emplace(err.request_id, std::move(err.message));
+      ready_.emplace(err.request_id, Reply{FrameType::kError, {}, std::move(err.message)});
       return std::nullopt;
     }
     case FrameType::kBusy: {
@@ -481,7 +398,7 @@ std::optional<Frame> Client::route_one(std::uint64_t control_id) {
       inflight_.erase(it);
       pending_frames_.erase(busy.request_id);
       wire_deadlines_.erase(busy.request_id);
-      busy_.emplace(busy.request_id, std::move(busy.message));
+      ready_.emplace(busy.request_id, Reply{FrameType::kBusy, {}, std::move(busy.message)});
       return std::nullopt;
     }
     case FrameType::kRegisterAck: {
@@ -508,28 +425,41 @@ std::optional<Frame> Client::route_one(std::uint64_t control_id) {
   }
 }
 
+namespace {
+
+/// Throws the documented exception for an ERROR or BUSY reply.
+void throw_if_failed(FrameType type, const std::string& message) {
+  if (type == FrameType::kError) {
+    if (is_deadline_exceeded_message(message)) {
+      throw DeadlineError("net client: batch failed: " + message);
+    }
+    throw std::runtime_error("net client: batch failed: " + message);
+  }
+  if (type == FrameType::kBusy) throw BusyError("net client: batch rejected: " + message);
+}
+
+}  // namespace
+
 BatchAnswer Client::wait_any() {
   for (;;) {
-    if (!ready_.empty()) {
-      auto it = ready_.begin();
-      BatchAnswer out = std::move(it->second);
-      ready_.erase(it);
-      return out;
-    }
-    if (!failed_.empty()) {
-      auto it = failed_.begin();
-      const std::string message = std::move(it->second);
-      failed_.erase(it);
-      if (is_deadline_exceeded_message(message)) {
-        throw DeadlineError("net client: batch failed: " + message);
+    // Point answers first, then failures of any batch.
+    auto pick = ready_.end();
+    for (auto it = ready_.begin(); it != ready_.end(); ++it) {
+      const FrameType type = it->second.type;
+      if (type == service::Point::kAnswerFrame) {
+        pick = it;
+        break;
       }
-      throw std::runtime_error("net client: batch failed: " + message);
+      if (pick == ready_.end() && (type == FrameType::kError || type == FrameType::kBusy)) {
+        pick = it;
+      }
     }
-    if (!busy_.empty()) {
-      auto it = busy_.begin();
-      const std::string message = std::move(it->second);
-      busy_.erase(it);
-      throw BusyError("net client: batch rejected: " + message);
+    if (pick != ready_.end()) {
+      const std::uint64_t id = pick->first;
+      Reply reply = std::move(pick->second);
+      ready_.erase(pick);
+      throw_if_failed(reply.type, reply.message);
+      return BatchAnswer{id, std::any_cast<std::vector<Dist>>(std::move(reply.answers))};
     }
     MSRP_REQUIRE(!inflight_.empty(), "net client: wait_any with nothing in flight");
     // The earliest give-up instant across the deadlined batches bounds the
@@ -541,104 +471,24 @@ BatchAnswer Client::wait_any() {
   }
 }
 
-void Client::wait_step(std::uint64_t request_id) {
-  if (const auto it = failed_.find(request_id); it != failed_.end()) {
-    const std::string message = std::move(it->second);
-    failed_.erase(it);
-    if (is_deadline_exceeded_message(message)) {
-      throw DeadlineError("net client: batch failed: " + message);
-    }
-    throw std::runtime_error("net client: batch failed: " + message);
-  }
-  if (const auto it = busy_.find(request_id); it != busy_.end()) {
-    const std::string message = std::move(it->second);
-    busy_.erase(it);
-    throw BusyError("net client: batch rejected: " + message);
-  }
-  MSRP_REQUIRE(inflight_.count(request_id) != 0,
-               "net client: waiting for an id that is not in flight");
-  const auto dl = wire_deadlines_.find(request_id);
-  recv_bound_ = dl == wire_deadlines_.end() ? kNoDeadline : dl->second;
-  route_one(0);
-}
-
-std::vector<Dist> Client::wait(std::uint64_t request_id) {
+Client::Reply Client::take_reply(std::uint64_t request_id) {
   for (;;) {
     if (const auto it = ready_.find(request_id); it != ready_.end()) {
-      std::vector<Dist> out = std::move(it->second.answers);
+      Reply reply = std::move(it->second);
       ready_.erase(it);
-      return out;
+      throw_if_failed(reply.type, reply.message);
+      return reply;
     }
-    wait_step(request_id);
+    MSRP_REQUIRE(inflight_.count(request_id) != 0,
+                 "net client: waiting for an id that is not in flight");
+    const auto dl = wire_deadlines_.find(request_id);
+    recv_bound_ = dl == wire_deadlines_.end() ? kNoDeadline : dl->second;
+    route_one(0);
   }
 }
 
-std::vector<service::VitalityResult> Client::wait_vitality(std::uint64_t request_id) {
-  for (;;) {
-    if (const auto it = ready_vitality_.find(request_id); it != ready_vitality_.end()) {
-      std::vector<service::VitalityResult> out = std::move(it->second);
-      ready_vitality_.erase(it);
-      return out;
-    }
-    wait_step(request_id);
-  }
-}
-
-std::vector<service::VickreyResult> Client::wait_vickrey(std::uint64_t request_id) {
-  for (;;) {
-    if (const auto it = ready_vickrey_.find(request_id); it != ready_vickrey_.end()) {
-      std::vector<service::VickreyResult> out = std::move(it->second);
-      ready_vickrey_.erase(it);
-      return out;
-    }
-    wait_step(request_id);
-  }
-}
-
-std::vector<Dist> Client::wait_kfail(std::uint64_t request_id) {
-  for (;;) {
-    if (const auto it = ready_kfail_.find(request_id); it != ready_kfail_.end()) {
-      std::vector<Dist> out = std::move(it->second);
-      ready_kfail_.erase(it);
-      return out;
-    }
-    wait_step(request_id);
-  }
-}
-
-std::vector<Dist> Client::query_batch(std::span<const service::Query> queries,
-                                      std::optional<std::uint64_t> digest,
-                                      std::optional<std::uint32_t> deadline_ms) {
-  return wait(send(queries, digest, deadline_ms));
-}
-
-std::vector<service::VitalityResult> Client::vitality_batch(
-    std::span<const service::VitalityQuery> queries, std::optional<std::uint64_t> digest,
-    std::optional<std::uint32_t> deadline_ms) {
-  return wait_vitality(send_vitality(queries, digest, deadline_ms));
-}
-
-std::vector<service::VickreyResult> Client::vickrey_batch(
-    std::span<const service::VickreyQuery> queries, std::optional<std::uint64_t> digest,
-    std::optional<std::uint32_t> deadline_ms) {
-  return wait_vickrey(send_vickrey(queries, digest, deadline_ms));
-}
-
-std::vector<Dist> Client::kfail_batch(std::span<const service::KFailQuery> queries,
-                                      std::optional<std::uint64_t> digest,
-                                      std::optional<std::uint32_t> deadline_ms) {
-  return wait_kfail(send_kfail(queries, digest, deadline_ms));
-}
-
-namespace {
-
-/// The retry loop shared by every idempotent round trip: BUSY rejections,
-/// connection loss, and DEADLINE_EXCEEDED replies retry on the policy's
-/// backoff schedule; any other server-reported failure rethrows. `attempt`
-/// runs one synchronous round trip with the remaining wire budget.
-template <class Attempt>
-auto run_with_retry(Client& client, const RetryPolicy& policy, Attempt attempt)
-    -> decltype(attempt(std::optional<std::uint32_t>{})) {
+void Client::retry(const RetryPolicy& policy,
+                   const std::function<void(std::optional<std::uint32_t>)>& attempt) {
   const Deadline overall =
       policy.deadline_ms != 0 ? deadline_after_ms(policy.deadline_ms) : kNoDeadline;
   const unsigned attempts = std::max(1u, policy.max_attempts);
@@ -657,8 +507,9 @@ auto run_with_retry(Client& client, const RetryPolicy& policy, Attempt attempt)
       wire_ms = static_cast<std::uint32_t>(left.count());
     }
     try {
-      if (!client.connected()) client.reconnect();
-      return attempt(wire_ms);
+      if (!connected()) reconnect();
+      attempt(wire_ms);
+      return;
     } catch (const BusyError&) {
       if (round + 1 >= attempts) throw;
     } catch (const DeadlineError&) {
@@ -666,7 +517,7 @@ auto run_with_retry(Client& client, const RetryPolicy& policy, Attempt attempt)
     } catch (const std::runtime_error&) {
       // Connection loss closes the socket; a server-reported batch error
       // leaves it open and is never retried (same bytes, same verdict).
-      if (client.connected() || round + 1 >= attempts) throw;
+      if (connected() || round + 1 >= attempts) throw;
     }
     auto pause = policy.backoff_for(round + 1);
     if (overall != kNoDeadline) {
@@ -681,40 +532,6 @@ auto run_with_retry(Client& client, const RetryPolicy& policy, Attempt attempt)
     }
     if (pause.count() > 0) std::this_thread::sleep_for(pause);
   }
-}
-
-}  // namespace
-
-std::vector<Dist> Client::query_batch_retry(std::span<const service::Query> queries,
-                                            const RetryPolicy& policy,
-                                            std::optional<std::uint64_t> digest) {
-  return run_with_retry(*this, policy, [&](std::optional<std::uint32_t> wire_ms) {
-    return query_batch(queries, digest, wire_ms);
-  });
-}
-
-std::vector<service::VitalityResult> Client::vitality_batch_retry(
-    std::span<const service::VitalityQuery> queries, const RetryPolicy& policy,
-    std::optional<std::uint64_t> digest) {
-  return run_with_retry(*this, policy, [&](std::optional<std::uint32_t> wire_ms) {
-    return vitality_batch(queries, digest, wire_ms);
-  });
-}
-
-std::vector<service::VickreyResult> Client::vickrey_batch_retry(
-    std::span<const service::VickreyQuery> queries, const RetryPolicy& policy,
-    std::optional<std::uint64_t> digest) {
-  return run_with_retry(*this, policy, [&](std::optional<std::uint32_t> wire_ms) {
-    return vickrey_batch(queries, digest, wire_ms);
-  });
-}
-
-std::vector<Dist> Client::kfail_batch_retry(std::span<const service::KFailQuery> queries,
-                                            const RetryPolicy& policy,
-                                            std::optional<std::uint64_t> digest) {
-  return run_with_retry(*this, policy, [&](std::optional<std::uint32_t> wire_ms) {
-    return kfail_batch(queries, digest, wire_ms);
-  });
 }
 
 Frame Client::control_round_trip(std::uint64_t control_id, std::vector<std::uint8_t> bytes) {
@@ -805,7 +622,7 @@ RegisterAckFrame Client::unregister(std::uint64_t digest) {
 }
 
 StatsSnapshotFrame Client::stats() {
-  require_v4("STATS_REQUEST");
+  require_version(4, "STATS_REQUEST");
   const std::uint64_t id = next_id_++;
   std::vector<std::uint8_t> bytes;
   append_stats_request(bytes, id);
@@ -832,75 +649,16 @@ void Client::write_all(std::span<const std::uint8_t>) {}
 Frame Client::read_frame() { return {}; }
 std::optional<Frame> Client::route_one(std::uint64_t) { return std::nullopt; }
 Frame Client::control_round_trip(std::uint64_t, std::vector<std::uint8_t>) { return {}; }
-std::uint64_t Client::send(std::span<const service::Query>, std::optional<std::uint64_t>,
-                           std::optional<std::uint32_t>) {
-  return 0;
-}
 std::uint64_t Client::track_and_write(std::uint64_t, std::vector<std::uint8_t>, FrameType,
                                       std::size_t, std::optional<std::uint32_t>) {
   return 0;
 }
-void Client::require_v3(const char*) const {}
-void Client::require_v4(const char*) const {}
-void Client::wait_step(std::uint64_t) {}
+void Client::require_version(std::uint32_t, const char*) const {}
 void Client::settle_inflight(std::uint64_t, FrameType, std::size_t) {}
-std::uint64_t Client::send_vitality(std::span<const service::VitalityQuery>,
-                                    std::optional<std::uint64_t>,
-                                    std::optional<std::uint32_t>) {
-  return 0;
-}
-std::uint64_t Client::send_vickrey(std::span<const service::VickreyQuery>,
-                                   std::optional<std::uint64_t>,
-                                   std::optional<std::uint32_t>) {
-  return 0;
-}
-std::uint64_t Client::send_kfail(std::span<const service::KFailQuery>,
-                                 std::optional<std::uint64_t>,
-                                 std::optional<std::uint32_t>) {
-  return 0;
-}
 BatchAnswer Client::wait_any() { return {}; }
-std::vector<Dist> Client::wait(std::uint64_t) { return {}; }
-std::vector<service::VitalityResult> Client::wait_vitality(std::uint64_t) { return {}; }
-std::vector<service::VickreyResult> Client::wait_vickrey(std::uint64_t) { return {}; }
-std::vector<Dist> Client::wait_kfail(std::uint64_t) { return {}; }
-std::vector<Dist> Client::query_batch(std::span<const service::Query>,
-                                      std::optional<std::uint64_t>,
-                                      std::optional<std::uint32_t>) {
-  return {};
-}
-std::vector<service::VitalityResult> Client::vitality_batch(
-    std::span<const service::VitalityQuery>, std::optional<std::uint64_t>,
-    std::optional<std::uint32_t>) {
-  return {};
-}
-std::vector<service::VickreyResult> Client::vickrey_batch(std::span<const service::VickreyQuery>,
-                                                          std::optional<std::uint64_t>,
-                                                          std::optional<std::uint32_t>) {
-  return {};
-}
-std::vector<Dist> Client::kfail_batch(std::span<const service::KFailQuery>,
-                                      std::optional<std::uint64_t>,
-                                      std::optional<std::uint32_t>) {
-  return {};
-}
-std::vector<Dist> Client::query_batch_retry(std::span<const service::Query>,
-                                            const RetryPolicy&,
-                                            std::optional<std::uint64_t>) {
-  return {};
-}
-std::vector<service::VitalityResult> Client::vitality_batch_retry(
-    std::span<const service::VitalityQuery>, const RetryPolicy&, std::optional<std::uint64_t>) {
-  return {};
-}
-std::vector<service::VickreyResult> Client::vickrey_batch_retry(
-    std::span<const service::VickreyQuery>, const RetryPolicy&, std::optional<std::uint64_t>) {
-  return {};
-}
-std::vector<Dist> Client::kfail_batch_retry(std::span<const service::KFailQuery>,
-                                            const RetryPolicy&, std::optional<std::uint64_t>) {
-  return {};
-}
+Client::Reply Client::take_reply(std::uint64_t) { return {}; }
+void Client::retry(const RetryPolicy&,
+                   const std::function<void(std::optional<std::uint32_t>)>&) {}
 RegisterAckFrame Client::register_graph(std::uint32_t,
                                         std::span<const std::pair<Vertex, Vertex>>,
                                         std::span<const Vertex>,

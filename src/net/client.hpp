@@ -4,26 +4,35 @@
 ///
 /// One Client owns one TCP connection: connect() dials, performs the HELLO
 /// handshake (version check, oracle identity capture), and then batches
-/// flow. Two call shapes share the connection:
+/// flow. Batches of every workload (service/workloads.hpp: Point, the
+/// default, plus Vitality, Vickrey and KFail) share one set of calls:
 ///
-///   * query_batch() — the synchronous round trip: send one batch, block
-///     until its answer arrives;
-///   * send() / wait_any() / wait(id) — explicit pipelining: send() writes a
-///     batch and returns its request id immediately, any number may be in
-///     flight, and the waits collect completed batches in whatever order
-///     the server finishes them (answers for other ids are buffered, never
-///     lost). This is the shape the msrp_client load generator drives.
+///   * call<W>() — the synchronous round trip: send one batch, block until
+///     its answers arrive;
+///   * send<W>() / wait<W>(id) / wait_any() — explicit pipelining: send()
+///     writes a batch and returns its request id immediately, any number
+///     of any mix of workloads may be in flight, and the waits collect
+///     completed batches in whatever order the server finishes them
+///     (replies for other ids are buffered, never lost). Replies pair by
+///     request id AND answer frame type — a reply of the wrong kind for an
+///     id is a protocol violation — and wait_any() returns point batches
+///     only. This is the shape the msrp_client load generator drives;
+///   * call_retry<W>() — call() inside a retry loop (RetryPolicy).
+///
+/// Each send throws std::runtime_error up front when the server announced
+/// a protocol version below the workload's kMinVersion (3 for the typed
+/// workloads — an older server would fail the connection on the opcode).
 ///
 /// Protocol v2 adds registry control: register_graph() /
 /// register_snapshot_path() upload or name a graph and block until the
 /// server's oracle is built (minutes for big graphs — size the socket's
 /// patience accordingly), list_oracles() enumerates what is resident, and
 /// unregister() retires a digest. Batches may target any registered oracle
-/// by passing its digest to send()/query_batch(); without one the
-/// connection's HELLO default answers, exactly as in v1. Control calls
-/// interleave freely with pipelined batches — answers arriving during a
-/// control wait are buffered for their own wait() to find. A v1 server
-/// (HELLO version 1) works unchanged as long as no v2 feature is used.
+/// by passing its digest to send()/call(); without one the connection's
+/// HELLO default answers, exactly as in v1. Control calls interleave
+/// freely with pipelined batches — answers arriving during a control wait
+/// are buffered for their own wait() to find. A v1 server (HELLO version
+/// 1) works unchanged as long as no v2 feature is used.
 ///
 /// A server-reported batch failure (ERROR frame with our id) surfaces as a
 /// thrown std::runtime_error from the wait that collects it; an
@@ -35,23 +44,13 @@
 /// with ClientOptions::auto_reconnect a send() on a dead connection does
 /// this transparently when nothing is in flight.
 ///
-/// ClientOptions::resend_on_reconnect goes further: QUERY_BATCH is
+/// ClientOptions::resend_on_reconnect goes further: every batch frame is
 /// idempotent (same oracle, same queries, same answers), so when the
 /// connection drops with batches in flight the client re-dials and replays
 /// every uncollected batch frame verbatim — same ids — and the waits
 /// proceed as if nothing happened. Control frames are never replayed
 /// (REGISTER_GRAPH is not idempotent); a drop during a control call is an
 /// error.
-///
-/// Protocol v3 adds the typed workload opcodes: send_vitality() /
-/// send_vickrey() / send_kfail() pipeline exactly like send() — same ids,
-/// same digest targeting, same wire deadlines, same BUSY/ERROR surface —
-/// and their waits return typed results instead of raw distances. Every
-/// workload frame is idempotent, so resend_on_reconnect replays them
-/// verbatim alongside point batches. The typed sends throw when the server
-/// announced a version below 3 (its dispatcher would fail the connection
-/// on the unknown opcode); everything else on this class works against a
-/// v1/v2 server unchanged.
 ///
 /// Protocol v4 adds observability: stats() performs a STATS_REQUEST /
 /// STATS_SNAPSHOT control round trip and returns the server's typed
@@ -66,8 +65,10 @@
 /// load generator opens one per connection by design).
 #pragma once
 
+#include <any>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -77,7 +78,8 @@
 #include <vector>
 
 #include "net/protocol.hpp"
-#include "service/query.hpp"
+#include "service/workloads.hpp"
+#include "util/assert.hpp"
 #include "util/deadline.hpp"
 #include "util/distance.hpp"
 
@@ -130,7 +132,7 @@ class DeadlineError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Retry schedule for query_batch_retry(): exponential backoff with
+/// Retry schedule for call_retry(): exponential backoff with
 /// deterministic jitter, bounded by attempts and an overall deadline.
 struct RetryPolicy {
   /// Overall budget for the call, across every attempt and backoff
@@ -174,111 +176,68 @@ class Client {
   bool connected() const { return fd_ >= 0; }
 
   /// Batches sent but not yet collected by a wait.
-  std::size_t inflight() const {
-    return inflight_.size() + ready_.size() + ready_vitality_.size() + ready_vickrey_.size() +
-           ready_kfail_.size() + failed_.size() + busy_.size();
-  }
+  std::size_t inflight() const { return inflight_.size() + ready_.size(); }
 
   /// Drops the current socket (in-flight ids are lost) and dials fresh.
   void reconnect();
 
-  /// Writes one QUERY_BATCH and returns its request id without waiting.
-  /// `digest` targets a registered oracle (v2); nullopt sends the
+  /// Writes one batch of workload W and returns its request id without
+  /// waiting. `digest` targets a registered oracle (v2); nullopt sends the
   /// v1-compatible shape answered by the HELLO default oracle.
   /// `deadline_ms` is the batch's end-to-end budget, carried on the wire;
   /// the server answers DEADLINE_EXCEEDED instead of running past it.
-  std::uint64_t send(std::span<const service::Query> queries,
+  template <class W = service::Point>
+  std::uint64_t send(std::span<const typename W::Query> queries,
                      std::optional<std::uint64_t> digest = std::nullopt,
                      std::optional<std::uint32_t> deadline_ms = std::nullopt);
 
-  /// Blocks for the next completed batch, in server-completion order.
-  /// Throws std::runtime_error if the server reported that batch failed
-  /// (DeadlineError when it reported DEADLINE_EXCEEDED), BusyError if it
-  /// was rejected by admission control.
+  /// Blocks until the batch with this id completes (others are buffered);
+  /// one result per query, in query order. Throws std::runtime_error if
+  /// the server reported that batch failed (DeadlineError when it reported
+  /// DEADLINE_EXCEEDED), BusyError if admission control rejected it.
+  template <class W = service::Point>
+  std::vector<typename W::Result> wait(std::uint64_t request_id);
+
+  /// Blocks for the next completed point batch, in server-completion
+  /// order. Same throw surface as wait(), for a failure of any batch.
   BatchAnswer wait_any();
 
-  /// Blocks until the batch with this id completes (others are buffered).
-  std::vector<Dist> wait(std::uint64_t request_id);
-
   /// send() + wait(): the synchronous round trip.
-  std::vector<Dist> query_batch(std::span<const service::Query> queries,
-                                std::optional<std::uint64_t> digest = std::nullopt,
-                                std::optional<std::uint32_t> deadline_ms = std::nullopt);
+  template <class W = service::Point>
+  std::vector<typename W::Result> call(
+      std::span<const typename W::Query> queries,
+      std::optional<std::uint64_t> digest = std::nullopt,
+      std::optional<std::uint32_t> deadline_ms = std::nullopt);
 
-  /// query_batch with a retry loop: BUSY rejections, connection loss, and
+  /// call() with a retry loop: BUSY rejections, connection loss, and
   /// DEADLINE_EXCEEDED replies are retried on the policy's backoff
-  /// schedule (QUERY_BATCH is idempotent, so a resend is always safe);
-  /// any other server-reported failure rethrows immediately. The policy's
-  /// deadline bounds the whole call, backoffs included, and each attempt
-  /// carries the remaining budget on the wire.
-  std::vector<Dist> query_batch_retry(std::span<const service::Query> queries,
-                                      const RetryPolicy& policy,
-                                      std::optional<std::uint64_t> digest = std::nullopt);
-
-  // ----- workload opcodes (protocol v3) -----------------------------------
-  // Same pipelining contract as send()/wait(): any mix of point and typed
-  // batches may be in flight at once, replies pair by request id AND frame
-  // type (a reply of the wrong kind for an id is a protocol violation), and
-  // wait_any() keeps returning point batches only — typed batches are
-  // collected by their own waits. All typed sends throw std::runtime_error
-  // against a server that announced a version below 3.
-
-  /// Writes one VITALITY_BATCH (top-k most-vital edges per query) and
-  /// returns its request id without waiting.
-  std::uint64_t send_vitality(std::span<const service::VitalityQuery> queries,
-                              std::optional<std::uint64_t> digest = std::nullopt,
-                              std::optional<std::uint32_t> deadline_ms = std::nullopt);
-
-  /// Writes one VICKREY_BATCH (per-edge Vickrey payments per query).
-  std::uint64_t send_vickrey(std::span<const service::VickreyQuery> queries,
-                             std::optional<std::uint64_t> digest = std::nullopt,
-                             std::optional<std::uint32_t> deadline_ms = std::nullopt);
-
-  /// Writes one KFAIL_BATCH (d(s, t) avoiding an explicit edge set per
-  /// query, |F| <= service::kMaxKFailEdges).
-  std::uint64_t send_kfail(std::span<const service::KFailQuery> queries,
-                           std::optional<std::uint64_t> digest = std::nullopt,
-                           std::optional<std::uint32_t> deadline_ms = std::nullopt);
-
-  /// Blocks until the vitality batch with this id completes; one result per
-  /// query, in query order. Same throw surface as wait().
-  std::vector<service::VitalityResult> wait_vitality(std::uint64_t request_id);
-
-  /// Blocks until the Vickrey batch with this id completes.
-  std::vector<service::VickreyResult> wait_vickrey(std::uint64_t request_id);
-
-  /// Blocks until the k-fail batch with this id completes; one distance per
-  /// query (kInfDist = unreachable once F is removed).
-  std::vector<Dist> wait_kfail(std::uint64_t request_id);
-
-  /// send_vitality() + wait_vitality(): the synchronous round trip.
-  std::vector<service::VitalityResult> vitality_batch(
-      std::span<const service::VitalityQuery> queries,
-      std::optional<std::uint64_t> digest = std::nullopt,
-      std::optional<std::uint32_t> deadline_ms = std::nullopt);
-
-  std::vector<service::VickreyResult> vickrey_batch(
-      std::span<const service::VickreyQuery> queries,
-      std::optional<std::uint64_t> digest = std::nullopt,
-      std::optional<std::uint32_t> deadline_ms = std::nullopt);
-
-  std::vector<Dist> kfail_batch(std::span<const service::KFailQuery> queries,
-                                std::optional<std::uint64_t> digest = std::nullopt,
-                                std::optional<std::uint32_t> deadline_ms = std::nullopt);
-
-  /// Retry wrappers with query_batch_retry's exact contract — the typed
-  /// frames are just as idempotent, so the same verdicts are retried.
-  std::vector<service::VitalityResult> vitality_batch_retry(
-      std::span<const service::VitalityQuery> queries, const RetryPolicy& policy,
+  /// schedule (every batch frame is idempotent, so a resend is always
+  /// safe); any other server-reported failure rethrows immediately. The
+  /// policy's deadline bounds the whole call, backoffs included, and each
+  /// attempt carries the remaining budget on the wire.
+  template <class W = service::Point>
+  std::vector<typename W::Result> call_retry(
+      std::span<const typename W::Query> queries, const RetryPolicy& policy,
       std::optional<std::uint64_t> digest = std::nullopt);
 
-  std::vector<service::VickreyResult> vickrey_batch_retry(
-      std::span<const service::VickreyQuery> queries, const RetryPolicy& policy,
-      std::optional<std::uint64_t> digest = std::nullopt);
-
-  std::vector<Dist> kfail_batch_retry(std::span<const service::KFailQuery> queries,
-                                      const RetryPolicy& policy,
-                                      std::optional<std::uint64_t> digest = std::nullopt);
+  // perfbench/ (which builds against this tree but is versioned with the
+  // benchmark) still calls the typed pipelining calls by their old names.
+  std::uint64_t send_vitality(std::span<const service::VitalityQuery> q) {
+    return send<service::Vitality>(q);
+  }
+  std::uint64_t send_vickrey(std::span<const service::VickreyQuery> q) {
+    return send<service::Vickrey>(q);
+  }
+  std::uint64_t send_kfail(std::span<const service::KFailQuery> q) {
+    return send<service::KFail>(q);
+  }
+  std::vector<service::VitalityResult> wait_vitality(std::uint64_t id) {
+    return wait<service::Vitality>(id);
+  }
+  std::vector<service::VickreyResult> wait_vickrey(std::uint64_t id) {
+    return wait<service::Vickrey>(id);
+  }
+  std::vector<Dist> wait_kfail(std::uint64_t id) { return wait<service::KFail>(id); }
 
   // ----- registry control (protocol v2) -----------------------------------
 
@@ -322,8 +281,8 @@ class Client {
   void write_all(std::span<const std::uint8_t> bytes);
   /// Reads socket bytes into the decoder until one frame is complete.
   Frame read_frame();
-  /// Reads one frame and routes it. Batch traffic (ANSWER_BATCH, per-id
-  /// ERROR/BUSY for an in-flight batch) lands in ready_/failed_/busy_ and
+  /// Reads one frame and routes it. Batch traffic (any workload's answer
+  /// frame, per-id ERROR/BUSY for an in-flight batch) lands in ready_ and
   /// returns nullopt; a control reply carrying `control_id` (nonzero) is
   /// returned to the caller. Control-shaped frames with no control call
   /// pending are protocol violations.
@@ -339,17 +298,27 @@ class Client {
   std::uint64_t track_and_write(std::uint64_t id, std::vector<std::uint8_t> bytes,
                                 FrameType expect, std::size_t count,
                                 std::optional<std::uint32_t> deadline_ms);
-  /// Throws std::runtime_error unless the server announced protocol >= 3.
-  void require_v3(const char* opcode) const;
-  /// Throws std::runtime_error unless the server announced protocol >= 4.
-  void require_v4(const char* opcode) const;
-  /// Common per-pass body of the typed waits: throws the buffered failure
-  /// for `request_id` if one arrived, else blocks for one more frame.
-  void wait_step(std::uint64_t request_id);
+  /// Throws std::runtime_error unless the server announced protocol >=
+  /// `version`; `opcode` names the frame in the message.
+  void require_version(std::uint32_t version, const char* opcode) const;
   /// On a reply frame: looks up `request_id` expecting `got`-typed replies
   /// owing `answered` entries; erases the in-flight record on match, fails
   /// the connection on any mismatch.
   void settle_inflight(std::uint64_t request_id, FrameType got, std::size_t answered);
+  /// One collected reply: decoded answers of the workload whose answer
+  /// frame is `type`, or the message of an ERROR / BUSY reply.
+  struct Reply {
+    FrameType type = FrameType::kAnswerBatch;
+    std::any answers;  ///< std::vector<W::Result> for W::kAnswerFrame == type
+    std::string message;
+  };
+  /// Blocks until the reply for `request_id` arrives and removes it;
+  /// throws for an ERROR or BUSY reply.
+  Reply take_reply(std::uint64_t request_id);
+  /// Runs `attempt` (one round trip, given the remaining wire budget) on
+  /// the policy's retry schedule.
+  void retry(const RetryPolicy& policy,
+             const std::function<void(std::optional<std::uint32_t>)>& attempt);
 
   ClientOptions opts_;
   int fd_ = -1;
@@ -371,15 +340,9 @@ class Client {
   // Verbatim frame bytes of in-flight batches, kept only when
   // resend_on_reconnect is set; ordered so a replay preserves send order.
   std::map<std::uint64_t, std::vector<std::uint8_t>> pending_frames_;
-  // Answers (or server-reported errors / busy rejections) that arrived
-  // while waiting for a different id. Typed replies buffer in their own
-  // maps so a wait can never hand back the wrong result kind.
-  std::unordered_map<std::uint64_t, BatchAnswer> ready_;
-  std::unordered_map<std::uint64_t, std::vector<service::VitalityResult>> ready_vitality_;
-  std::unordered_map<std::uint64_t, std::vector<service::VickreyResult>> ready_vickrey_;
-  std::unordered_map<std::uint64_t, std::vector<Dist>> ready_kfail_;
-  std::unordered_map<std::uint64_t, std::string> failed_;
-  std::unordered_map<std::uint64_t, std::string> busy_;
+  // Replies (answers, server-reported errors, busy rejections) that
+  // arrived while waiting for a different id.
+  std::unordered_map<std::uint64_t, Reply> ready_;
   // Local give-up instant (wire deadline + grace) per in-flight batch that
   // was sent with a deadline; bounds the waits via recv_bound_.
   std::unordered_map<std::uint64_t, Deadline> wire_deadlines_;
@@ -387,5 +350,43 @@ class Client {
   // forever); set by wait()/wait_any() per pass, cleared for control calls.
   Deadline recv_bound_ = kNoDeadline;
 };
+
+template <class W>
+std::uint64_t Client::send(std::span<const typename W::Query> queries,
+                           std::optional<std::uint64_t> digest,
+                           std::optional<std::uint32_t> deadline_ms) {
+  ensure_connected();
+  require_version(W::kMinVersion, W::kFrameName);
+  const std::uint64_t id = next_id_++;
+  std::vector<std::uint8_t> bytes;
+  append_batch<W>(bytes, id, queries, digest, deadline_ms);
+  return track_and_write(id, std::move(bytes), W::kAnswerFrame, queries.size(), deadline_ms);
+}
+
+template <class W>
+std::vector<typename W::Result> Client::wait(std::uint64_t request_id) {
+  Reply reply = take_reply(request_id);
+  MSRP_REQUIRE(reply.type == W::kAnswerFrame,
+               "net client: waiting with a different workload than the batch was sent with");
+  return std::any_cast<std::vector<typename W::Result>>(std::move(reply.answers));
+}
+
+template <class W>
+std::vector<typename W::Result> Client::call(std::span<const typename W::Query> queries,
+                                             std::optional<std::uint64_t> digest,
+                                             std::optional<std::uint32_t> deadline_ms) {
+  return wait<W>(send<W>(queries, digest, deadline_ms));
+}
+
+template <class W>
+std::vector<typename W::Result> Client::call_retry(std::span<const typename W::Query> queries,
+                                                   const RetryPolicy& policy,
+                                                   std::optional<std::uint64_t> digest) {
+  std::vector<typename W::Result> out;
+  retry(policy, [&](std::optional<std::uint32_t> wire_ms) {
+    out = call<W>(queries, digest, wire_ms);
+  });
+  return out;
+}
 
 }  // namespace msrp::net

@@ -4,21 +4,13 @@
 
 namespace msrp::net {
 
+using detail::get_u32;
+using detail::get_u64;
+using detail::put_u32;
+using detail::put_u64;
+using detail::Reader;
+
 namespace {
-
-// Little-endian scalar I/O, independent of host byte order.
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
 
 void put_u32_at(std::uint8_t* p, std::uint32_t v) {
   p[0] = static_cast<std::uint8_t>(v);
@@ -32,60 +24,28 @@ void put_u64_at(std::uint8_t* p, std::uint64_t v) {
   put_u32_at(p + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) | (std::uint32_t{p[2]} << 16) |
-         (std::uint32_t{p[3]} << 24);
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  return std::uint64_t{get_u32(p)} | (std::uint64_t{get_u32(p + 4)} << 32);
-}
-
-/// A payload reader that throws ProtocolError instead of reading past the
-/// end — every decoder below funnels through it, so a lying count field
-/// can never cause an out-of-bounds read.
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> payload) : p_(payload) {}
-
-  std::uint32_t u32() { return get_u32(take(4)); }
-  std::uint64_t u64() { return get_u64(take(8)); }
-
-  const std::uint8_t* take(std::size_t n) {
-    if (p_.size() - pos_ < n) throw ProtocolError("frame payload truncated");
-    const std::uint8_t* at = p_.data() + pos_;
-    pos_ += n;
-    return at;
-  }
-
-  /// Guards a count field before it sizes any allocation: the payload must
-  /// actually hold `count` records of `record_bytes` each. Without this, a
-  /// 40-byte frame claiming 2^32 queries would drive a multi-gigabyte
-  /// reserve() whose bad_alloc is not a ProtocolError.
-  void expect_records(std::uint64_t count, std::size_t record_bytes) const {
-    if ((p_.size() - pos_) / record_bytes < count) {
-      throw ProtocolError("frame payload truncated (count exceeds payload)");
-    }
-  }
-
-  void expect_end() const {
-    if (pos_ != p_.size()) throw ProtocolError("frame payload has trailing bytes");
-  }
-
- private:
-  std::span<const std::uint8_t> p_;
-  std::size_t pos_ = 0;
-};
-
-/// Encodes payload via `fill`, then patches the header in place: the
-/// payload is built directly in `out` after a 24-byte gap, and the header
-/// (whose checksum needs the final payload) is written straight into the
-/// gap — no temporary buffer on the per-frame path.
+/// Encodes payload via `fill` between begin_frame and end_frame.
 template <typename Fill>
 void append_frame(std::vector<std::uint8_t>& out, FrameType type, Fill&& fill) {
+  const std::size_t header_at = detail::begin_frame(out);
+  fill(out);
+  detail::end_frame(out, header_at, type);
+}
+
+}  // namespace
+
+namespace detail {
+
+// The payload is built directly in `out` after a 24-byte gap, and the
+// header (whose checksum needs the final payload) is then written straight
+// into the gap — no temporary buffer on the per-frame path.
+std::size_t begin_frame(std::vector<std::uint8_t>& out) {
   const std::size_t header_at = out.size();
   out.resize(out.size() + kFrameHeaderBytes);
-  fill(out);
+  return header_at;
+}
+
+void end_frame(std::vector<std::uint8_t>& out, std::size_t header_at, FrameType type) {
   std::uint8_t* h = out.data() + header_at;
   const std::uint8_t* payload = h + kFrameHeaderBytes;
   const std::size_t payload_len = out.size() - header_at - kFrameHeaderBytes;
@@ -96,7 +56,34 @@ void append_frame(std::vector<std::uint8_t>& out, FrameType type, Fill&& fill) {
   put_u64_at(h + 16, fnv::mix_bytes(fnv::kOffset, payload, payload_len));
 }
 
-}  // namespace
+void put_batch_envelope(std::vector<std::uint8_t>& buf, std::uint64_t request_id,
+                        std::size_t count, const std::optional<std::uint64_t>& digest,
+                        const std::optional<std::uint32_t>& deadline_ms) {
+  put_u64(buf, request_id);
+  put_u32(buf, static_cast<std::uint32_t>(count));
+  // v1 wrote this word as reserved-zero; v2 uses it as a flag field, so a
+  // batch with neither digest nor deadline is byte-identical to v1.
+  const std::uint32_t flags = (digest ? kQueryBatchHasDigest : 0) |
+                              (deadline_ms ? kQueryBatchHasDeadline : 0);
+  put_u32(buf, flags);
+  if (digest) put_u64(buf, *digest);
+  if (deadline_ms) put_u32(buf, *deadline_ms);
+}
+
+BatchEnvelope read_batch_envelope(Reader& r, const char* frame_name) {
+  BatchEnvelope env;
+  env.request_id = r.u64();
+  env.count = r.u32();
+  const std::uint32_t flags = r.u32();
+  if ((flags & ~(kQueryBatchHasDigest | kQueryBatchHasDeadline)) != 0) {
+    throw ProtocolError(std::string("unknown ") + frame_name + " flags");
+  }
+  if (flags & kQueryBatchHasDigest) env.digest = r.u64();
+  if (flags & kQueryBatchHasDeadline) env.deadline_ms = r.u32();
+  return env;
+}
+
+}  // namespace detail
 
 void append_hello(std::vector<std::uint8_t>& out, const HelloInfo& hello) {
   append_frame(out, FrameType::kHello, [&](std::vector<std::uint8_t>& buf) {
@@ -108,36 +95,6 @@ void append_hello(std::vector<std::uint8_t>& out, const HelloInfo& hello) {
     put_u32(buf, static_cast<std::uint32_t>(hello.sources.size()));
     put_u32(buf, 0);  // reserved
     for (const Vertex s : hello.sources) put_u32(buf, s);
-  });
-}
-
-void append_query_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                        std::span<const service::Query> queries,
-                        std::optional<std::uint64_t> digest,
-                        std::optional<std::uint32_t> deadline_ms) {
-  append_frame(out, FrameType::kQueryBatch, [&](std::vector<std::uint8_t>& buf) {
-    put_u64(buf, request_id);
-    put_u32(buf, static_cast<std::uint32_t>(queries.size()));
-    const std::uint32_t flags = (digest ? kQueryBatchHasDigest : 0) |
-                                (deadline_ms ? kQueryBatchHasDeadline : 0);
-    put_u32(buf, flags);  // v1: reserved 0
-    if (digest) put_u64(buf, *digest);
-    if (deadline_ms) put_u32(buf, *deadline_ms);
-    for (const service::Query& q : queries) {
-      put_u32(buf, q.s);
-      put_u32(buf, q.t);
-      put_u32(buf, q.e);
-    }
-  });
-}
-
-void append_answer_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                         std::span<const Dist> answers) {
-  append_frame(out, FrameType::kAnswerBatch, [&](std::vector<std::uint8_t>& buf) {
-    put_u64(buf, request_id);
-    put_u32(buf, static_cast<std::uint32_t>(answers.size()));
-    put_u32(buf, 0);  // reserved
-    for (const Dist d : answers) put_u32(buf, d);
   });
 }
 
@@ -236,132 +193,6 @@ void append_unregister(std::vector<std::uint8_t>& out, std::uint64_t request_id,
   });
 }
 
-namespace {
-
-/// The envelope every batch request shares (QUERY_BATCH and the three v3
-/// workload batches): request id, record count, flag word, optional digest
-/// and deadline. One writer/reader pair keeps the layouts identical.
-void put_batch_envelope(std::vector<std::uint8_t>& buf, std::uint64_t request_id,
-                        std::size_t count, const std::optional<std::uint64_t>& digest,
-                        const std::optional<std::uint32_t>& deadline_ms) {
-  put_u64(buf, request_id);
-  put_u32(buf, static_cast<std::uint32_t>(count));
-  const std::uint32_t flags = (digest ? kQueryBatchHasDigest : 0) |
-                              (deadline_ms ? kQueryBatchHasDeadline : 0);
-  put_u32(buf, flags);
-  if (digest) put_u64(buf, *digest);
-  if (deadline_ms) put_u32(buf, *deadline_ms);
-}
-
-struct BatchEnvelope {
-  std::uint64_t request_id = 0;
-  std::uint32_t count = 0;
-  std::optional<std::uint64_t> digest;
-  std::optional<std::uint32_t> deadline_ms;
-};
-
-BatchEnvelope read_batch_envelope(Reader& r, const char* frame_name) {
-  BatchEnvelope env;
-  env.request_id = r.u64();
-  env.count = r.u32();
-  const std::uint32_t flags = r.u32();
-  if ((flags & ~(kQueryBatchHasDigest | kQueryBatchHasDeadline)) != 0) {
-    throw ProtocolError(std::string("unknown ") + frame_name + " flags");
-  }
-  if (flags & kQueryBatchHasDigest) env.digest = r.u64();
-  if (flags & kQueryBatchHasDeadline) env.deadline_ms = r.u32();
-  return env;
-}
-
-}  // namespace
-
-void append_vitality_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                           std::span<const service::VitalityQuery> queries,
-                           std::optional<std::uint64_t> digest,
-                           std::optional<std::uint32_t> deadline_ms) {
-  append_frame(out, FrameType::kVitalityBatch, [&](std::vector<std::uint8_t>& buf) {
-    put_batch_envelope(buf, request_id, queries.size(), digest, deadline_ms);
-    for (const service::VitalityQuery& q : queries) {
-      put_u32(buf, q.s);
-      put_u32(buf, q.t);
-      put_u32(buf, q.k);
-    }
-  });
-}
-
-void append_vitality_answer(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                            std::span<const service::VitalityResult> results) {
-  append_frame(out, FrameType::kVitalityAnswer, [&](std::vector<std::uint8_t>& buf) {
-    put_u64(buf, request_id);
-    put_u32(buf, static_cast<std::uint32_t>(results.size()));
-    put_u32(buf, 0);  // reserved
-    for (const service::VitalityResult& res : results) {
-      put_u32(buf, res.base);
-      put_u32(buf, static_cast<std::uint32_t>(res.edges.size()));
-      for (const service::VitalityEntry& e : res.edges) {
-        put_u32(buf, e.edge);
-        put_u32(buf, e.position);
-        put_u32(buf, e.replacement);
-      }
-    }
-  });
-}
-
-void append_vickrey_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                          std::span<const service::VickreyQuery> queries,
-                          std::optional<std::uint64_t> digest,
-                          std::optional<std::uint32_t> deadline_ms) {
-  append_frame(out, FrameType::kVickreyBatch, [&](std::vector<std::uint8_t>& buf) {
-    put_batch_envelope(buf, request_id, queries.size(), digest, deadline_ms);
-    for (const service::VickreyQuery& q : queries) {
-      put_u32(buf, q.s);
-      put_u32(buf, q.t);
-    }
-  });
-}
-
-void append_vickrey_answer(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                           std::span<const service::VickreyResult> results) {
-  append_frame(out, FrameType::kVickreyAnswer, [&](std::vector<std::uint8_t>& buf) {
-    put_u64(buf, request_id);
-    put_u32(buf, static_cast<std::uint32_t>(results.size()));
-    put_u32(buf, 0);  // reserved
-    for (const service::VickreyResult& res : results) {
-      put_u32(buf, res.base);
-      put_u32(buf, static_cast<std::uint32_t>(res.prices.size()));
-      for (const service::VickreyCharge& c : res.prices) {
-        put_u32(buf, c.edge);
-        put_u32(buf, c.price);
-      }
-    }
-  });
-}
-
-void append_kfail_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                        std::span<const service::KFailQuery> queries,
-                        std::optional<std::uint64_t> digest,
-                        std::optional<std::uint32_t> deadline_ms) {
-  append_frame(out, FrameType::kKFailBatch, [&](std::vector<std::uint8_t>& buf) {
-    put_batch_envelope(buf, request_id, queries.size(), digest, deadline_ms);
-    for (const service::KFailQuery& q : queries) {
-      put_u32(buf, q.s);
-      put_u32(buf, q.t);
-      put_u32(buf, static_cast<std::uint32_t>(q.fails.size()));
-      for (const EdgeId e : q.fails) put_u32(buf, e);
-    }
-  });
-}
-
-void append_kfail_answer(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                         std::span<const Dist> answers) {
-  append_frame(out, FrameType::kKFailAnswer, [&](std::vector<std::uint8_t>& buf) {
-    put_u64(buf, request_id);
-    put_u32(buf, static_cast<std::uint32_t>(answers.size()));
-    put_u32(buf, 0);  // reserved
-    for (const Dist d : answers) put_u32(buf, d);
-  });
-}
-
 HelloInfo decode_hello(std::span<const std::uint8_t> payload) {
   Reader r(payload);
   HelloInfo hello;
@@ -377,44 +208,6 @@ HelloInfo decode_hello(std::span<const std::uint8_t> payload) {
   for (std::uint32_t i = 0; i < sigma; ++i) hello.sources.push_back(r.u32());
   r.expect_end();
   return hello;
-}
-
-QueryBatchFrame decode_query_batch(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  QueryBatchFrame qb;
-  qb.request_id = r.u64();
-  const std::uint32_t count = r.u32();
-  // v1 wrote this word as reserved-zero; v2 uses it as a flag field, so
-  // every v1 frame decodes here unchanged (flags == 0, no digest).
-  const std::uint32_t flags = r.u32();
-  if ((flags & ~(kQueryBatchHasDigest | kQueryBatchHasDeadline)) != 0) {
-    throw ProtocolError("unknown QUERY_BATCH flags");
-  }
-  if (flags & kQueryBatchHasDigest) qb.digest = r.u64();
-  if (flags & kQueryBatchHasDeadline) qb.deadline_ms = r.u32();
-  r.expect_records(count, 12);
-  qb.queries.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t s = r.u32();
-    const std::uint32_t t = r.u32();
-    const std::uint32_t e = r.u32();
-    qb.queries.push_back({s, t, e});
-  }
-  r.expect_end();
-  return qb;
-}
-
-AnswerBatchFrame decode_answer_batch(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  AnswerBatchFrame ab;
-  ab.request_id = r.u64();
-  const std::uint32_t count = r.u32();
-  r.u32();  // reserved
-  r.expect_records(count, 4);
-  ab.answers.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) ab.answers.push_back(r.u32());
-  r.expect_end();
-  return ab;
 }
 
 ErrorFrame decode_error(std::span<const std::uint8_t> payload) {
@@ -540,148 +333,6 @@ UnregisterFrame decode_unregister(std::span<const std::uint8_t> payload) {
   un.digest = r.u64();
   r.expect_end();
   return un;
-}
-
-VitalityBatchFrame decode_vitality_batch(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  const BatchEnvelope env = read_batch_envelope(r, "VITALITY_BATCH");
-  VitalityBatchFrame vb;
-  vb.request_id = env.request_id;
-  vb.digest = env.digest;
-  vb.deadline_ms = env.deadline_ms;
-  r.expect_records(env.count, 12);
-  vb.queries.reserve(env.count);
-  for (std::uint32_t i = 0; i < env.count; ++i) {
-    service::VitalityQuery q;
-    q.s = r.u32();
-    q.t = r.u32();
-    q.k = r.u32();
-    if (q.k == 0) throw ProtocolError("VITALITY_BATCH k must be positive");
-    if (q.k > service::kMaxTopKVital) {
-      throw ProtocolError("VITALITY_BATCH k " + std::to_string(q.k) + " exceeds cap " +
-                          std::to_string(service::kMaxTopKVital));
-    }
-    vb.queries.push_back(q);
-  }
-  r.expect_end();
-  return vb;
-}
-
-VitalityAnswerFrame decode_vitality_answer(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  VitalityAnswerFrame va;
-  va.request_id = r.u64();
-  const std::uint32_t count = r.u32();
-  r.u32();  // reserved
-  r.expect_records(count, 8);  // fixed bytes per result, entries excluded
-  va.results.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    service::VitalityResult res;
-    res.base = r.u32();
-    const std::uint32_t entries = r.u32();
-    r.expect_records(entries, 12);
-    res.edges.reserve(entries);
-    for (std::uint32_t j = 0; j < entries; ++j) {
-      service::VitalityEntry e;
-      e.edge = r.u32();
-      e.position = r.u32();
-      e.replacement = r.u32();
-      res.edges.push_back(e);
-    }
-    va.results.push_back(std::move(res));
-  }
-  r.expect_end();
-  return va;
-}
-
-VickreyBatchFrame decode_vickrey_batch(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  const BatchEnvelope env = read_batch_envelope(r, "VICKREY_BATCH");
-  VickreyBatchFrame vb;
-  vb.request_id = env.request_id;
-  vb.digest = env.digest;
-  vb.deadline_ms = env.deadline_ms;
-  r.expect_records(env.count, 8);
-  vb.queries.reserve(env.count);
-  for (std::uint32_t i = 0; i < env.count; ++i) {
-    service::VickreyQuery q;
-    q.s = r.u32();
-    q.t = r.u32();
-    vb.queries.push_back(q);
-  }
-  r.expect_end();
-  return vb;
-}
-
-VickreyAnswerFrame decode_vickrey_answer(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  VickreyAnswerFrame va;
-  va.request_id = r.u64();
-  const std::uint32_t count = r.u32();
-  r.u32();  // reserved
-  r.expect_records(count, 8);  // fixed bytes per result, charges excluded
-  va.results.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    service::VickreyResult res;
-    res.base = r.u32();
-    const std::uint32_t charges = r.u32();
-    r.expect_records(charges, 8);
-    res.prices.reserve(charges);
-    for (std::uint32_t j = 0; j < charges; ++j) {
-      service::VickreyCharge c;
-      c.edge = r.u32();
-      c.price = r.u32();
-      res.prices.push_back(c);
-    }
-    va.results.push_back(std::move(res));
-  }
-  r.expect_end();
-  return va;
-}
-
-KFailBatchFrame decode_kfail_batch(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  const BatchEnvelope env = read_batch_envelope(r, "KFAIL_BATCH");
-  KFailBatchFrame kb;
-  kb.request_id = env.request_id;
-  kb.digest = env.digest;
-  kb.deadline_ms = env.deadline_ms;
-  r.expect_records(env.count, 12);  // minimum record size (empty failure set)
-  kb.queries.reserve(env.count);
-  for (std::uint32_t i = 0; i < env.count; ++i) {
-    service::KFailQuery q;
-    q.s = r.u32();
-    q.t = r.u32();
-    const std::uint32_t fails = r.u32();
-    if (fails > service::kMaxKFailEdges) {
-      throw ProtocolError("KFAIL_BATCH failure set of " + std::to_string(fails) +
-                          " edges exceeds cap " + std::to_string(service::kMaxKFailEdges));
-    }
-    q.fails.reserve(fails);
-    for (std::uint32_t j = 0; j < fails; ++j) {
-      const EdgeId e = r.u32();
-      for (const EdgeId seen : q.fails) {
-        if (seen == e) throw ProtocolError("KFAIL_BATCH duplicate edge in failure set");
-      }
-      q.fails.push_back(e);
-    }
-    kb.queries.push_back(std::move(q));
-  }
-  r.expect_end();
-  return kb;
-}
-
-KFailAnswerFrame decode_kfail_answer(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  KFailAnswerFrame ka;
-  ka.request_id = r.u64();
-  const std::uint32_t count = r.u32();
-  r.u32();  // reserved
-  r.expect_records(count, 4);
-  ka.answers.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) ka.answers.push_back(r.u32());
-  r.expect_end();
-  return ka;
 }
 
 void append_stats_request(std::vector<std::uint8_t>& out, std::uint64_t request_id) {

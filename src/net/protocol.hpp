@@ -60,9 +60,12 @@
 /// meanings — so digest targeting, admission control, deadlines, BUSY,
 /// and the ERROR path all apply unchanged; only the per-query record
 /// differs. The v1/v2 frame layouts are untouched: a v2 client's bytes
-/// decode identically against a v3 server, and the new decoders reject
-/// malformed requests (k == 0 or k > kMaxTopKVital, |F| > kMaxKFailEdges,
-/// duplicate edges in F) as ProtocolError before any allocation.
+/// decode identically against a v3 server, and the workload traits'
+/// decoders reject malformed requests (k == 0 or k > kMaxTopKVital,
+/// |F| > kMaxKFailEdges, duplicate edges in F) as ProtocolError before any
+/// allocation. One envelope codec (append_batch / decode_batch /
+/// append_answer / decode_answer over a workload trait) serves all four
+/// batch opcodes, QUERY_BATCH included.
 ///
 /// Protocol v4 (docs/NETWORK_PROTOCOL.md §v4) adds the observability
 /// conversation:
@@ -92,8 +95,8 @@
 #include <string_view>
 #include <vector>
 
+#include "net/frame_type.hpp"
 #include "registry/oracle_state.hpp"
-#include "service/query.hpp"
 #include "service/workloads.hpp"
 #include "util/distance.hpp"
 
@@ -110,30 +113,6 @@ inline constexpr std::uint32_t kMinProtocolVersion = 1;
 inline constexpr std::size_t kFrameHeaderBytes = 24;
 /// Default payload cap; both sides reject frames claiming more.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 64u << 20;
-
-enum class FrameType : std::uint32_t {
-  kHello = 1,        ///< server -> client, once, first frame on the wire
-  kQueryBatch = 2,   ///< client -> server, pipelined
-  kAnswerBatch = 3,  ///< server -> client, one per QUERY_BATCH
-  kError = 4,        ///< server -> client; id 0 = fatal protocol error
-  // ----- v2 (registry) -----
-  kRegisterGraph = 5,  ///< client -> server: upload edge list / name a snapshot
-  kRegisterAck = 6,    ///< server -> client: digest + build state
-  kListOracles = 7,    ///< client -> server: enumerate registered oracles
-  kOracleList = 8,     ///< server -> client: reply to LIST_ORACLES
-  kUnregister = 9,     ///< client -> server: retire a digest
-  kBusy = 10,          ///< server -> client: batch rejected by admission control
-  // ----- v3 (workload opcodes) -----
-  kVitalityBatch = 11,   ///< client -> server: top-k most-vital-edge queries
-  kVitalityAnswer = 12,  ///< server -> client: one per VITALITY_BATCH
-  kVickreyBatch = 13,    ///< client -> server: Vickrey pricing queries
-  kVickreyAnswer = 14,   ///< server -> client: one per VICKREY_BATCH
-  kKFailBatch = 15,      ///< client -> server: k-edge-failure queries
-  kKFailAnswer = 16,     ///< server -> client: one per KFAIL_BATCH
-  // ----- v4 (observability) -----
-  kStatsRequest = 17,   ///< client -> server: dump the metrics registry
-  kStatsSnapshot = 18,  ///< server -> client: one per STATS_REQUEST
-};
 
 /// QUERY_BATCH flag bits (v2; a v1 frame always carries flags == 0).
 inline constexpr std::uint32_t kQueryBatchHasDigest = 1u << 0;
@@ -173,7 +152,12 @@ struct HelloInfo {
   std::vector<Vertex> sources;  ///< valid query sources, in oracle order
 };
 
-struct QueryBatchFrame {
+/// One decoded batch request of workload W (service/workloads.hpp). Every
+/// batch opcode shares QUERY_BATCH's envelope — request id, record count,
+/// flag word, optional digest, optional deadline — and differs only in the
+/// per-query record.
+template <class W>
+struct BatchFrame {
   std::uint64_t request_id = 0;
   /// v2 target oracle; nullopt = the connection's HELLO default (the only
   /// shape a v1 client can produce).
@@ -181,7 +165,16 @@ struct QueryBatchFrame {
   /// Relative deadline budget in ms; nullopt = no deadline. The receiver
   /// pins it to an absolute instant at decode time.
   std::optional<std::uint32_t> deadline_ms;
-  std::vector<service::Query> queries;
+  std::vector<typename W::Query> queries;
+};
+
+/// One decoded reply to a batch of workload W: one result per query, in
+/// query order, under W's own answer frame type so a pipelined client can
+/// pair replies to request kinds.
+template <class W>
+struct AnswerFrame {
+  std::uint64_t request_id = 0;
+  std::vector<typename W::Result> answers;
 };
 
 /// How REGISTER_GRAPH names the graph to build.
@@ -236,54 +229,6 @@ struct UnregisterFrame {
   std::uint64_t digest = 0;
 };
 
-struct AnswerBatchFrame {
-  std::uint64_t request_id = 0;
-  std::vector<Dist> answers;
-};
-
-// ----- v3 workload frames ---------------------------------------------------
-// The three request frames reuse QUERY_BATCH's envelope (request id, count,
-// flag word, optional digest, optional deadline); only the per-query record
-// differs. Their reply frames carry one result per query, in query order.
-
-struct VitalityBatchFrame {
-  std::uint64_t request_id = 0;
-  std::optional<std::uint64_t> digest;
-  std::optional<std::uint32_t> deadline_ms;
-  std::vector<service::VitalityQuery> queries;
-};
-
-struct VitalityAnswerFrame {
-  std::uint64_t request_id = 0;
-  std::vector<service::VitalityResult> results;
-};
-
-struct VickreyBatchFrame {
-  std::uint64_t request_id = 0;
-  std::optional<std::uint64_t> digest;
-  std::optional<std::uint32_t> deadline_ms;
-  std::vector<service::VickreyQuery> queries;
-};
-
-struct VickreyAnswerFrame {
-  std::uint64_t request_id = 0;
-  std::vector<service::VickreyResult> results;
-};
-
-struct KFailBatchFrame {
-  std::uint64_t request_id = 0;
-  std::optional<std::uint64_t> digest;
-  std::optional<std::uint32_t> deadline_ms;
-  std::vector<service::KFailQuery> queries;
-};
-
-/// One u32 distance per query — ANSWER_BATCH's payload shape under its own
-/// frame type, so a pipelined client can pair replies to request kinds.
-struct KFailAnswerFrame {
-  std::uint64_t request_id = 0;
-  std::vector<Dist> answers;
-};
-
 struct ErrorFrame {
   std::uint64_t request_id = 0;  ///< 0 = connection-level, close follows
   std::string message;
@@ -326,15 +271,6 @@ struct StatsSnapshotFrame {
 // several frames can be gathered into one write.
 
 void append_hello(std::vector<std::uint8_t>& out, const HelloInfo& hello);
-/// `digest` targets a specific registered oracle; nullopt emits the
-/// v1-compatible shape (flags == 0, no digest field). `deadline_ms` adds a
-/// relative deadline (flag bit 1); nullopt keeps the legacy layout.
-void append_query_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                        std::span<const service::Query> queries,
-                        std::optional<std::uint64_t> digest = std::nullopt,
-                        std::optional<std::uint32_t> deadline_ms = std::nullopt);
-void append_answer_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                         std::span<const Dist> answers);
 void append_error(std::vector<std::uint8_t>& out, std::uint64_t request_id,
                   std::string_view message);
 void append_register_graph(std::vector<std::uint8_t>& out, const RegisterGraphFrame& reg);
@@ -346,26 +282,6 @@ void append_unregister(std::vector<std::uint8_t>& out, std::uint64_t request_id,
 /// BUSY shares the ERROR payload shape (request id + message).
 void append_busy(std::vector<std::uint8_t>& out, std::uint64_t request_id,
                  std::string_view message);
-// v3 workload frames. The batch encoders take the same optional digest /
-// deadline pair as append_query_batch and set the same flag bits.
-void append_vitality_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                           std::span<const service::VitalityQuery> queries,
-                           std::optional<std::uint64_t> digest = std::nullopt,
-                           std::optional<std::uint32_t> deadline_ms = std::nullopt);
-void append_vitality_answer(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                            std::span<const service::VitalityResult> results);
-void append_vickrey_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                          std::span<const service::VickreyQuery> queries,
-                          std::optional<std::uint64_t> digest = std::nullopt,
-                          std::optional<std::uint32_t> deadline_ms = std::nullopt);
-void append_vickrey_answer(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                           std::span<const service::VickreyResult> results);
-void append_kfail_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                        std::span<const service::KFailQuery> queries,
-                        std::optional<std::uint64_t> digest = std::nullopt,
-                        std::optional<std::uint32_t> deadline_ms = std::nullopt);
-void append_kfail_answer(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                         std::span<const Dist> answers);
 // v4 observability frames. STATS_REQUEST carries just the request id.
 void append_stats_request(std::vector<std::uint8_t>& out, std::uint64_t request_id);
 void append_stats_snapshot(std::vector<std::uint8_t>& out, const StatsSnapshotFrame& stats);
@@ -374,8 +290,6 @@ void append_stats_snapshot(std::vector<std::uint8_t>& out, const StatsSnapshotFr
 // Throw ProtocolError when the payload size does not match its own counts.
 
 HelloInfo decode_hello(std::span<const std::uint8_t> payload);
-QueryBatchFrame decode_query_batch(std::span<const std::uint8_t> payload);
-AnswerBatchFrame decode_answer_batch(std::span<const std::uint8_t> payload);
 ErrorFrame decode_error(std::span<const std::uint8_t> payload);
 RegisterGraphFrame decode_register_graph(std::span<const std::uint8_t> payload);
 RegisterAckFrame decode_register_ack(std::span<const std::uint8_t> payload);
@@ -383,19 +297,177 @@ RegisterAckFrame decode_register_ack(std::span<const std::uint8_t> payload);
 std::uint64_t decode_list_oracles(std::span<const std::uint8_t> payload);
 OracleListFrame decode_oracle_list(std::span<const std::uint8_t> payload);
 UnregisterFrame decode_unregister(std::span<const std::uint8_t> payload);
-// v3 workload decoders. Beyond size consistency these validate the
-// requests themselves: k == 0 or k > service::kMaxTopKVital, a failure set
-// larger than service::kMaxKFailEdges, and duplicate edges within one
-// failure set are all ProtocolError — rejected before any allocation.
-VitalityBatchFrame decode_vitality_batch(std::span<const std::uint8_t> payload);
-VitalityAnswerFrame decode_vitality_answer(std::span<const std::uint8_t> payload);
-VickreyBatchFrame decode_vickrey_batch(std::span<const std::uint8_t> payload);
-VickreyAnswerFrame decode_vickrey_answer(std::span<const std::uint8_t> payload);
-KFailBatchFrame decode_kfail_batch(std::span<const std::uint8_t> payload);
-KFailAnswerFrame decode_kfail_answer(std::span<const std::uint8_t> payload);
 /// STATS_REQUEST carries just the request id.
 std::uint64_t decode_stats_request(std::span<const std::uint8_t> payload);
 StatsSnapshotFrame decode_stats_snapshot(std::span<const std::uint8_t> payload);
+
+// ----- batch and answer codec ----------------------------------------------
+// One envelope writer and reader serve every workload; the per-query and
+// per-result records come from the workload trait W.
+
+namespace detail {
+
+// Little-endian scalar I/O, independent of host byte order.
+
+inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+  out.push_back(static_cast<std::uint8_t>(v));
+  out.push_back(static_cast<std::uint8_t>(v >> 8));
+  out.push_back(static_cast<std::uint8_t>(v >> 16));
+  out.push_back(static_cast<std::uint8_t>(v >> 24));
+}
+
+inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  put_u32(out, static_cast<std::uint32_t>(v));
+  put_u32(out, static_cast<std::uint32_t>(v >> 32));
+}
+
+inline std::uint32_t get_u32(const std::uint8_t* p) {
+  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) | (std::uint32_t{p[2]} << 16) |
+         (std::uint32_t{p[3]} << 24);
+}
+
+inline std::uint64_t get_u64(const std::uint8_t* p) {
+  return std::uint64_t{get_u32(p)} | (std::uint64_t{get_u32(p + 4)} << 32);
+}
+
+/// The record writer a trait's put_query/put_result sees.
+struct Writer {
+  std::vector<std::uint8_t>& buf;
+  void u32(std::uint32_t v) { put_u32(buf, v); }
+};
+
+/// A payload reader that throws ProtocolError instead of reading past the
+/// end — every decoder funnels through it, so a lying count field can
+/// never cause an out-of-bounds read.
+class Reader {
+ public:
+  explicit Reader(std::span<const std::uint8_t> payload) : p_(payload) {}
+
+  std::uint32_t u32() { return get_u32(take(4)); }
+  std::uint64_t u64() { return get_u64(take(8)); }
+
+  const std::uint8_t* take(std::size_t n) {
+    if (p_.size() - pos_ < n) throw ProtocolError("frame payload truncated");
+    const std::uint8_t* at = p_.data() + pos_;
+    pos_ += n;
+    return at;
+  }
+
+  /// Guards a count field before it sizes any allocation: the payload must
+  /// actually hold `count` records of `record_bytes` each. Without this, a
+  /// 40-byte frame claiming 2^32 queries would drive a multi-gigabyte
+  /// reserve() whose bad_alloc is not a ProtocolError.
+  void expect_records(std::uint64_t count, std::size_t record_bytes) const {
+    if ((p_.size() - pos_) / record_bytes < count) {
+      throw ProtocolError("frame payload truncated (count exceeds payload)");
+    }
+  }
+
+  void expect_end() const {
+    if (pos_ != p_.size()) throw ProtocolError("frame payload has trailing bytes");
+  }
+
+  /// A well-formed record carrying an invalid request.
+  [[noreturn]] void fail(const std::string& message) const { throw ProtocolError(message); }
+
+ private:
+  std::span<const std::uint8_t> p_;
+  std::size_t pos_ = 0;
+};
+
+/// Reserves the 24-byte header gap; returns where it starts.
+std::size_t begin_frame(std::vector<std::uint8_t>& out);
+/// Writes the header into the gap once the payload after it is final.
+void end_frame(std::vector<std::uint8_t>& out, std::size_t header_at, FrameType type);
+
+/// Request id, record count, flag word, then the optional digest and
+/// deadline the flags announce.
+void put_batch_envelope(std::vector<std::uint8_t>& buf, std::uint64_t request_id,
+                        std::size_t count, const std::optional<std::uint64_t>& digest,
+                        const std::optional<std::uint32_t>& deadline_ms);
+
+struct BatchEnvelope {
+  std::uint64_t request_id = 0;
+  std::uint32_t count = 0;
+  std::optional<std::uint64_t> digest;
+  std::optional<std::uint32_t> deadline_ms;
+};
+
+/// `frame_name` names the frame in the unknown-flags diagnostic.
+BatchEnvelope read_batch_envelope(Reader& r, const char* frame_name);
+
+}  // namespace detail
+
+/// Appends one batch request of workload W. `digest` targets a specific
+/// registered oracle; nullopt emits the v1-compatible shape (flags == 0,
+/// no digest field). `deadline_ms` adds a relative deadline (flag bit 1);
+/// nullopt keeps the legacy layout.
+template <class W = service::Point>
+void append_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
+                  std::span<const typename W::Query> queries,
+                  std::optional<std::uint64_t> digest = std::nullopt,
+                  std::optional<std::uint32_t> deadline_ms = std::nullopt) {
+  const std::size_t header_at = detail::begin_frame(out);
+  detail::put_batch_envelope(out, request_id, queries.size(), digest, deadline_ms);
+  detail::Writer w{out};
+  for (const typename W::Query& q : queries) W::put_query(w, q);
+  detail::end_frame(out, header_at, W::kBatchFrame);
+}
+
+/// Appends the reply to one batch of workload W: request id, count, a
+/// reserved word, then one result record per query.
+template <class W = service::Point>
+void append_answer(std::vector<std::uint8_t>& out, std::uint64_t request_id,
+                   std::span<const typename W::Result> answers) {
+  const std::size_t header_at = detail::begin_frame(out);
+  detail::put_u64(out, request_id);
+  detail::put_u32(out, static_cast<std::uint32_t>(answers.size()));
+  detail::put_u32(out, 0);  // reserved
+  detail::Writer w{out};
+  for (const typename W::Result& r : answers) W::put_result(w, r);
+  detail::end_frame(out, header_at, W::kAnswerFrame);
+}
+
+/// Decodes a batch request of workload W. Beyond size consistency this
+/// applies the trait's request validation (k == 0 or k > kMaxTopKVital, a
+/// failure set larger than kMaxKFailEdges, duplicate failed edges), all
+/// ProtocolError — rejected before any allocation they would size.
+template <class W = service::Point>
+BatchFrame<W> decode_batch(std::span<const std::uint8_t> payload) {
+  detail::Reader r(payload);
+  const detail::BatchEnvelope env = detail::read_batch_envelope(r, W::kFrameName);
+  BatchFrame<W> frame{env.request_id, env.digest, env.deadline_ms, {}};
+  r.expect_records(env.count, W::kQueryBytes);
+  frame.queries.reserve(env.count);
+  for (std::uint32_t i = 0; i < env.count; ++i) frame.queries.push_back(W::get_query(r));
+  r.expect_end();
+  return frame;
+}
+
+template <class W = service::Point>
+AnswerFrame<W> decode_answer(std::span<const std::uint8_t> payload) {
+  detail::Reader r(payload);
+  AnswerFrame<W> frame;
+  frame.request_id = r.u64();
+  const std::uint32_t count = r.u32();
+  r.u32();  // reserved
+  r.expect_records(count, W::kResultBytes);
+  frame.answers.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) frame.answers.push_back(W::get_result(r));
+  r.expect_end();
+  return frame;
+}
+
+// perfbench/ (which builds against this tree but is versioned with the
+// benchmark) still calls the point-query encoders by their old names.
+inline void append_query_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
+                               std::span<const service::Query> queries) {
+  append_batch<service::Point>(out, request_id, queries);
+}
+inline void append_answer_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
+                                std::span<const Dist> answers) {
+  append_answer<service::Point>(out, request_id, answers);
+}
 
 /// Incremental frame reassembly over a byte stream.
 ///

@@ -70,12 +70,11 @@ struct Server::Conn {
   explicit Conn(std::size_t max_frame_bytes) : decoder(max_frame_bytes) {}
 };
 
-/// Success reply of one typed workload batch (vitality / Vickrey / k-fail).
-/// The typed service callback encodes it on a pool worker — each workload
-/// has its own answer frame — and the shared completion path on the loop
-/// thread only ships bytes; on error the bytes stay empty and an ERROR
-/// frame is sent instead.
-struct Server::WorkloadReply {
+/// Success reply of one batch. The service callback encodes it on a pool
+/// worker — each workload has its own answer frame — and the shared
+/// completion path on the loop thread only ships bytes; on error the bytes
+/// stay empty and an ERROR frame is sent instead.
+struct Server::BatchReply {
   std::vector<std::uint8_t> bytes;
   std::size_t answered = 0;  ///< queries answered (stats + registry notes)
 };
@@ -184,9 +183,13 @@ Server::Server(service::QueryService& svc, std::shared_ptr<const service::Snapsh
     counter("server.connections_closed", connections_closed_.load(std::memory_order_relaxed));
     counter("server.batches_received", batches_received_.load(std::memory_order_relaxed));
     counter("server.queries_answered", queries_answered_.load(std::memory_order_relaxed));
-    counter("server.vitality_batches", vitality_batches_.load(std::memory_order_relaxed));
-    counter("server.vickrey_batches", vickrey_batches_.load(std::memory_order_relaxed));
-    counter("server.kfail_batches", kfail_batches_.load(std::memory_order_relaxed));
+    service::for_each_workload([&](auto tag) {
+      using W = typename decltype(tag)::type;
+      if (W::kStatsCounter != nullptr) {
+        counter(W::kStatsCounter, workload_batches_[service::workload_index<W>].load(
+                                      std::memory_order_relaxed));
+      }
+    });
     counter("server.batch_errors", batch_errors_.load(std::memory_order_relaxed));
     counter("server.protocol_errors", protocol_errors_.load(std::memory_order_relaxed));
     counter("server.replies_dropped", replies_dropped_.load(std::memory_order_relaxed));
@@ -524,19 +527,16 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame frame) {
   // of the decode stage for every batch opcode.
   const std::uint64_t recv_ns = obs::now_ns();
   try {
+    bool batch = false;
+    service::for_each_workload([&](auto tag) {
+      using W = typename decltype(tag)::type;
+      if (!batch && frame.type == W::kBatchFrame) {
+        batch = true;
+        handle_batch<W>(conn, decode_batch<W>(frame.payload), recv_ns);
+      }
+    });
+    if (batch) return;
     switch (frame.type) {
-      case FrameType::kQueryBatch:
-        handle_query_batch(conn, decode_query_batch(frame.payload), recv_ns);
-        return;
-      case FrameType::kVitalityBatch:
-        handle_vitality_batch(conn, decode_vitality_batch(frame.payload), recv_ns);
-        return;
-      case FrameType::kVickreyBatch:
-        handle_vickrey_batch(conn, decode_vickrey_batch(frame.payload), recv_ns);
-        return;
-      case FrameType::kKFailBatch:
-        handle_kfail_batch(conn, decode_kfail_batch(frame.payload), recv_ns);
-        return;
       case FrameType::kRegisterGraph:
         handle_register(conn, decode_register_graph(frame.payload));
         return;
@@ -549,14 +549,18 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame frame) {
       case FrameType::kStatsRequest:
         handle_stats(conn, decode_stats_request(frame.payload));
         return;
-      default:
+      default: {
+        std::string allowed;
+        service::for_each_workload([&](auto tag) {
+          allowed += std::string(decltype(tag)::type::kFrameName) + ", ";
+        });
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         fail_conn(conn, "unexpected frame type " +
                             std::to_string(static_cast<std::uint32_t>(frame.type)) +
-                            " (client may only send QUERY_BATCH, VITALITY_BATCH, "
-                            "VICKREY_BATCH, KFAIL_BATCH, REGISTER_GRAPH, LIST_ORACLES, "
-                            "UNREGISTER or STATS_REQUEST)");
+                            " (client may only send " + allowed +
+                            "REGISTER_GRAPH, LIST_ORACLES, UNREGISTER or STATS_REQUEST)");
         return;
+      }
     }
   } catch (const ProtocolError& ex) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -632,9 +636,10 @@ std::shared_ptr<const service::Snapshot> Server::resolve_oracle(
   return oracle_;
 }
 
-void Server::handle_query_batch(const std::shared_ptr<Conn>& conn, QueryBatchFrame qb,
-                                std::uint64_t recv_ns) {
-  if (qb.request_id == 0) {
+template <class W>
+void Server::handle_batch(const std::shared_ptr<Conn>& conn, BatchFrame<W> batch,
+                          std::uint64_t recv_ns) {
+  if (batch.request_id == 0) {
     // Id 0 is reserved for connection-level errors; echoing it back for a
     // failed batch would read as "connection dead" to a conformant client.
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -642,25 +647,60 @@ void Server::handle_query_batch(const std::shared_ptr<Conn>& conn, QueryBatchFra
     return;
   }
   batches_received_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t id = qb.request_id;
+  workload_batches_[service::workload_index<W>].fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t id = batch.request_id;
   // The relative budget on the wire becomes an absolute instant here, at
   // decode — every later stage (dispatcher queue, service, shard router)
   // compares against this same instant.
   const Deadline deadline =
-      qb.deadline_ms ? deadline_after_ms(*qb.deadline_ms) : kNoDeadline;
+      batch.deadline_ms ? deadline_after_ms(*batch.deadline_ms) : kNoDeadline;
 
   std::uint64_t digest = 0;
   std::shared_ptr<const service::Snapshot> oracle =
-      resolve_oracle(conn, id, qb.digest, &digest);
+      resolve_oracle(conn, id, batch.digest, &digest);
   if (oracle == nullptr) return;
 
   // Decode stage ends here: frame parsed, oracle resolved, dispatcher next.
   const std::uint64_t submit_ns = obs::now_ns();
   stage_decode_->record(submit_ns - recv_ns);
   std::shared_ptr<obs::TraceSpan> span =
-      begin_span(id, static_cast<std::uint32_t>(FrameType::kQueryBatch),
-                 static_cast<std::uint32_t>(qb.queries.size()), recv_ns, submit_ns);
+      begin_span(id, static_cast<std::uint32_t>(W::kBatchFrame),
+                 static_cast<std::uint32_t>(batch.queries.size()), recv_ns, submit_ns);
+  auto reply = std::make_shared<BatchReply>();
+  admit_batch(
+      conn, id, digest,
+      [this, oracle = std::move(oracle), queries = std::move(batch.queries), id, reply,
+       submit_ns, span](service::BatchCallback cb, Deadline dl) mutable {
+        // Queue stage ends when the dispatcher grants the inflight slot;
+        // execute runs from here to the encoded reply. `dl` is the instant
+        // decoded above — queue time burns the batch's own budget.
+        const std::uint64_t start_ns = obs::now_ns();
+        stage_queue_->record(start_ns - submit_ns);
+        if (span != nullptr) span->queue_ns = start_ns - submit_ns;
+        svc_.submit<W>(
+            std::move(oracle), std::move(queries),
+            [this, cb = std::move(cb), id, reply, start_ns,
+             span](service::WorkloadResult<W> r) {
+              if (r.error == nullptr) {
+                reply->answered = r.answers.size();
+                append_answer<W>(reply->bytes, id, r.answers);
+              }
+              const std::uint64_t done_ns = obs::now_ns();
+              stage_execute_->record(done_ns - start_ns);
+              if (span != nullptr) span->execute_ns = done_ns - start_ns;
+              cb(service::BatchResult{{}, std::move(r.oracle), r.error});
+            },
+            dl);
+      },
+      reply, deadline, span);
+}
 
+void Server::admit_batch(const std::shared_ptr<Conn>& conn, std::uint64_t request_id,
+                         std::uint64_t digest, registry::FairDispatcher::StartFn start,
+                         std::shared_ptr<BatchReply> reply, Deadline deadline,
+                         std::shared_ptr<obs::TraceSpan> span) {
+  // Every opcode takes a dispatcher slot under its tenant digest, so a
+  // vitality flood fights a point-query flood for exactly one WRR share.
   ++conn->inflight;
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
@@ -668,7 +708,7 @@ void Server::handle_query_batch(const std::shared_ptr<Conn>& conn, QueryBatchFra
   }
   if (registry_ != nullptr) registry_->note_batch(digest);
   // The callback fires on a pool worker: registry bookkeeping first, then
-  // hop back to the loop thread with the result, then release the
+  // hop back to the loop thread with the reply, then release the
   // destructor's inflight gate. Order matters twice over — post first,
   // decrement after, so a destructor waiting on the gate cannot miss a
   // reply still being posted; and notify WHILE holding the mutex, so the
@@ -676,28 +716,12 @@ void Server::handle_query_batch(const std::shared_ptr<Conn>& conn, QueryBatchFra
   // out from under notify_all. (The registry outlives the server by the
   // same gate: note_complete runs before the decrement.)
   const registry::DispatchVerdict verdict = dispatcher_->submit_task(
-      digest,
-      [this, oracle = std::move(oracle), queries = std::move(qb.queries), submit_ns,
-       span](service::BatchCallback cb, Deadline dl) mutable {
-        // Queue stage ends when the dispatcher grants the inflight slot;
-        // execute runs from here to the service completion callback.
-        const std::uint64_t start_ns = obs::now_ns();
-        stage_queue_->record(start_ns - submit_ns);
-        if (span != nullptr) span->queue_ns = start_ns - submit_ns;
-        svc_.submit_batch(
-            std::move(oracle), std::move(queries),
-            [this, cb = std::move(cb), start_ns, span](service::BatchResult r) {
-              const std::uint64_t done_ns = obs::now_ns();
-              stage_execute_->record(done_ns - start_ns);
-              if (span != nullptr) span->execute_ns = done_ns - start_ns;
-              cb(std::move(r));
-            },
-            dl);
-      },
-      [this, conn, id, digest, span](service::BatchResult result) {
-        if (registry_ != nullptr) registry_->note_complete(digest, result.answers.size());
-        conn->home->loop.post([this, conn, id, span, result = std::move(result)]() mutable {
-          on_batch_done(conn, id, std::move(result), span);
+      digest, std::move(start),
+      [this, conn, request_id, digest, reply, span](service::BatchResult result) {
+        if (registry_ != nullptr) registry_->note_complete(digest, reply->answered);
+        conn->home->loop.post([this, conn, request_id, reply, span,
+                               error = result.error]() mutable {
+          on_batch_done(conn, request_id, reply, std::move(error), span);
         });
         std::lock_guard<std::mutex> lock(inflight_mu_);
         --inflight_total_;
@@ -714,68 +738,6 @@ void Server::handle_query_batch(const std::shared_ptr<Conn>& conn, QueryBatchFra
     --conn->inflight;
     if (registry_ != nullptr) registry_->note_busy(digest);
     busy_rejected_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<std::uint8_t> reply;
-    append_busy(reply, id,
-                "server busy: tenant " + hex_digest(digest) + " queue is full; retry");
-    send_bytes(conn, std::move(reply));
-  }
-}
-
-void Server::submit_workload(const std::shared_ptr<Conn>& conn, std::uint64_t request_id,
-                             std::uint64_t digest, registry::FairDispatcher::StartFn start,
-                             std::shared_ptr<WorkloadReply> reply, Deadline deadline,
-                             std::uint64_t submit_ns, std::shared_ptr<obs::TraceSpan> span) {
-  // Same admission discipline as point-query batches: the typed batch takes
-  // a dispatcher slot under the SAME tenant digest, so a vitality flood
-  // fights a point-query flood for exactly one WRR share.
-  ++conn->inflight;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    ++inflight_total_;
-  }
-  if (registry_ != nullptr) registry_->note_batch(digest);
-  // Wrap the typed start so queue and execute are stamped exactly like
-  // point batches: queue ends when the dispatcher invokes the wrapper,
-  // execute spans the service round trip inside `start`.
-  registry::FairDispatcher::StartFn timed_start =
-      [this, start = std::move(start), submit_ns, span](service::BatchCallback cb,
-                                                        Deadline dl) {
-        const std::uint64_t start_ns = obs::now_ns();
-        stage_queue_->record(start_ns - submit_ns);
-        if (span != nullptr) span->queue_ns = start_ns - submit_ns;
-        start(
-            [this, cb = std::move(cb), start_ns, span](service::BatchResult r) {
-              const std::uint64_t done_ns = obs::now_ns();
-              stage_execute_->record(done_ns - start_ns);
-              if (span != nullptr) span->execute_ns = done_ns - start_ns;
-              cb(std::move(r));
-            },
-            dl);
-      };
-  const registry::DispatchVerdict verdict = dispatcher_->submit_task(
-      digest, std::move(timed_start),
-      [this, conn, request_id, digest, reply, span](service::BatchResult result) {
-        // The typed callback inside `start` already encoded the reply (or
-        // left it empty and set the error); this wrapper is the shared
-        // delivery tail — post to the home loop, then release the gate.
-        if (registry_ != nullptr) registry_->note_complete(digest, reply->answered);
-        conn->home->loop.post([this, conn, request_id, reply, span,
-                               error = result.error]() mutable {
-          on_workload_done(conn, request_id, reply, std::move(error), span);
-        });
-        std::lock_guard<std::mutex> lock(inflight_mu_);
-        --inflight_total_;
-        inflight_cv_.notify_all();
-      },
-      /*weight=*/1, deadline);
-  if (verdict == registry::DispatchVerdict::kBusy) {
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      --inflight_total_;
-    }
-    --conn->inflight;
-    if (registry_ != nullptr) registry_->note_busy(digest);
-    busy_rejected_.fetch_add(1, std::memory_order_relaxed);
     std::vector<std::uint8_t> busy;
     append_busy(busy, request_id,
                 "server busy: tenant " + hex_digest(digest) + " queue is full; retry");
@@ -783,11 +745,12 @@ void Server::submit_workload(const std::shared_ptr<Conn>& conn, std::uint64_t re
   }
 }
 
-void Server::on_workload_done(const std::shared_ptr<Conn>& conn, std::uint64_t request_id,
-                              const std::shared_ptr<WorkloadReply>& reply,
-                              std::exception_ptr error,
-                              const std::shared_ptr<obs::TraceSpan>& span) {
+void Server::on_batch_done(const std::shared_ptr<Conn>& conn, std::uint64_t request_id,
+                           const std::shared_ptr<BatchReply>& reply, std::exception_ptr error,
+                           const std::shared_ptr<obs::TraceSpan>& span) {
   if (conn->closed || conn->closing) {
+    // Gone, or already told "fatal error, closing" — nothing may follow a
+    // connection-level ERROR on the wire.
     replies_dropped_.fetch_add(1, std::memory_order_relaxed);
     if (!conn->closed) --conn->inflight;
     return;
@@ -825,136 +788,9 @@ void Server::on_workload_done(const std::shared_ptr<Conn>& conn, std::uint64_t r
     span->error = failed;
     trace_->publish(*span);
   }
-  if (conn->closed) return;
-  pump(conn);
+  if (conn->closed) return;  // send_bytes may close on a write error
+  pump(conn);                // the completion freed pipelining capacity
   maybe_finish_conn(conn);
-}
-
-void Server::handle_vitality_batch(const std::shared_ptr<Conn>& conn, VitalityBatchFrame fb,
-                                   std::uint64_t recv_ns) {
-  if (fb.request_id == 0) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    fail_conn(conn, "request id 0 is reserved (batch ids must be nonzero)");
-    return;
-  }
-  batches_received_.fetch_add(1, std::memory_order_relaxed);
-  vitality_batches_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t id = fb.request_id;
-  const Deadline deadline =
-      fb.deadline_ms ? deadline_after_ms(*fb.deadline_ms) : kNoDeadline;
-  std::uint64_t digest = 0;
-  std::shared_ptr<const service::Snapshot> oracle =
-      resolve_oracle(conn, id, fb.digest, &digest);
-  if (oracle == nullptr) return;
-  auto reply = std::make_shared<WorkloadReply>();
-  auto queries =
-      std::make_shared<std::vector<service::VitalityQuery>>(std::move(fb.queries));
-  const std::uint64_t submit_ns = obs::now_ns();
-  stage_decode_->record(submit_ns - recv_ns);
-  std::shared_ptr<obs::TraceSpan> span =
-      begin_span(id, static_cast<std::uint32_t>(FrameType::kVitalityBatch),
-                 static_cast<std::uint32_t>(queries->size()), recv_ns, submit_ns);
-  submit_workload(
-      conn, id, digest,
-      [this, oracle = std::move(oracle), queries, id,
-       reply](service::BatchCallback cb, Deadline dl) {
-        // `dl` is the same absolute instant decoded above — the dispatcher
-        // hands it back so queue time burns the batch's own budget.
-        svc_.submit_vitality(
-            oracle, std::move(*queries),
-            [cb = std::move(cb), id, reply](service::VitalityBatchResult r) {
-              if (r.error == nullptr) {
-                reply->answered = r.results.size();
-                append_vitality_answer(reply->bytes, id, r.results);
-              }
-              cb(service::BatchResult{{}, std::move(r.oracle), r.error});
-            },
-            dl);
-      },
-      reply, deadline, submit_ns, span);
-}
-
-void Server::handle_vickrey_batch(const std::shared_ptr<Conn>& conn, VickreyBatchFrame fb,
-                                  std::uint64_t recv_ns) {
-  if (fb.request_id == 0) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    fail_conn(conn, "request id 0 is reserved (batch ids must be nonzero)");
-    return;
-  }
-  batches_received_.fetch_add(1, std::memory_order_relaxed);
-  vickrey_batches_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t id = fb.request_id;
-  const Deadline deadline =
-      fb.deadline_ms ? deadline_after_ms(*fb.deadline_ms) : kNoDeadline;
-  std::uint64_t digest = 0;
-  std::shared_ptr<const service::Snapshot> oracle =
-      resolve_oracle(conn, id, fb.digest, &digest);
-  if (oracle == nullptr) return;
-  auto reply = std::make_shared<WorkloadReply>();
-  auto queries =
-      std::make_shared<std::vector<service::VickreyQuery>>(std::move(fb.queries));
-  const std::uint64_t submit_ns = obs::now_ns();
-  stage_decode_->record(submit_ns - recv_ns);
-  std::shared_ptr<obs::TraceSpan> span =
-      begin_span(id, static_cast<std::uint32_t>(FrameType::kVickreyBatch),
-                 static_cast<std::uint32_t>(queries->size()), recv_ns, submit_ns);
-  submit_workload(
-      conn, id, digest,
-      [this, oracle = std::move(oracle), queries, id,
-       reply](service::BatchCallback cb, Deadline dl) {
-        svc_.submit_vickrey(
-            oracle, std::move(*queries),
-            [cb = std::move(cb), id, reply](service::VickreyBatchResult r) {
-              if (r.error == nullptr) {
-                reply->answered = r.results.size();
-                append_vickrey_answer(reply->bytes, id, r.results);
-              }
-              cb(service::BatchResult{{}, std::move(r.oracle), r.error});
-            },
-            dl);
-      },
-      reply, deadline, submit_ns, span);
-}
-
-void Server::handle_kfail_batch(const std::shared_ptr<Conn>& conn, KFailBatchFrame fb,
-                                std::uint64_t recv_ns) {
-  if (fb.request_id == 0) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    fail_conn(conn, "request id 0 is reserved (batch ids must be nonzero)");
-    return;
-  }
-  batches_received_.fetch_add(1, std::memory_order_relaxed);
-  kfail_batches_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t id = fb.request_id;
-  const Deadline deadline =
-      fb.deadline_ms ? deadline_after_ms(*fb.deadline_ms) : kNoDeadline;
-  std::uint64_t digest = 0;
-  std::shared_ptr<const service::Snapshot> oracle =
-      resolve_oracle(conn, id, fb.digest, &digest);
-  if (oracle == nullptr) return;
-  auto reply = std::make_shared<WorkloadReply>();
-  auto queries = std::make_shared<std::vector<service::KFailQuery>>(std::move(fb.queries));
-  const std::uint64_t submit_ns = obs::now_ns();
-  stage_decode_->record(submit_ns - recv_ns);
-  std::shared_ptr<obs::TraceSpan> span =
-      begin_span(id, static_cast<std::uint32_t>(FrameType::kKFailBatch),
-                 static_cast<std::uint32_t>(queries->size()), recv_ns, submit_ns);
-  submit_workload(
-      conn, id, digest,
-      [this, oracle = std::move(oracle), queries, id,
-       reply](service::BatchCallback cb, Deadline dl) {
-        svc_.submit_kfail(
-            oracle, std::move(*queries),
-            [cb = std::move(cb), id, reply](service::BatchResult r) {
-              if (r.error == nullptr) {
-                reply->answered = r.answers.size();
-                append_kfail_answer(reply->bytes, id, r.answers);
-              }
-              cb(service::BatchResult{{}, std::move(r.oracle), r.error});
-            },
-            dl);
-      },
-      reply, deadline, submit_ns, span);
 }
 
 void Server::handle_register(const std::shared_ptr<Conn>& conn, RegisterGraphFrame reg) {
@@ -1111,54 +947,6 @@ void Server::handle_unregister(const std::shared_ptr<Conn>& conn, const Unregist
   std::vector<std::uint8_t> reply;
   append_register_ack(reply, ack);
   send_bytes(conn, std::move(reply));
-}
-
-void Server::on_batch_done(const std::shared_ptr<Conn>& conn, std::uint64_t request_id,
-                           service::BatchResult result,
-                           const std::shared_ptr<obs::TraceSpan>& span) {
-  if (conn->closed || conn->closing) {
-    // Gone, or already told "fatal error, closing" — nothing may follow a
-    // connection-level ERROR on the wire.
-    replies_dropped_.fetch_add(1, std::memory_order_relaxed);
-    if (!conn->closed) --conn->inflight;
-    return;
-  }
-  MSRP_CHECK(conn->inflight > 0, "net server: completion without an in-flight batch");
-  --conn->inflight;
-  // Flush stage: completion back on the loop thread -> reply encoded and
-  // pushed into the connection's send path.
-  const std::uint64_t flush_start_ns = obs::now_ns();
-  const bool failed = result.error != nullptr;
-  std::vector<std::uint8_t> reply;
-  if (failed) {
-    std::string message = "batch failed";
-    try {
-      std::rethrow_exception(result.error);
-    } catch (const std::exception& ex) {
-      message = ex.what();
-    } catch (...) {
-    }
-    if (is_deadline_exceeded_message(message)) {
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      batch_errors_.fetch_add(1, std::memory_order_relaxed);
-    }
-    append_error(reply, request_id, message);
-  } else {
-    queries_answered_.fetch_add(result.answers.size(), std::memory_order_relaxed);
-    append_answer_batch(reply, request_id, result.answers);
-  }
-  send_bytes(conn, std::move(reply));
-  const std::uint64_t flush_ns = obs::now_ns() - flush_start_ns;
-  stage_flush_->record(flush_ns);
-  if (span != nullptr) {
-    span->flush_ns = flush_ns;
-    span->error = failed;
-    trace_->publish(*span);
-  }
-  if (conn->closed) return;  // send_bytes may close on a write error
-  pump(conn);                // the completion freed pipelining capacity
-  maybe_finish_conn(conn);
 }
 
 void Server::send_bytes(const std::shared_ptr<Conn>& conn, std::vector<std::uint8_t> bytes) {
@@ -1319,9 +1107,12 @@ ServerStats Server::stats() const {
   st.connections_closed = connections_closed_.load(std::memory_order_relaxed);
   st.batches_received = batches_received_.load(std::memory_order_relaxed);
   st.queries_answered = queries_answered_.load(std::memory_order_relaxed);
-  st.vitality_batches = vitality_batches_.load(std::memory_order_relaxed);
-  st.vickrey_batches = vickrey_batches_.load(std::memory_order_relaxed);
-  st.kfail_batches = kfail_batches_.load(std::memory_order_relaxed);
+  const auto workload_batches = [this](std::size_t index) {
+    return workload_batches_[index].load(std::memory_order_relaxed);
+  };
+  st.vitality_batches = workload_batches(service::workload_index<service::Vitality>);
+  st.vickrey_batches = workload_batches(service::workload_index<service::Vickrey>);
+  st.kfail_batches = workload_batches(service::workload_index<service::KFail>);
   st.batch_errors = batch_errors_.load(std::memory_order_relaxed);
   st.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   st.replies_dropped = replies_dropped_.load(std::memory_order_relaxed);
@@ -1337,7 +1128,7 @@ ServerStats Server::stats() const {
 
 struct Server::Conn {};
 struct Server::LoopShard {};
-struct Server::WorkloadReply {};
+struct Server::BatchReply {};
 
 Server::Server(service::QueryService&, std::shared_ptr<const service::Snapshot>,
                ServerOptions) {
@@ -1359,14 +1150,6 @@ void Server::on_writable(const std::shared_ptr<Conn>&) {}
 bool Server::has_capacity(const Conn&) const { return false; }
 void Server::pump(const std::shared_ptr<Conn>&) {}
 void Server::handle_frame(const std::shared_ptr<Conn>&, Frame) {}
-void Server::handle_query_batch(const std::shared_ptr<Conn>&, QueryBatchFrame,
-                                std::uint64_t) {}
-void Server::handle_vitality_batch(const std::shared_ptr<Conn>&, VitalityBatchFrame,
-                                   std::uint64_t) {}
-void Server::handle_vickrey_batch(const std::shared_ptr<Conn>&, VickreyBatchFrame,
-                                  std::uint64_t) {}
-void Server::handle_kfail_batch(const std::shared_ptr<Conn>&, KFailBatchFrame,
-                                std::uint64_t) {}
 void Server::handle_stats(const std::shared_ptr<Conn>&, std::uint64_t) {}
 std::shared_ptr<obs::TraceSpan> Server::begin_span(std::uint64_t, std::uint32_t,
                                                    std::uint32_t, std::uint64_t,
@@ -1378,18 +1161,15 @@ std::shared_ptr<const service::Snapshot> Server::resolve_oracle(
     std::uint64_t*) {
   return nullptr;
 }
-void Server::submit_workload(const std::shared_ptr<Conn>&, std::uint64_t, std::uint64_t,
-                             registry::FairDispatcher::StartFn,
-                             std::shared_ptr<WorkloadReply>, Deadline, std::uint64_t,
-                             std::shared_ptr<obs::TraceSpan>) {}
-void Server::on_workload_done(const std::shared_ptr<Conn>&, std::uint64_t,
-                              const std::shared_ptr<WorkloadReply>&, std::exception_ptr,
-                              const std::shared_ptr<obs::TraceSpan>&) {}
+void Server::admit_batch(const std::shared_ptr<Conn>&, std::uint64_t, std::uint64_t,
+                         registry::FairDispatcher::StartFn, std::shared_ptr<BatchReply>,
+                         Deadline, std::shared_ptr<obs::TraceSpan>) {}
+void Server::on_batch_done(const std::shared_ptr<Conn>&, std::uint64_t,
+                           const std::shared_ptr<BatchReply>&, std::exception_ptr,
+                           const std::shared_ptr<obs::TraceSpan>&) {}
 void Server::handle_register(const std::shared_ptr<Conn>&, RegisterGraphFrame) {}
 void Server::handle_list_oracles(const std::shared_ptr<Conn>&, std::uint64_t) {}
 void Server::handle_unregister(const std::shared_ptr<Conn>&, const UnregisterFrame&) {}
-void Server::on_batch_done(const std::shared_ptr<Conn>&, std::uint64_t,
-                           service::BatchResult, const std::shared_ptr<obs::TraceSpan>&) {}
 void Server::on_register_done(const std::shared_ptr<Conn>&, std::uint64_t,
                               registry::RegisterOutcome) {}
 void Server::send_batch_error(const std::shared_ptr<Conn>&, std::uint64_t,

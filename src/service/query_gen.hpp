@@ -4,7 +4,8 @@
 /// Every surface that load-tests the serving stack — msrp_serve
 /// --random-queries, the msrp_client load generator (which only knows the
 /// server HELLO, not the oracle), bench rows, test fixtures — wants the
-/// same thing: `count` queries with a uniform source, target, and edge.
+/// the same thing: `count` queries with a uniform source and target plus the
+/// workload's own uniform extra (an edge, a k, a failure set).
 /// One definition here keeps their sampling identical, so a change to the
 /// distribution changes every consumer at once.
 #pragma once
@@ -12,23 +13,20 @@
 #include <span>
 #include <vector>
 
-#include "service/query.hpp"
+#include "service/workloads.hpp"
 #include "util/rng.hpp"
 
 namespace msrp::service {
 
-/// `count` uniform queries over (sources, n vertices, m edges). Callers
-/// own the Rng so repeat batches can continue one stream (or reseed for
-/// reproducibility).
-inline std::vector<Query> random_query_batch(std::span<const Vertex> sources, Vertex n,
-                                             EdgeId m, std::size_t count, Rng& rng) {
-  std::vector<Query> out;
+/// `count` uniform queries of workload W over (sources, n vertices, m
+/// edges), drawn by the trait's random(). Callers own the Rng so repeat
+/// batches can continue one stream (or reseed for reproducibility).
+template <class W = Point>
+std::vector<typename W::Query> random_query_batch(std::span<const Vertex> sources, Vertex n,
+                                                  EdgeId m, std::size_t count, Rng& rng) {
+  std::vector<typename W::Query> out;
   out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back({sources[rng.next_below(sources.size())],
-                   static_cast<Vertex>(rng.next_below(n)),
-                   static_cast<EdgeId>(rng.next_below(m))});
-  }
+  for (std::size_t i = 0; i < count; ++i) out.push_back(W::random(sources, n, m, rng));
   return out;
 }
 

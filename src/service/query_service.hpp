@@ -49,6 +49,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -58,18 +59,20 @@
 #include "service/oracle_cache.hpp"
 #include "service/query.hpp"
 #include "service/snapshot.hpp"
-#include "service/thread_pool.hpp"
 #include "service/workloads.hpp"
+#include "util/assert.hpp"
 #include "util/deadline.hpp"
+#include "util/thread_pool.hpp"
 
 namespace msrp::service {
 
 class ShardRouter;
 
-/// Outcome of one asynchronous batch.
-struct BatchResult {
-  /// answers[i] corresponds to queries[i]; empty when error is set.
-  std::vector<Dist> answers;
+/// Outcome of one asynchronous batch of workload W (service/workloads.hpp).
+template <class W>
+struct WorkloadResult {
+  /// answers[i] answers queries[i]; empty when error is set.
+  std::vector<typename W::Result> answers;
   /// The oracle that answered (freshly built or cache-hit). Holding it here
   /// pins it against cache eviction for as long as the result lives.
   std::shared_ptr<const Snapshot> oracle;
@@ -78,28 +81,15 @@ struct BatchResult {
   std::exception_ptr error;
 };
 
-/// Invoked exactly once per callback-flavoured submit_batch, from a pool
-/// worker thread. Must not block on futures of the same service's pool, and
+/// Invoked exactly once per callback-flavoured submit, from a pool worker
+/// thread. Must not block on futures of the same service's pool, and
 /// should not throw — an escaping exception cannot trigger a second
 /// delivery, but it is lost to the pool's fire-and-forget error slot.
-using BatchCallback = std::function<void(BatchResult)>;
+template <class W>
+using WorkloadCallback = std::function<void(WorkloadResult<W>)>;
 
-/// Outcome of one asynchronous vitality batch (TOP_K_VITAL); same error
-/// channel contract as BatchResult.
-struct VitalityBatchResult {
-  std::vector<VitalityResult> results;  ///< results[i] answers queries[i]
-  std::shared_ptr<const Snapshot> oracle;
-  std::exception_ptr error;
-};
-using VitalityCallback = std::function<void(VitalityBatchResult)>;
-
-/// Outcome of one asynchronous Vickrey batch (VICKREY_PRICES).
-struct VickreyBatchResult {
-  std::vector<VickreyResult> results;
-  std::shared_ptr<const Snapshot> oracle;
-  std::exception_ptr error;
-};
-using VickreyCallback = std::function<void(VickreyBatchResult)>;
+using BatchResult = WorkloadResult<Point>;
+using BatchCallback = WorkloadCallback<Point>;
 
 class QueryService {
  public:
@@ -194,50 +184,43 @@ class QueryService {
   void submit_batch(Graph g, std::vector<Vertex> sources, Config cfg,
                     std::vector<Query> queries, BatchCallback done);
 
-  // ----- workload API (the protocol v3 opcodes; see service/workloads.hpp) --
+  // ----- any workload (see service/workloads.hpp) --------------------------
 
-  /// Top-k most-vital edges of each query's canonical s->t path. Expands
-  /// every query into one point query per path edge and answers them
-  /// through query_batch — so the sharded path and the in-process path
-  /// return byte-identical results — then ranks (vitality desc, position
-  /// asc) and truncates to k. Validation (source/target range, 1 <= k <=
-  /// kMaxTopKVital) throws before any work, like query_batch.
-  std::vector<VitalityResult> vitality_batch(const Snapshot& oracle,
-                                             std::span<const VitalityQuery> queries,
-                                             Deadline deadline = kNoDeadline);
+  /// Answers a batch of any workload. Point is query_batch itself; the
+  /// other workloads validate and expand into one point batch (one point
+  /// per canonical-path edge for vitality and Vickrey, the |F| == 1
+  /// queries for k-fail), answer it through query_batch — so the sharded
+  /// and in-process paths return byte-identical results — and assemble.
+  /// Validation failures throw std::invalid_argument before any work;
+  /// k-fail |F| == 2 needs the graph behind the oracle — attach_graph() it
+  /// (build() does so automatically) or the batch throws.
+  template <class W>
+  std::vector<typename W::Result> run(const Snapshot& oracle,
+                                      std::span<const typename W::Query> queries,
+                                      Deadline deadline = kNoDeadline);
 
-  /// Vickrey payments along each query's canonical path: price(e) =
-  /// d(s,t,e) - d(s,t) in path order, kInfDist for bridges. Same expansion
-  /// machinery (and therefore the same bytes on every serving path) as
-  /// vitality_batch.
-  std::vector<VickreyResult> vickrey_batch(const Snapshot& oracle,
-                                           std::span<const VickreyQuery> queries,
-                                           Deadline deadline = kNoDeadline);
+  /// Async flavour of run(): validation, expansion, and answering all run
+  /// on the pool; `done` fires exactly once from a worker (error channel
+  /// on validation failure, DeadlineExceeded, or a missing attached
+  /// graph). The point batch chains through submit_batch, so the same
+  /// failpoints, deadline checks, and shard routing apply.
+  template <class W>
+  void submit(std::shared_ptr<const Snapshot> oracle, std::vector<typename W::Query> queries,
+              WorkloadCallback<W> done, Deadline deadline = kNoDeadline);
 
-  /// d(s, t) avoiding each query's failure set F, |F| <= kMaxKFailEdges.
-  /// |F| == 1 routes through the point-query path (O(1) oracle reads,
-  /// sharded when configured); |F| == 0 is the base distance; |F| == 2
-  /// runs a bounded BFS of G - F and therefore needs the graph behind the
-  /// oracle — attach_graph() it (build() does so automatically) or the
-  /// batch throws std::invalid_argument.
-  std::vector<Dist> kfail_batch(const Snapshot& oracle, std::span<const KFailQuery> queries,
-                                Deadline deadline = kNoDeadline);
-
-  /// Async flavours: validation, expansion, and answering all run on the
-  /// pool; `done` fires exactly once from a worker (error channel on
-  /// validation failure, DeadlineExceeded, or a missing attached graph).
-  /// These share submit_batch's machinery — the same failpoints, deadline
-  /// checks, and shard routing apply.
-  void submit_vitality(std::shared_ptr<const Snapshot> oracle,
-                       std::vector<VitalityQuery> queries, VitalityCallback done,
-                       Deadline deadline = kNoDeadline);
-  void submit_vickrey(std::shared_ptr<const Snapshot> oracle,
-                      std::vector<VickreyQuery> queries, VickreyCallback done,
-                      Deadline deadline = kNoDeadline);
-  /// K-fail answers are plain distances, so the callback reuses
-  /// BatchResult/BatchCallback.
-  void submit_kfail(std::shared_ptr<const Snapshot> oracle, std::vector<KFailQuery> queries,
-                    BatchCallback done, Deadline deadline = kNoDeadline);
+  // perfbench/ (which builds against this tree but is versioned with the
+  // benchmark) still calls the typed sync entry points by their old names.
+  std::vector<VitalityResult> vitality_batch(const Snapshot& o,
+                                             std::span<const VitalityQuery> q) {
+    return run<Vitality>(o, q);
+  }
+  std::vector<VickreyResult> vickrey_batch(const Snapshot& o,
+                                           std::span<const VickreyQuery> q) {
+    return run<Vickrey>(o, q);
+  }
+  std::vector<Dist> kfail_batch(const Snapshot& o, std::span<const KFailQuery> q) {
+    return run<KFail>(o, q);
+  }
 
   /// Attaches the graph behind an oracle digest so 2-edge-failure queries
   /// (a BFS of G - F, not a table read) can be served. build() attaches
@@ -294,6 +277,13 @@ class QueryService {
   /// of distinct oracles cannot accumulate worker processes without bound.
   std::shared_ptr<ShardRouter> router_for(const Snapshot& oracle);
 
+  /// The "service.answer" failpoint and the deadline check every async
+  /// workload batch passes before it expands.
+  static void check_before_answer(Deadline deadline);
+  void note_served(std::size_t queries) {
+    queries_served_.fetch_add(queries, std::memory_order_relaxed);
+  }
+
   Options opts_;
   OracleCache cache_;
   // Graphs attached for K_FAIL |F| == 2 service, by oracle content digest,
@@ -313,5 +303,61 @@ class QueryService {
   // (cache_, queries_served_) is torn down.
   obs::MetricsRegistry::CollectorHandle collector_;
 };
+
+template <class W>
+std::vector<typename W::Result> QueryService::run(const Snapshot& oracle,
+                                                  std::span<const typename W::Query> queries,
+                                                  Deadline deadline) {
+  if constexpr (std::is_same_v<W, Point>) {
+    return query_batch(oracle, queries, deadline);
+  } else {
+    typename W::Plan plan = W::expand(*this, oracle, queries, deadline);
+    note_served(plan.answered_inline);
+    std::vector<Dist> answers;  // query_batch counts the point queries itself
+    if (!plan.points.empty()) answers = query_batch(oracle, plan.points, deadline);
+    return W::assemble(queries, plan, answers);
+  }
+}
+
+template <class W>
+void QueryService::submit(std::shared_ptr<const Snapshot> oracle,
+                          std::vector<typename W::Query> queries, WorkloadCallback<W> done,
+                          Deadline deadline) {
+  if constexpr (std::is_same_v<W, Point>) {
+    submit_batch(std::move(oracle), std::move(queries), std::move(done), deadline);
+  } else {
+    MSRP_REQUIRE(oracle != nullptr, "submit: null oracle");
+    MSRP_REQUIRE(done != nullptr, "submit: null callback");
+    // Expansion runs on the pool; the point batch chains through
+    // submit_batch (counter-driven, nobody blocks), and assembly runs in
+    // its callback. Both hops check the deadline and fire "service.answer".
+    pool_.submit([this, oracle = std::move(oracle), queries = std::move(queries),
+                  done = std::move(done), deadline]() mutable {
+      try {
+        check_before_answer(deadline);
+        auto plan =
+            std::make_shared<typename W::Plan>(W::expand(*this, *oracle, queries, deadline));
+        note_served(plan->answered_inline);
+        if (plan->points.empty()) {
+          done({W::assemble(queries, *plan, {}), std::move(oracle), nullptr});
+          return;
+        }
+        std::vector<Query> points = std::move(plan->points);
+        submit_batch(
+            oracle, std::move(points),
+            [plan, queries = std::move(queries), done](BatchResult r) {
+              if (r.error) {
+                done({{}, nullptr, r.error});
+                return;
+              }
+              done({W::assemble(queries, *plan, r.answers), std::move(r.oracle), nullptr});
+            },
+            deadline);
+      } catch (...) {
+        done({{}, nullptr, std::current_exception()});
+      }
+    });
+  }
+}
 
 }  // namespace msrp::service

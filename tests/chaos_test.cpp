@@ -56,8 +56,12 @@
 namespace msrp {
 namespace {
 
+using service::KFail;
 using service::Query;
 using service::Snapshot;
+using service::Vickrey;
+using service::Vitality;
+using service::WorkloadResult;
 
 #if defined(__SANITIZE_THREAD__)
 constexpr bool kTsanBuild = true;
@@ -412,32 +416,33 @@ TEST(ServiceDeadline, WorkloadEntryPointsHonorExpiredDeadlines) {
   const auto fq = kfail_queries(fx, 120, 22);
   const Deadline past = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
 
-  EXPECT_THROW(fx.svc.vitality_batch(*fx.oracle, vq, past), DeadlineExceeded);
-  EXPECT_THROW(fx.svc.vickrey_batch(*fx.oracle, pq, past), DeadlineExceeded);
-  EXPECT_THROW(fx.svc.kfail_batch(*fx.oracle, fq, past), DeadlineExceeded);
+  EXPECT_THROW(fx.svc.run<Vitality>(*fx.oracle, vq, past), DeadlineExceeded);
+  EXPECT_THROW(fx.svc.run<Vickrey>(*fx.oracle, pq, past), DeadlineExceeded);
+  EXPECT_THROW(fx.svc.run<KFail>(*fx.oracle, fq, past), DeadlineExceeded);
 
-  std::promise<service::VitalityBatchResult> vp;
-  fx.svc.submit_vitality(fx.oracle, vq,
-                         [&](service::VitalityBatchResult r) { vp.set_value(std::move(r)); },
+  std::promise<WorkloadResult<Vitality>> vp;
+  fx.svc.submit<Vitality>(fx.oracle, vq,
+                         [&](WorkloadResult<Vitality> r) { vp.set_value(std::move(r)); },
                          past);
-  const service::VitalityBatchResult vr = vp.get_future().get();
+  const WorkloadResult<Vitality> vr = vp.get_future().get();
   ASSERT_NE(vr.error, nullptr);
-  EXPECT_TRUE(vr.results.empty());
+  EXPECT_TRUE(vr.answers.empty());
   EXPECT_THROW(std::rethrow_exception(vr.error), DeadlineExceeded);
 
-  std::promise<service::VickreyBatchResult> pp;
-  fx.svc.submit_vickrey(fx.oracle, pq,
-                        [&](service::VickreyBatchResult r) { pp.set_value(std::move(r)); },
+  std::promise<WorkloadResult<Vickrey>> pp;
+  fx.svc.submit<Vickrey>(fx.oracle, pq,
+                        [&](WorkloadResult<Vickrey> r) { pp.set_value(std::move(r)); },
                         past);
-  const service::VickreyBatchResult pr = pp.get_future().get();
+  const WorkloadResult<Vickrey> pr = pp.get_future().get();
   ASSERT_NE(pr.error, nullptr);
-  EXPECT_TRUE(pr.results.empty());
+  EXPECT_TRUE(pr.answers.empty());
   EXPECT_THROW(std::rethrow_exception(pr.error), DeadlineExceeded);
 
-  std::promise<service::BatchResult> fp;
-  fx.svc.submit_kfail(fx.oracle, fq,
-                      [&](service::BatchResult r) { fp.set_value(std::move(r)); }, past);
-  const service::BatchResult fr = fp.get_future().get();
+  std::promise<WorkloadResult<KFail>> fp;
+  fx.svc.submit<KFail>(
+      fx.oracle, fq,
+      [&](WorkloadResult<KFail> r) { fp.set_value(std::move(r)); }, past);
+  const WorkloadResult<KFail> fr = fp.get_future().get();
   ASSERT_NE(fr.error, nullptr);
   EXPECT_TRUE(fr.answers.empty());
   EXPECT_THROW(std::rethrow_exception(fr.error), DeadlineExceeded);
@@ -489,29 +494,30 @@ TEST(ServiceDeadline, DelayFailpointFailsEachWorkloadBatchInsteadOfAnsweringLate
   };
 
   ASSERT_TRUE(fail::set("service.answer", "delay:180000*1"));
-  std::promise<service::VitalityBatchResult> vp;
-  fx.svc.submit_vitality(fx.oracle, vitality_queries(fx, 120, 25),
-                         [&](service::VitalityBatchResult r) { vp.set_value(std::move(r)); },
+  std::promise<WorkloadResult<Vitality>> vp;
+  fx.svc.submit<Vitality>(fx.oracle, vitality_queries(fx, 120, 25),
+                         [&](WorkloadResult<Vitality> r) { vp.set_value(std::move(r)); },
                          deadline_after_ms(kDeadlineMs));
-  const service::VitalityBatchResult vr = vp.get_future().get();
-  EXPECT_TRUE(vr.results.empty());
+  const WorkloadResult<Vitality> vr = vp.get_future().get();
+  EXPECT_TRUE(vr.answers.empty());
   expect_deadline_error(vr.error);
 
   ASSERT_TRUE(fail::set("service.answer", "delay:180000*1"));
-  std::promise<service::VickreyBatchResult> pp;
-  fx.svc.submit_vickrey(fx.oracle, vickrey_queries(fx, 120, 26),
-                        [&](service::VickreyBatchResult r) { pp.set_value(std::move(r)); },
+  std::promise<WorkloadResult<Vickrey>> pp;
+  fx.svc.submit<Vickrey>(fx.oracle, vickrey_queries(fx, 120, 26),
+                        [&](WorkloadResult<Vickrey> r) { pp.set_value(std::move(r)); },
                         deadline_after_ms(kDeadlineMs));
-  const service::VickreyBatchResult pr = pp.get_future().get();
-  EXPECT_TRUE(pr.results.empty());
+  const WorkloadResult<Vickrey> pr = pp.get_future().get();
+  EXPECT_TRUE(pr.answers.empty());
   expect_deadline_error(pr.error);
 
   ASSERT_TRUE(fail::set("service.answer", "delay:180000*1"));
-  std::promise<service::BatchResult> fp;
-  fx.svc.submit_kfail(fx.oracle, kfail_queries(fx, 120, 27),
-                      [&](service::BatchResult r) { fp.set_value(std::move(r)); },
-                      deadline_after_ms(kDeadlineMs));
-  const service::BatchResult fr = fp.get_future().get();
+  std::promise<WorkloadResult<KFail>> fp;
+  fx.svc.submit<KFail>(
+      fx.oracle, kfail_queries(fx, 120, 27),
+      [&](WorkloadResult<KFail> r) { fp.set_value(std::move(r)); },
+      deadline_after_ms(kDeadlineMs));
+  const WorkloadResult<KFail> fr = fp.get_future().get();
   fail::clear("service.answer");
   EXPECT_TRUE(fr.answers.empty());
   expect_deadline_error(fr.error);
@@ -694,18 +700,18 @@ TEST(NetDeadline, KFailBatchParkedPastItsDeadlineReturnsDeadlineError) {
   SKIP_WITHOUT_EPOLL();
   ChaosFixture fx;
   const auto queries = kfail_queries(fx, 150, 16);
-  const auto want = fx.svc.kfail_batch(*fx.oracle, queries);
+  const auto want = fx.svc.run<KFail>(*fx.oracle, queries);
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
 
   auto release = wedge_pool(fx.svc);
-  const std::uint64_t id = client.send_kfail(queries, std::nullopt, /*deadline_ms=*/30);
+  const std::uint64_t id = client.send<KFail>(queries, std::nullopt, /*deadline_ms=*/30);
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   release.set_value();
 
-  EXPECT_THROW(client.wait_kfail(id), net::DeadlineError);
+  EXPECT_THROW(client.wait<KFail>(id), net::DeadlineError);
   EXPECT_GE(ts.server.stats().deadline_exceeded, 1u);
-  EXPECT_EQ(client.kfail_batch(queries), want);
+  EXPECT_EQ(client.call<KFail>(queries), want);
 }
 
 TEST(NetDeadline, GenerousWireDeadlineAnswersByteForByte) {
@@ -715,7 +721,7 @@ TEST(NetDeadline, GenerousWireDeadlineAnswersByteForByte) {
   const auto want = fx.svc.query_batch(*fx.oracle, queries);
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
-  EXPECT_EQ(client.query_batch(queries, std::nullopt, 60000), want);
+  EXPECT_EQ(client.call(queries, std::nullopt, 60000), want);
   EXPECT_EQ(ts.server.stats().deadline_exceeded, 0u);
 }
 
@@ -738,7 +744,7 @@ TEST(NetDeadline, RetryBudgetExhaustsAsDeadlineError) {
   policy.initial_backoff_ms = 20;
   policy.jitter = 0.0;
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_THROW(client.query_batch_retry(queries, policy), net::DeadlineError);
+  EXPECT_THROW(client.call_retry(queries, policy), net::DeadlineError);
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - t0);
   release.set_value();
@@ -753,12 +759,12 @@ TEST(NetEviction, IdleConnectionIsEvicted) {
   TestServer ts(fx.svc, fx.oracle, sopts);
   net::Client client(ts.client_options());
   const auto queries = fx.random_queries(100, 13);
-  EXPECT_EQ(client.query_batch(queries), fx.svc.query_batch(*fx.oracle, queries));
+  EXPECT_EQ(client.call(queries), fx.svc.query_batch(*fx.oracle, queries));
 
   // Fall silent past the idle budget; the server reclaims the socket.
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   EXPECT_GE(ts.server.stats().connections_evicted, 1u);
-  EXPECT_THROW(client.query_batch(queries), std::runtime_error);
+  EXPECT_THROW(client.call(queries), std::runtime_error);
 }
 
 TEST(NetChaos, StalledFlushIsEvictedAndResendRecovers) {
@@ -779,7 +785,7 @@ TEST(NetChaos, StalledFlushIsEvictedAndResendRecovers) {
   // evict the connection and the client's resend must replay the batch on a
   // fresh one — same id, byte-identical answers.
   ASSERT_TRUE(fail::set("server.flush", "error*1"));
-  const auto got = client.query_batch(queries);
+  const auto got = client.call(queries);
   fail::clear("server.flush");
   EXPECT_EQ(got, want);
   EXPECT_GE(ts.server.stats().connections_evicted, 1u);
@@ -802,7 +808,7 @@ TEST(NetChaos, TruncatedReceivesAreRetriedToIdenticalAnswers) {
   policy.max_attempts = 12;
   policy.initial_backoff_ms = 1;
   for (int round = 0; round < 6; ++round) {
-    EXPECT_EQ(client.query_batch_retry(queries, policy), want) << "round " << round;
+    EXPECT_EQ(client.call_retry(queries, policy), want) << "round " << round;
   }
   fail::clear("client.recv_truncate");
   EXPECT_GE(fail::fire_count("client.recv_truncate"), 1u);
@@ -823,19 +829,19 @@ TEST(NetChaos, StalledAnswerFailsEachWorkloadBatchButNotTheConnection) {
   // client-side); the connection survives and an immediate clean resend on
   // the SAME socket matches the in-process answers.
   ASSERT_TRUE(fail::set("service.answer", "delay:180000*1"));
-  EXPECT_THROW(client.vitality_batch(vq, std::nullopt, /*deadline_ms=*/60),
+  EXPECT_THROW(client.call<Vitality>(vq, std::nullopt, /*deadline_ms=*/60),
                net::DeadlineError);
-  EXPECT_EQ(client.vitality_batch(vq), fx.svc.vitality_batch(*fx.oracle, vq));
+  EXPECT_EQ(client.call<Vitality>(vq), fx.svc.run<Vitality>(*fx.oracle, vq));
 
   ASSERT_TRUE(fail::set("service.answer", "delay:180000*1"));
-  EXPECT_THROW(client.vickrey_batch(pq, std::nullopt, /*deadline_ms=*/60),
+  EXPECT_THROW(client.call<Vickrey>(pq, std::nullopt, /*deadline_ms=*/60),
                net::DeadlineError);
-  EXPECT_EQ(client.vickrey_batch(pq), fx.svc.vickrey_batch(*fx.oracle, pq));
+  EXPECT_EQ(client.call<Vickrey>(pq), fx.svc.run<Vickrey>(*fx.oracle, pq));
 
   ASSERT_TRUE(fail::set("service.answer", "delay:180000*1"));
-  EXPECT_THROW(client.kfail_batch(fq, std::nullopt, /*deadline_ms=*/60),
+  EXPECT_THROW(client.call<KFail>(fq, std::nullopt, /*deadline_ms=*/60),
                net::DeadlineError);
-  EXPECT_EQ(client.kfail_batch(fq), fx.svc.kfail_batch(*fx.oracle, fq));
+  EXPECT_EQ(client.call<KFail>(fq), fx.svc.run<KFail>(*fx.oracle, fq));
   fail::clear("service.answer");
 
   EXPECT_GE(ts.server.stats().deadline_exceeded, 3u);
@@ -866,7 +872,7 @@ TEST(NetChaos, InjectedFailuresAreVisibleInScrapedCounters) {
   const net::StatsSnapshotFrame before = client.stats();
 
   ASSERT_TRUE(fail::set("service.answer", "delay:180000*1"));
-  EXPECT_THROW(client.query_batch(queries, std::nullopt, /*deadline_ms=*/60),
+  EXPECT_THROW(client.call(queries, std::nullopt, /*deadline_ms=*/60),
                net::DeadlineError);
   fail::clear("service.answer");
 
@@ -918,8 +924,8 @@ TEST(NetRegistryChaos, VitalityBusySignalsAndTypedRetrySucceeds) {
   ChaosFixture fx;
   const auto b1 = vitality_queries(fx, 200, 61);
   const auto b2 = vitality_queries(fx, 100, 62);
-  const auto want1 = fx.svc.vitality_batch(*fx.oracle, b1);
-  const auto want2 = fx.svc.vitality_batch(*fx.oracle, b2);
+  const auto want1 = fx.svc.run<Vitality>(*fx.oracle, b1);
+  const auto want2 = fx.svc.run<Vitality>(*fx.oracle, b2);
 
   net::ServerOptions sopts;
   sopts.dispatch = {.per_tenant_inflight = 1, .per_tenant_queue = 0, .total_inflight = 4};
@@ -929,22 +935,22 @@ TEST(NetRegistryChaos, VitalityBusySignalsAndTypedRetrySucceeds) {
   // Wedge the pool so the first batch deterministically stays in flight;
   // the second then overflows the zero-length queue.
   std::promise<void> release = wedge_pool(fx.svc);
-  const std::uint64_t id1 = client.send_vitality(b1);
-  const std::uint64_t id2 = client.send_vitality(b2);
+  const std::uint64_t id1 = client.send<Vitality>(b1);
+  const std::uint64_t id2 = client.send<Vitality>(b2);
   try {
-    client.wait_vitality(id2);
+    client.wait<Vitality>(id2);
     FAIL() << "expected BUSY";
   } catch (const net::BusyError& ex) {
     EXPECT_NE(std::string(ex.what()).find("busy"), std::string::npos);
   }
   release.set_value();
-  EXPECT_EQ(client.wait_vitality(id1), want1);
+  EXPECT_EQ(client.wait<Vitality>(id1), want1);
   EXPECT_EQ(ts.server.stats().busy_rejected, 1u);
 
   net::RetryPolicy policy;
   policy.max_attempts = 6;
   policy.initial_backoff_ms = 5;
-  EXPECT_EQ(client.vitality_batch_retry(b2, policy), want2);
+  EXPECT_EQ(client.call_retry<Vitality>(b2, policy), want2);
 }
 
 // ------------------------------------------------------ shard-worker chaos

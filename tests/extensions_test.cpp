@@ -1,5 +1,5 @@
-// Extension modules: the Parter–Peleg fault-tolerant BFS subgraph and the
-// multi-source distance sensitivity oracle.
+// Extension modules: the Parter–Peleg fault-tolerant BFS subgraph, and the
+// solver's MsrpResult read as a multi-source distance sensitivity oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,7 @@
 #include "ftsub/ft_subgraph.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
-#include "sensitivity/sensitivity_oracle.hpp"
+#include "core/msrp.hpp"
 
 namespace msrp {
 namespace {
@@ -108,37 +108,23 @@ TEST(SensitivityOracle, MatchesBruteForceEverywhere) {
   const std::vector<Vertex> sources{1, 9, 33};
   Config cfg;
   cfg.oversample = 3.0;
-  const SensitivityOracle oracle(g, sources, cfg);
+  const MsrpResult oracle = solve_msrp(g, sources, cfg);
   const MsrpResult want = solve_msrp_brute_force(g, sources);
   for (const Vertex s : sources) {
     for (Vertex t = 0; t < g.num_vertices(); ++t) {
-      EXPECT_EQ(oracle.distance(s, t), want.shortest(s, t));
+      EXPECT_EQ(oracle.shortest(s, t), want.shortest(s, t));
       for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        EXPECT_EQ(oracle.query(s, t, e), want.avoiding(s, t, e))
+        EXPECT_EQ(oracle.avoiding(s, t, e), want.avoiding(s, t, e))
             << "s=" << s << " t=" << t << " e=" << e;
       }
     }
   }
 }
 
-TEST(SensitivityOracle, SizeAccounting) {
-  Rng rng(19);
-  const Graph g = gen::connected_gnp(64, 0.1, rng);
-  const SensitivityOracle oracle(g, {0, 1});
-  std::uint64_t expect = 0;
-  for (const Vertex s : {0u, 1u}) {
-    for (Vertex t = 0; t < g.num_vertices(); ++t) {
-      expect += oracle.result().row(s, t).size();
-    }
-  }
-  EXPECT_EQ(oracle.size_cells(), expect);
-  EXPECT_GT(oracle.size_cells(), 0u);
-}
-
 TEST(SensitivityOracle, RejectsNonSourceQueries) {
   Graph g(4, {{0, 1}, {1, 2}, {2, 3}});
-  const SensitivityOracle oracle(g, {0});
-  EXPECT_THROW(oracle.query(3, 0, 0), std::invalid_argument);
+  const MsrpResult oracle = solve_msrp(g, {0});
+  EXPECT_THROW(oracle.avoiding(3, 0, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -37,6 +37,7 @@
 #include "service/query_gen.hpp"
 #include "service/query_service.hpp"
 #include "service/shard_router.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 #if defined(__unix__)
@@ -53,8 +54,11 @@ using net::Frame;
 using net::FrameDecoder;
 using net::FrameType;
 using net::ProtocolError;
+using service::KFail;
 using service::Query;
 using service::Snapshot;
+using service::Vickrey;
+using service::Vitality;
 
 // Fork-without-exec shard workers and TSan do not mix (the forked child
 // inherits the sanitizer's threading state); the multi-process leg of the
@@ -81,8 +85,8 @@ std::vector<std::uint8_t> sample_stream() {
   hello.num_edges = 250;
   hello.sources = {0, 17, 41};
   net::append_hello(bytes, hello);
-  net::append_query_batch(bytes, 7, std::vector<Query>{{0, 5, 3}, {17, 99, 0}});
-  net::append_answer_batch(bytes, 7, std::vector<Dist>{4, kInfDist});
+  net::append_batch(bytes, 7, std::vector<Query>{{0, 5, 3}, {17, 99, 0}});
+  net::append_answer(bytes, 7, std::vector<Dist>{4, kInfDist});
   net::append_error(bytes, 9, "boom");
   return bytes;
 }
@@ -98,12 +102,12 @@ void expect_sample_frames(std::vector<Frame> frames) {
   EXPECT_EQ(hello.sources, (std::vector<Vertex>{0, 17, 41}));
 
   EXPECT_EQ(frames[1].type, FrameType::kQueryBatch);
-  const net::QueryBatchFrame qb = net::decode_query_batch(frames[1].payload);
+  const net::BatchFrame<service::Point> qb = net::decode_batch(frames[1].payload);
   EXPECT_EQ(qb.request_id, 7u);
   EXPECT_EQ(qb.queries, (std::vector<Query>{{0, 5, 3}, {17, 99, 0}}));
 
   EXPECT_EQ(frames[2].type, FrameType::kAnswerBatch);
-  const net::AnswerBatchFrame ab = net::decode_answer_batch(frames[2].payload);
+  const net::AnswerFrame<service::Point> ab = net::decode_answer(frames[2].payload);
   EXPECT_EQ(ab.request_id, 7u);
   EXPECT_EQ(ab.answers, (std::vector<Dist>{4, kInfDist}));
 
@@ -155,7 +159,7 @@ TEST(FrameDecoderAdversarial, TruncatedHeaderYieldsNoFrame) {
 
 TEST(FrameDecoderAdversarial, TruncatedPayloadYieldsNoFrame) {
   std::vector<std::uint8_t> bytes;
-  net::append_query_batch(bytes, 1, std::vector<Query>{{0, 1, 2}});
+  net::append_batch(bytes, 1, std::vector<Query>{{0, 1, 2}});
   FrameDecoder dec;
   dec.feed({bytes.data(), bytes.size() - 1});
   EXPECT_FALSE(dec.next().has_value());
@@ -173,7 +177,7 @@ TEST(FrameDecoderAdversarial, BadMagicThrows) {
 
 TEST(FrameDecoderAdversarial, ChecksumMismatchThrowsForEveryPayloadByte) {
   std::vector<std::uint8_t> bytes;
-  net::append_query_batch(bytes, 42, std::vector<Query>{{1, 2, 3}});
+  net::append_batch(bytes, 42, std::vector<Query>{{1, 2, 3}});
   for (std::size_t i = net::kFrameHeaderBytes; i < bytes.size(); ++i) {
     auto corrupt = bytes;
     corrupt[i] ^= 0x01;
@@ -185,12 +189,12 @@ TEST(FrameDecoderAdversarial, ChecksumMismatchThrowsForEveryPayloadByte) {
 
 TEST(FrameDecoderAdversarial, ZeroLengthBatchIsValid) {
   std::vector<std::uint8_t> bytes;
-  net::append_query_batch(bytes, 5, std::vector<Query>{});
+  net::append_batch(bytes, 5, std::vector<Query>{});
   FrameDecoder dec;
   dec.feed(bytes);
   const auto frame = dec.next();
   ASSERT_TRUE(frame.has_value());
-  const net::QueryBatchFrame qb = net::decode_query_batch(frame->payload);
+  const net::BatchFrame<service::Point> qb = net::decode_batch(frame->payload);
   EXPECT_EQ(qb.request_id, 5u);
   EXPECT_TRUE(qb.queries.empty());
 }
@@ -217,7 +221,7 @@ TEST(FrameDecoderAdversarial, LyingPayloadCountsThrow) {
   // A checksum-valid frame whose payload counts disagree with its size must
   // be caught by the payload decoders, not read out of bounds.
   std::vector<std::uint8_t> bytes;
-  net::append_query_batch(bytes, 1, std::vector<Query>{{0, 1, 2}});
+  net::append_batch(bytes, 1, std::vector<Query>{{0, 1, 2}});
   Frame frame;
   {
     FrameDecoder dec;
@@ -226,11 +230,11 @@ TEST(FrameDecoderAdversarial, LyingPayloadCountsThrow) {
   }
   auto short_payload = frame.payload;
   short_payload.resize(short_payload.size() - 4);  // count says 1, bytes say less
-  EXPECT_THROW(net::decode_query_batch(short_payload), ProtocolError);
+  EXPECT_THROW(net::decode_batch(short_payload), ProtocolError);
 
   auto long_payload = frame.payload;
   long_payload.push_back(0);  // trailing garbage
-  EXPECT_THROW(net::decode_query_batch(long_payload), ProtocolError);
+  EXPECT_THROW(net::decode_batch(long_payload), ProtocolError);
 }
 
 TEST(FrameDecoderAdversarial, HugeCountFieldRejectedBeforeAllocating) {
@@ -238,8 +242,8 @@ TEST(FrameDecoderAdversarial, HugeCountFieldRejectedBeforeAllocating) {
   // count-vs-payload check, not by a multi-gigabyte reserve() blowing up.
   std::vector<std::uint8_t> payload(16, 0);
   payload[8] = payload[9] = payload[10] = payload[11] = 0xff;  // count, LE
-  EXPECT_THROW(net::decode_query_batch(payload), ProtocolError);
-  EXPECT_THROW(net::decode_answer_batch(payload), ProtocolError);
+  EXPECT_THROW(net::decode_batch(payload), ProtocolError);
+  EXPECT_THROW(net::decode_answer(payload), ProtocolError);
   // Same shape for HELLO's source count (offset 24 within its payload).
   std::vector<std::uint8_t> hello(32, 0);
   hello[0] = 1;  // version
@@ -254,7 +258,7 @@ TEST(FrameDecoderAdversarial, InterleavedPipelinedIdsDecodeInOrder) {
   std::vector<std::uint64_t> ids = {9, 2, 7, 1, 8, 3, 1000000007ULL, 4};
   std::vector<std::uint8_t> bytes;
   for (const std::uint64_t id : ids) {
-    net::append_query_batch(
+    net::append_batch(
         bytes, id, std::vector<Query>{{static_cast<Vertex>(id % 97), 1, 2}});
   }
   FrameDecoder dec;
@@ -262,7 +266,7 @@ TEST(FrameDecoderAdversarial, InterleavedPipelinedIdsDecodeInOrder) {
   for (const std::uint64_t id : ids) {
     const auto frame = dec.next();
     ASSERT_TRUE(frame.has_value());
-    EXPECT_EQ(net::decode_query_batch(frame->payload).request_id, id);
+    EXPECT_EQ(net::decode_batch(frame->payload).request_id, id);
   }
   EXPECT_FALSE(dec.next().has_value());
 }
@@ -311,7 +315,7 @@ TEST(FrameDecoder, RoundTripsRegistryFrameTypes) {
 
   net::append_unregister(bytes, 7, 0xfeedfaceULL);
   net::append_busy(bytes, 8, "tenant queue full");
-  net::append_query_batch(bytes, 9, std::vector<Query>{{0, 1, 2}}, 0xfeedfaceULL);
+  net::append_batch(bytes, 9, std::vector<Query>{{0, 1, 2}}, 0xfeedfaceULL);
 
   FrameDecoder dec;
   dec.feed(bytes);
@@ -376,7 +380,7 @@ TEST(FrameDecoder, RoundTripsRegistryFrameTypes) {
 
   f = next();
   EXPECT_EQ(f.type, FrameType::kQueryBatch);
-  const net::QueryBatchFrame qb = net::decode_query_batch(f.payload);
+  const net::BatchFrame<service::Point> qb = net::decode_batch(f.payload);
   EXPECT_EQ(qb.request_id, 9u);
   ASSERT_TRUE(qb.digest.has_value());
   EXPECT_EQ(*qb.digest, 0xfeedfaceULL);
@@ -439,23 +443,23 @@ TEST(FrameDecoderAdversarial, LyingRegistryPayloadCountsThrow) {
 TEST(FrameDecoder, RoundTripsWorkloadFrameTypes) {
   std::vector<std::uint8_t> bytes;
   const std::vector<service::VitalityQuery> vq{{0, 5, 3}, {17, 99, 1}};
-  net::append_vitality_batch(bytes, 21, vq, 0xfeedfaceULL, 250);
+  net::append_batch<Vitality>(bytes, 21, vq, 0xfeedfaceULL, 250);
   std::vector<service::VitalityResult> vres(2);
   vres[0].base = 4;
   vres[0].edges = {{7, 0, kInfDist}, {9, 2, 6}};
   vres[1].base = kInfDist;
-  net::append_vitality_answer(bytes, 21, vres);
+  net::append_answer<Vitality>(bytes, 21, vres);
 
   const std::vector<service::VickreyQuery> pq{{0, 5}, {17, 99}};
-  net::append_vickrey_batch(bytes, 22, pq);
+  net::append_batch<Vickrey>(bytes, 22, pq);
   std::vector<service::VickreyResult> pres(2);
   pres[0].base = 4;
   pres[0].prices = {{7, 0}, {9, kInfDist}};
-  net::append_vickrey_answer(bytes, 22, pres);
+  net::append_answer<Vickrey>(bytes, 22, pres);
 
   const std::vector<service::KFailQuery> fq{{0, 5, {}}, {1, 6, {3}}, {2, 7, {3, 9}}};
-  net::append_kfail_batch(bytes, 23, fq, std::nullopt, 100);
-  net::append_kfail_answer(bytes, 23, std::vector<Dist>{4, kInfDist, 9});
+  net::append_batch<KFail>(bytes, 23, fq, std::nullopt, 100);
+  net::append_answer<KFail>(bytes, 23, std::vector<Dist>{4, kInfDist, 9});
 
   FrameDecoder dec;
   dec.feed(bytes);
@@ -467,7 +471,7 @@ TEST(FrameDecoder, RoundTripsWorkloadFrameTypes) {
 
   Frame f = next();
   EXPECT_EQ(f.type, FrameType::kVitalityBatch);
-  const net::VitalityBatchFrame vb = net::decode_vitality_batch(f.payload);
+  const net::BatchFrame<Vitality> vb = net::decode_batch<Vitality>(f.payload);
   EXPECT_EQ(vb.request_id, 21u);
   ASSERT_TRUE(vb.digest.has_value());
   EXPECT_EQ(*vb.digest, 0xfeedfaceULL);
@@ -477,13 +481,13 @@ TEST(FrameDecoder, RoundTripsWorkloadFrameTypes) {
 
   f = next();
   EXPECT_EQ(f.type, FrameType::kVitalityAnswer);
-  const net::VitalityAnswerFrame va = net::decode_vitality_answer(f.payload);
+  const net::AnswerFrame<Vitality> va = net::decode_answer<Vitality>(f.payload);
   EXPECT_EQ(va.request_id, 21u);
-  EXPECT_EQ(va.results, vres);
+  EXPECT_EQ(va.answers, vres);
 
   f = next();
   EXPECT_EQ(f.type, FrameType::kVickreyBatch);
-  const net::VickreyBatchFrame pb = net::decode_vickrey_batch(f.payload);
+  const net::BatchFrame<Vickrey> pb = net::decode_batch<Vickrey>(f.payload);
   EXPECT_EQ(pb.request_id, 22u);
   EXPECT_FALSE(pb.digest.has_value());
   EXPECT_FALSE(pb.deadline_ms.has_value());
@@ -491,13 +495,13 @@ TEST(FrameDecoder, RoundTripsWorkloadFrameTypes) {
 
   f = next();
   EXPECT_EQ(f.type, FrameType::kVickreyAnswer);
-  const net::VickreyAnswerFrame pa = net::decode_vickrey_answer(f.payload);
+  const net::AnswerFrame<Vickrey> pa = net::decode_answer<Vickrey>(f.payload);
   EXPECT_EQ(pa.request_id, 22u);
-  EXPECT_EQ(pa.results, pres);
+  EXPECT_EQ(pa.answers, pres);
 
   f = next();
   EXPECT_EQ(f.type, FrameType::kKFailBatch);
-  const net::KFailBatchFrame fb = net::decode_kfail_batch(f.payload);
+  const net::BatchFrame<KFail> fb = net::decode_batch<KFail>(f.payload);
   EXPECT_EQ(fb.request_id, 23u);
   EXPECT_FALSE(fb.digest.has_value());
   ASSERT_TRUE(fb.deadline_ms.has_value());
@@ -506,7 +510,7 @@ TEST(FrameDecoder, RoundTripsWorkloadFrameTypes) {
 
   f = next();
   EXPECT_EQ(f.type, FrameType::kKFailAnswer);
-  const net::KFailAnswerFrame fa = net::decode_kfail_answer(f.payload);
+  const net::AnswerFrame<KFail> fa = net::decode_answer<KFail>(f.payload);
   EXPECT_EQ(fa.request_id, 23u);
   EXPECT_EQ(fa.answers, (std::vector<Dist>{4, kInfDist, 9}));
 
@@ -527,39 +531,39 @@ TEST(FrameDecoderAdversarial, WorkloadRequestValidationThrows) {
 
   // k == 0 asks for nothing; the decoder refuses rather than guessing.
   auto payload = payload_of([](std::vector<std::uint8_t>& b) {
-    net::append_vitality_batch(b, 1, std::vector<service::VitalityQuery>{{0, 1, 0}});
+    net::append_batch<Vitality>(b, 1, std::vector<service::VitalityQuery>{{0, 1, 0}});
   });
-  EXPECT_THROW(net::decode_vitality_batch(payload), ProtocolError);
+  EXPECT_THROW(net::decode_batch<Vitality>(payload), ProtocolError);
 
   // k just past the cap throws; the cap itself is accepted (boundary).
   payload = payload_of([](std::vector<std::uint8_t>& b) {
-    net::append_vitality_batch(
+    net::append_batch<Vitality>(
         b, 1, std::vector<service::VitalityQuery>{{0, 1, service::kMaxTopKVital + 1}});
   });
-  EXPECT_THROW(net::decode_vitality_batch(payload), ProtocolError);
+  EXPECT_THROW(net::decode_batch<Vitality>(payload), ProtocolError);
   payload = payload_of([](std::vector<std::uint8_t>& b) {
-    net::append_vitality_batch(
+    net::append_batch<Vitality>(
         b, 1, std::vector<service::VitalityQuery>{{0, 1, service::kMaxTopKVital}});
   });
-  EXPECT_EQ(net::decode_vitality_batch(payload).queries[0].k, service::kMaxTopKVital);
+  EXPECT_EQ(net::decode_batch<Vitality>(payload).queries[0].k, service::kMaxTopKVital);
 
   // |F| == kMaxKFailEdges + 1 is refused even though the bytes are
   // perfectly self-consistent.
   payload = payload_of([](std::vector<std::uint8_t>& b) {
-    net::append_kfail_batch(b, 1, std::vector<service::KFailQuery>{{0, 1, {2, 3, 4}}});
+    net::append_batch<KFail>(b, 1, std::vector<service::KFailQuery>{{0, 1, {2, 3, 4}}});
   });
-  EXPECT_THROW(net::decode_kfail_batch(payload), ProtocolError);
+  EXPECT_THROW(net::decode_batch<KFail>(payload), ProtocolError);
 
   // A duplicated edge in F is a contradiction (failing one edge twice), so
   // it is rejected rather than silently deduplicated.
   payload = payload_of([](std::vector<std::uint8_t>& b) {
-    net::append_kfail_batch(b, 1, std::vector<service::KFailQuery>{{0, 1, {4, 4}}});
+    net::append_batch<KFail>(b, 1, std::vector<service::KFailQuery>{{0, 1, {4, 4}}});
   });
-  EXPECT_THROW(net::decode_kfail_batch(payload), ProtocolError);
+  EXPECT_THROW(net::decode_batch<KFail>(payload), ProtocolError);
   payload = payload_of([](std::vector<std::uint8_t>& b) {
-    net::append_kfail_batch(b, 1, std::vector<service::KFailQuery>{{0, 1, {4, 5}}});
+    net::append_batch<KFail>(b, 1, std::vector<service::KFailQuery>{{0, 1, {4, 5}}});
   });
-  EXPECT_EQ(net::decode_kfail_batch(payload).queries[0].fails, (std::vector<EdgeId>{4, 5}));
+  EXPECT_EQ(net::decode_batch<KFail>(payload).queries[0].fails, (std::vector<EdgeId>{4, 5}));
 }
 
 TEST(FrameDecoderAdversarial, LyingWorkloadPayloadCountsThrow) {
@@ -584,47 +588,193 @@ TEST(FrameDecoderAdversarial, LyingWorkloadPayloadCountsThrow) {
 
   expect_lying_throws(
       payload_of([](std::vector<std::uint8_t>& b) {
-        net::append_vitality_batch(b, 1, std::vector<service::VitalityQuery>{{0, 1, 2}});
+        net::append_batch<Vitality>(b, 1, std::vector<service::VitalityQuery>{{0, 1, 2}});
       }),
-      [](std::span<const std::uint8_t> p) { return net::decode_vitality_batch(p); });
+      [](std::span<const std::uint8_t> p) { return net::decode_batch<Vitality>(p); });
   std::vector<service::VitalityResult> vres(1);
   vres[0].base = 3;
   vres[0].edges = {{0, 0, 5}};
   expect_lying_throws(
-      payload_of([&](std::vector<std::uint8_t>& b) { net::append_vitality_answer(b, 1, vres); }),
-      [](std::span<const std::uint8_t> p) { return net::decode_vitality_answer(p); });
+      payload_of(
+          [&](std::vector<std::uint8_t>& b) { net::append_answer<Vitality>(b, 1, vres); }),
+      [](std::span<const std::uint8_t> p) { return net::decode_answer<Vitality>(p); });
   expect_lying_throws(
       payload_of([](std::vector<std::uint8_t>& b) {
-        net::append_vickrey_batch(b, 1, std::vector<service::VickreyQuery>{{0, 1}});
+        net::append_batch<Vickrey>(b, 1, std::vector<service::VickreyQuery>{{0, 1}});
       }),
-      [](std::span<const std::uint8_t> p) { return net::decode_vickrey_batch(p); });
+      [](std::span<const std::uint8_t> p) { return net::decode_batch<Vickrey>(p); });
   std::vector<service::VickreyResult> pres(1);
   pres[0].base = 3;
   pres[0].prices = {{0, 2}};
   expect_lying_throws(
-      payload_of([&](std::vector<std::uint8_t>& b) { net::append_vickrey_answer(b, 1, pres); }),
-      [](std::span<const std::uint8_t> p) { return net::decode_vickrey_answer(p); });
+      payload_of(
+          [&](std::vector<std::uint8_t>& b) { net::append_answer<Vickrey>(b, 1, pres); }),
+      [](std::span<const std::uint8_t> p) { return net::decode_answer<Vickrey>(p); });
   expect_lying_throws(
       payload_of([](std::vector<std::uint8_t>& b) {
-        net::append_kfail_batch(b, 1, std::vector<service::KFailQuery>{{0, 1, {2}}});
+        net::append_batch<KFail>(b, 1, std::vector<service::KFailQuery>{{0, 1, {2}}});
       }),
-      [](std::span<const std::uint8_t> p) { return net::decode_kfail_batch(p); });
+      [](std::span<const std::uint8_t> p) { return net::decode_batch<KFail>(p); });
   expect_lying_throws(
       payload_of([](std::vector<std::uint8_t>& b) {
-        net::append_kfail_answer(b, 1, std::vector<Dist>{4});
+        net::append_answer<KFail>(b, 1, std::vector<Dist>{4});
       }),
-      [](std::span<const std::uint8_t> p) { return net::decode_kfail_answer(p); });
+      [](std::span<const std::uint8_t> p) { return net::decode_answer<KFail>(p); });
 
   // A 16-byte envelope claiming 2^32 - 1 queries must die on the
   // count-vs-payload check, not on a multi-gigabyte reserve().
   std::vector<std::uint8_t> huge(16, 0);
   huge[8] = huge[9] = huge[10] = huge[11] = 0xff;  // count, LE
-  EXPECT_THROW(net::decode_vitality_batch(huge), ProtocolError);
-  EXPECT_THROW(net::decode_vickrey_batch(huge), ProtocolError);
-  EXPECT_THROW(net::decode_kfail_batch(huge), ProtocolError);
-  EXPECT_THROW(net::decode_vitality_answer(huge), ProtocolError);
-  EXPECT_THROW(net::decode_vickrey_answer(huge), ProtocolError);
-  EXPECT_THROW(net::decode_kfail_answer(huge), ProtocolError);
+  EXPECT_THROW(net::decode_batch<Vitality>(huge), ProtocolError);
+  EXPECT_THROW(net::decode_batch<Vickrey>(huge), ProtocolError);
+  EXPECT_THROW(net::decode_batch<KFail>(huge), ProtocolError);
+  EXPECT_THROW(net::decode_answer<Vitality>(huge), ProtocolError);
+  EXPECT_THROW(net::decode_answer<Vickrey>(huge), ProtocolError);
+  EXPECT_THROW(net::decode_answer<KFail>(huge), ProtocolError);
+}
+
+// ---------------------------------------------------- pinned wire bytes ---
+
+/// FNV-1a of a whole frame (header + payload) and its length.
+struct PinnedFrame {
+  const char* name;
+  std::size_t size;
+  std::uint64_t fnv;
+};
+
+void expect_pinned(const std::vector<std::uint8_t>& bytes, const PinnedFrame& pin) {
+  EXPECT_EQ(bytes.size(), pin.size) << pin.name;
+  EXPECT_EQ(fnv::mix_bytes(fnv::kOffset, bytes.data(), bytes.size()), pin.fnv) << pin.name;
+}
+
+Frame only_frame(const std::vector<std::uint8_t>& bytes) {
+  FrameDecoder dec;
+  dec.feed(bytes);
+  std::optional<Frame> f = dec.next();
+  EXPECT_TRUE(f.has_value());
+  EXPECT_EQ(dec.buffered_bytes(), 0u);
+  return f ? std::move(*f) : Frame{};
+}
+
+TEST(Protocol, WireBytesMatchPinnedFrames) {
+  // The round-trip and v2-compat tests encode both sides with the same
+  // code, so a layout change made symmetrically in encoder and decoder
+  // passes them. These constants were recorded from the encoders before
+  // the batch codec was made generic; any byte that moves fails here.
+  constexpr std::uint64_t kId = 0x0102030405060708ULL;
+  constexpr std::uint64_t kDigest = 0x1122334455667788ULL;
+  constexpr std::uint32_t kDeadline = 250;
+  static constexpr PinnedFrame kBatchPins[4][3] = {
+      {{"QUERY_BATCH", 64, 0xcb746be600589264ULL},
+       {"QUERY_BATCH digest", 72, 0xf8b857732d9a7df2ULL},
+       {"QUERY_BATCH digest+deadline", 76, 0x8a0cea57cc58a584ULL}},
+      {{"VITALITY_BATCH", 64, 0xe8ed1398a2e4edb8ULL},
+       {"VITALITY_BATCH digest", 72, 0x1a00b86595c36b12ULL},
+       {"VITALITY_BATCH digest+deadline", 76, 0x4884e61ace538977ULL}},
+      {{"VICKREY_BATCH", 56, 0x306cbf08aae88001ULL},
+       {"VICKREY_BATCH digest", 64, 0xc71926c45ff37ec0ULL},
+       {"VICKREY_BATCH digest+deadline", 68, 0x56c7506514a5a565ULL}},
+      {{"KFAIL_BATCH", 88, 0x6faccfc3f74997a3ULL},
+       {"KFAIL_BATCH digest", 96, 0xaac1a48ca2db34d9ULL},
+       {"KFAIL_BATCH digest+deadline", 100, 0x13877e8b80db8cedULL}},
+  };
+  static constexpr PinnedFrame kAnswerPins[4] = {
+      {"ANSWER_BATCH", 48, 0xf097443477b54c6eULL},
+      {"VITALITY_ANSWER", 80, 0x8867ec520c00e23cULL},
+      {"VICKREY_ANSWER", 72, 0xb4a2a256ce119efaULL},
+      {"KFAIL_ANSWER", 52, 0x05e5f2010ea3befcULL},
+  };
+
+  const std::vector<Query> pq{{0, 5, 3}, {17, 99, kNoEdge}};
+  const std::vector<service::VitalityQuery> vq{{0, 5, 3}, {17, 99, 1}};
+  const std::vector<service::VickreyQuery> cq{{0, 5}, {17, 99}};
+  const std::vector<service::KFailQuery> fq{{0, 5, {}}, {1, 6, {3}}, {2, 7, {3, 9}}};
+  const std::vector<Dist> pa{4, kInfDist};
+  std::vector<service::VitalityResult> va(2);
+  va[0].base = 4;
+  va[0].edges = {{7, 0, kInfDist}, {9, 2, 6}};
+  va[1].base = kInfDist;
+  std::vector<service::VickreyResult> ca(2);
+  ca[0].base = 4;
+  ca[0].prices = {{7, 0}, {9, kInfDist}};
+  ca[1].base = kInfDist;
+  const std::vector<Dist> fa{4, kInfDist, 9};
+
+  const std::optional<std::uint64_t> digests[3] = {std::nullopt, kDigest, kDigest};
+  const std::optional<std::uint32_t> deadlines[3] = {std::nullopt, std::nullopt, kDeadline};
+  for (int form = 0; form < 3; ++form) {
+    const auto check_batch = [&](const PinnedFrame& pin, FrameType type, auto&& append,
+                                 auto&& decode, const auto& want) {
+      std::vector<std::uint8_t> bytes;
+      append(bytes, digests[form], deadlines[form]);
+      expect_pinned(bytes, pin);
+      const Frame f = only_frame(bytes);
+      EXPECT_EQ(f.type, type) << pin.name;
+      const auto got = decode(f.payload);
+      EXPECT_EQ(got.request_id, kId) << pin.name;
+      EXPECT_EQ(got.digest, digests[form]) << pin.name;
+      EXPECT_EQ(got.deadline_ms, deadlines[form]) << pin.name;
+      EXPECT_EQ(got.queries, want) << pin.name;
+    };
+    check_batch(
+        kBatchPins[0][form], FrameType::kQueryBatch,
+        [&](auto& b, auto d, auto dl) { net::append_batch(b, kId, pq, d, dl); },
+        [](auto p) { return net::decode_batch(p); }, pq);
+    check_batch(
+        kBatchPins[1][form], FrameType::kVitalityBatch,
+        [&](auto& b, auto d, auto dl) { net::append_batch<Vitality>(b, kId, vq, d, dl); },
+        [](auto p) { return net::decode_batch<Vitality>(p); }, vq);
+    check_batch(
+        kBatchPins[2][form], FrameType::kVickreyBatch,
+        [&](auto& b, auto d, auto dl) { net::append_batch<Vickrey>(b, kId, cq, d, dl); },
+        [](auto p) { return net::decode_batch<Vickrey>(p); }, cq);
+    check_batch(
+        kBatchPins[3][form], FrameType::kKFailBatch,
+        [&](auto& b, auto d, auto dl) { net::append_batch<KFail>(b, kId, fq, d, dl); },
+        [](auto p) { return net::decode_batch<KFail>(p); }, fq);
+  }
+
+  const auto check_answer = [&](const PinnedFrame& pin, FrameType type, auto&& append,
+                                auto&& decode) {
+    std::vector<std::uint8_t> bytes;
+    append(bytes);
+    expect_pinned(bytes, pin);
+    const Frame f = only_frame(bytes);
+    EXPECT_EQ(f.type, type) << pin.name;
+    decode(f.payload);
+  };
+  check_answer(
+      kAnswerPins[0], FrameType::kAnswerBatch,
+      [&](auto& b) { net::append_answer(b, kId, pa); },
+      [&](auto p) {
+        const auto got = net::decode_answer(p);
+        EXPECT_EQ(got.request_id, kId);
+        EXPECT_EQ(got.answers, pa);
+      });
+  check_answer(
+      kAnswerPins[1], FrameType::kVitalityAnswer,
+      [&](auto& b) { net::append_answer<Vitality>(b, kId, va); },
+      [&](auto p) {
+        const auto got = net::decode_answer<Vitality>(p);
+        EXPECT_EQ(got.request_id, kId);
+        EXPECT_EQ(got.answers, va);
+      });
+  check_answer(
+      kAnswerPins[2], FrameType::kVickreyAnswer,
+      [&](auto& b) { net::append_answer<Vickrey>(b, kId, ca); },
+      [&](auto p) {
+        const auto got = net::decode_answer<Vickrey>(p);
+        EXPECT_EQ(got.request_id, kId);
+        EXPECT_EQ(got.answers, ca);
+      });
+  check_answer(
+      kAnswerPins[3], FrameType::kKFailAnswer,
+      [&](auto& b) { net::append_answer<KFail>(b, kId, fa); },
+      [&](auto p) {
+        const auto got = net::decode_answer<KFail>(p);
+        EXPECT_EQ(got.request_id, kId);
+        EXPECT_EQ(got.answers, fa);
+      });
 }
 
 // -------------------------------------------------- loopback end-to-end ---
@@ -696,7 +846,7 @@ TEST(NetServer, AnswersOverTcpMatchInProcessByteForByte) {
 
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
-  EXPECT_EQ(client.query_batch(queries), want);
+  EXPECT_EQ(client.call(queries), want);
 
   const net::ServerStats st = ts.server.stats();
   EXPECT_EQ(st.batches_received, 1u);
@@ -721,7 +871,7 @@ TEST(NetServer, EveryServingModeMatchesInProcess) {
     ASSERT_TRUE(mapped->is_mapped());
     TestServer ts(svc, mapped);
     net::Client client(ts.client_options());
-    EXPECT_EQ(client.query_batch(queries), want);
+    EXPECT_EQ(client.call(queries), want);
   }
 
   if (!kTsanBuild && service::ShardRouter::supported()) {  // multi-process shards
@@ -729,7 +879,7 @@ TEST(NetServer, EveryServingModeMatchesInProcess) {
     const auto oracle = svc.build(fx.g, fx.sources);
     TestServer ts(svc, oracle);
     net::Client client(ts.client_options());
-    EXPECT_EQ(client.query_batch(queries), want);
+    EXPECT_EQ(client.call(queries), want);
   }
 }
 
@@ -768,15 +918,15 @@ TEST(NetServer, WorkloadOpcodesOverTcpMatchInProcess) {
   SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   const WorkloadBatches wb = random_workloads(fx, 200, 314);
-  const auto vwant = fx.svc.vitality_batch(*fx.oracle, wb.vitality);
-  const auto pwant = fx.svc.vickrey_batch(*fx.oracle, wb.vickrey);
-  const auto fwant = fx.svc.kfail_batch(*fx.oracle, wb.kfail);
+  const auto vwant = fx.svc.run<Vitality>(*fx.oracle, wb.vitality);
+  const auto pwant = fx.svc.run<Vickrey>(*fx.oracle, wb.vickrey);
+  const auto fwant = fx.svc.run<KFail>(*fx.oracle, wb.kfail);
 
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
-  EXPECT_EQ(client.vitality_batch(wb.vitality), vwant);
-  EXPECT_EQ(client.vickrey_batch(wb.vickrey), pwant);
-  EXPECT_EQ(client.kfail_batch(wb.kfail), fwant);
+  EXPECT_EQ(client.call<Vitality>(wb.vitality), vwant);
+  EXPECT_EQ(client.call<Vickrey>(wb.vickrey), pwant);
+  EXPECT_EQ(client.call<KFail>(wb.kfail), fwant);
 
   const net::ServerStats st = ts.server.stats();
   EXPECT_EQ(st.vitality_batches, 1u);
@@ -793,9 +943,9 @@ TEST(NetServer, WorkloadOpcodesServeEveryMode) {
   SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   const WorkloadBatches wb = random_workloads(fx, 150, 315);
-  const auto vwant = fx.svc.vitality_batch(*fx.oracle, wb.vitality);
-  const auto pwant = fx.svc.vickrey_batch(*fx.oracle, wb.vickrey);
-  const auto fwant = fx.svc.kfail_batch(*fx.oracle, wb.kfail);
+  const auto vwant = fx.svc.run<Vitality>(*fx.oracle, wb.vitality);
+  const auto pwant = fx.svc.run<Vickrey>(*fx.oracle, wb.vickrey);
+  const auto fwant = fx.svc.run<KFail>(*fx.oracle, wb.kfail);
 
   {  // v2 snapshot served zero-copy from a memory mapping
     const std::string path = testing::TempDir() + "/net_test_workload.v2.snap";
@@ -806,9 +956,9 @@ TEST(NetServer, WorkloadOpcodesServeEveryMode) {
     svc.attach_graph(mapped->content_digest(), std::make_shared<const Graph>(fx.g));
     TestServer ts(svc, mapped);
     net::Client client(ts.client_options());
-    EXPECT_EQ(client.vitality_batch(wb.vitality), vwant);
-    EXPECT_EQ(client.vickrey_batch(wb.vickrey), pwant);
-    EXPECT_EQ(client.kfail_batch(wb.kfail), fwant);
+    EXPECT_EQ(client.call<Vitality>(wb.vitality), vwant);
+    EXPECT_EQ(client.call<Vickrey>(wb.vickrey), pwant);
+    EXPECT_EQ(client.call<KFail>(wb.kfail), fwant);
   }
 
   if (!kTsanBuild && service::ShardRouter::supported()) {  // multi-process shards
@@ -816,9 +966,9 @@ TEST(NetServer, WorkloadOpcodesServeEveryMode) {
     const auto oracle = svc.build(fx.g, fx.sources);
     TestServer ts(svc, oracle);
     net::Client client(ts.client_options());
-    EXPECT_EQ(client.vitality_batch(wb.vitality), vwant);
-    EXPECT_EQ(client.vickrey_batch(wb.vickrey), pwant);
-    EXPECT_EQ(client.kfail_batch(wb.kfail), fwant);
+    EXPECT_EQ(client.call<Vitality>(wb.vitality), vwant);
+    EXPECT_EQ(client.call<Vickrey>(wb.vickrey), pwant);
+    EXPECT_EQ(client.call<KFail>(wb.kfail), fwant);
   }
 }
 
@@ -837,14 +987,14 @@ TEST(NetServer, TwoEdgeKFailWithoutGraphFailsTheBatchNotTheConnection) {
 
   const std::vector<service::KFailQuery> two{{fx.sources[0], 5, {0, 1}}};
   try {
-    client.kfail_batch(two);
+    client.call<KFail>(two);
     FAIL() << "expected a batch error";
   } catch (const std::runtime_error& ex) {
     EXPECT_NE(std::string(ex.what()).find("attach_graph"), std::string::npos);
   }
 
   const std::vector<service::KFailQuery> one{{fx.sources[0], 5, {0}}};
-  EXPECT_EQ(client.kfail_batch(one), fx.svc.kfail_batch(*fx.oracle, one));
+  EXPECT_EQ(client.call<KFail>(one), fx.svc.run<KFail>(*fx.oracle, one));
   EXPECT_EQ(ts.server.stats().batch_errors, 1u);
   EXPECT_EQ(ts.server.stats().protocol_errors, 0u);
 }
@@ -865,22 +1015,22 @@ TEST(NetServer, PipelinedMixedOpcodesPairByIdAndKind) {
     points.push_back(fx.random_queries(80 + 13 * r, 700 + r));
     loads.push_back(random_workloads(fx, 40 + 9 * r, 800 + r));
     point_ids.push_back(client.send(points[r]));
-    vit_ids.push_back(client.send_vitality(loads[r].vitality));
-    vic_ids.push_back(client.send_vickrey(loads[r].vickrey));
-    kf_ids.push_back(client.send_kfail(loads[r].kfail));
+    vit_ids.push_back(client.send<Vitality>(loads[r].vitality));
+    vic_ids.push_back(client.send<Vickrey>(loads[r].vickrey));
+    kf_ids.push_back(client.send<KFail>(loads[r].kfail));
   }
   EXPECT_EQ(client.inflight(), 4 * kRounds);
   // Collect newest-first, interleaving kinds.
   for (std::size_t r = kRounds; r-- > 0;) {
-    EXPECT_EQ(client.wait_kfail(kf_ids[r]), fx.svc.kfail_batch(*fx.oracle, loads[r].kfail))
+    EXPECT_EQ(client.wait<KFail>(kf_ids[r]), fx.svc.run<KFail>(*fx.oracle, loads[r].kfail))
         << "round " << r;
     EXPECT_EQ(client.wait(point_ids[r]), fx.svc.query_batch(*fx.oracle, points[r]))
         << "round " << r;
-    EXPECT_EQ(client.wait_vitality(vit_ids[r]),
-              fx.svc.vitality_batch(*fx.oracle, loads[r].vitality))
+    EXPECT_EQ(client.wait<Vitality>(vit_ids[r]),
+              fx.svc.run<Vitality>(*fx.oracle, loads[r].vitality))
         << "round " << r;
-    EXPECT_EQ(client.wait_vickrey(vic_ids[r]),
-              fx.svc.vickrey_batch(*fx.oracle, loads[r].vickrey))
+    EXPECT_EQ(client.wait<Vickrey>(vic_ids[r]),
+              fx.svc.run<Vickrey>(*fx.oracle, loads[r].vickrey))
         << "round " << r;
   }
   EXPECT_EQ(client.inflight(), 0u);
@@ -891,7 +1041,7 @@ TEST(NetServer, EmptyBatchAnswersEmpty) {
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
-  EXPECT_TRUE(client.query_batch(std::vector<Query>{}).empty());
+  EXPECT_TRUE(client.call(std::vector<Query>{}).empty());
 }
 
 TEST(NetServer, PipelinedBatchesCollectByIdInAnyOrder) {
@@ -946,7 +1096,7 @@ TEST(NetServer, EdgeTriggeredModeServesIdentically) {
   TestServer ts(fx.svc, fx.oracle, sopts);
   net::Client client(ts.client_options());
   const std::vector<Query> queries = fx.random_queries(2000, 3);
-  EXPECT_EQ(client.query_batch(queries), fx.svc.query_batch(*fx.oracle, queries));
+  EXPECT_EQ(client.call(queries), fx.svc.query_batch(*fx.oracle, queries));
 }
 
 TEST(NetServer, InvalidQueryAnswersErrorAndConnectionSurvives) {
@@ -957,13 +1107,13 @@ TEST(NetServer, InvalidQueryAnswersErrorAndConnectionSurvives) {
 
   const Vertex not_a_source = 1;  // fixture sources are {0, 11, 29}
   ASSERT_EQ(std::count(fx.sources.begin(), fx.sources.end(), not_a_source), 0);
-  EXPECT_THROW(client.query_batch(std::vector<Query>{{not_a_source, 0, 0}}),
+  EXPECT_THROW(client.call(std::vector<Query>{{not_a_source, 0, 0}}),
                std::runtime_error);
 
   // Batch-level failure, not connection-level: the same connection keeps
   // serving valid batches.
   const std::vector<Query> queries = fx.random_queries(200, 4);
-  EXPECT_EQ(client.query_batch(queries), fx.svc.query_batch(*fx.oracle, queries));
+  EXPECT_EQ(client.call(queries), fx.svc.query_batch(*fx.oracle, queries));
   EXPECT_EQ(ts.server.stats().batch_errors, 1u);
 }
 
@@ -982,7 +1132,7 @@ TEST(NetServer, ConcurrentClientsGetConsistentAnswers) {
         for (int round = 0; round < 5; ++round) {
           const auto queries = fx.random_queries(300, 1000 + 17 * c + round);
           const auto want = fx.svc.query_batch(*fx.oracle, queries);
-          if (client.query_batch(queries) != want) {
+          if (client.call(queries) != want) {
             errors[c] = "answer mismatch";
             return;
           }
@@ -1008,7 +1158,7 @@ TEST(NetServer, ClientDisconnectMidBatchLeavesServerServing) {
   }
   net::Client client(ts.client_options());
   const std::vector<Query> queries = fx.random_queries(500, 6);
-  EXPECT_EQ(client.query_batch(queries), fx.svc.query_batch(*fx.oracle, queries));
+  EXPECT_EQ(client.call(queries), fx.svc.query_batch(*fx.oracle, queries));
 }
 
 TEST(NetServer, GracefulShutdownDrainsInFlightBatches) {
@@ -1036,7 +1186,7 @@ TEST(NetServer, GracefulShutdownDrainsInFlightBatches) {
   }
   ts.reset();  // run() has drained; join
   // The drained connection is closed; the next round trip must fail.
-  EXPECT_THROW(client.query_batch(fx.random_queries(10, 7)), std::runtime_error);
+  EXPECT_THROW(client.call(fx.random_queries(10, 7)), std::runtime_error);
 }
 
 TEST(NetServer, DrainCompletesPromptlyWhenOutputFlushesLate) {
@@ -1080,7 +1230,7 @@ TEST(NetServerMultiLoop, ReuseportLoopsServeConcurrentClientsIdentically) {
         for (int round = 0; round < 4; ++round) {
           const auto queries = fx.random_queries(400, 3000 + 31 * c + round);
           const auto want = fx.svc.query_batch(*fx.oracle, queries);
-          if (client.query_batch(queries) != want) {
+          if (client.call(queries) != want) {
             errors[c] = "answer mismatch";
             return;
           }
@@ -1180,7 +1330,7 @@ TEST(NetServerMultiLoop, EdgeTriggeredMultiLoopServesIdentically) {
   TestServer ts(fx.svc, fx.oracle, sopts);
   net::Client client(ts.client_options());
   const std::vector<Query> queries = fx.random_queries(2000, 11);
-  EXPECT_EQ(client.query_batch(queries), fx.svc.query_batch(*fx.oracle, queries));
+  EXPECT_EQ(client.call(queries), fx.svc.query_batch(*fx.oracle, queries));
 }
 
 // --------------------------------------- multi-tenant registry (v2) ---
@@ -1312,8 +1462,8 @@ TEST(NetRegistry, DefaultOracleServesV1AndDigestTargetedBatches) {
 
   const auto queries = fx.random_queries(500, 21);
   const auto want = fx.svc.query_batch(*fx.oracle, queries);
-  EXPECT_EQ(client.query_batch(queries), want);  // v1 shape, no digest
-  EXPECT_EQ(client.query_batch(queries, fx.oracle->content_digest()), want);
+  EXPECT_EQ(client.call(queries), want);  // v1 shape, no digest
+  EXPECT_EQ(client.call(queries, fx.oracle->content_digest()), want);
 
   // The adopted default is a first-class tenant in LIST_ORACLES.
   const auto listed = client.list_oracles();
@@ -1328,7 +1478,7 @@ TEST(NetRegistry, NoDefaultOracleRejectsUntargetedBatches) {
   RegistryTestServer ts(svc, nullptr);
   net::Client client(ts.client_options());
   try {
-    client.query_batch(std::vector<Query>{{0, 0, 0}});
+    client.call(std::vector<Query>{{0, 0, 0}});
     FAIL() << "expected a batch error";
   } catch (const std::runtime_error& ex) {
     EXPECT_NE(std::string(ex.what()).find("no default oracle"), std::string::npos);
@@ -1339,7 +1489,7 @@ TEST(NetRegistry, NoDefaultOracleRejectsUntargetedBatches) {
   const Graph g = gen::connected_gnp(25, 0.18, rng);
   const auto ack = client.register_graph(g.num_vertices(), g.edges(), std::vector<Vertex>{0, 4});
   ASSERT_EQ(ack.state, registry::OracleState::kReady);
-  EXPECT_EQ(client.query_batch(std::vector<Query>{{0, 1, 0}}, ack.digest).size(), 1u);
+  EXPECT_EQ(client.call(std::vector<Query>{{0, 1, 0}}, ack.digest).size(), 1u);
 }
 
 TEST(NetRegistry, UnknownDigestFailsTheBatchNotTheConnection) {
@@ -1350,12 +1500,12 @@ TEST(NetRegistry, UnknownDigestFailsTheBatchNotTheConnection) {
 
   const auto queries = fx.random_queries(50, 51);
   try {
-    client.query_batch(queries, 0xdeadbeefdeadbeefULL);
+    client.call(queries, 0xdeadbeefdeadbeefULL);
     FAIL() << "expected a batch error";
   } catch (const std::runtime_error& ex) {
     EXPECT_NE(std::string(ex.what()).find("unknown oracle digest"), std::string::npos);
   }
-  EXPECT_EQ(client.query_batch(queries), fx.svc.query_batch(*fx.oracle, queries));
+  EXPECT_EQ(client.call(queries), fx.svc.query_batch(*fx.oracle, queries));
   EXPECT_EQ(ts.server.stats().batch_errors, 1u);
   EXPECT_EQ(ts.server.stats().protocol_errors, 0u);
 }
@@ -1388,17 +1538,17 @@ TEST(NetRegistry, WorkloadBatchesTargetRegisteredTenants) {
   }
   // The registered tenant's graph lives server-side (register_graph built
   // it there), so even |F| == 2 works over the wire against the digest.
-  EXPECT_EQ(client.vitality_batch(vq, ack.digest), local.vitality_batch(*oracle2, vq));
-  EXPECT_EQ(client.kfail_batch(fq, ack.digest), local.kfail_batch(*oracle2, fq));
+  EXPECT_EQ(client.call<Vitality>(vq, ack.digest), local.run<Vitality>(*oracle2, vq));
+  EXPECT_EQ(client.call<KFail>(fq, ack.digest), local.run<KFail>(*oracle2, fq));
 
   // An unknown digest fails the workload batch, not the connection.
   try {
-    client.vitality_batch(vq, 0xdeadbeefULL);
+    client.call<Vitality>(vq, 0xdeadbeefULL);
     FAIL() << "expected a batch error";
   } catch (const std::runtime_error& ex) {
     EXPECT_NE(std::string(ex.what()).find("unknown oracle digest"), std::string::npos);
   }
-  EXPECT_EQ(client.vitality_batch(vq, ack.digest), local.vitality_batch(*oracle2, vq));
+  EXPECT_EQ(client.call<Vitality>(vq, ack.digest), local.run<Vitality>(*oracle2, vq));
 }
 
 TEST(NetRegistry, RegistryDisabledServerStillSpeaksV2Shapes) {
@@ -1420,10 +1570,10 @@ TEST(NetRegistry, RegistryDisabledServerStillSpeaksV2Shapes) {
   // An explicit digest naming the served oracle is accepted; a foreign one
   // is a batch error that names the limitation.
   const auto queries = fx.random_queries(100, 92);
-  EXPECT_EQ(client.query_batch(queries, fx.oracle->content_digest()),
+  EXPECT_EQ(client.call(queries, fx.oracle->content_digest()),
             fx.svc.query_batch(*fx.oracle, queries));
   try {
-    client.query_batch(queries, 0x1234);
+    client.call(queries, 0x1234);
     FAIL() << "expected a batch error";
   } catch (const std::runtime_error& ex) {
     EXPECT_NE(std::string(ex.what()).find("single-oracle server"), std::string::npos);
@@ -1461,7 +1611,7 @@ TEST(NetRegistry, AdmissionControlAnswersBusyAndRetrySucceeds) {
   EXPECT_EQ(ts.server.stats().busy_rejected, 1u);
 
   // BUSY means "did not run": an identical resend is safe and succeeds.
-  EXPECT_EQ(client.query_batch(b2), fx.svc.query_batch(*fx.oracle, b2));
+  EXPECT_EQ(client.call(b2), fx.svc.query_batch(*fx.oracle, b2));
 }
 
 TEST(NetRegistry, UnregisterAndReRegisterOverTheWire) {
@@ -1484,19 +1634,19 @@ TEST(NetRegistry, UnregisterAndReRegisterOverTheWire) {
   Rng qrng(62);
   const auto queries =
       service::random_query_batch(sources, g.num_vertices(), g.num_edges(), 120, qrng);
-  const auto want = client.query_batch(queries, ack.digest);
+  const auto want = client.call(queries, ack.digest);
   EXPECT_EQ(want.size(), queries.size());
 
   const auto gone = client.unregister(ack.digest);
   EXPECT_EQ(gone.state, registry::OracleState::kUnregistered);
   EXPECT_TRUE(client.list_oracles().empty());
-  EXPECT_THROW(client.query_batch(queries, ack.digest), std::runtime_error);
+  EXPECT_THROW(client.call(queries, ack.digest), std::runtime_error);
   EXPECT_THROW(client.unregister(ack.digest), std::runtime_error);  // unknown now
 
   // Re-registering the same graph revives the same digest.
   const auto again = client.register_graph(g.num_vertices(), g.edges(), sources);
   EXPECT_EQ(again.digest, ack.digest);
-  EXPECT_EQ(client.query_batch(queries, ack.digest), want);
+  EXPECT_EQ(client.call(queries, ack.digest), want);
 }
 
 TEST(NetRegistry, UnregisterWhileInflightDrainsThenRetires) {
@@ -1513,7 +1663,7 @@ TEST(NetRegistry, UnregisterWhileInflightDrainsThenRetires) {
   Rng qrng(72);
   const auto queries =
       service::random_query_batch(sources, g.num_vertices(), g.num_edges(), 120, qrng);
-  const auto want = client.query_batch(queries, ack.digest);  // warm round trip
+  const auto want = client.call(queries, ack.digest);  // warm round trip
 
   // One batch in flight on a wedged pool, then unregister underneath it.
   std::promise<void> release = wedge_pool(svc);
@@ -1524,7 +1674,7 @@ TEST(NetRegistry, UnregisterWhileInflightDrainsThenRetires) {
   const auto expiring = client.unregister(ack.digest);
   EXPECT_EQ(expiring.state, registry::OracleState::kExpiring);
   // Invisible to new batches while draining.
-  EXPECT_THROW(client.query_batch(queries, ack.digest), std::runtime_error);
+  EXPECT_THROW(client.call(queries, ack.digest), std::runtime_error);
 
   release.set_value();
   EXPECT_EQ(client.wait(id), want);  // the in-flight batch drains with answers
@@ -1669,7 +1819,7 @@ TEST(NetServer, RequestIdZeroIsRejected) {
   TestServer ts(fx.svc, fx.oracle);
   RawConn raw(ts.server.port());
   std::vector<std::uint8_t> bytes;
-  net::append_query_batch(bytes, 0, fx.random_queries(5, 8));
+  net::append_batch(bytes, 0, fx.random_queries(5, 8));
   raw.send(bytes);
   const std::vector<Frame> frames = raw.read_all_frames();
   ASSERT_EQ(frames.size(), 2u);
@@ -1685,7 +1835,7 @@ TEST(NetServer, NonBatchFrameFromClientIsRejected) {
   TestServer ts(fx.svc, fx.oracle);
   RawConn raw(ts.server.port());
   std::vector<std::uint8_t> bytes;
-  net::append_answer_batch(bytes, 1, std::vector<Dist>{1});  // clients must not send this
+  net::append_answer(bytes, 1, std::vector<Dist>{1});  // clients must not send this
   raw.send(bytes);
   const std::vector<Frame> frames = raw.read_all_frames();
   ASSERT_EQ(frames.size(), 2u);
@@ -1703,7 +1853,7 @@ TEST(NetServer, UnknownOpcodeProbeGetsErrorFrameThenClose) {
   TestServer ts(fx.svc, fx.oracle);
   RawConn raw(ts.server.port());
   std::vector<std::uint8_t> bytes;
-  net::append_query_batch(bytes, 1, fx.random_queries(3, 14));
+  net::append_batch(bytes, 1, fx.random_queries(3, 14));
   bytes[8] = 99;  // frame type (checksum covers the payload, not the header)
   raw.send(bytes);
   const std::vector<Frame> frames = raw.read_all_frames();
@@ -1731,7 +1881,7 @@ TEST(NetServer, LegacyV2FramesAreByteIdenticalUnderV3Server) {
 
   RawConn raw(ts.server.port());
   std::vector<std::uint8_t> bytes;
-  net::append_query_batch(bytes, 7, queries);  // exactly a v2 client's bytes
+  net::append_batch(bytes, 7, queries);  // exactly a v2 client's bytes
   raw.send(bytes);
   const std::vector<Frame> frames = raw.read_frames(2);
   ASSERT_EQ(frames.size(), 2u);
@@ -1744,7 +1894,7 @@ TEST(NetServer, LegacyV2FramesAreByteIdenticalUnderV3Server) {
   // Byte-compare the reply against a locally encoded ANSWER_BATCH.
   ASSERT_EQ(frames[1].type, FrameType::kAnswerBatch);
   std::vector<std::uint8_t> expect;
-  net::append_answer_batch(expect, 7, want);
+  net::append_answer(expect, 7, want);
   FrameDecoder dec;
   dec.feed(expect);
   EXPECT_EQ(frames[1].payload, dec.next()->payload);
@@ -1765,7 +1915,7 @@ TEST(NetServer, PeerResetMidReplyDoesNotKillServer) {
     // A batch whose reply far exceeds the socket buffers, so the server is
     // still sending when the RST lands.
     std::vector<std::uint8_t> bytes;
-    net::append_query_batch(bytes, 1, fx.random_queries(500'000, 12));
+    net::append_batch(bytes, 1, fx.random_queries(500'000, 12));
     raw.send(bytes);
     while (ts.server.stats().batches_received == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -1779,7 +1929,7 @@ TEST(NetServer, PeerResetMidReplyDoesNotKillServer) {
   }
   net::Client client(ts.client_options());
   const std::vector<Query> queries = fx.random_queries(300, 13);
-  EXPECT_EQ(client.query_batch(queries), fx.svc.query_batch(*fx.oracle, queries));
+  EXPECT_EQ(client.call(queries), fx.svc.query_batch(*fx.oracle, queries));
   EXPECT_EQ(ts.server.stats().protocol_errors, 0u);
 }
 

@@ -43,8 +43,12 @@
 namespace msrp {
 namespace {
 
+using service::KFail;
 using service::Query;
 using service::Snapshot;
+using service::Vickrey;
+using service::Vitality;
+using service::WorkloadResult;
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* raw = std::getenv(name);
@@ -325,33 +329,33 @@ TEST(ServiceFuzz, WorkloadOpcodesMatchBruteForce) {
     }
 
     // Path 1: the sync typed entry points.
-    ASSERT_EQ(svc.vitality_batch(*oracle, vq), vwant) << "vitality diverged, seed=" << seed;
-    ASSERT_EQ(svc.vickrey_batch(*oracle, pq), pwant) << "vickrey diverged, seed=" << seed;
-    ASSERT_EQ(svc.kfail_batch(*oracle, fq), fwant) << "kfail diverged, seed=" << seed;
+    ASSERT_EQ(svc.run<Vitality>(*oracle, vq), vwant) << "vitality diverged, seed=" << seed;
+    ASSERT_EQ(svc.run<Vickrey>(*oracle, pq), pwant) << "vickrey diverged, seed=" << seed;
+    ASSERT_EQ(svc.run<KFail>(*oracle, fq), fwant) << "kfail diverged, seed=" << seed;
 
     // Path 2: the async submit flavours (what the wire server drives).
     {
-      std::promise<service::VitalityBatchResult> vp;
-      svc.submit_vitality(oracle, vq, [&vp](service::VitalityBatchResult r) {
+      std::promise<WorkloadResult<Vitality>> vp;
+      svc.submit<Vitality>(oracle, vq, [&vp](WorkloadResult<Vitality> r) {
         vp.set_value(std::move(r));
       });
-      const service::VitalityBatchResult vr = vp.get_future().get();
+      const WorkloadResult<Vitality> vr = vp.get_future().get();
       ASSERT_EQ(vr.error, nullptr) << "async vitality failed, seed=" << seed;
-      ASSERT_EQ(vr.results, vwant) << "async vitality diverged, seed=" << seed;
+      ASSERT_EQ(vr.answers, vwant) << "async vitality diverged, seed=" << seed;
 
-      std::promise<service::VickreyBatchResult> pp;
-      svc.submit_vickrey(oracle, pq, [&pp](service::VickreyBatchResult r) {
+      std::promise<WorkloadResult<Vickrey>> pp;
+      svc.submit<Vickrey>(oracle, pq, [&pp](WorkloadResult<Vickrey> r) {
         pp.set_value(std::move(r));
       });
-      const service::VickreyBatchResult pr = pp.get_future().get();
+      const WorkloadResult<Vickrey> pr = pp.get_future().get();
       ASSERT_EQ(pr.error, nullptr) << "async vickrey failed, seed=" << seed;
-      ASSERT_EQ(pr.results, pwant) << "async vickrey diverged, seed=" << seed;
+      ASSERT_EQ(pr.answers, pwant) << "async vickrey diverged, seed=" << seed;
 
-      std::promise<service::BatchResult> fp;
-      svc.submit_kfail(oracle, fq, [&fp](service::BatchResult r) {
+      std::promise<WorkloadResult<KFail>> fp;
+      svc.submit<KFail>(oracle, fq, [&fp](WorkloadResult<KFail> r) {
         fp.set_value(std::move(r));
       });
-      const service::BatchResult fr = fp.get_future().get();
+      const WorkloadResult<KFail> fr = fp.get_future().get();
       ASSERT_EQ(fr.error, nullptr) << "async kfail failed, seed=" << seed;
       ASSERT_EQ(fr.answers, fwant) << "async kfail diverged, seed=" << seed;
     }
@@ -361,11 +365,11 @@ TEST(ServiceFuzz, WorkloadOpcodesMatchBruteForce) {
     // would.
     if (sharded_svc != nullptr) {
       sharded_svc->attach_graph(oracle->content_digest(), std::make_shared<const Graph>(g));
-      ASSERT_EQ(sharded_svc->vitality_batch(*oracle, vq), vwant)
+      ASSERT_EQ(sharded_svc->run<Vitality>(*oracle, vq), vwant)
           << "sharded vitality diverged, seed=" << seed;
-      ASSERT_EQ(sharded_svc->vickrey_batch(*oracle, pq), pwant)
+      ASSERT_EQ(sharded_svc->run<Vickrey>(*oracle, pq), pwant)
           << "sharded vickrey diverged, seed=" << seed;
-      ASSERT_EQ(sharded_svc->kfail_batch(*oracle, fq), fwant)
+      ASSERT_EQ(sharded_svc->run<KFail>(*oracle, fq), fwant)
           << "sharded kfail diverged, seed=" << seed;
     }
 
@@ -379,16 +383,16 @@ TEST(ServiceFuzz, WorkloadOpcodesMatchBruteForce) {
     {
       const Snapshot v2 = Snapshot::load(v2_path, {.use_mmap = true, .verify_cells = false});
       ASSERT_EQ(v2.content_digest(), oracle->content_digest()) << "seed=" << seed;
-      ASSERT_EQ(reload_svc.vitality_batch(v2, vq), vwant)
+      ASSERT_EQ(reload_svc.run<Vitality>(v2, vq), vwant)
           << "mmap vitality diverged, seed=" << seed;
-      ASSERT_EQ(reload_svc.vickrey_batch(v2, pq), pwant)
+      ASSERT_EQ(reload_svc.run<Vickrey>(v2, pq), pwant)
           << "mmap vickrey diverged, seed=" << seed;
       if (has_two_fail) {
-        EXPECT_THROW(reload_svc.kfail_batch(v2, fq), std::invalid_argument)
+        EXPECT_THROW(reload_svc.run<KFail>(v2, fq), std::invalid_argument)
             << "unattached |F|==2 must refuse, seed=" << seed;
       }
       reload_svc.attach_graph(v2.content_digest(), std::make_shared<const Graph>(g));
-      ASSERT_EQ(reload_svc.kfail_batch(v2, fq), fwant)
+      ASSERT_EQ(reload_svc.run<KFail>(v2, fq), fwant)
           << "mmap kfail diverged, seed=" << seed;
     }
     std::remove(v2_path.c_str());

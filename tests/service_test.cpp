@@ -195,7 +195,7 @@ TEST(Snapshot, NonSourceAndOutOfRangeThrow) {
 // ------------------------------------------------------------ thread pool ---
 
 TEST(ThreadPool, RunsEveryTask) {
-  service::ThreadPool pool(4);
+  ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
   std::atomic<int> counter{0};
   for (int i = 0; i < 1000; ++i) {
@@ -206,7 +206,7 @@ TEST(ThreadPool, RunsEveryTask) {
 }
 
 TEST(ThreadPool, PropagatesTaskException) {
-  service::ThreadPool pool(2);
+  ThreadPool pool(2);
   pool.submit([] { throw std::runtime_error("boom"); });
   EXPECT_THROW(pool.wait_idle(), std::runtime_error);
   // Pool stays usable afterwards.
@@ -217,7 +217,7 @@ TEST(ThreadPool, PropagatesTaskException) {
 }
 
 TEST(ThreadPool, SubmitTaskDeliversValuesAndExceptionsThroughTheFuture) {
-  service::ThreadPool pool(2);
+  ThreadPool pool(2);
   std::future<int> value = pool.submit_task([] { return 6 * 7; });
   EXPECT_EQ(value.get(), 42);
 

@@ -1,11 +1,13 @@
 // Batch-file I/O shared by the serving tools.
 //
 // msrp_serve (local batches) and msrp_client (remote batches) read the
-// same "s t e" query files and write the same "s t e answer" lines — and
-// the CI network smoke job byte-compares one tool's output against the
-// other's, so the formats must be one piece of code, not two copies.
+// same query files and write the same answer lines for every workload —
+// and CI byte-compares one tool's output against the other's, so each
+// format is one piece of code (the workload trait's parse/print), read and
+// written here once.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -14,9 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "service/query.hpp"
 #include "service/workloads.hpp"
-#include "util/distance.hpp"
 
 namespace msrp::tools {
 
@@ -62,146 +62,68 @@ inline double cli_double(const std::string& value, const char* flag) {
   std::exit(2);
 }
 
-/// Parses queries, one "s t e" per line ('#' starts a comment). Prints a
-/// file:line diagnostic and exits on malformed input (CLI contract).
-inline std::vector<service::Query> read_batch_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open batch file %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::vector<service::Query> out;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(f, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::uint64_t s = 0, t = 0, e = 0;
-    if (!(ls >> s >> t >> e)) {
-      std::fprintf(stderr, "error: %s:%zu: expected \"s t e\"\n", path.c_str(), lineno);
-      std::exit(1);
-    }
-    out.push_back({static_cast<Vertex>(s), static_cast<Vertex>(t),
-                   static_cast<EdgeId>(e)});
-  }
-  return out;
-}
-
-/// Writes one "s t e answer" line per query ("inf" for unreachable).
-/// Returns false (after printing the error) when the file cannot be
-/// opened; answers must be batch-sized.
-inline bool write_answer_file(const std::string& path,
-                              std::span<const service::Query> batch,
-                              std::span<const Dist> answers) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    f << batch[i].s << ' ' << batch[i].t << ' ' << batch[i].e << ' ';
-    if (answers[i] == kInfDist) {
-      f << "inf\n";
-    } else {
-      f << answers[i] << '\n';
-    }
-  }
-  return true;
-}
-
-// ----- v3 workload batch files ---------------------------------------------
-// Same contract as the point-query pair above: msrp_serve answers these
-// files locally, msrp_client ships them over the wire, and CI byte-compares
-// the two outputs — so each workload's read/write format lives here once.
-
 namespace detail {
 
-inline void print_dist(std::ofstream& f, Dist d) {
-  if (d == kInfDist) {
-    f << "inf";
-  } else {
-    f << d;
+/// One batch-file field: a decimal number with no sign that fits in 32
+/// bits. Everything else (negative, oversized, junk) is rejected.
+inline bool parse_field(const std::string& token, std::uint32_t& out) {
+  if (token.empty() || token.size() > 10) return false;
+  std::uint64_t v = 0;
+  for (const char c : token) {
+    if (c < '0' || c > '9') return false;
+    v = v * 10 + static_cast<std::uint64_t>(c - '0');
   }
+  if (v > UINT32_MAX) return false;
+  out = static_cast<std::uint32_t>(v);
+  return true;
 }
 
 }  // namespace detail
 
-/// Parses vitality queries, one "s t k" per line ('#' comments).
-inline std::vector<service::VitalityQuery> read_vitality_batch_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open batch file %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::vector<service::VitalityQuery> out;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(f, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::uint64_t s = 0, t = 0, k = 0;
-    if (!(ls >> s >> t >> k)) {
-      std::fprintf(stderr, "error: %s:%zu: expected \"s t k\"\n", path.c_str(), lineno);
-      std::exit(1);
+/// Calls f(std::type_identity<W>{}) for the workload W whose --workload
+/// name is `name` ("" = Point, the default). False when no workload has
+/// that name.
+template <class F>
+bool with_workload(const std::string& name, F&& f) {
+  bool found = false;
+  service::for_each_workload([&](auto tag) {
+    if (!found && name == decltype(tag)::type::kName) {
+      found = true;
+      f(tag);
     }
-    out.push_back({static_cast<Vertex>(s), static_cast<Vertex>(t),
-                   static_cast<std::uint32_t>(k)});
-  }
-  return out;
+  });
+  return found;
 }
 
-/// Parses Vickrey queries, one "s t" per line ('#' comments).
-inline std::vector<service::VickreyQuery> read_vickrey_batch_file(const std::string& path) {
+/// Parses a batch file of workload W: one query per line in W's line
+/// format ('#' at the start of a line is a comment). Every field must be a
+/// 32-bit unsigned number and the line must hold exactly W's fields; any
+/// other line prints a file:line diagnostic and exits 1 (CLI contract).
+template <class W = service::Point>
+std::vector<typename W::Query> read_batch_file(const std::string& path) {
   std::ifstream f(path);
   if (!f) {
     std::fprintf(stderr, "error: cannot open batch file %s\n", path.c_str());
     std::exit(1);
   }
-  std::vector<service::VickreyQuery> out;
-  std::string line;
+  std::vector<typename W::Query> out;
+  std::vector<std::uint32_t> fields;
+  std::string line, token;
   std::size_t lineno = 0;
   while (std::getline(f, line)) {
     ++lineno;
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ls(line);
-    std::uint64_t s = 0, t = 0;
-    if (!(ls >> s >> t)) {
-      std::fprintf(stderr, "error: %s:%zu: expected \"s t\"\n", path.c_str(), lineno);
-      std::exit(1);
+    fields.clear();
+    bool ok = true;
+    while (ok && ls >> token) {
+      fields.push_back(0);
+      ok = detail::parse_field(token, fields.back());
     }
-    out.push_back({static_cast<Vertex>(s), static_cast<Vertex>(t)});
-  }
-  return out;
-}
-
-/// Parses k-fail queries, one "s t [e...]" per line — zero to
-/// service::kMaxKFailEdges failed edge ids after the endpoints.
-inline std::vector<service::KFailQuery> read_kfail_batch_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open batch file %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::vector<service::KFailQuery> out;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(f, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::uint64_t s = 0, t = 0;
-    if (!(ls >> s >> t)) {
-      std::fprintf(stderr, "error: %s:%zu: expected \"s t [e...]\"\n", path.c_str(), lineno);
-      std::exit(1);
-    }
-    service::KFailQuery q{static_cast<Vertex>(s), static_cast<Vertex>(t), {}};
-    std::uint64_t e = 0;
-    while (ls >> e) q.fails.push_back(static_cast<EdgeId>(e));
-    if (q.fails.size() > service::kMaxKFailEdges) {
-      std::fprintf(stderr, "error: %s:%zu: at most %zu failed edges per query\n",
-                   path.c_str(), lineno, service::kMaxKFailEdges);
+    typename W::Query q;
+    if (!ok || !W::parse(fields, q)) {
+      std::fprintf(stderr, "error: %s:%zu: expected \"%s\"\n",
+                   path.c_str(), lineno, W::kLineFormat);
       std::exit(1);
     }
     out.push_back(std::move(q));
@@ -209,75 +131,18 @@ inline std::vector<service::KFailQuery> read_kfail_batch_file(const std::string&
   return out;
 }
 
-/// One "s t k base entry..." line per query, entries as
-/// "edge:position:replacement" in result order ("inf" for a bridge's
-/// replacement, base "inf" when t is unreachable).
-inline bool write_vitality_answer_file(const std::string& path,
-                                       std::span<const service::VitalityQuery> batch,
-                                       std::span<const service::VitalityResult> results) {
+/// Writes one answer line per query in W's output format ("inf" for an
+/// unreachable distance). Returns false (after printing the error) when
+/// the file cannot be opened; answers must be batch-sized.
+template <class W = service::Point>
+bool write_answer_file(const std::string& path, std::span<const typename W::Query> batch,
+                       std::span<const typename W::Result> answers) {
   std::ofstream f(path);
   if (!f) {
     std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
     return false;
   }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    f << batch[i].s << ' ' << batch[i].t << ' ' << batch[i].k << ' ';
-    detail::print_dist(f, results[i].base);
-    for (const service::VitalityEntry& e : results[i].edges) {
-      f << ' ' << e.edge << ':' << e.position << ':';
-      detail::print_dist(f, e.replacement);
-    }
-    f << '\n';
-  }
-  return true;
-}
-
-/// One "s t base charge..." line per query, charges as "edge:price" in
-/// path order ("inf" = bridge monopoly).
-inline bool write_vickrey_answer_file(const std::string& path,
-                                      std::span<const service::VickreyQuery> batch,
-                                      std::span<const service::VickreyResult> results) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    f << batch[i].s << ' ' << batch[i].t << ' ';
-    detail::print_dist(f, results[i].base);
-    for (const service::VickreyCharge& c : results[i].prices) {
-      f << ' ' << c.edge << ':';
-      detail::print_dist(f, c.price);
-    }
-    f << '\n';
-  }
-  return true;
-}
-
-/// One "s t F answer" line per query, F as comma-joined edge ids ("-" when
-/// empty), answer "inf" for unreachable.
-inline bool write_kfail_answer_file(const std::string& path,
-                                    std::span<const service::KFailQuery> batch,
-                                    std::span<const Dist> answers) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    f << batch[i].s << ' ' << batch[i].t << ' ';
-    if (batch[i].fails.empty()) {
-      f << '-';
-    } else {
-      for (std::size_t j = 0; j < batch[i].fails.size(); ++j) {
-        if (j != 0) f << ',';
-        f << batch[i].fails[j];
-      }
-    }
-    f << ' ';
-    detail::print_dist(f, answers[i]);
-    f << '\n';
-  }
+  for (std::size_t i = 0; i < batch.size(); ++i) W::print(f, batch[i], answers[i]);
   return true;
 }
 

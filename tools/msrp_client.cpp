@@ -137,6 +137,34 @@ std::vector<service::Query> random_batch(const Target& target, std::size_t count
                                      count, rng);
 }
 
+/// Batch mode: ships one batch file of workload W (retrying inside the
+/// deadline when one is set) and writes the answers with the same lines
+/// msrp_serve writes for that workload.
+template <class W>
+int send_batch_file(net::Client& client, const Target& target, const std::string& batch_path,
+                    const std::string& out_path, std::uint64_t deadline_ms,
+                    unsigned max_attempts) {
+  const std::vector<typename W::Query> batch = tools::read_batch_file<W>(batch_path);
+  Timer t;
+  std::vector<typename W::Result> answers;
+  if (deadline_ms > 0) {
+    net::RetryPolicy policy;
+    policy.deadline_ms = static_cast<std::uint32_t>(deadline_ms);
+    policy.max_attempts = max_attempts;
+    answers = client.call_retry<W>(batch, policy, target.digest);
+  } else {
+    answers = client.call<W>(batch, target.digest);
+  }
+  const std::string kind = *W::kName ? std::string(W::kName) + " " : "";
+  std::printf("answered %zu %squeries in %.3f ms over TCP\n", batch.size(), kind.c_str(),
+              t.millis());
+  if (!out_path.empty()) {
+    if (!tools::write_answer_file<W>(out_path, batch, answers)) return 1;
+    std::printf("wrote answers to %s\n", out_path.c_str());
+  }
+  return 0;
+}
+
 struct LoadResult {
   std::uint64_t batches = 0;
   std::uint64_t queries = 0;
@@ -191,7 +219,7 @@ int main(int argc, char** argv) {
       batch_path = next();
     } else if (arg == "--workload") {
       workload = next();
-      if (workload != "vitality" && workload != "vickrey" && workload != "kfail") usage();
+      if (workload.empty() || !tools::with_workload(workload, [](auto) {})) usage();
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--connections") {
@@ -358,74 +386,19 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (!workload.empty()) {
-      // Typed batch mode (protocol v3): one connection, one workload
-      // batch, answers out — same retry shape as the point-query branch
-      // below. send_* throws up front against a pre-v3 server.
-      net::RetryPolicy policy;
-      policy.deadline_ms = static_cast<std::uint32_t>(deadline_ms);
-      policy.max_attempts = max_attempts;
-      const bool retry = deadline_ms > 0;
-      std::size_t answered = 0;
-      Timer t;
-      if (workload == "vitality") {
-        const auto batch = tools::read_vitality_batch_file(batch_path);
-        const std::vector<service::VitalityResult> results =
-            retry ? client.vitality_batch_retry(batch, policy, target.digest)
-                  : client.vitality_batch(batch, target.digest);
-        answered = batch.size();
-        if (!out_path.empty() &&
-            !tools::write_vitality_answer_file(out_path, batch, results)) {
-          return 1;
-        }
-      } else if (workload == "vickrey") {
-        const auto batch = tools::read_vickrey_batch_file(batch_path);
-        const std::vector<service::VickreyResult> results =
-            retry ? client.vickrey_batch_retry(batch, policy, target.digest)
-                  : client.vickrey_batch(batch, target.digest);
-        answered = batch.size();
-        if (!out_path.empty() &&
-            !tools::write_vickrey_answer_file(out_path, batch, results)) {
-          return 1;
-        }
-      } else {  // kfail
-        const auto batch = tools::read_kfail_batch_file(batch_path);
-        const std::vector<Dist> answers =
-            retry ? client.kfail_batch_retry(batch, policy, target.digest)
-                  : client.kfail_batch(batch, target.digest);
-        answered = batch.size();
-        if (!out_path.empty() && !tools::write_kfail_answer_file(out_path, batch, answers)) {
-          return 1;
-        }
-      }
-      std::printf("answered %zu %s queries in %.3f ms over TCP\n", answered,
-                  workload.c_str(), t.millis());
-      if (!out_path.empty()) std::printf("wrote answers to %s\n", out_path.c_str());
-      return 0;
-    }
-
     if (!batch_path.empty()) {
       // Batch mode: one connection, one batch, answers out. With a
       // deadline the retry loop hides transient BUSY / connection loss /
       // server-side expiry inside the budget; without one the legacy
-      // unbounded round trip is kept.
-      const std::vector<service::Query> batch = tools::read_batch_file(batch_path);
-      Timer t;
-      std::vector<Dist> answers;
-      if (deadline_ms > 0) {
-        net::RetryPolicy policy;
-        policy.deadline_ms = static_cast<std::uint32_t>(deadline_ms);
-        policy.max_attempts = max_attempts;
-        answers = client.query_batch_retry(batch, policy, target.digest);
-      } else {
-        answers = client.query_batch(batch, target.digest);
-      }
-      std::printf("answered %zu queries in %.3f ms over TCP\n", batch.size(), t.millis());
-      if (!out_path.empty()) {
-        if (!tools::write_answer_file(out_path, batch, answers)) return 1;
-        std::printf("wrote answers to %s\n", out_path.c_str());
-      }
-      return 0;
+      // unbounded round trip is kept. A typed workload's send throws up
+      // front against a server older than its opcode.
+      int rc = 0;
+      tools::with_workload(workload, [&](auto tag) {
+        using W = typename decltype(tag)::type;
+        rc = send_batch_file<W>(client, target, batch_path, out_path, deadline_ms,
+                                max_attempts);
+      });
+      return rc;
     }
 
     // Load mode: one thread per connection; each keeps `inflight` batches

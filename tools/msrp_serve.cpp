@@ -34,8 +34,9 @@
 //   --random-queries N     generate N uniform random queries instead
 //   --threads N            worker threads (default: hardware concurrency)
 //   --repeat K             run the batch K times for throughput (default 1)
-//   --async                use submit_batch() futures; reports submit
-//                          latency separately from completion
+//   --async                submit every repeat through the async service
+//                          path; reports submit latency separately from
+//                          completion
 //   --shards N             serve through N worker processes: the oracle is
 //                          partitioned by source into N shared-memory v2
 //                          segments, each served zero-copy by a forked
@@ -103,6 +104,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -162,59 +164,74 @@ std::vector<std::uint32_t> parse_list(const std::string& s) {
   std::exit(2);
 }
 
-std::vector<service::Query> random_batch(const service::Snapshot& oracle, std::size_t count,
-                                         std::uint64_t seed) {
-  Rng rng(seed);
-  return service::random_query_batch(oracle.sources(), oracle.num_vertices(),
-                                     oracle.num_edges(), count, rng);
-}
+/// What a local (non --listen) run answers and where the answers go.
+struct LocalRun {
+  std::string batch_path, out_path;
+  std::size_t random_queries = 0;
+  std::uint64_t seed = 0;
+  std::size_t repeat = 1;
+  bool use_async = false;
+  bool sharded = false;
+};
 
-// Random typed workload batches for --workload --random-queries: same
-// source/vertex sampling as the point generator, with the workload's own
-// extra dimension (k, or a failed-edge set) drawn alongside.
-std::vector<service::VitalityQuery> random_vitality_batch(const service::Snapshot& oracle,
-                                                          std::size_t count,
-                                                          std::uint64_t seed) {
-  Rng rng(seed);
-  const auto sources = oracle.sources();
-  std::vector<service::VitalityQuery> out(count);
-  for (auto& q : out) {
-    q.s = sources[rng.next_below(sources.size())];
-    q.t = static_cast<Vertex>(rng.next_below(oracle.num_vertices()));
-    q.k = 1 + static_cast<std::uint32_t>(rng.next_below(8));
+/// Answers one batch of workload W — read from --batch-file or drawn
+/// uniformly — `repeat` times, reports throughput, and writes --out.
+template <class W>
+int answer_local(service::QueryService& svc,
+                 const std::shared_ptr<const service::Snapshot>& oracle,
+                 const LocalRun& run) {
+  std::vector<typename W::Query> batch;
+  if (!run.batch_path.empty()) {
+    batch = tools::read_batch_file<W>(run.batch_path);
+  } else if (run.random_queries > 0) {
+    Rng rng(run.seed);
+    batch = service::random_query_batch<W>(oracle->sources(), oracle->num_vertices(),
+                                           oracle->num_edges(), run.random_queries, rng);
   }
-  return out;
-}
+  if (batch.empty()) return 0;
 
-std::vector<service::VickreyQuery> random_vickrey_batch(const service::Snapshot& oracle,
-                                                        std::size_t count,
-                                                        std::uint64_t seed) {
-  Rng rng(seed);
-  const auto sources = oracle.sources();
-  std::vector<service::VickreyQuery> out(count);
-  for (auto& q : out) {
-    q.s = sources[rng.next_below(sources.size())];
-    q.t = static_cast<Vertex>(rng.next_below(oracle.num_vertices()));
-  }
-  return out;
-}
-
-std::vector<service::KFailQuery> random_kfail_batch(const service::Snapshot& oracle,
-                                                    std::size_t count, std::uint64_t seed) {
-  Rng rng(seed);
-  const auto sources = oracle.sources();
-  const std::uint32_t m = oracle.num_edges();
-  std::vector<service::KFailQuery> out(count);
-  for (auto& q : out) {
-    q.s = sources[rng.next_below(sources.size())];
-    q.t = static_cast<Vertex>(rng.next_below(oracle.num_vertices()));
-    const std::size_t k = m == 0 ? 0 : rng.next_below(service::kMaxKFailEdges + 1);
-    while (q.fails.size() < k) {
-      const EdgeId e = static_cast<EdgeId>(rng.next_below(m));
-      if (std::find(q.fails.begin(), q.fails.end(), e) == q.fails.end()) q.fails.push_back(e);
+  std::vector<typename W::Result> answers;
+  Timer serve_timer;
+  if (run.use_async) {
+    // Submit every repeat up front, then drain: batches overlap on the
+    // pool instead of running lockstep.
+    std::vector<std::future<service::WorkloadResult<W>>> futures;
+    futures.reserve(run.repeat);
+    Timer submit_timer;
+    for (std::size_t r = 0; r < run.repeat; ++r) {
+      auto done = std::make_shared<std::promise<service::WorkloadResult<W>>>();
+      futures.push_back(done->get_future());
+      svc.submit<W>(oracle, batch, [done](service::WorkloadResult<W> res) {
+        done->set_value(std::move(res));
+      });
     }
+    const double submit_ms = submit_timer.millis();
+    for (auto& fut : futures) {
+      service::WorkloadResult<W> res = fut.get();
+      if (res.error) std::rethrow_exception(res.error);
+      answers = std::move(res.answers);
+    }
+    std::printf("submitted %zu async batches in %.3f ms\n", run.repeat, submit_ms);
+  } else {
+    for (std::size_t r = 0; r < run.repeat; ++r) answers = svc.run<W>(*oracle, batch);
   }
-  return out;
+  const double secs = serve_timer.seconds();
+  const double total = static_cast<double>(batch.size()) * static_cast<double>(run.repeat);
+  const std::string kind = *W::kName ? std::string(W::kName) + " " : "";
+  std::printf("answered %zu %squeries x%zu in %.1f ms  (%.0f queries/sec%s)\n", batch.size(),
+              kind.c_str(), run.repeat, secs * 1e3, secs > 0 ? total / secs : 0.0,
+              run.use_async ? ", async" : "");
+  if (run.sharded) {
+    // Router/cache/worker telemetry, rendered from the registry (the
+    // same series --listen serves over /metrics and STATS).
+    std::fputs(obs::render_stats_lines(obs::MetricsRegistry::instance().snapshot()).c_str(),
+               stderr);
+  }
+  if (!run.out_path.empty()) {
+    if (!tools::write_answer_file<W>(run.out_path, batch, answers)) return 1;
+    std::printf("wrote answers to %s\n", run.out_path.c_str());
+  }
+  return 0;
 }
 
 // --listen shutdown flag; set by the SIGINT/SIGTERM handler (the only
@@ -433,7 +450,7 @@ int main(int argc, char** argv) {
       batch_path = next();
     } else if (arg == "--workload") {
       workload = next();
-      if (workload != "vitality" && workload != "vickrey" && workload != "kfail") usage();
+      if (workload.empty() || !tools::with_workload(workload, [](auto) {})) usage();
     } else if (arg == "--random-queries") {
       random_queries = tools::cli_u64(next(), "--random-queries");
     } else if (arg == "--threads") {
@@ -582,120 +599,15 @@ int main(int argc, char** argv) {
                            metrics_addr, trace_sample_n);
     }
 
-    if (!workload.empty()) {
-      // Typed workload batches run the synchronous service entry points
-      // (shard-aware: their replacement lookups route through the shard
-      // workers exactly like point queries).
-      if (oracle == nullptr) {
-        std::fprintf(stderr, "error: --workload needs a local oracle mode\n");
-        return 2;
-      }
-      if (use_async) {
-        std::fprintf(stderr, "error: --workload runs the synchronous path (drop --async)\n");
-        return 2;
-      }
-      std::size_t answered = 0;
-      Timer serve_timer;
-      if (workload == "vitality") {
-        std::vector<service::VitalityQuery> wq;
-        if (!batch_path.empty()) {
-          wq = tools::read_vitality_batch_file(batch_path);
-        } else if (random_queries > 0) {
-          wq = random_vitality_batch(*oracle, random_queries, cfg.seed);
-        }
-        if (wq.empty()) return 0;
-        std::vector<service::VitalityResult> results;
-        for (std::size_t r = 0; r < repeat; ++r) results = svc.vitality_batch(*oracle, wq);
-        answered = wq.size();
-        if (!out_path.empty() &&
-            !tools::write_vitality_answer_file(out_path, wq, results)) {
-          return 1;
-        }
-      } else if (workload == "vickrey") {
-        std::vector<service::VickreyQuery> wq;
-        if (!batch_path.empty()) {
-          wq = tools::read_vickrey_batch_file(batch_path);
-        } else if (random_queries > 0) {
-          wq = random_vickrey_batch(*oracle, random_queries, cfg.seed);
-        }
-        if (wq.empty()) return 0;
-        std::vector<service::VickreyResult> results;
-        for (std::size_t r = 0; r < repeat; ++r) results = svc.vickrey_batch(*oracle, wq);
-        answered = wq.size();
-        if (!out_path.empty() &&
-            !tools::write_vickrey_answer_file(out_path, wq, results)) {
-          return 1;
-        }
-      } else {  // kfail
-        std::vector<service::KFailQuery> wq;
-        if (!batch_path.empty()) {
-          wq = tools::read_kfail_batch_file(batch_path);
-        } else if (random_queries > 0) {
-          wq = random_kfail_batch(*oracle, random_queries, cfg.seed);
-        }
-        if (wq.empty()) return 0;
-        std::vector<Dist> answers;
-        for (std::size_t r = 0; r < repeat; ++r) answers = svc.kfail_batch(*oracle, wq);
-        answered = wq.size();
-        if (!out_path.empty() && !tools::write_kfail_answer_file(out_path, wq, answers)) {
-          return 1;
-        }
-      }
-      const double secs = serve_timer.seconds();
-      const double total = static_cast<double>(answered) * static_cast<double>(repeat);
-      std::printf("answered %zu %s queries x%zu in %.1f ms  (%.0f queries/sec)\n", answered,
-                  workload.c_str(), repeat, secs * 1e3, secs > 0 ? total / secs : 0.0);
-      if (!out_path.empty()) std::printf("wrote answers to %s\n", out_path.c_str());
-      return 0;
-    }
-
-    std::vector<service::Query> batch;
-    if (!batch_path.empty()) {
-      batch = tools::read_batch_file(batch_path);
-    } else if (random_queries > 0) {
-      batch = random_batch(*oracle, random_queries, cfg.seed);
-    }
-    if (batch.empty()) return 0;
-
-    std::vector<Dist> answers;
-    Timer serve_timer;
-    if (use_async) {
-      // Submit every repeat up front, then drain: batches overlap on the
-      // pool instead of running lockstep.
-      double submit_ms = 0.0;
-      std::vector<std::future<service::BatchResult>> futures;
-      futures.reserve(repeat);
-      {
-        Timer submit_timer;
-        for (std::size_t r = 0; r < repeat; ++r) {
-          futures.push_back(svc.submit_batch(oracle, batch));
-        }
-        submit_ms = submit_timer.millis();
-      }
-      for (auto& fut : futures) answers = std::move(fut.get().answers);
-      std::printf("submitted %zu async batches in %.3f ms\n", repeat, submit_ms);
-    } else {
-      for (std::size_t r = 0; r < repeat; ++r) {
-        answers = svc.query_batch(*oracle, batch);
-      }
-    }
-    const double secs = serve_timer.seconds();
-    const double total = static_cast<double>(batch.size()) * static_cast<double>(repeat);
-    std::printf("answered %zu queries x%zu in %.1f ms  (%.0f queries/sec%s)\n", batch.size(),
-                repeat, secs * 1e3, secs > 0 ? total / secs : 0.0,
-                use_async ? ", async" : "");
-    if (shards >= 1) {
-      // Router/cache/worker telemetry, rendered from the registry (the
-      // same series --listen serves over /metrics and STATS).
-      std::fputs(
-          obs::render_stats_lines(obs::MetricsRegistry::instance().snapshot()).c_str(),
-          stderr);
-    }
-
-    if (!out_path.empty()) {
-      if (!tools::write_answer_file(out_path, batch, answers)) return 1;
-      std::printf("wrote answers to %s\n", out_path.c_str());
-    }
+    // Typed workloads are shard-aware like point queries: their
+    // replacement lookups route through the shard workers.
+    const LocalRun run{batch_path, out_path, random_queries, cfg.seed,
+                       repeat,     use_async, shards >= 1};
+    int rc = 0;
+    tools::with_workload(workload, [&](auto tag) {
+      rc = answer_local<typename decltype(tag)::type>(svc, oracle, run);
+    });
+    return rc;
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "error: %s\n", ex.what());
     return 1;
