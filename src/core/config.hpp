@@ -32,9 +32,12 @@ class ThreadPool;  // util/thread_pool.hpp
 
 /// How the table d(s, r, e) (source -> landmark replacement paths) is built.
 enum class LandmarkRpMethod {
-  /// One MMG single-pair run per (source, landmark): the "inefficient"
-  /// O~(m sqrt(n sigma) * sigma) route of Section 3. Simple, deterministic
-  /// given the trees, and the fastest at practical sizes.
+  /// The MMG single-pair replacement paths of every (source, landmark): the
+  /// "inefficient" O~(m sqrt(n sigma) * sigma) route of Section 3.
+  /// LandmarkRpTable::fill_mmg shares each source's tree index across its
+  /// landmarks, so a pair scans only the non-tree edges below its path's
+  /// root child. Deterministic given the trees, and the fastest at
+  /// practical sizes.
   kMmgPerPair,
   /// The paper's Bernstein–Karger adaptation (Sections 8.1–8.3): centers,
   /// intervals, MTC and bottleneck auxiliary graphs, O~(m sqrt(n sigma) +

@@ -2,8 +2,10 @@
 // every source to every landmark, for every edge on the canonical sr path.
 //
 // Both construction methods fill this table:
-//   * LandmarkRpMethod::kMmgPerPair — one MMG single-pair run per (s, r)
-//     (Section 3's use of [21, 20, 22]);
+//   * LandmarkRpMethod::kMmgPerPair — the MMG single-pair replacement paths
+//     of every (s, r) (Section 3's use of [21, 20, 22]), computed by a
+//     kernel that indexes each source's tree once and reuses the index for
+//     all of its landmarks (fill_mmg);
 //   * LandmarkRpMethod::kBkAuxGraphs — the Bernstein–Karger adaptation of
 //     Section 8 (source_center.cpp, center_landmark.cpp, intervals.cpp,
 //     bottleneck.cpp).
@@ -14,7 +16,6 @@
 #include <vector>
 
 #include "core/landmarks.hpp"
-#include "rp/single_pair.hpp"
 
 namespace msrp {
 
@@ -54,15 +55,17 @@ class LandmarkRpTable {
     return row[pos];
   }
 
-  /// Fills every row with the MMG single-pair algorithm. When `pool` is
-  /// given, the per-landmark BFS trees it holds are reused instead of
-  /// re-running a BFS from each landmark per pair. When `exec` is given the
-  /// (source, landmark) pairs run on it in parallel — each pair writes only
-  /// its own row, so the table is bit-identical to the sequential fill;
-  /// `scratches` (required with `exec`, one slot per participant) carries
-  /// the per-thread MMG buffers.
-  void fill_mmg(const Graph& g, TreePool* pool = nullptr, ThreadPool* exec = nullptr,
-                ScratchPool* scratches = nullptr);
+  /// Fills every row with the MMG single-pair replacement paths, the same
+  /// values replacement_paths (rp/single_pair.hpp) returns for each pair.
+  /// Landmark trees come from `trees` (built here if missing). Sources run
+  /// one at a time: one index of T_s (preorder ranks, and T_s's non-tree
+  /// edges grouped by root child) serves all of the source's landmarks,
+  /// which run on `exec` when given. Each pair then walks its path, labels
+  /// subtree(p_1) by path layer, and range-mins the crossing edges of p_1's
+  /// list into its row. `scratches` needs one slot per participant. The
+  /// table is bit-identical for any thread count.
+  void fill_mmg(const Graph& g, TreePool& trees, ScratchPool& scratches,
+                ThreadPool* exec = nullptr);
 
  private:
   std::vector<const RootedTree*> source_trees_;

@@ -74,7 +74,7 @@ class MsrpEngine {
     std::vector<std::unique_ptr<NearSmall>> near_small(result_.num_sources());
     if (cfg_.landmark_rp == LandmarkRpMethod::kMmgPerPair) {
       auto t = timers.scope("landmark_rp_mmg");
-      dsr.fill_mmg(g_, &pool_, exec, &scratches);
+      dsr.fill_mmg(g_, pool_, scratches, exec);
     } else {
       {
         auto t = timers.scope("near_small_dijkstra");

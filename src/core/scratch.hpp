@@ -3,11 +3,12 @@
 // One BuildScratch serves one worker thread for the whole build: the
 // Section 8.1 / 8.2.2 / 8.3 phases construct one auxiliary graph and run
 // one Dijkstra per item (source, center, or landmark respectively), and the
-// MMG per-pair path runs one replacement_paths per (source, landmark). All
-// of that temporary state — the aux graph's arc/CSR storage, the Dijkstra
-// distance arrays (epoch-stamped, cleared in O(1)), the flattened window
-// bookkeeping, the MMG candidate buffers — lives here and is reused across
-// items, so the steady-state build performs no allocation in its hot loops.
+// MMG landmark table fills one row per (source, landmark). All of that
+// temporary state — the aux graph's arc/CSR storage, the Dijkstra distance
+// arrays (epoch-stamped, cleared in O(1)), the flattened window
+// bookkeeping, the MMG layer labels and range-min table — lives here and is
+// reused across items, so the steady-state build performs no allocation in
+// its hot loops.
 //
 // Each scratch also carries a private MsrpStats: parallel phase items
 // accumulate counters locally and the engine merges the scratches after the
@@ -20,7 +21,6 @@
 #include <vector>
 
 #include "core/result.hpp"
-#include "rp/single_pair.hpp"
 #include "spath/aux_graph.hpp"
 #include "spath/dijkstra.hpp"
 
@@ -36,7 +36,6 @@ struct WindowEdge {
 struct BuildScratch {
   AuxGraph aux;          // reset() per item, capacity kept
   DijkstraScratch dij;   // epoch-stamped dist/parent arrays + bucket queue
-  SinglePairScratch rp;  // MMG per-pair buffers
 
   // Flattened window lists: owner k's entries are
   // window[window_base[k] .. window_base[k+1]). Because the aux [owner, e]
@@ -52,6 +51,11 @@ struct BuildScratch {
   std::vector<std::uint32_t> group_order;
 
   std::vector<Vertex> path;  // reusable canonical-path buffer
+
+  // MMG landmark table (landmark_rp.cpp): path layer by preorder rank, all
+  // zero between pairs, and the interleaved range-min sparse table.
+  std::vector<std::uint32_t> mmg_layer;
+  std::vector<Dist> mmg_table;
 
   /// Detour candidates surviving the prune-radius filter for one target
   /// (landmark or center): the Section 8 builders hoist the per-candidate

@@ -28,37 +28,28 @@ void divergence_index(const BfsTree& ts, const std::vector<Vertex>& path,
 
 SinglePairRp replacement_paths(const Graph& g, const BfsTree& ts, Vertex t) {
   MSRP_REQUIRE(t < g.num_vertices(), "target out of range");
-  const BfsTree tt(g, t);
-  return replacement_paths(g, ts, tt);
-}
-
-SinglePairRp replacement_paths(const Graph& g, const BfsTree& ts, const BfsTree& tt) {
-  SinglePairScratch scratch;
-  return replacement_paths(g, ts, tt, scratch);
-}
-
-SinglePairRp replacement_paths(const Graph& g, const BfsTree& ts, const BfsTree& tt,
-                               SinglePairScratch& s) {
   MSRP_REQUIRE(ts.num_vertices() == g.num_vertices(), "tree does not match graph");
-  MSRP_REQUIRE(tt.num_vertices() == g.num_vertices(), "target tree does not match graph");
-  const Vertex t = tt.root();
 
   SinglePairRp out;
   out.path = ts.path_to(t);
   if (out.path.size() <= 1) return out;  // unreachable or s == t: no path edges
+  const BfsTree tt(g, t);
   out.edges = ts.path_edges(t);
   const auto num_fail = static_cast<std::uint32_t>(out.edges.size());
   out.avoiding.assign(num_fail, kInfDist);
 
-  divergence_index(ts, out.path, s.f);
-  const auto& f = s.f;
+  std::vector<std::uint32_t> f;
+  divergence_index(ts, out.path, f);
 
   // Each edge (x, y) with fmin = min(f(x), f(y)) < fmax = max(f(x), f(y))
   // crosses the cut of every failed index i in [fmin, fmax - 1] and offers
   // the candidate d_s(outside endpoint) + 1 + d_t(inside endpoint). The MMG
   // theorem (see header) says the minimum candidate per index is exact.
-  auto& cand = s.cand;
-  cand.clear();
+  struct Candidate {
+    std::uint32_t start, end;  // inclusive index interval
+    Dist value;
+  };
+  std::vector<Candidate> cand;
   Dist max_value = 0;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const auto [x, y] = g.endpoints(e);
@@ -82,29 +73,29 @@ SinglePairRp replacement_paths(const Graph& g, const BfsTree& ts, const BfsTree&
   // then paint intervals in ascending value order onto the still-unanswered
   // indices: next[i] is the union-find "next unpainted index >= i" pointer,
   // so every index is written exactly once — by its minimum covering value.
-  s.histo.assign(static_cast<std::size_t>(max_value) + 2, 0);
-  for (const auto& c : cand) ++s.histo[c.value + 1];
-  for (std::size_t v = 1; v < s.histo.size(); ++v) s.histo[v] += s.histo[v - 1];
-  s.order.resize(cand.size());
-  for (std::uint32_t i = 0; i < cand.size(); ++i) s.order[s.histo[cand[i].value]++] = i;
+  std::vector<std::uint32_t> histo(static_cast<std::size_t>(max_value) + 2, 0);
+  for (const auto& c : cand) ++histo[c.value + 1];
+  for (std::size_t v = 1; v < histo.size(); ++v) histo[v] += histo[v - 1];
+  std::vector<std::uint32_t> order(cand.size());
+  for (std::uint32_t i = 0; i < cand.size(); ++i) order[histo[cand[i].value]++] = i;
 
-  s.next.resize(num_fail + 1);
-  for (std::uint32_t i = 0; i <= num_fail; ++i) s.next[i] = i;
+  std::vector<std::uint32_t> next(num_fail + 1);
+  for (std::uint32_t i = 0; i <= num_fail; ++i) next[i] = i;
   auto find = [&](std::uint32_t i) {
     std::uint32_t root = i;
-    while (s.next[root] != root) root = s.next[root];
-    while (s.next[i] != root) {  // path compression
-      const std::uint32_t up = s.next[i];
-      s.next[i] = root;
+    while (next[root] != root) root = next[root];
+    while (next[i] != root) {  // path compression
+      const std::uint32_t up = next[i];
+      next[i] = root;
       i = up;
     }
     return root;
   };
-  for (const std::uint32_t ci : s.order) {
+  for (const std::uint32_t ci : order) {
     const auto& c = cand[ci];
     for (std::uint32_t i = find(c.start); i <= c.end; i = find(i + 1)) {
       out.avoiding[i] = c.value;
-      s.next[i] = i + 1;
+      next[i] = i + 1;
     }
   }
   return out;

@@ -25,8 +25,11 @@
 // itself < 2n): counting-sort the candidates by value, then paint each
 // interval onto the still-unanswered positions with a union-find
 // next-unpainted pointer — every position is painted exactly once, by the
-// smallest value covering it. No heap, no comparison sort, and with a
-// caller-provided scratch no allocations either.
+// smallest value covering it. No heap and no comparison sort.
+//
+// The MSRP engine does not call this per pair: LandmarkRpTable::fill_mmg
+// (core/landmark_rp.cpp) computes the same values with a kernel that shares
+// each source's work across its landmarks, and tests compare the two.
 #pragma once
 
 #include <vector>
@@ -43,33 +46,9 @@ struct SinglePairRp {
   std::vector<Dist> avoiding;  // avoiding[i] = |st <> edges[i]|
 };
 
-/// Reusable buffers for repeated replacement_paths calls (the MSRP engine
-/// runs one per (source, landmark) pair). Opaque to callers; a default-
-/// constructed instance works for any graph size and grows as needed.
-struct SinglePairScratch {
-  struct Candidate {
-    std::uint32_t start, end;  // inclusive index interval
-    Dist value;
-  };
-  std::vector<std::uint32_t> f;      // divergence index per vertex
-  std::vector<Candidate> cand;       // crossing-edge candidates
-  std::vector<std::uint32_t> histo;  // counting-sort histogram by value
-  std::vector<std::uint32_t> order;  // candidate indices sorted by value
-  std::vector<std::uint32_t> next;   // union-find next-unpainted pointers
-};
-
 /// Computes all replacement paths for the canonical s->t path.
 /// `ts` must be the BfsTree of s over g (callers usually have it already).
 SinglePairRp replacement_paths(const Graph& g, const BfsTree& ts, Vertex t);
-
-/// As above, reusing a precomputed BFS tree of t (skips the internal BFS —
-/// the MSRP engine already holds one tree per landmark).
-SinglePairRp replacement_paths(const Graph& g, const BfsTree& ts, const BfsTree& tt);
-
-/// As above, running all temporary work inside `scratch` (allocation-free
-/// in the steady state apart from the returned vectors).
-SinglePairRp replacement_paths(const Graph& g, const BfsTree& ts, const BfsTree& tt,
-                               SinglePairScratch& scratch);
 
 /// Convenience overload building the BFS tree internally.
 SinglePairRp replacement_paths(const Graph& g, Vertex s, Vertex t);

@@ -1,10 +1,14 @@
 // Unit tests for the MSRP core internals: Params, LevelSets, TreePool,
 // NearSmall (Section 7.1), interval decomposition / MTC (Section 8.3), and
-// the LandmarkRpTable accessor semantics.
+// the LandmarkRpTable: accessor semantics, and its MMG rows against the
+// single-pair algorithm.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <numeric>
 #include <set>
+#include <string>
 
 #include "core/assembly.hpp"
 #include "core/bk.hpp"
@@ -18,6 +22,8 @@
 #include "core/source_center.hpp"
 #include "graph/generators.hpp"
 #include "rp/oracle.hpp"
+#include "rp/single_pair.hpp"
+#include "util/thread_pool.hpp"
 
 namespace msrp {
 namespace {
@@ -430,7 +436,9 @@ TEST(LandmarkRpTable, AccessorSemantics) {
   std::vector<const RootedTree*> trees{&result.rooted(0)};
   const std::vector<Vertex> lm{1, 5, 9};
   LandmarkRpTable table(g, trees, lm);
-  table.fill_mmg(g);
+  TreePool pool(g);
+  ScratchPool scratches(1);
+  table.fill_mmg(g, pool, scratches);
 
   const RpOracle oracle(g, 0);
   const RootedTree& rs = *trees[0];
@@ -450,6 +458,86 @@ TEST(LandmarkRpTable, AccessorSemantics) {
     }
   }
   EXPECT_EQ(table.landmark_index(2), -1);
+}
+
+/// What the rows of one table exercised, summed over cases.
+struct RowCoverage {
+  std::size_t rows = 0;
+  std::size_t unreachable = 0;   // r not reachable from s: empty row
+  std::size_t source = 0;        // r == s: empty row
+  std::size_t single_edge = 0;   // L = 1
+  std::size_t longest = 0;       // max L
+};
+
+/// Fills the MMG table with every vertex as a landmark, at 1 and 4 threads,
+/// and compares each row with replacement_paths, the independent referee.
+void expect_rows_match_single_pair(const Graph& g, const std::vector<Vertex>& sources,
+                                   const std::string& label, RowCoverage& cov) {
+  const MsrpResult result(g, sources);
+  std::vector<const RootedTree*> source_trees;
+  for (const Vertex s : sources) source_trees.push_back(&result.rooted(s));
+  std::vector<Vertex> lm(g.num_vertices());
+  std::iota(lm.begin(), lm.end(), Vertex{0});
+
+  std::vector<std::vector<Dist>> expected;
+  for (const RootedTree* rs : source_trees) {
+    for (const Vertex r : lm) {
+      expected.push_back(replacement_paths(g, rs->tree, r).avoiding);
+      cov.rows++;
+      const Dist d = rs->dist(r);
+      cov.unreachable += d == kInfDist;
+      cov.source += d == 0;
+      cov.single_edge += d == 1;
+      if (d != kInfDist) cov.longest = std::max<std::size_t>(cov.longest, d);
+    }
+  }
+  for (const unsigned threads : {1u, 4u}) {
+    std::unique_ptr<ThreadPool> exec;
+    if (threads > 1) exec = std::make_unique<ThreadPool>(threads);
+    ScratchPool scratches(exec ? exec->max_parallelism() : 1);
+    TreePool pool(g);
+    LandmarkRpTable table(g, source_trees, lm);
+    table.fill_mmg(g, pool, scratches, exec.get());
+    for (std::uint32_t si = 0; si < sources.size(); ++si) {
+      for (std::uint32_t li = 0; li < lm.size(); ++li) {
+        ASSERT_EQ(table.row(si, li), expected[si * lm.size() + li])
+            << label << " threads=" << threads << " s=" << sources[si] << " r=" << lm[li];
+      }
+    }
+  }
+}
+
+TEST(LandmarkRpTable, RowsMatchSinglePairMmg) {
+  Rng rng(0x3A3C0DEULL);
+  RowCoverage cov;
+  for (int i = 0; i < 12; ++i) {
+    const auto n = static_cast<Vertex>(10 + rng.next_below(70));
+    Graph g = (i % 3 == 0)   ? gen::connected_avg_degree(n, 3 + rng.next_below(5), rng)
+              : (i % 3 == 1) ? gen::connected_gnp(n, 0.05 + 0.3 * rng.next_double(), rng)
+                             : gen::grid(2 + static_cast<Vertex>(rng.next_below(6)),
+                                         2 + static_cast<Vertex>(rng.next_below(9)));
+    const auto picks = rng.sample_without_replacement(
+        g.num_vertices(), 1 + rng.next_below(std::min<Vertex>(4, g.num_vertices())));
+    expect_rows_match_single_pair(g, std::vector<Vertex>(picks.begin(), picks.end()),
+                                  "random i=" + std::to_string(i), cov);
+  }
+  // Two components: landmarks in the other one are unreachable.
+  expect_rows_match_single_pair(
+      Graph(11, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {1, 4}, {4, 5}, {5, 2}, {0, 5},
+                 {6, 7}, {7, 8}, {8, 9}, {9, 6}, {6, 10}}),
+      {0, 7}, "two components", cov);
+  // A tree: every edge is a bridge, so no cell has a replacement path.
+  expect_rows_match_single_pair(gen::random_tree(40, rng), {3}, "tree", cov);
+  // Long rows. On a chorded path they run into the hundreds. On a cycle the
+  // one non-tree edge crosses every cut of a row, so a row of length L
+  // uses every level of the range-min table, up to floor(log2 L) = 8 here.
+  expect_rows_match_single_pair(gen::path_with_chords(700, 6, rng), {0, 350}, "chords", cov);
+  expect_rows_match_single_pair(gen::cycle(700), {0}, "cycle", cov);
+
+  EXPECT_GT(cov.unreachable, 0u);
+  EXPECT_GT(cov.source, 0u);
+  EXPECT_GT(cov.single_edge, 0u);
+  EXPECT_GE(cov.longest, 256u);
 }
 
 }  // namespace

@@ -13,7 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "core/landmark_rp.hpp"
+#include "core/landmarks.hpp"
 #include "core/msrp.hpp"
+#include "core/scratch.hpp"
 #include "graph/generators.hpp"
 #include "service/snapshot.hpp"
 #include "util/fnv.hpp"
@@ -150,6 +153,53 @@ TEST(Determinism, AssemblyRowsMatchPinnedDigests) {
     }
     const std::uint64_t digest = rows_digest(res);
     EXPECT_EQ(digest, c.digest) << c.name << std::hex << " digest=0x" << digest;
+  }
+}
+
+TEST(Determinism, LandmarkRpRowsMatchPinnedDigests) {
+  // The MMG landmark table d(s, r, e) on the same three instances, with the
+  // landmark set the engine would sample. The digests were recorded from the
+  // per-pair replacement_paths fill that preceded the source-shared kernel;
+  // any rewrite of fill_mmg must reproduce every row bit for bit.
+  struct Case {
+    std::string name;
+    Graph g;
+    std::uint64_t digest;
+  };
+  Rng rng(0xA55E3B1EULL);
+  std::vector<Case> cases;
+  cases.push_back({"grid24x24", gen::grid(24, 24), 0xa2c04fbc0ba0aa9dULL});
+  cases.push_back({"avgdeg600", gen::connected_avg_degree(600, 6, rng), 0x0d47a01d0e643ee5ULL});
+  cases.push_back({"chords500", gen::path_with_chords(500, 25, rng), 0xffbc9ac1b47c632cULL});
+
+  Config cfg;
+  cfg.seed = 0x9E3779B9ULL;
+  cfg.near_scale = 1.0;
+  ThreadPool exec(4);
+  ScratchPool scratches(exec.max_parallelism());
+  for (const Case& c : cases) {
+    const auto picks = rng.sample_without_replacement(c.g.num_vertices(), 4);
+    const std::vector<Vertex> sources(picks.begin(), picks.end());
+    const Params params(c.g.num_vertices(), 4, cfg);
+    Rng build_rng(cfg.seed);
+    Rng landmark_rng = build_rng.split();
+    const LevelSets landmarks(params, sources, landmark_rng);
+    const MsrpResult trees(c.g, sources);
+    std::vector<const RootedTree*> source_trees;
+    for (const Vertex s : sources) source_trees.push_back(&trees.rooted(s));
+    TreePool pool(c.g);
+    LandmarkRpTable table(c.g, source_trees, landmarks.members());
+    table.fill_mmg(c.g, pool, scratches, &exec);
+
+    std::uint64_t h = fnv::kOffset;
+    for (std::uint32_t si = 0; si < sources.size(); ++si) {
+      for (std::uint32_t li = 0; li < table.num_landmarks(); ++li) {
+        const auto& row = table.row(si, li);
+        h = fnv::mix_u64(h, row.size());
+        for (const Dist d : row) h = fnv::mix_u64(h, d);
+      }
+    }
+    EXPECT_EQ(h, c.digest) << c.name << std::hex << " digest=0x" << h;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "tree/ancestry.hpp"
 #include "tree/bfs_tree.hpp"
 #include "tree/lca.hpp"
 
@@ -113,6 +114,68 @@ TEST(BfsTree, OrderIsBfsOrder) {
   for (std::size_t i = 1; i < ord.size(); ++i) {
     EXPECT_GE(t.dist(ord[i]), t.dist(ord[i - 1]));
   }
+}
+
+// -------------------------------------------------------------- ancestry
+
+/// DFS entry/exit stamps from an explicit-stack DFS over child lists in
+/// BFS discovery order, one counter for entries and exits.
+void reference_stamps(const BfsTree& t, std::vector<std::uint32_t>& tin,
+                      std::vector<std::uint32_t>& tout) {
+  const Vertex n = t.num_vertices();
+  tin.assign(n, AncestorIndex::kNoStamp);
+  tout.assign(n, AncestorIndex::kNoStamp);
+  std::vector<std::vector<Vertex>> children(n);
+  for (const Vertex v : t.order()) {
+    if (t.parent(v) != kNoVertex) children[t.parent(v)].push_back(v);
+  }
+  std::uint32_t stamp = 0;
+  std::vector<std::pair<Vertex, std::size_t>> stack{{t.root(), 0}};
+  tin[t.root()] = stamp++;
+  while (!stack.empty()) {
+    auto& [v, next] = stack.back();
+    if (next < children[v].size()) {
+      const Vertex c = children[v][next++];
+      tin[c] = stamp++;
+      stack.push_back({c, 0});
+    } else {
+      tout[v] = stamp++;
+      stack.pop_back();
+    }
+  }
+}
+
+TEST(AncestorIndex, StampsMatchReferenceDfs) {
+  Rng rng(0x57A3B5ULL);
+  std::vector<Graph> graphs;
+  graphs.push_back(gen::grid(1, 1));
+  graphs.push_back(gen::grid(7, 9));
+  graphs.push_back(gen::grid(16, 16));
+  graphs.push_back(gen::path(40));
+  graphs.push_back(gen::random_tree(120, rng));
+  for (int i = 0; i < 6; ++i) {
+    graphs.push_back(gen::connected_gnp(static_cast<Vertex>(20 + 30 * i), 0.08, rng));
+  }
+  graphs.push_back(gen::erdos_renyi(150, 0.01, rng));  // several components
+  graphs.push_back(Graph(9, {{0, 1}, {1, 2}, {0, 3}, {3, 2}, {5, 6}, {6, 7}, {7, 5}}));
+
+  std::size_t trees = 0;
+  std::vector<std::uint32_t> tin, tout;
+  for (const Graph& g : graphs) {
+    for (Vertex root = 0; root < g.num_vertices(); root += 1 + g.num_vertices() / 8) {
+      const BfsTree t(g, root);
+      const AncestorIndex anc(t);
+      reference_stamps(t, tin, tout);
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        ASSERT_EQ(anc.tin(v), tin[v]) << "n=" << g.num_vertices() << " root=" << root
+                                      << " v=" << v;
+        ASSERT_EQ(anc.tout(v), tout[v]) << "n=" << g.num_vertices() << " root=" << root
+                                        << " v=" << v;
+      }
+      ++trees;
+    }
+  }
+  EXPECT_GE(trees, 90u);
 }
 
 // --------------------------------------------------------------------- lca
