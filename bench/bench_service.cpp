@@ -2,9 +2,9 @@
 //
 // Rows: queries/sec for a fixed 100k-query batch as the worker-thread count
 // grows (the tentpole scaling claim: >= 2x at 4 threads on multicore),
-// snapshot vs. text (de)serialization speed, cold-load-to-first-answer for
-// the v1 varint decoder vs. the v2 zero-copy mmap path on a high-diameter
-// grid (the largest cells payload per vertex), and sync vs. async batch
+// snapshot decode speed, cold-load-to-first-answer for the buffered
+// (checksum-verified) vs. the zero-copy mmap path on a high-diameter grid
+// (the largest cells payload per vertex), and sync vs. async batch
 // serving: submit_batch() latency on a cold cache plus end-to-end
 // throughput when batches overlap on the pool.
 #include <cstdio>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/serialize.hpp"
 #include "service/query_gen.hpp"
 #include "service/query_service.hpp"
 #include "service/shard_router.hpp"
@@ -85,11 +84,10 @@ BENCHMARK(BM_QueryBatchSharded)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 // ------------------------------------------------------- cold-load latency ---
 
 // The cold-load rows use the highest-diameter workload: a square grid's
-// replacement table has ~n*sqrt(n) cells per source, so the v1 per-cell
-// varint decode dominates its load while the v2 path only touches the
-// O(n + m) metadata.
+// replacement table has ~n*sqrt(n) cells per source, so reading and
+// checksumming the cells dominates the buffered load while the mmap path
+// only touches the O(n + m) metadata.
 struct ColdLoadFiles {
-  std::string v1_path;
   std::string v2_path;
   service::Query probe;  // one valid query for "to-first-answer"
 };
@@ -102,13 +100,10 @@ const ColdLoadFiles& cold_load_files() {
     const service::Snapshot snap = service::Snapshot::capture(res);
     const std::string dir = std::filesystem::temp_directory_path().string();
     ColdLoadFiles f;
-    f.v1_path = dir + "/msrp_bench_cold.v1.snap";
     f.v2_path = dir + "/msrp_bench_cold.v2.snap";
-    snap.save(f.v1_path, service::SnapshotFormat::kV1);
-    snap.save(f.v2_path, service::SnapshotFormat::kV2);
+    snap.save(f.v2_path);
     f.probe = {sources[0], g.num_vertices() - 1, 0};
-    std::printf("# cold-load files: v1=%zu bytes v2=%zu bytes\n",
-                std::filesystem::file_size(f.v1_path), std::filesystem::file_size(f.v2_path));
+    std::printf("# cold-load file: %zu bytes\n", std::filesystem::file_size(f.v2_path));
     return f;
   }();
   return files;
@@ -122,11 +117,6 @@ void cold_load_iteration(benchmark::State& state, const std::string& path,
     benchmark::DoNotOptimize(snap.avoiding(probe.s, probe.t, probe.e));
   }
 }
-
-void BM_ColdLoadToFirstAnswerV1(benchmark::State& state) {
-  cold_load_iteration(state, cold_load_files().v1_path, {});
-}
-BENCHMARK(BM_ColdLoadToFirstAnswerV1)->Unit(benchmark::kMillisecond);
 
 void BM_ColdLoadToFirstAnswerV2(benchmark::State& state) {
   cold_load_iteration(state, cold_load_files().v2_path, {.verify_cells = true});
@@ -209,12 +199,12 @@ void BM_BurstAsync(benchmark::State& state) {
 }
 BENCHMARK(BM_BurstAsync)->UseRealTime();
 
-// -------------------------------------------------------- (de)serialization ---
+// ---------------------------------------------------------- snapshot decode ---
 
-void snapshot_round_trip(benchmark::State& state, service::SnapshotFormat format) {
+void BM_SnapshotRoundTripV2(benchmark::State& state) {
   const service::Snapshot& oracle = demo_oracle();
   std::stringstream ss;
-  oracle.write(ss, format);
+  oracle.write(ss);
   const std::string image = ss.str();
   for (auto _ : state) {
     std::stringstream in(image);
@@ -224,32 +214,7 @@ void snapshot_round_trip(benchmark::State& state, service::SnapshotFormat format
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(image.size()));
 }
-
-void BM_SnapshotRoundTripV1(benchmark::State& state) {
-  snapshot_round_trip(state, service::SnapshotFormat::kV1);
-}
-BENCHMARK(BM_SnapshotRoundTripV1);
-
-void BM_SnapshotRoundTripV2(benchmark::State& state) {
-  snapshot_round_trip(state, service::SnapshotFormat::kV2);
-}
 BENCHMARK(BM_SnapshotRoundTripV2);
-
-void BM_TextRoundTrip(benchmark::State& state) {
-  const Graph g = benchutil::er_graph(kN, 8.0);
-  const MsrpResult res = solve_msrp(g, benchutil::spread_sources(g, kSigma));
-  std::stringstream ss;
-  write_result(ss, res);
-  const std::string image = ss.str();
-  for (auto _ : state) {
-    std::stringstream in(image);
-    auto loaded = SerializedResult::read(in);
-    benchmark::DoNotOptimize(loaded.num_vertices());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(image.size()));
-}
-BENCHMARK(BM_TextRoundTrip);
 
 }  // namespace
 }  // namespace msrp

@@ -180,7 +180,7 @@ struct AnswerFrame {
 /// How REGISTER_GRAPH names the graph to build.
 enum class RegisterMode : std::uint32_t {
   kEdgeList = 1,      ///< inline upload: n, m, sources, edge endpoints
-  kSnapshotPath = 2,  ///< path to a v1/v2 snapshot readable by the server
+  kSnapshotPath = 2,  ///< path to a v2 snapshot readable by the server
 };
 
 struct RegisterGraphFrame {

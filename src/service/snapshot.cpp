@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -33,22 +34,6 @@ constexpr std::uint32_t kV2HeaderBytes = 72;
 
 constexpr std::uint64_t pad8(std::uint64_t v) { return (v + 7) & ~std::uint64_t{7}; }
 
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-void put_u32_le(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64_le(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
 std::uint32_t load_u32(const std::uint8_t* p) {
   std::uint32_t v;
   std::memcpy(&v, p, 4);
@@ -63,37 +48,6 @@ std::uint64_t load_u64(const std::uint8_t* p) {
 
 void store_u32(std::uint8_t* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
 void store_u64(std::uint8_t* p, std::uint64_t v) { std::memcpy(p, &v, 8); }
-
-/// Bounds-checked varint reader over the in-memory v1 image.
-class Decoder {
- public:
-  Decoder(const std::uint8_t* data, std::size_t size) : cur_(data), end_(data + size) {}
-
-  std::uint64_t varint() {
-    std::uint64_t v = 0;
-    std::uint32_t shift = 0;
-    while (true) {
-      MSRP_REQUIRE(cur_ < end_, "snapshot: truncated varint");
-      MSRP_REQUIRE(shift < 64, "snapshot: varint overflow");
-      const std::uint8_t byte = *cur_++;
-      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if (!(byte & 0x80)) return v;
-      shift += 7;
-    }
-  }
-
-  std::uint64_t bounded(std::uint64_t limit, const char* what) {
-    const std::uint64_t v = varint();
-    MSRP_REQUIRE(v <= limit, what);
-    return v;
-  }
-
-  std::size_t remaining() const { return static_cast<std::size_t>(end_ - cur_); }
-
- private:
-  const std::uint8_t* cur_;
-  const std::uint8_t* end_;
-};
 
 }  // namespace
 
@@ -269,118 +223,7 @@ std::uint64_t Snapshot::compute_content_digest() const {
   return digest;
 }
 
-// ------------------------------------------------------------- format v1 ---
-
-std::vector<std::uint8_t> Snapshot::encode_v1() const {
-  std::vector<std::uint8_t> out;
-  std::size_t cell_total = 0;
-  for (const SourceTable& tab : tables_) cell_total += tab.cells.size();
-  out.reserve(64 + static_cast<std::size_t>(n_) * sources_.size() * 4 + cell_total * 2);
-
-  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
-  put_u32_le(out, 1);
-  put_varint(out, n_);
-  put_varint(out, m_);
-  put_varint(out, sources_.size());
-  for (const SourceTable& tab : tables_) {
-    put_varint(out, tab.root);
-    for (Vertex v = 0; v < n_; ++v) {
-      const Dist d = tab.dist[v];
-      if (d == kInfDist) {
-        put_varint(out, 0);
-        continue;
-      }
-      put_varint(out, std::uint64_t{d} + 1);
-      if (v == tab.root) continue;
-      put_varint(out, tab.parent[v]);
-      put_varint(out, tab.parent_edge[v]);
-      const std::uint64_t off = tab.row_offset[v];
-      for (Dist i = 0; i < d; ++i) {
-        const Dist cell = tab.cells[off + i];
-        put_varint(out, cell == kInfDist ? 0 : std::uint64_t{cell} - d + 1);
-      }
-    }
-  }
-  const std::uint64_t checksum =
-      fnv::mix_bytes(fnv::kOffset, out.data() + sizeof(kMagic), out.size() - sizeof(kMagic));
-  put_u64_le(out, checksum);
-  encoded_size_ = out.size();
-  return out;
-}
-
-Snapshot Snapshot::decode_v1(const std::uint8_t* data, std::size_t size) {
-  MSRP_REQUIRE(size >= sizeof(kMagic) + 4 + 8, "snapshot: file too small");
-
-  const std::size_t body_end = size - 8;
-  const std::uint64_t stored_checksum = load_u64(data + body_end);
-  const std::uint64_t checksum =
-      fnv::mix_bytes(fnv::kOffset, data + sizeof(kMagic), body_end - sizeof(kMagic));
-  MSRP_REQUIRE(checksum == stored_checksum, "snapshot: checksum mismatch");
-
-  Decoder dec(data + sizeof(kMagic) + 4, body_end - sizeof(kMagic) - 4);
-  Snapshot snap;
-  snap.n_ = static_cast<Vertex>(dec.bounded(kNoVertex, "snapshot: n too large"));
-  snap.m_ = static_cast<EdgeId>(dec.bounded(kNoEdge, "snapshot: m too large"));
-  const auto sigma = dec.bounded(snap.n_, "snapshot: more sources than vertices");
-  MSRP_REQUIRE(sigma > 0, "snapshot: no sources");
-  // Plausibility guards before any header-sized allocation: every vertex
-  // record costs at least one byte per source, and m is bounded by the
-  // simple-graph maximum — a tiny crafted file cannot claim huge tables.
-  MSRP_REQUIRE(dec.remaining() / (std::uint64_t{snap.n_} + 1) >= sigma,
-               "snapshot: body too small for claimed dimensions");
-  MSRP_REQUIRE(std::uint64_t{snap.m_} <= std::uint64_t{snap.n_} * (snap.n_ - 1) / 2,
-               "snapshot: more edges than a simple graph allows");
-
-  snap.sources_.reserve(sigma);
-  snap.tables_.resize(sigma);
-  for (std::uint64_t si = 0; si < sigma; ++si) {
-    SourceTable& tab = snap.tables_[si];
-    tab.root = static_cast<Vertex>(dec.bounded(snap.n_ - 1, "snapshot: source out of range"));
-    snap.sources_.push_back(tab.root);
-    tab.dist_store.assign(snap.n_, kInfDist);
-    tab.parent_store.assign(snap.n_, kNoVertex);
-    tab.parent_edge_store.assign(snap.n_, kNoEdge);
-    tab.row_offset_store.assign(static_cast<std::size_t>(snap.n_) + 1, 0);
-    std::uint64_t cell_total = 0;
-    for (Vertex v = 0; v < snap.n_; ++v) {
-      const std::uint64_t enc = dec.bounded(std::uint64_t{kInfDist}, "snapshot: bad distance");
-      tab.row_offset_store[v + 1] = tab.row_offset_store[v];
-      if (enc == 0) continue;  // unreachable
-      const Dist d = static_cast<Dist>(enc - 1);
-      tab.dist_store[v] = d;
-      if (v == tab.root) {
-        MSRP_REQUIRE(d == 0, "snapshot: nonzero root distance");
-        continue;
-      }
-      MSRP_REQUIRE(d > 0, "snapshot: non-root vertex at distance 0");
-      tab.parent_store[v] =
-          static_cast<Vertex>(dec.bounded(snap.n_ - 1, "snapshot: parent out of range"));
-      MSRP_REQUIRE(snap.m_ > 0, "snapshot: tree edge but m == 0");
-      tab.parent_edge_store[v] =
-          static_cast<EdgeId>(dec.bounded(snap.m_ - 1, "snapshot: parent edge out of range"));
-      cell_total += d;
-      tab.row_offset_store[v + 1] = cell_total;
-      // Cells are delta-coded against d; the bound keeps cell - 1 + d below
-      // kInfDist without any unsigned wrap for out-of-range varints.
-      const std::uint64_t max_cell_enc = std::uint64_t{kInfDist} - d;
-      for (Dist i = 0; i < d; ++i) {
-        const std::uint64_t cell_enc =
-            dec.bounded(max_cell_enc, "snapshot: row cell overflows");
-        tab.cells_store.push_back(cell_enc == 0 ? kInfDist
-                                                : static_cast<Dist>(cell_enc - 1 + d));
-      }
-    }
-    MSRP_REQUIRE(tab.cells_store.size() == cell_total, "snapshot: row accounting mismatch");
-    tab.adopt_owned();
-  }
-  MSRP_REQUIRE(dec.remaining() == 0, "snapshot: trailing bytes");
-  snap.build_derived();
-  snap.content_digest_ = snap.compute_content_digest();
-  snap.encoded_size_ = size;
-  return snap;
-}
-
-// ------------------------------------------------------------- format v2 ---
+// ---------------------------------------------------------------- encode ---
 
 std::size_t Snapshot::v2_encoded_size() const {
   std::uint64_t total_cells = 0;
@@ -442,15 +285,26 @@ void Snapshot::encode_v2_into(std::span<std::uint8_t> out) const {
   encoded_size_ = out.size();
 }
 
-std::vector<std::uint8_t> Snapshot::encode_v2() const {
+std::vector<std::uint8_t> Snapshot::encode() const {
   std::vector<std::uint8_t> out(v2_encoded_size());
   encode_v2_into(out);
   return out;
 }
 
-Snapshot Snapshot::attach_v2(const std::uint8_t* data, std::size_t size,
-                             std::shared_ptr<const void> anchor, bool verify_cells,
-                             bool mapped) {
+void Snapshot::write(std::ostream& os) const {
+  const std::vector<std::uint8_t> buf = encode();
+  os.write(reinterpret_cast<const char*>(buf.data()),
+           static_cast<std::streamsize>(buf.size()));
+}
+
+// ------------------------------------------------------------------ load ---
+
+Snapshot Snapshot::from_image(const std::uint8_t* data, std::size_t size,
+                              std::shared_ptr<const void> anchor, const LoadOptions& opts,
+                              bool mapped) {
+  MSRP_REQUIRE(size >= sizeof(kMagic) + 4, "snapshot: file too small");
+  MSRP_REQUIRE(std::memcmp(data, kMagic, sizeof(kMagic)) == 0, "snapshot: bad magic");
+  MSRP_REQUIRE(load_u32(data + sizeof(kMagic)) == 2, "snapshot: unsupported version");
   MSRP_REQUIRE(size >= kV2HeaderBytes, "snapshot: file too small");
   MSRP_REQUIRE(load_u32(data + 12) == kV2HeaderBytes, "snapshot: bad v2 header size");
   const std::uint64_t n64 = load_u64(data + 16);
@@ -482,7 +336,7 @@ Snapshot Snapshot::attach_v2(const std::uint8_t* data, std::size_t size,
   want_meta = fnv::mix_bytes(want_meta, data + 64, 8);
   want_meta = fnv::mix_bytes(want_meta, data + kV2HeaderBytes, cells_off - kV2HeaderBytes);
   MSRP_REQUIRE(want_meta == meta_ck, "snapshot: metadata checksum mismatch");
-  if (verify_cells) {
+  if (opts.verify_cells) {
     const std::uint64_t want_cells =
         fnv::mix_bytes(fnv::kOffset, data + cells_off, static_cast<std::size_t>(4 * total_cells));
     MSRP_REQUIRE(want_cells == cells_ck, "snapshot: cells checksum mismatch");
@@ -525,32 +379,9 @@ Snapshot Snapshot::attach_v2(const std::uint8_t* data, std::size_t size,
   return snap;
 }
 
-// ----------------------------------------------------------- entry points ---
-
-Snapshot Snapshot::from_image(const std::uint8_t* data, std::size_t size,
-                              std::shared_ptr<const void> anchor, const LoadOptions& opts,
-                              bool mapped) {
-  MSRP_REQUIRE(size >= sizeof(kMagic) + 4, "snapshot: file too small");
-  MSRP_REQUIRE(std::memcmp(data, kMagic, sizeof(kMagic)) == 0, "snapshot: bad magic");
-  const std::uint32_t version = load_u32(data + sizeof(kMagic));
-  if (version == 1) return decode_v1(data, size);  // decoded copy; anchor not needed
-  MSRP_REQUIRE(version == 2, "snapshot: unsupported version");
-  return attach_v2(data, size, std::move(anchor), opts.verify_cells, mapped);
-}
-
-std::vector<std::uint8_t> Snapshot::encode(SnapshotFormat format) const {
-  return format == SnapshotFormat::kV1 ? encode_v1() : encode_v2();
-}
-
 Snapshot Snapshot::attach(const std::uint8_t* data, std::size_t size,
                           std::shared_ptr<const void> anchor, const LoadOptions& opts) {
   return from_image(data, size, std::move(anchor), opts, /*mapped=*/true);
-}
-
-void Snapshot::write(std::ostream& os, SnapshotFormat format) const {
-  const std::vector<std::uint8_t> buf = encode(format);
-  os.write(reinterpret_cast<const char*>(buf.data()),
-           static_cast<std::streamsize>(buf.size()));
 }
 
 Snapshot Snapshot::read(std::istream& is) {
@@ -561,12 +392,12 @@ Snapshot Snapshot::read(std::istream& is) {
   return from_image(data, size, buf, LoadOptions{}, /*mapped=*/false);
 }
 
-void Snapshot::save(const std::string& path, SnapshotFormat format) const {
+void Snapshot::save(const std::string& path) const {
   // Crash-safe save: write a temp file IN THE TARGET DIRECTORY (rename is
   // only atomic within a filesystem), fsync it, then rename over `path`.
   // A crash at any point leaves either the old file or the complete new
   // one — never a truncated snapshot a later load would choke on.
-  const std::vector<std::uint8_t> buf = encode(format);
+  const std::vector<std::uint8_t> buf = encode();
   const std::string tmp = path + ".tmp." + std::to_string(
 #if MSRP_HAVE_FSYNC_SAVE
       static_cast<unsigned long>(::getpid())
@@ -626,11 +457,14 @@ Snapshot Snapshot::load(const std::string& path, const LoadOptions& opts) {
   }
   std::ifstream f(path, std::ios::binary);
   if (!f) throw std::runtime_error("cannot open for reading: " + path);
-  f.seekg(0, std::ios::end);
-  const std::streamoff len = f.tellg();
-  f.seekg(0, std::ios::beg);
+  // file_size() fails for anything but a regular file. A directory opens
+  // as a stream, and seeking its end yields -1 or a huge offset; either
+  // would size the buffer below as a bad_alloc instead of an I/O error.
+  std::error_code ec;
+  const std::uintmax_t len = std::filesystem::file_size(path, ec);
+  if (ec) throw std::runtime_error("cannot read: " + path);
   auto buf = std::make_shared<std::vector<std::uint8_t>>(static_cast<std::size_t>(len));
-  f.read(reinterpret_cast<char*>(buf->data()), len);
+  f.read(reinterpret_cast<char*>(buf->data()), static_cast<std::streamsize>(len));
   if (!f) throw std::runtime_error("read failed: " + path);
   const std::uint8_t* data = buf->data();
   const std::size_t size = buf->size();

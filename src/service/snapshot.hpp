@@ -1,40 +1,31 @@
 /// \file
 /// Binary snapshot of a solved MSRP oracle.
 ///
-/// The text format (core/serialize.hpp) is line-oriented and parses with
-/// istream tokenization — fine for golden files, too slow for the serving
-/// path where a multi-gigabyte replacement table must come back in one
-/// gulp. The snapshot is the build-once/serve-many half of the service
-/// layer: a versioned binary image decoded from memory with pointer
-/// arithmetic.
+/// The snapshot is the build-once/serve-many half of the service layer: a
+/// versioned binary image decoded from memory with pointer arithmetic, so a
+/// multi-gigabyte replacement table comes back in one gulp.
 ///
-/// Two on-disk formats share the magic and the version field; the
-/// byte-exact layouts, checksum coverage, and validation rules are
-/// specified in docs/SNAPSHOT_FORMAT.md. In short:
-///
-///   * v1 — compact LEB128 varints with delta-coded row cells under one
-///     trailing FNV-1a checksum. Smallest file; load cost proportional to
-///     the cell count (every cell decodes into owned tables).
-///   * v2 — fixed-width little-endian sections, 8-byte aligned, under a
-///     72-byte checksummed header. Built for zero-copy serving: a load
-///     maps (or bulk-reads) the image, verifies the metadata checksum and
-///     the tree/row-offset invariants in O(n + m) per source, and serves
-///     straight out of the image — the dominant cells payload is never
-///     decoded, copied, or (with LoadOptions::verify_cells off) even
-///     touched.
+/// There is one on-disk format, version 2; the byte-exact layout, checksum
+/// coverage, and validation rules are specified in docs/SNAPSHOT_FORMAT.md.
+/// Fixed-width little-endian sections, 8-byte aligned, sit under a 72-byte
+/// checksummed header. A load maps (or bulk-reads) the image, verifies the
+/// metadata checksum and the tree/row-offset invariants in O(n + m) per
+/// source, and serves straight out of the image — the dominant cells
+/// payload is never decoded, copied, or (with LoadOptions::verify_cells
+/// off) even touched. Any other version word is rejected.
 ///
 /// The derived ancestry index (edge_child, DFS stamps) is recomputed from
 /// the parent arrays on every load path, which is what makes a validated
 /// snapshot memory-safe to query even if the cells are garbage: every
 /// avoiding() read is bounded by the validated row-offset table. The
-/// stored content digest is trusted under the metadata checksum; only v1
-/// loads and capture() recompute it from the cells.
+/// stored content digest is trusted under the metadata checksum; only
+/// capture() and slice() compute it from the cells.
 ///
-/// Unlike SerializedResult the snapshot also stores the canonical trees,
-/// so a loaded snapshot answers avoiding(s, t, e) for arbitrary edge ids
-/// in O(1) with no Graph in hand — exactly the MsrpResult::avoiding
-/// contract the query service needs. The same v2 bytes serve from a file,
-/// an owned buffer (encode()/attach()), or a shared-memory segment (the
+/// The snapshot stores the canonical trees as well as the rows, so a
+/// loaded snapshot answers avoiding(s, t, e) for arbitrary edge ids in
+/// O(1) with no Graph in hand — exactly the MsrpResult::avoiding contract
+/// the query service needs. The same bytes serve from a file, an owned
+/// buffer (encode()/attach()), or a shared-memory segment (the
 /// multi-process shard transport; see shard_router.hpp).
 #pragma once
 
@@ -49,13 +40,11 @@
 
 namespace msrp::service {
 
-enum class SnapshotFormat : std::uint32_t { kV1 = 1, kV2 = 2 };
-
 struct SnapshotLoadOptions {
-  /// Serve a v2 file straight out of a memory mapping instead of bulk-
-  /// reading it (v1 files fall back to the buffered decoder either way).
+  /// Serve the file straight out of a memory mapping instead of bulk-
+  /// reading it into an owned buffer.
   bool use_mmap = false;
-  /// Verify the v2 cells checksum at load time. Off is the zero-copy
+  /// Verify the cells checksum at load time. Off is the zero-copy
   /// fast path: corrupt cells then yield wrong answers, never unsafe
   /// reads (the row-offset table is always validated).
   bool verify_cells = true;
@@ -86,12 +75,11 @@ class Snapshot {
   /// shard router carves one snapshot into per-worker shared-memory images.
   Snapshot slice(std::span<const std::uint32_t> source_indices) const;
 
-  /// Encodes into the requested format and returns the raw image — the
-  /// same bytes write() streams to disk, for callers that place snapshots
-  /// somewhere other than a file.
-  std::vector<std::uint8_t> encode(SnapshotFormat format = SnapshotFormat::kV2) const;
+  /// Returns the raw v2 image — the same bytes write() streams to disk,
+  /// for callers that place snapshots somewhere other than a file.
+  std::vector<std::uint8_t> encode() const;
 
-  /// Exact byte size of this snapshot's v2 image (what encode(kV2) would
+  /// Exact byte size of this snapshot's v2 image (what encode() would
   /// return), computable without encoding.
   std::size_t v2_encoded_size() const;
 
@@ -104,22 +92,21 @@ class Snapshot {
   /// Serves a snapshot straight out of caller-provided bytes (a v2 image
   /// in shared memory, an embedded blob, ...). The tables alias `data`;
   /// `anchor` keeps the bytes alive for the snapshot's lifetime. Runs the
-  /// same validation as load(); is_mapped() is true for the result. v1
-  /// images are decoded into owned storage instead (anchor unused).
+  /// same validation as load(); is_mapped() is true for the result.
   static Snapshot attach(const std::uint8_t* data, std::size_t size,
                          std::shared_ptr<const void> anchor, const LoadOptions& opts = {});
 
-  /// Encodes into the requested on-disk format (one bulk write).
-  void write(std::ostream& os, SnapshotFormat format = SnapshotFormat::kV2) const;
+  /// Streams the encode() image (one bulk write).
+  void write(std::ostream& os) const;
 
-  /// Decodes either format (sniffed from the version field); throws
+  /// Reads an image into an owned buffer and serves from it; throws
   /// std::invalid_argument on a bad magic/version, truncation, checksum
   /// mismatch, or inconsistent tables.
   static Snapshot read(std::istream& is);
 
   /// File wrappers; throw std::runtime_error on I/O failure and
   /// std::invalid_argument on a malformed image.
-  void save(const std::string& path, SnapshotFormat format = SnapshotFormat::kV2) const;
+  void save(const std::string& path) const;
   static Snapshot load(const std::string& path, const LoadOptions& opts = {});
 
   Vertex num_vertices() const { return n_; }
@@ -170,7 +157,7 @@ class Snapshot {
 
   /// Digest of the semantic content (dimensions, sources, trees, cells);
   /// identical for a captured snapshot and its round-tripped copy. Used as
-  /// the cache key for snapshots loaded from disk. A v2 load trusts the
+  /// the cache key for snapshots loaded from disk. A load trusts the
   /// digest stored in the (checksummed) header instead of re-reading the
   /// cells.
   std::uint64_t content_digest() const { return content_digest_; }
@@ -190,7 +177,7 @@ class Snapshot {
   struct SourceTable {
     Vertex root = kNoVertex;
     // Views over the primary arrays; alias the owned *_store vectors for
-    // captured/v1/bulk-read snapshots, or the file image for v2 loads.
+    // captured or sliced snapshots, or the image for loaded ones.
     std::span<const Dist> dist;                // n; kInfDist = unreachable
     std::span<const Vertex> parent;            // n; kNoVertex for root/unreachable
     std::span<const EdgeId> parent_edge;       // n; kNoEdge for root/unreachable
@@ -226,14 +213,8 @@ class Snapshot {
   /// Folds the full semantic content — cells included — into a digest.
   std::uint64_t compute_content_digest() const;
 
-  std::vector<std::uint8_t> encode_v1() const;
-  std::vector<std::uint8_t> encode_v2() const;
-  static Snapshot decode_v1(const std::uint8_t* data, std::size_t size);
-  /// Builds a snapshot whose tables alias `data`; `anchor` keeps the bytes
-  /// alive (a mapping or an owned buffer).
-  static Snapshot attach_v2(const std::uint8_t* data, std::size_t size,
-                            std::shared_ptr<const void> anchor, bool verify_cells,
-                            bool mapped);
+  /// Validates a v2 image and builds a snapshot whose tables alias `data`;
+  /// `anchor` keeps the bytes alive (a mapping or an owned buffer).
   static Snapshot from_image(const std::uint8_t* data, std::size_t size,
                              std::shared_ptr<const void> anchor, const LoadOptions& opts,
                              bool mapped);

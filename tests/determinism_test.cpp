@@ -39,7 +39,7 @@ Graph random_instance(Rng& rng) {
 
 std::string snapshot_bytes(const MsrpResult& res) {
   std::stringstream ss;
-  service::Snapshot::capture(res).write(ss, service::SnapshotFormat::kV2);
+  service::Snapshot::capture(res).write(ss);
   return ss.str();
 }
 

@@ -865,7 +865,7 @@ TEST(NetServer, EveryServingModeMatchesInProcess) {
 
   {  // v2 snapshot served zero-copy from a memory mapping
     const std::string path = testing::TempDir() + "/net_test_oracle.v2.snap";
-    fx.oracle->save(path, service::SnapshotFormat::kV2);
+    fx.oracle->save(path);
     service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
     const auto mapped = svc.load(path, {.use_mmap = true, .verify_cells = false});
     ASSERT_TRUE(mapped->is_mapped());
@@ -949,7 +949,7 @@ TEST(NetServer, WorkloadOpcodesServeEveryMode) {
 
   {  // v2 snapshot served zero-copy from a memory mapping
     const std::string path = testing::TempDir() + "/net_test_workload.v2.snap";
-    fx.oracle->save(path, service::SnapshotFormat::kV2);
+    fx.oracle->save(path);
     service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
     const auto mapped = svc.load(path, {.use_mmap = true, .verify_cells = false});
     ASSERT_TRUE(mapped->is_mapped());
@@ -979,7 +979,7 @@ TEST(NetServer, TwoEdgeKFailWithoutGraphFailsTheBatchNotTheConnection) {
   SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   const std::string path = testing::TempDir() + "/net_test_nograph.v2.snap";
-  fx.oracle->save(path, service::SnapshotFormat::kV2);
+  fx.oracle->save(path);
   service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
   const auto mapped = svc.load(path, {.use_mmap = true, .verify_cells = false});
   TestServer ts(svc, mapped);

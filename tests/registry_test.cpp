@@ -362,6 +362,21 @@ TEST(OracleRegistry, RegisterSnapshotPathLoadsAndFailsCleanly) {
   std::remove(path.c_str());
 }
 
+TEST(OracleRegistry, RegisterSnapshotOfADirectoryFailsCleanly) {
+  // A directory opens as a stream but has no length; the load must fail
+  // with a read error, not an allocation sized from tellg()'s -1.
+  RegistryFixture fx;
+  OracleRegistry reg(fx.svc);
+  std::promise<RegisterOutcome> promise;
+  ASSERT_TRUE(reg.register_snapshot(testing::TempDir(), [&](RegisterOutcome o) {
+    promise.set_value(std::move(o));
+  }));
+  const RegisterOutcome out = promise.get_future().get();
+  EXPECT_EQ(out.state, OracleState::kFailed);
+  EXPECT_FALSE(out.error.empty());
+  EXPECT_EQ(out.error.find("bad_alloc"), std::string::npos) << out.error;
+}
+
 TEST(OracleRegistry, AdoptMakesTheDefaultOracleAFirstClassTenant) {
   RegistryFixture fx;
   const auto oracle = fx.svc.build(fx.g, fx.sources);

@@ -6,8 +6,9 @@
 //
 //   1. sync  — QueryService::query_batch against the built oracle
 //   2. async — QueryService::submit_batch future against the same oracle
-//   3. v1    — snapshot saved as format v1, reloaded via the varint decoder
-//   4. v2    — snapshot saved as format v2, reloaded zero-copy through mmap
+//   3. load  — snapshot saved to disk, bulk-read back into an owned buffer
+//              with the cells checksum verified
+//   4. mmap  — the same file, reloaded zero-copy through a memory mapping
 //   5. shm   — (MSRP_FUZZ_SHARDS=K > 0 only) a QueryService routing through
 //              K forked worker processes over shared-memory snapshot
 //              segments; off by default because the sanitizer jobs run this
@@ -155,23 +156,23 @@ TEST(ServiceFuzz, AllServingPathsMatchBruteForce) {
           << "sharded path diverged, seed=" << seed;
     }
 
-    // Paths 3 + 4: the two on-disk formats, v2 through the mmap fast path.
-    const std::string v1_path = dir + "/msrp_fuzz_" + std::to_string(seed) + ".v1.snap";
+    // Paths 3 + 4: one saved file, served from an owned buffer and from
+    // the mmap fast path.
     const std::string v2_path = dir + "/msrp_fuzz_" + std::to_string(seed) + ".v2.snap";
-    oracle->save(v1_path, service::SnapshotFormat::kV1);
-    oracle->save(v2_path, service::SnapshotFormat::kV2);
+    oracle->save(v2_path);
     {
-      const Snapshot v1 = Snapshot::load(v1_path);
-      ASSERT_FALSE(v1.is_mapped());
-      ASSERT_EQ(v1.content_digest(), oracle->content_digest()) << "seed=" << seed;
-      ASSERT_EQ(svc.query_batch(v1, queries), want) << "v1 path diverged, seed=" << seed;
+      const Snapshot buffered = Snapshot::load(v2_path);
+      ASSERT_FALSE(buffered.is_mapped());
+      ASSERT_EQ(buffered.content_digest(), oracle->content_digest()) << "seed=" << seed;
+      ASSERT_EQ(svc.query_batch(buffered, queries), want)
+          << "buffered load path diverged, seed=" << seed;
 
-      const Snapshot v2 =
+      const Snapshot mapped =
           Snapshot::load(v2_path, {.use_mmap = true, .verify_cells = true});
-      ASSERT_EQ(v2.content_digest(), oracle->content_digest()) << "seed=" << seed;
-      ASSERT_EQ(svc.query_batch(v2, queries), want) << "v2 mmap path diverged, seed=" << seed;
+      ASSERT_EQ(mapped.content_digest(), oracle->content_digest()) << "seed=" << seed;
+      ASSERT_EQ(svc.query_batch(mapped, queries), want)
+          << "v2 mmap path diverged, seed=" << seed;
     }
-    std::remove(v1_path.c_str());
     std::remove(v2_path.c_str());
   }
 }
@@ -379,7 +380,7 @@ TEST(ServiceFuzz, WorkloadOpcodesMatchBruteForce) {
     // then answer identically once the graph is attached.
     const std::string v2_path =
         dir + "/msrp_wfuzz_" + std::to_string(seed) + ".v2.snap";
-    oracle->save(v2_path, service::SnapshotFormat::kV2);
+    oracle->save(v2_path);
     {
       const Snapshot v2 = Snapshot::load(v2_path, {.use_mmap = true, .verify_cells = false});
       ASSERT_EQ(v2.content_digest(), oracle->content_digest()) << "seed=" << seed;

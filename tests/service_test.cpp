@@ -1,5 +1,5 @@
-// Tests for the batched query service layer: snapshot round trips (both
-// binary formats, including the v2 mmap path), sync and async batches
+// Tests for the batched query service layer: snapshot round trips (the
+// buffered and the mmap load path), sync and async batches
 // against the brute-force oracle, single-flighted LRU cache builds racing
 // eviction, and the thread pool underneath it all. The concurrency tests
 // double as the TSan workload in CI.
@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "core/msrp.hpp"
-#include "core/serialize.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "rp/oracle.hpp"
@@ -55,31 +54,6 @@ TEST(Snapshot, RoundTripReproducesEveryAnswer) {
         ASSERT_EQ(loaded.avoiding(s, t, e), res.avoiding(s, t, e))
             << "s=" << s << " t=" << t << " e=" << e;
       }
-    }
-  }
-}
-
-TEST(Snapshot, AgreesWithTextSerialization) {
-  Rng rng(11);
-  const Graph g = gen::connected_gnp(40, 0.1, rng);
-  const std::vector<Vertex> sources{3, 29};
-  const MsrpResult res = solve_msrp(g, sources);
-
-  std::stringstream text;
-  write_result(text, res);
-  const SerializedResult ser = SerializedResult::read(text);
-
-  std::stringstream bin;
-  Snapshot::capture(res).write(bin);
-  const Snapshot snap = Snapshot::read(bin);
-
-  for (const Vertex s : sources) {
-    for (Vertex t = 0; t < g.num_vertices(); ++t) {
-      EXPECT_EQ(snap.shortest(s, t), ser.shortest(s, t));
-      const auto want = ser.row(s, t);
-      const auto got = snap.row(s, t);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]);
     }
   }
 }
@@ -147,40 +121,33 @@ TEST(Snapshot, CorruptionIsDetected) {
   }
 }
 
-TEST(Snapshot, FormatsAgreeAndV2ServesFromTheMapping) {
+TEST(Snapshot, BufferedAndMappedLoadsAgree) {
   Rng rng(13);
   const Graph g = gen::connected_gnp(50, 0.1, rng);
   const std::vector<Vertex> sources{0, 25, 49};
   const MsrpResult res = solve_msrp(g, sources);
   const Snapshot snap = Snapshot::capture(res);
 
-  const std::string v1_path = testing::TempDir() + "/msrp_fmt_test.v1.snap";
-  const std::string v2_path = testing::TempDir() + "/msrp_fmt_test.v2.snap";
-  snap.save(v1_path, service::SnapshotFormat::kV1);
-  snap.save(v2_path, service::SnapshotFormat::kV2);
+  const std::string path = testing::TempDir() + "/msrp_load_test.snap";
+  snap.save(path);
 
-  const Snapshot v1 = Snapshot::load(v1_path);
-  const Snapshot v2 = Snapshot::load(v2_path);
-  const Snapshot v2m = Snapshot::load(v2_path, {.use_mmap = true, .verify_cells = false});
-  EXPECT_FALSE(v1.is_mapped());
-  EXPECT_FALSE(v2.is_mapped());
-  EXPECT_TRUE(v2m.is_mapped());
-  EXPECT_EQ(v1.content_digest(), snap.content_digest());
-  EXPECT_EQ(v2.content_digest(), snap.content_digest());
-  EXPECT_EQ(v2m.content_digest(), snap.content_digest());
+  const Snapshot buffered = Snapshot::load(path);
+  const Snapshot mapped = Snapshot::load(path, {.use_mmap = true, .verify_cells = false});
+  EXPECT_FALSE(buffered.is_mapped());
+  EXPECT_TRUE(mapped.is_mapped());
+  EXPECT_EQ(buffered.content_digest(), snap.content_digest());
+  EXPECT_EQ(mapped.content_digest(), snap.content_digest());
 
   for (const Vertex s : sources) {
     for (Vertex t = 0; t < g.num_vertices(); ++t) {
       for (EdgeId e = 0; e < g.num_edges(); ++e) {
         const Dist want = res.avoiding(s, t, e);
-        ASSERT_EQ(v1.avoiding(s, t, e), want) << "s=" << s << " t=" << t << " e=" << e;
-        ASSERT_EQ(v2.avoiding(s, t, e), want) << "s=" << s << " t=" << t << " e=" << e;
-        ASSERT_EQ(v2m.avoiding(s, t, e), want) << "s=" << s << " t=" << t << " e=" << e;
+        ASSERT_EQ(buffered.avoiding(s, t, e), want) << "s=" << s << " t=" << t << " e=" << e;
+        ASSERT_EQ(mapped.avoiding(s, t, e), want) << "s=" << s << " t=" << t << " e=" << e;
       }
     }
   }
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(Snapshot, NonSourceAndOutOfRangeThrow) {

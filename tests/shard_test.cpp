@@ -126,8 +126,7 @@ TEST(SnapshotSliceTest, SliceAnswersMatchFull) {
 TEST(SnapshotSliceTest, SliceRoundTripsThroughAttach) {
   const Snapshot oracle = demo_snapshot(100, 4, 9);
   const Snapshot sliced = oracle.slice(std::vector<std::uint32_t>{0, 3});
-  auto image = std::make_shared<std::vector<std::uint8_t>>(
-      sliced.encode(service::SnapshotFormat::kV2));
+  auto image = std::make_shared<std::vector<std::uint8_t>>(sliced.encode());
   const Snapshot attached =
       Snapshot::attach(image->data(), image->size(), image, {.verify_cells = true});
   EXPECT_TRUE(attached.is_mapped());

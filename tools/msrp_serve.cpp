@@ -15,9 +15,8 @@
 //   --exact                deterministic exact mode
 //   --bk                   Section 8 landmark-table machinery
 //   --save-snapshot <path> persist the oracle after building
-//   --format v1|v2         snapshot format for --save-snapshot (default v2)
-//   --mmap                 serve --load-snapshot v2 files zero-copy from a
-//                          memory mapping (skips the cells checksum)
+//   --mmap                 serve --load-snapshot zero-copy from a memory
+//                          mapping (skips the cells checksum)
 //
 // Serving options:
 //   --batch-file <path>    queries, one "s t e" per line ('#' comments)
@@ -148,7 +147,7 @@ std::vector<std::uint32_t> parse_list(const std::string& s) {
                "       msrp_serve --demo [options]\n"
                "       msrp_serve --load-snapshot <path> [options]\n"
                "options: [--seed N] [--oversample X] [--exact] [--bk]\n"
-               "         [--save-snapshot <path>] [--format v1|v2] [--mmap]\n"
+               "         [--save-snapshot <path>] [--mmap]\n"
                "         [--batch-file <path> | --random-queries N]\n"
                "         [--workload vitality|vickrey|kfail]\n"
                "         [--threads N] [--repeat K] [--async] [--shards N]\n"
@@ -407,7 +406,6 @@ int main(int argc, char** argv) {
   std::uint64_t trace_sample_n = 0;
   double refresh_ahead = 0.0;
   service::ShardBackoff backoff = service::ShardBackoff::from_env();
-  service::SnapshotFormat save_format = service::SnapshotFormat::kV2;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -433,15 +431,6 @@ int main(int argc, char** argv) {
       cfg.landmark_rp = LandmarkRpMethod::kBkAuxGraphs;
     } else if (arg == "--save-snapshot") {
       save_path = next();
-    } else if (arg == "--format") {
-      const std::string fmt = next();
-      if (fmt == "v1") {
-        save_format = service::SnapshotFormat::kV1;
-      } else if (fmt == "v2") {
-        save_format = service::SnapshotFormat::kV2;
-      } else {
-        usage();
-      }
     } else if (arg == "--mmap") {
       use_mmap = true;
     } else if (arg == "--async") {
@@ -583,10 +572,9 @@ int main(int argc, char** argv) {
 
     if (!save_path.empty() && oracle != nullptr) {
       Timer t;
-      oracle->save(save_path, save_format);
-      std::printf("saved %s snapshot to %s in %.1f ms (%zu bytes)\n",
-                  save_format == service::SnapshotFormat::kV1 ? "v1" : "v2",
-                  save_path.c_str(), t.millis(), oracle->encoded_size());
+      oracle->save(save_path);
+      std::printf("saved v2 snapshot to %s in %.1f ms (%zu bytes)\n", save_path.c_str(),
+                  t.millis(), oracle->encoded_size());
     }
 
     if (listen) {
