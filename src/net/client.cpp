@@ -12,8 +12,6 @@
 #include "util/deadline.hpp"
 #include "util/failpoint.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define MSRP_HAVE_SOCKETS 1
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -21,9 +19,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#else
-#define MSRP_HAVE_SOCKETS 0
-#endif
 
 namespace msrp::net {
 
@@ -47,13 +42,6 @@ std::chrono::milliseconds RetryPolicy::backoff_for(unsigned attempt) const {
   return std::chrono::milliseconds(static_cast<long long>(ms));
 }
 
-#if MSRP_HAVE_SOCKETS
-
-// Sends to a server that closed on us must fail with EPIPE, not SIGPIPE.
-#ifndef MSG_NOSIGNAL
-#define MSG_NOSIGNAL 0
-#endif
-
 namespace {
 
 /// connect() with a timeout: non-blocking dial, poll for writability, then
@@ -65,7 +53,7 @@ int dial_once(const std::string& host, std::uint16_t port, unsigned timeout_ms) 
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
     throw std::runtime_error("net client: bad host address " + host);
   }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) throw std::runtime_error("net client: socket() failed");
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -89,9 +77,6 @@ int dial_once(const std::string& host, std::uint16_t port, unsigned timeout_ms) 
   ::fcntl(fd, F_SETFL, flags);  // back to blocking
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-#ifdef SO_NOSIGPIPE
-  ::setsockopt(fd, SOL_SOCKET, SO_NOSIGPIPE, &one, sizeof one);  // macOS
-#endif
   return fd;
 }
 
@@ -633,43 +618,5 @@ StatsSnapshotFrame Client::stats() {
   }
   return decode_stats_snapshot(reply.payload);
 }
-
-#else  // !MSRP_HAVE_SOCKETS
-
-Client::Client(ClientOptions opts) : opts_(std::move(opts)) {
-  throw std::runtime_error("net client: sockets are unavailable on this platform");
-}
-Client::~Client() = default;
-void Client::dial() {}
-void Client::close_socket() {}
-bool Client::try_resend() { return false; }
-void Client::reconnect() {}
-void Client::ensure_connected() {}
-void Client::write_all(std::span<const std::uint8_t>) {}
-Frame Client::read_frame() { return {}; }
-std::optional<Frame> Client::route_one(std::uint64_t) { return std::nullopt; }
-Frame Client::control_round_trip(std::uint64_t, std::vector<std::uint8_t>) { return {}; }
-std::uint64_t Client::track_and_write(std::uint64_t, std::vector<std::uint8_t>, FrameType,
-                                      std::size_t, std::optional<std::uint32_t>) {
-  return 0;
-}
-void Client::require_version(std::uint32_t, const char*) const {}
-void Client::settle_inflight(std::uint64_t, FrameType, std::size_t) {}
-BatchAnswer Client::wait_any() { return {}; }
-Client::Reply Client::take_reply(std::uint64_t) { return {}; }
-void Client::retry(const RetryPolicy&,
-                   const std::function<void(std::optional<std::uint32_t>)>&) {}
-RegisterAckFrame Client::register_graph(std::uint32_t,
-                                        std::span<const std::pair<Vertex, Vertex>>,
-                                        std::span<const Vertex>,
-                                        std::optional<std::uint64_t>) {
-  return {};
-}
-RegisterAckFrame Client::register_snapshot_path(const std::string&) { return {}; }
-std::vector<OracleListEntry> Client::list_oracles() { return {}; }
-RegisterAckFrame Client::unregister(std::uint64_t) { return {}; }
-StatsSnapshotFrame Client::stats() { return {}; }
-
-#endif
 
 }  // namespace msrp::net

@@ -6,20 +6,11 @@
 
 #include "util/assert.hpp"
 
-#if defined(__linux__)
-#define MSRP_HAVE_EPOLL 1
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
-#else
-#define MSRP_HAVE_EPOLL 0
-#endif
 
 namespace msrp::net {
-
-bool event_loop_supported() { return MSRP_HAVE_EPOLL != 0; }
-
-#if MSRP_HAVE_EPOLL
 
 EventLoop::EventLoop() {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
@@ -144,24 +135,5 @@ void EventLoop::set_tick(std::function<void()> fn, int interval_ms) {
   tick_ = std::move(fn);
   tick_interval_ms_ = tick_ ? interval_ms : -1;
 }
-
-#else  // !MSRP_HAVE_EPOLL — stubs so the library still links; Server and
-       // tests gate on event_loop_supported().
-
-EventLoop::EventLoop() {
-  throw std::runtime_error("event loop: epoll is unavailable on this platform");
-}
-EventLoop::~EventLoop() = default;
-void EventLoop::add_fd(int, std::uint32_t, FdHandler) {}
-void EventLoop::modify_fd(int, std::uint32_t) {}
-void EventLoop::remove_fd(int) {}
-void EventLoop::drain_wakeup() {}
-void EventLoop::run_posted() {}
-void EventLoop::run() {}
-void EventLoop::stop() {}
-void EventLoop::post(std::function<void()>) {}
-void EventLoop::set_tick(std::function<void()>, int) {}
-
-#endif
 
 }  // namespace msrp::net

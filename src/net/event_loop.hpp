@@ -13,9 +13,8 @@
 /// workers) hand replies back to the connection that asked. stop() is
 /// post()-based too, so it is safe from any thread and from handlers.
 ///
-/// Registration supports level-triggered (default) and edge-triggered
-/// (pass EPOLLET in `events`) modes; handlers written to drain until
-/// EAGAIN — as the Server's are — work identically under both.
+/// Registrations are level-triggered: a handler that stops before EAGAIN
+/// is simply called again on the next round.
 ///
 /// add_fd/modify_fd/remove_fd are loop-thread-only (or before run()):
 /// the handler table is deliberately unsynchronized. Removing an fd whose
@@ -32,10 +31,6 @@
 #include <vector>
 
 namespace msrp::net {
-
-/// Whether this platform provides epoll + eventfd (Linux). Construction
-/// throws elsewhere; callers gate with this (tests GTEST_SKIP on it).
-bool event_loop_supported();
 
 class EventLoop {
  public:

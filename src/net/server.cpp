@@ -12,24 +12,17 @@
 #include "util/deadline.hpp"
 #include "util/failpoint.hpp"
 
-#if defined(__linux__)
-#define MSRP_HAVE_NET_SERVER 1
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sched.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace msrp::net {
 
-#if MSRP_HAVE_NET_SERVER
-
-/// One event loop plus everything it owns: its listener (every loop has
-/// one under SO_REUSEPORT; only loop 0 in hand-off mode), its accepted
+/// One event loop plus everything it owns: its listener, its accepted
 /// connections, and its drain progress. All fields are touched exclusively
 /// on this shard's loop thread (other threads reach it via loop.post).
 struct Server::LoopShard {
@@ -40,8 +33,6 @@ struct Server::LoopShard {
   // Listener unwatched after EMFILE/ENFILE; the tick re-arms it.
   bool accept_paused = false;
   bool drain_started = false;
-  // Hand-off round-robin cursor (only used by the accepting loop).
-  std::size_t next_handoff = 0;
 };
 
 /// Per-connection state; touched exclusively on its home loop's thread.
@@ -79,25 +70,13 @@ struct Server::BatchReply {
   std::size_t answered = 0;  ///< queries answered (stats + registry notes)
 };
 
-// A client may vanish with replies still queued; writing then must fail
-// with EPIPE, not kill the process with SIGPIPE.
-#ifndef MSG_NOSIGNAL
-#define MSG_NOSIGNAL 0
-#endif
-
 namespace {
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  MSRP_CHECK(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-             "net server: cannot make socket non-blocking");
-}
-
 /// Binds + listens one non-blocking listener. Returns -1 with `why` set on
-/// failure (REUSEPORT probing treats that as "fall back", not fatal).
+/// failure.
 int make_listener(const std::string& bind_addr, std::uint16_t port, bool reuseport,
                   std::string* why) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     *why = "socket() failed";
     return -1;
@@ -106,7 +85,7 @@ int make_listener(const std::string& bind_addr, std::uint16_t port, bool reusepo
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
   if (reuseport &&
       ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) != 0) {
-    *why = "SO_REUSEPORT unavailable";
+    *why = std::strerror(errno);
     ::close(fd);
     return -1;
   }
@@ -124,7 +103,6 @@ int make_listener(const std::string& bind_addr, std::uint16_t port, bool reusepo
     ::close(fd);
     return -1;
   }
-  set_nonblocking(fd);
   return fd;
 }
 
@@ -235,46 +213,25 @@ Server::Server(service::QueryService& svc, std::shared_ptr<const service::Snapsh
     loops_[i]->index = i;
   }
 
-  // One SO_REUSEPORT listener per loop on the shared port (the kernel then
-  // spreads accepts across them); any REUSEPORT failure falls back to a
-  // single plain listener on loop 0 with round-robin hand-off.
-  std::string why;
-  if (nloops > 1 && !opts_.force_accept_handoff) {
-    const int fd0 = make_listener(opts_.bind_addr, opts_.port, /*reuseport=*/true, &why);
-    if (fd0 >= 0) {
-      loops_[0]->listen_fd = fd0;
-      port_ = bound_port(fd0);  // resolves port 0 for the remaining binds
-      bool ok = true;
-      for (unsigned i = 1; i < nloops; ++i) {
-        const int fd = make_listener(opts_.bind_addr, port_, /*reuseport=*/true, &why);
-        if (fd < 0) {
-          ok = false;
-          break;
-        }
-        loops_[i]->listen_fd = fd;
+  // One listener per loop on the shared port. Several loops bind with
+  // SO_REUSEPORT and the kernel spreads accepts across them; a single loop
+  // binds without it, so a port already taken fails with EADDRINUSE.
+  std::uint16_t port = opts_.port;
+  for (auto& ls : loops_) {
+    std::string why;
+    ls->listen_fd = make_listener(opts_.bind_addr, port, /*reuseport=*/nloops > 1, &why);
+    if (ls->listen_fd < 0) {
+      for (auto& opened : loops_) {
+        if (opened->listen_fd >= 0) ::close(opened->listen_fd);
       }
-      if (!ok) {
-        for (auto& ls : loops_) {
-          if (ls->listen_fd >= 0) ::close(ls->listen_fd);
-          ls->listen_fd = -1;
-        }
-        port_ = 0;
-      }
-    }
-  }
-  if (loops_[0]->listen_fd < 0) {
-    handoff_mode_ = nloops > 1;
-    const int fd = make_listener(opts_.bind_addr, opts_.port, /*reuseport=*/false, &why);
-    if (fd < 0) {
       throw std::runtime_error("net server: cannot listen on " + opts_.bind_addr + ":" +
-                               std::to_string(opts_.port) + " (" + why + ")");
+                               std::to_string(port) + " (" + why + ")");
     }
-    loops_[0]->listen_fd = fd;
-    port_ = bound_port(fd);
+    port = bound_port(ls->listen_fd);  // resolves port 0 for the remaining binds
   }
+  port_ = port;
   for (auto& lsp : loops_) {
     LoopShard* ls = lsp.get();
-    if (ls->listen_fd < 0) continue;
     ls->loop.add_fd(ls->listen_fd, EPOLLIN,
                     [this, ls](std::uint32_t ev) { on_accept(*ls, ev); });
   }
@@ -293,10 +250,6 @@ Server::~Server() {
       if (!conn->closed) ::close(conn->fd);
     }
   }
-}
-
-std::uint32_t Server::base_events() const {
-  return opts_.edge_triggered ? EPOLLET : 0u;
 }
 
 void Server::run() {
@@ -422,24 +375,14 @@ void Server::on_accept(LoopShard& ls, std::uint32_t) {
       }
       return;  // transient accept failures (ECONNABORTED, ...) — keep serving
     }
-    if (handoff_mode_) {
-      // Single listener: spread connections across loops round-robin. The
-      // target loop adopts the socket on its own thread, so per-loop
-      // connection ownership holds in this mode too.
-      LoopShard* target = loops_[ls.next_handoff++ % loops_.size()].get();
-      if (target != &ls) {
-        target->loop.post([this, target, fd] { adopt_conn(*target, fd); });
-        continue;
-      }
-    }
     adopt_conn(ls, fd);
   }
 }
 
 void Server::adopt_conn(LoopShard& ls, int fd) {
   if (draining_.load(std::memory_order_acquire)) {
-    // A handed-off socket can arrive after this loop started draining;
-    // nothing may adopt it now.
+    // shutdown() has begun but this loop's drain closure has not run yet;
+    // nothing may adopt a connection now.
     ::close(fd);
     return;
   }
@@ -452,7 +395,7 @@ void Server::adopt_conn(LoopShard& ls, int fd) {
   conn->last_read = conn->last_write_progress = std::chrono::steady_clock::now();
   ls.conns.emplace(fd, conn);
   connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-  ls.loop.add_fd(fd, EPOLLIN | base_events(),
+  ls.loop.add_fd(fd, EPOLLIN,
                  [this, conn](std::uint32_t ev) { on_conn_event(conn, ev); });
   send_bytes(conn, hello_bytes_);  // copy; the template outlives everything
 }
@@ -1014,7 +957,7 @@ void Server::update_read_interest(const std::shared_ptr<Conn>& conn) {
 
 void Server::update_epoll(const std::shared_ptr<Conn>& conn) {
   if (conn->closed) return;
-  std::uint32_t events = base_events();
+  std::uint32_t events = 0;
   if (conn->reading) events |= EPOLLIN;
   if (conn->want_write) events |= EPOLLOUT;
   conn->home->loop.modify_fd(conn->fd, events);
@@ -1123,69 +1066,5 @@ ServerStats Server::stats() const {
   st.connections_evicted = connections_evicted_.load(std::memory_order_relaxed);
   return st;
 }
-
-#else  // !MSRP_HAVE_NET_SERVER
-
-struct Server::Conn {};
-struct Server::LoopShard {};
-struct Server::BatchReply {};
-
-Server::Server(service::QueryService&, std::shared_ptr<const service::Snapshot>,
-               ServerOptions) {
-  throw std::runtime_error("net server: epoll serving is unavailable on this platform");
-}
-Server::Server(service::QueryService&, std::shared_ptr<const service::Snapshot>,
-               registry::OracleRegistry*, ServerOptions) {
-  throw std::runtime_error("net server: epoll serving is unavailable on this platform");
-}
-Server::~Server() = default;
-void Server::run() {}
-void Server::shutdown() {}
-ServerStats Server::stats() const { return {}; }
-void Server::on_accept(LoopShard&, std::uint32_t) {}
-void Server::adopt_conn(LoopShard&, int) {}
-void Server::on_conn_event(const std::shared_ptr<Conn>&, std::uint32_t) {}
-void Server::on_readable(const std::shared_ptr<Conn>&) {}
-void Server::on_writable(const std::shared_ptr<Conn>&) {}
-bool Server::has_capacity(const Conn&) const { return false; }
-void Server::pump(const std::shared_ptr<Conn>&) {}
-void Server::handle_frame(const std::shared_ptr<Conn>&, Frame) {}
-void Server::handle_stats(const std::shared_ptr<Conn>&, std::uint64_t) {}
-std::shared_ptr<obs::TraceSpan> Server::begin_span(std::uint64_t, std::uint32_t,
-                                                   std::uint32_t, std::uint64_t,
-                                                   std::uint64_t) {
-  return nullptr;
-}
-std::shared_ptr<const service::Snapshot> Server::resolve_oracle(
-    const std::shared_ptr<Conn>&, std::uint64_t, const std::optional<std::uint64_t>&,
-    std::uint64_t*) {
-  return nullptr;
-}
-void Server::admit_batch(const std::shared_ptr<Conn>&, std::uint64_t, std::uint64_t,
-                         registry::FairDispatcher::StartFn, std::shared_ptr<BatchReply>,
-                         Deadline, std::shared_ptr<obs::TraceSpan>) {}
-void Server::on_batch_done(const std::shared_ptr<Conn>&, std::uint64_t,
-                           const std::shared_ptr<BatchReply>&, std::exception_ptr,
-                           const std::shared_ptr<obs::TraceSpan>&) {}
-void Server::handle_register(const std::shared_ptr<Conn>&, RegisterGraphFrame) {}
-void Server::handle_list_oracles(const std::shared_ptr<Conn>&, std::uint64_t) {}
-void Server::handle_unregister(const std::shared_ptr<Conn>&, const UnregisterFrame&) {}
-void Server::on_register_done(const std::shared_ptr<Conn>&, std::uint64_t,
-                              registry::RegisterOutcome) {}
-void Server::send_batch_error(const std::shared_ptr<Conn>&, std::uint64_t,
-                              const std::string&) {}
-void Server::send_bytes(const std::shared_ptr<Conn>&, std::vector<std::uint8_t>) {}
-void Server::flush(const std::shared_ptr<Conn>&) {}
-void Server::fail_conn(const std::shared_ptr<Conn>&, const std::string&) {}
-void Server::close_conn(const std::shared_ptr<Conn>&) {}
-void Server::update_read_interest(const std::shared_ptr<Conn>&) {}
-void Server::update_epoll(const std::shared_ptr<Conn>&) {}
-void Server::maybe_finish_conn(const std::shared_ptr<Conn>&) {}
-void Server::on_tick(LoopShard&) {}
-void Server::check_drain_done(LoopShard&) {}
-void Server::drain_loop(LoopShard&) {}
-std::uint32_t Server::base_events() const { return 0; }
-
-#endif
 
 }  // namespace msrp::net

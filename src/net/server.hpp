@@ -12,11 +12,9 @@
 ///     and all their per-connection state outright: it reads and
 ///     frame-decodes request bytes, writes reply bytes, and enforces
 ///     backpressure. No frame decode or reply write ever crosses loops,
-///     so there are no locks anywhere on this path. With SO_REUSEPORT
-///     every loop has its own listener on the shared port and the kernel
-///     spreads accepts; where REUSEPORT is unavailable (or the test hook
-///     forces it), loop 0 accepts and hands connections off round-robin
-///     through the target loop's doorbell;
+///     so there are no locks anywhere on this path. Every loop has its
+///     own SO_REUSEPORT listener on the shared port and the kernel spreads
+///     accepts;
 ///   * the POOL THREADS (QueryService's workers) answer batches. A decoded
 ///     batch of any workload W (service/workloads.hpp) is handed to
 ///     QueryService::submit<W> with a callback; the callback encodes the
@@ -84,22 +82,13 @@ struct ServerOptions {
   /// Queued unsent reply bytes per connection beyond which reads pause
   /// until the client drains its socket.
   std::size_t output_high_water = 8u << 20;
-  /// Register sockets edge-triggered (EPOLLET) instead of level-triggered.
-  /// Identical behaviour (handlers drain to EAGAIN either way); exposed so
-  /// the loopback tests exercise both registration modes.
-  bool edge_triggered = false;
-  /// Event-loop threads. Each loop gets its own SO_REUSEPORT listener on
-  /// the shared port and owns its accepted connections outright; when
-  /// REUSEPORT is unavailable, loop 0 keeps the single listener and hands
-  /// accepted sockets off round-robin. 0 is treated as 1.
+  /// Event-loop threads. Each loop gets its own listener on the shared
+  /// port (SO_REUSEPORT when there are several) and owns its accepted
+  /// connections outright. 0 is treated as 1.
   unsigned loops = 1;
-  /// Pin loop thread i to CPU (i mod hardware_concurrency). Linux-only;
-  /// a no-op elsewhere. Note run()'s calling thread (loop 0) is pinned
-  /// too.
+  /// Pin loop thread i to CPU (i mod hardware_concurrency). Note run()'s
+  /// calling thread (loop 0) is pinned too.
   bool pin_loops = false;
-  /// Test hook: skip SO_REUSEPORT and exercise the single-listener
-  /// accept-hand-off fallback even where REUSEPORT works.
-  bool force_accept_handoff = false;
   /// How long shutdown() waits for in-flight batches to complete and their
   /// replies to flush before force-closing connections.
   unsigned drain_timeout_ms = 10000;
@@ -179,9 +168,6 @@ class Server {
 
   ServerStats stats() const;
 
-  /// True on platforms with epoll (the client side works everywhere).
-  static bool supported() { return event_loop_supported(); }
-
  private:
   struct Conn;
   struct LoopShard;
@@ -189,7 +175,7 @@ class Server {
 
   void on_accept(LoopShard& ls, std::uint32_t events);
   /// Registers an accepted socket with `ls` (its home loop from then on);
-  /// runs on ls's loop thread. The handoff path posts into it.
+  /// runs on ls's loop thread.
   void adopt_conn(LoopShard& ls, int fd);
   void on_conn_event(const std::shared_ptr<Conn>& conn, std::uint32_t events);
   void on_readable(const std::shared_ptr<Conn>& conn);
@@ -261,7 +247,6 @@ class Server {
   /// Loop-thread half of shutdown(): close the listener, stop reads,
   /// flush-and-close what is idle.
   void drain_loop(LoopShard& ls);
-  std::uint32_t base_events() const;
 
   service::QueryService& svc_;
   std::shared_ptr<const service::Snapshot> oracle_;
@@ -275,9 +260,6 @@ class Server {
   /// their home shard). Sized and wired in the constructor, before any
   /// thread exists.
   std::vector<std::unique_ptr<LoopShard>> loops_;
-  /// Accept-hand-off fallback active (no SO_REUSEPORT): only loop 0
-  /// listens, and hands sockets off round-robin.
-  bool handoff_mode_ = false;
   std::uint16_t port_ = 0;
   std::vector<std::uint8_t> hello_bytes_;  // encoded once, sent per accept
 

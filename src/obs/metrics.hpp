@@ -206,8 +206,6 @@ class ShmCounterPage {
 
   ShmCounterPage() = default;
 
-  static bool supported() { return ShmSegment::supported(); }
-
   /// Computes the page's byte size (create passes it to ShmSegment).
   static std::size_t bytes_for();
 

@@ -3,36 +3,21 @@
 #include <stdexcept>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define MSRP_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define MSRP_HAVE_MMAP 0
-#include <cstdio>
-#endif
 
 namespace msrp::service {
 
 void MmapFile::release() noexcept {
-#if MSRP_HAVE_MMAP
-  if (mapped_ && data_ != nullptr) {
-    ::munmap(const_cast<std::uint8_t*>(data_), size_);
-  }
-#endif
+  if (data_ != nullptr) ::munmap(const_cast<std::uint8_t*>(data_), size_);
   data_ = nullptr;
   size_ = 0;
-  mapped_ = false;
-  fallback_.clear();
-  fallback_.shrink_to_fit();
 }
 
-#if MSRP_HAVE_MMAP
-
 MmapFile MmapFile::open(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) throw std::runtime_error("mmap: cannot open " + path);
   struct ::stat st{};
   if (::fstat(fd, &st) != 0) {
@@ -48,57 +33,21 @@ MmapFile MmapFile::open(const std::string& path) {
       throw std::runtime_error("mmap: map failed for " + path);
     }
     f.data_ = static_cast<const std::uint8_t*>(addr);
-    f.mapped_ = true;
   }
   ::close(fd);  // the mapping keeps its own reference to the file
   return f;
 }
 
-#else  // buffered-read fallback for platforms without POSIX mmap
-
-MmapFile MmapFile::open(const std::string& path) {
-  std::FILE* fp = std::fopen(path.c_str(), "rb");
-  if (fp == nullptr) throw std::runtime_error("mmap: cannot open " + path);
-  MmapFile f;
-  const long len = std::fseek(fp, 0, SEEK_END) == 0 ? std::ftell(fp) : -1L;
-  if (len < 0) {
-    std::fclose(fp);
-    throw std::runtime_error("mmap: cannot size " + path);
-  }
-  if (len > 0) {
-    f.fallback_.resize(static_cast<std::size_t>(len));
-    std::rewind(fp);
-    if (std::fread(f.fallback_.data(), 1, f.fallback_.size(), fp) != f.fallback_.size()) {
-      std::fclose(fp);
-      throw std::runtime_error("mmap: read failed for " + path);
-    }
-  }
-  std::fclose(fp);
-  f.data_ = f.fallback_.data();
-  f.size_ = f.fallback_.size();
-  return f;
-}
-
-#endif
-
 MmapFile::~MmapFile() { release(); }
 
 MmapFile::MmapFile(MmapFile&& other) noexcept
-    : data_(std::exchange(other.data_, nullptr)),
-      size_(std::exchange(other.size_, 0)),
-      mapped_(std::exchange(other.mapped_, false)),
-      fallback_(std::move(other.fallback_)) {
-  if (!mapped_ && !fallback_.empty()) data_ = fallback_.data();
-}
+    : data_(std::exchange(other.data_, nullptr)), size_(std::exchange(other.size_, 0)) {}
 
 MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
   if (this != &other) {
     release();
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
-    mapped_ = std::exchange(other.mapped_, false);
-    fallback_ = std::move(other.fallback_);
-    if (!mapped_ && !fallback_.empty()) data_ = fallback_.data();
   }
   return *this;
 }

@@ -2,16 +2,13 @@
 //
 // The v2 snapshot format is laid out so that a mapped file can be served
 // directly: MmapFile owns the mapping, Snapshot keeps a shared_ptr to it,
-// and the table spans alias the mapped bytes. On platforms without POSIX
-// mmap the open() falls back to a buffered read — callers see identical
-// semantics (stable bytes for the wrapper's lifetime), just without the
-// lazy paging.
+// and the table spans alias the mapped bytes, which stay stable for the
+// wrapper's lifetime.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace msrp::service {
 
@@ -33,18 +30,12 @@ class MmapFile {
   const std::uint8_t* data() const { return data_; }
   std::size_t size() const { return size_; }
 
-  /// True when the bytes come from an actual mmap (as opposed to the
-  /// buffered-read fallback); exposed for tests and diagnostics.
-  bool is_mapped() const { return mapped_; }
-
  private:
-  /// Unmaps / frees and resets to the empty state.
+  /// Unmaps and resets to the empty state.
   void release() noexcept;
 
-  const std::uint8_t* data_ = nullptr;
+  const std::uint8_t* data_ = nullptr;  // null for an empty file
   std::size_t size_ = 0;
-  bool mapped_ = false;
-  std::vector<std::uint8_t> fallback_;  // owns the bytes when !mapped_
 };
 
 }  // namespace msrp::service

@@ -158,7 +158,6 @@ std::shared_ptr<ShardRouter> QueryService::router_for(const Snapshot& oracle) {
     ShardRouterOptions router_opts;
     router_opts.shards = opts_.shards;
     router_opts.worker_argv = opts_.shard_worker_argv;
-    router_opts.backoff = opts_.shard_backoff;
     router_opts.pin_workers = opts_.pin_shard_workers;
     auto router = std::make_shared<ShardRouter>(oracle, router_opts);
     routers_.emplace_front(key, router);

@@ -55,7 +55,6 @@
 
 #include "core/config.hpp"
 #include "obs/metrics.hpp"
-#include "service/backoff.hpp"
 #include "service/oracle_cache.hpp"
 #include "service/query.hpp"
 #include "service/snapshot.hpp"
@@ -126,12 +125,7 @@ class QueryService {
     /// the router appends "--shard-worker <base>:<k>"). Empty = plain fork
     /// without exec. Only meaningful when sharding (shards >= 1).
     std::vector<std::string> shard_worker_argv = {};
-    /// Idle-wait policy of the routers' collector and (via the
-    /// environment) the workers (shards >= 1); defaults honour the
-    /// MSRP_SHARD_* knobs (see backoff.hpp).
-    ShardBackoff shard_backoff = ShardBackoff::from_env();
-    /// Pin shard worker k to CPU (k mod hardware_concurrency);
-    /// Linux-only, shards >= 1.
+    /// Pin shard worker k to CPU (k mod hardware_concurrency); shards >= 1.
     bool pin_shard_workers = false;
   };
 

@@ -8,7 +8,7 @@
 /// batches (one producer), and each worker is a single-threaded loop (one
 /// consumer). Under that discipline a ring needs nothing beyond one
 /// acquire/release cursor pair per direction — no CAS, no futex, no
-/// syscalls on the hot path; an idle worker backs off to short sleeps.
+/// syscalls on the hot path.
 ///
 /// Every request tag carries a batch namespace in its high 32 bits and the
 /// query's batch index in the low 32 (make_tag/tag_namespace/tag_index);
@@ -23,8 +23,8 @@
 /// bumped+woken by the supervisor after pushing requests (and on stop), so
 /// an idle worker parks in the kernel instead of sleep-polling; workers
 /// ring back through the router-global ShardDoorbell segment after pushing
-/// responses. The spin-first fast path keeps sub-µs latency while traffic
-/// flows.
+/// responses. Both sides spin kShardSpinRounds empty rounds before
+/// parking, which keeps sub-µs latency while traffic flows.
 ///
 /// The slots and cursors are plain trivially-copyable data + lock-free
 /// std::atomic, so the struct can live in zero-initialized shared memory
@@ -40,6 +40,14 @@
 #include "util/distance.hpp"
 
 namespace msrp::service {
+
+/// Empty poll rounds the collector and each worker busy-spin before
+/// parking on their futex doorbell.
+inline constexpr std::uint32_t kShardSpinRounds = 64;
+/// Upper bound on one doorbell park, in microseconds. It bounds how long a
+/// lost wake (a crashed peer) can stall either side, and it is the cadence
+/// of the collector's worker-death checks and the workers' orphan checks.
+inline constexpr std::uint64_t kShardParkTimeoutUs = 10000;
 
 /// Tags are (batch namespace << 32) | batch index: the namespace names one
 /// in-flight batch, the index the query's slot within it. Batches are

@@ -8,21 +8,15 @@
 #include <thread>
 
 #include "obs/metrics.hpp"
-#include "service/backoff.hpp"
 #include "service/shard_channel.hpp"
 #include "service/snapshot.hpp"
-#include "util/env.hpp"
 #include "util/failpoint.hpp"
 #include "util/futex.hpp"
 #include "util/shm.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-#if defined(__linux__)
-#include <sys/prctl.h>
 #include <csignal>
-#endif
+#include <sys/prctl.h>
+#include <unistd.h>
 
 namespace msrp::service {
 
@@ -41,33 +35,18 @@ std::string shard_metrics_name(const std::string& base) { return base + ".m"; }
 namespace {
 
 /// Orphan watch: a worker must not outlive its supervisor (it would pin the
-/// shm segments forever). On Linux the kernel delivers SIGTERM on parent
-/// death; the getppid() poll below is the portable fallback.
-void arm_parent_death_signal() {
-#if defined(__linux__)
-  ::prctl(PR_SET_PDEATHSIG, SIGTERM);
-#endif
-}
-
+/// shm segments forever). The kernel delivers SIGTERM on parent death; the
+/// getppid() poll below is the backstop.
 bool parent_alive(long original_ppid) {
-#if defined(__unix__) || defined(__APPLE__)
   return static_cast<long>(::getppid()) == original_ppid;
-#else
-  (void)original_ppid;
-  return true;
-#endif
 }
 
 }  // namespace
 
 int run_shard_worker(const ShardWorkerConfig& cfg) {
   try {
-    arm_parent_death_signal();
-#if defined(__unix__) || defined(__APPLE__)
+    ::prctl(PR_SET_PDEATHSIG, SIGTERM);
     const long original_ppid = static_cast<long>(::getppid());
-#else
-    const long original_ppid = 0;
-#endif
 
     ShmSegment chan_seg =
         ShmSegment::open(shard_channel_name(cfg.base_name, cfg.shard_index),
@@ -91,8 +70,6 @@ int run_shard_worker(const ShardWorkerConfig& cfg) {
     } catch (const std::exception&) {
     }
 
-    const ShardBackoff bo = ShardBackoff::from_env();
-
     if (MSRP_FAILPOINT("shard_worker.attach_corrupt")) {
       // Tear the shared image so attach-time validation must catch it. XOR
       // is involutory: a later armed spawn flips the byte back, so a
@@ -106,17 +83,14 @@ int run_shard_worker(const ShardWorkerConfig& cfg) {
 
     // The snapshot image is attached zero-copy: the oracle's table spans
     // alias the read-only segment, so every worker serves the one copy the
-    // supervisor placed. Validation covers the full image by default (the
-    // header/meta checksum always, the cells checksum unless
-    // MSRP_SHARD_VERIFY_ATTACH=0): a worker must fail fast on a corrupt or
-    // torn mapping, not serve garbage from it.
+    // supervisor placed. Validation covers the full image (the header/meta
+    // checksum and the cells checksum): a worker must fail fast on a
+    // corrupt or torn mapping, not serve garbage from it.
     auto snap_seg = std::make_shared<ShmSegment>(
         ShmSegment::open(shard_snapshot_name(cfg.base_name, cfg.shard_index)));
-    const bool verify_cells = env::u64_or("MSRP_SHARD_VERIFY_ATTACH", 1) != 0;
     std::optional<Snapshot> attached;
     try {
-      attached.emplace(Snapshot::attach(snap_seg->data(), snap_seg->size(), snap_seg,
-                                        {.verify_cells = verify_cells}));
+      attached.emplace(Snapshot::attach(snap_seg->data(), snap_seg->size(), snap_seg));
     } catch (const std::exception& ex) {
       std::fprintf(stderr, "shard worker %s.%u: snapshot image rejected at attach: %s\n",
                    cfg.base_name.c_str(), cfg.shard_index, ex.what());
@@ -180,37 +154,26 @@ int run_shard_worker(const ShardWorkerConfig& cfg) {
       }
       // Lost-wake injection: responses were pushed but the doorbell stays
       // silent — the collector must still make progress off its bounded
-      // futex wait (backoff.hpp wait_timeout_us), just slower.
+      // park (kShardParkTimeoutUs), just slower.
       if (worked && !MSRP_FAILPOINT("shard_worker.lost_wake")) ring_back();
       if (ch->stop_flag().load(std::memory_order_acquire) != 0) break;
       if (worked) {
         idle_spins = 0;
         continue;
       }
-      if (++idle_spins <= bo.spin_rounds) continue;  // spin-first fast path
-      if (bo.use_doorbell) {
-        // Park on the request doorbell: snapshot the word, re-check the
-        // real conditions (requests/stop may have landed between the empty
-        // pop above and here — the ring always precedes the futex wake on
-        // the supervisor side), then wait. The bounded timeout doubles as
-        // the orphan-check cadence, so a supervisor that died without
-        // raising stop is still noticed within one wait period.
-        const std::uint32_t seen = ch->request_doorbell().load(std::memory_order_acquire);
-        if (ch->requests_pending() == 0 &&
-            ch->stop_flag().load(std::memory_order_acquire) == 0) {
-          util::futex_wait_u32(ch->request_doorbell(), seen, bo.wait_timeout_us);
-        }
-        if (!parent_alive(original_ppid)) break;
-      } else {
-        // Polling fallback: sleep between polls; check for an orphaned
-        // supervisor every ~1024 sleeps.
-        if (bo.sleep_us == 0) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(bo.sleep_us));
-        }
-        if ((idle_spins & 1023) == 0 && !parent_alive(original_ppid)) break;
+      if (++idle_spins <= kShardSpinRounds) continue;  // spin-first fast path
+      // Park on the request doorbell: snapshot the word, re-check the real
+      // conditions (requests/stop may have landed between the empty pop
+      // above and here — the ring always precedes the futex wake on the
+      // supervisor side), then wait. The bounded timeout doubles as the
+      // orphan-check cadence, so a supervisor that died without raising
+      // stop is still noticed within one wait period.
+      const std::uint32_t seen = ch->request_doorbell().load(std::memory_order_acquire);
+      if (ch->requests_pending() == 0 &&
+          ch->stop_flag().load(std::memory_order_acquire) == 0) {
+        util::futex_wait_u32(ch->request_doorbell(), seen, kShardParkTimeoutUs);
       }
+      if (!parent_alive(original_ppid)) break;
     }
     ch->worker_state().store(ShardChannel::kExited, std::memory_order_release);
     util::futex_wake_u32(ch->worker_state(), 1);

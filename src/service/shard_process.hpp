@@ -31,9 +31,7 @@ struct ShardWorkerConfig {
 /// Exit code of a worker whose snapshot segment failed attach-time
 /// validation (checksum/shape mismatch — a corrupt or torn image). Distinct
 /// from 0 (clean stop), 1 (generic failure), 2 (bad --shard-worker spec)
-/// and 127 (exec failure) so the supervisor can log it meaningfully. Set
-/// MSRP_SHARD_VERIFY_ATTACH=0 to skip the (full-image) cells checksum and
-/// only verify the header, as before.
+/// and 127 (exec failure) so the supervisor can log it meaningfully.
 inline constexpr int kShardWorkerExitBadSnapshot = 3;
 
 /// Name of shard k's channel segment: "<base>.c<k>".

@@ -13,17 +13,10 @@
 #include "util/assert.hpp"
 #include "util/futex.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define MSRP_HAVE_FORK 1
 #include <csignal>
+#include <sched.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#else
-#define MSRP_HAVE_FORK 0
-#endif
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 namespace msrp::service {
 
@@ -40,11 +33,7 @@ constexpr std::size_t kStallChecksBeforeForcedRespawn = 3000;
 /// at the same time (the fuzz suite does exactly that).
 std::string make_base_name() {
   static std::atomic<std::uint64_t> counter{0};
-#if MSRP_HAVE_FORK
   const long pid = static_cast<long>(::getpid());
-#else
-  const long pid = 0;
-#endif
   return "/msrp." + std::to_string(pid) + "." +
          std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
 }
@@ -56,7 +45,6 @@ void ring_doorbell(std::atomic<std::uint32_t>& word) {
   util::futex_wake_u32(word, 1);
 }
 
-#if defined(__linux__)
 void pin_current_thread(unsigned slot) {
   unsigned ncpu = std::thread::hardware_concurrency();
   if (ncpu == 0) ncpu = 1;
@@ -65,26 +53,11 @@ void pin_current_thread(unsigned slot) {
   CPU_SET(slot % ncpu, &set);
   ::sched_setaffinity(0, sizeof(set), &set);
 }
-#else
-void pin_current_thread(unsigned) {}
-#endif
 
 }  // namespace
 
-bool ShardRouter::supported() {
-#if MSRP_HAVE_FORK
-  return ShmSegment::supported();
-#else
-  return false;
-#endif
-}
-
 ShardRouter::ShardRouter(const Snapshot& oracle, const ShardRouterOptions& opts)
     : opts_(opts), base_name_(make_base_name()) {
-  if (!supported()) {
-    throw std::runtime_error(
-        "shard router: multi-process sharding needs POSIX fork + shared memory");
-  }
   MSRP_REQUIRE(opts_.shards >= 1, "shard router: need at least one shard");
   MSRP_REQUIRE(opts_.ring_capacity >= 2 && std::has_single_bit(opts_.ring_capacity),
                "shard router: ring capacity must be a power of two >= 2");
@@ -178,7 +151,6 @@ void ShardRouter::spawn_worker(unsigned k) {
     return;
   }
 
-#if MSRP_HAVE_FORK
   const ::pid_t pid = ::fork();
   if (pid < 0) throw std::runtime_error("shard router: fork failed");
   if (pid == 0) {
@@ -205,10 +177,6 @@ void ShardRouter::spawn_worker(unsigned k) {
   }
   std::lock_guard<std::mutex> lk(mu_);
   sh.pid = static_cast<long>(pid);
-#else
-  (void)k;
-  throw std::runtime_error("shard router: fork unavailable");
-#endif
 }
 
 void ShardRouter::wait_worker_ready(unsigned k) {
@@ -235,7 +203,7 @@ void ShardRouter::wait_worker_ready(unsigned k) {
     const auto remain_us = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(deadline - now).count() + 1);
     util::futex_wait_u32(sh.ch->worker_state(), state,
-                         std::min<std::uint64_t>(remain_us, 10000));
+                         std::min<std::uint64_t>(remain_us, kShardParkTimeoutUs));
   }
   const auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - start);
@@ -253,7 +221,6 @@ bool ShardRouter::worker_dead(unsigned k) {
     }
     return false;
   }
-#if MSRP_HAVE_FORK
   long pid;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -272,10 +239,6 @@ bool ShardRouter::worker_dead(unsigned k) {
   std::lock_guard<std::mutex> lk(mu_);
   sh.pid = -1;  // exited and reaped (by us or by the embedder)
   return true;
-#else
-  (void)k;
-  return true;
-#endif
 }
 
 void ShardRouter::respawn_worker(unsigned k) {
@@ -294,7 +257,6 @@ void ShardRouter::respawn_worker(unsigned k) {
       sh.thr.join();
     }
   } else {
-#if MSRP_HAVE_FORK
     long pid;
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -307,7 +269,6 @@ void ShardRouter::respawn_worker(unsigned k) {
       std::lock_guard<std::mutex> lk(mu_);
       sh.pid = -1;
     }
-#endif
   }
   // A replacement can die during startup too — a rejected snapshot image,
   // an OOM kill, a crash in attach. Startup death here is cheap to retry,
@@ -324,7 +285,6 @@ void ShardRouter::respawn_worker(unsigned k) {
       break;
     } catch (const std::runtime_error&) {
       // Reap the failed incarnation so the next spawn starts clean.
-#if MSRP_HAVE_FORK
       if (!opts_.workers_in_process) {
         long pid;
         {
@@ -339,7 +299,6 @@ void ShardRouter::respawn_worker(unsigned k) {
           sh.pid = -1;
         }
       }
-#endif
       if (opts_.workers_in_process && sh.thr.joinable()) sh.thr.join();
       if (attempt >= kSpawnAttempts) throw;
       std::lock_guard<std::mutex> lk(mu_);
@@ -376,7 +335,6 @@ void ShardRouter::stop_all_workers() noexcept {
     return;
   }
 
-#if MSRP_HAVE_FORK
   // One shared deadline across all pids: every worker was told to stop
   // above, so they wind down concurrently and shutdown costs ~one worker's
   // reaction time, not the sum over shards.
@@ -403,7 +361,6 @@ void ShardRouter::stop_all_workers() noexcept {
     ::waitpid(static_cast<::pid_t>(sh.pid), &status, 0);
     sh.pid = -1;
   }
-#endif
   // ~ShmSegment unmaps and unlinks each owned segment when shards_ dies.
 }
 
@@ -487,15 +444,10 @@ void ShardRouter::collector_main() {
       }
       if (stop) break;
 
-      ++idle_rounds;
-      const bool parked_phase = idle_rounds > opts_.backoff.spin_rounds;
-      // Death checks cost a waitpid per outstanding shard, so pace them to
-      // ~10 ms: in doorbell mode every parked round IS one bounded wait;
-      // in polling mode every 512 sleeps.
-      const bool check_now = parked_phase && opts_.backoff.use_doorbell
-                                 ? true
-                                 : (idle_rounds % 512 == 0);
-      if (check_now && !active_.empty()) {
+      if (++idle_rounds <= kShardSpinRounds) continue;  // spin-first fast path
+      // Parked phase. Death checks cost a waitpid per outstanding shard, so
+      // they are paced by the parks: each round below is one bounded wait.
+      if (!active_.empty()) {
         ++stalled_checks;
         for (unsigned k = 0; k < shards_.size(); ++k) {
           if (pending_[k].empty() && inflight_[k].empty()) continue;
@@ -512,15 +464,7 @@ void ShardRouter::collector_main() {
           stalled_checks = 0;
         }
       }
-      if (parked_phase) {
-        if (opts_.backoff.use_doorbell) {
-          util::futex_wait_u32(bell_->seq(), seen, opts_.backoff.wait_timeout_us);
-        } else if (opts_.backoff.sleep_us == 0) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(opts_.backoff.sleep_us));
-        }
-      }
+      util::futex_wait_u32(bell_->seq(), seen, kShardParkTimeoutUs);
     } catch (const std::exception& ex) {
       // A respawn failure or ring-invariant breach would otherwise strand
       // tags in the rings and mis-merge every later batch. Fail the

@@ -51,7 +51,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "service/backoff.hpp"
 #include "service/query.hpp"
 #include "service/shard_channel.hpp"
 #include "service/shard_plan.hpp"
@@ -72,18 +71,14 @@ struct ShardRouterOptions {
   /// appended (production deployment; the child gets a fresh address
   /// space). Empty: plain fork — the child runs run_shard_worker() in the
   /// parent's image. Fork-without-exec from a multithreaded process relies
-  /// on the C library making malloc fork-safe (glibc and macOS quiesce the
-  /// allocator around fork; both are covered by CI) — embedders whose
-  /// processes hold other locks across calls should prefer exec mode.
+  /// on the C library making malloc fork-safe (glibc quiesces the
+  /// allocator around fork) — embedders whose processes hold other locks
+  /// across calls should prefer exec mode.
   std::vector<std::string> worker_argv = {};
   /// How long to wait for a forked worker to flag itself ready.
   unsigned ready_timeout_ms = 30000;
-  /// Idle-wait policy for the collector (and, via the environment, the
-  /// workers); defaults honour MSRP_SHARD_* (see backoff.hpp).
-  ShardBackoff backoff = ShardBackoff::from_env();
   /// Pin worker k to CPU (k mod hardware_concurrency). Set between fork
-  /// and exec, so it works for both spawn flavours. Linux-only; a no-op
-  /// elsewhere.
+  /// and exec, so it works for both spawn flavours.
   bool pin_workers = false;
   /// Test hook: run each worker as a std::thread in this process instead
   /// of forking. run_shard_worker attaches the same shm segments by name,
@@ -153,13 +148,10 @@ class ShardRouter {
   /// destruction).
   std::vector<std::string> segment_names() const;
 
-  /// Sum of the workers' shm "worker.<k>.requests" counters (0 where shm
-  /// metrics are unsupported). Lives in the router-owned metrics page, so
-  /// the count survives worker death and respawn exactly.
+  /// Sum of the workers' shm "worker.<k>.requests" counters. Lives in the
+  /// router-owned metrics page, so the count survives worker death and
+  /// respawn exactly.
   std::uint64_t worker_requests_total() const;
-
-  /// Whether this platform can run the multi-process transport at all.
-  static bool supported();
 
  private:
   struct Shard {

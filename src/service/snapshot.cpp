@@ -14,11 +14,8 @@
 #include "util/failpoint.hpp"
 #include "util/fnv.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define MSRP_HAVE_FSYNC_SAVE 1
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 namespace msrp::service {
 namespace {
@@ -398,14 +395,8 @@ void Snapshot::save(const std::string& path) const {
   // A crash at any point leaves either the old file or the complete new
   // one — never a truncated snapshot a later load would choke on.
   const std::vector<std::uint8_t> buf = encode();
-  const std::string tmp = path + ".tmp." + std::to_string(
-#if MSRP_HAVE_FSYNC_SAVE
-      static_cast<unsigned long>(::getpid())
-#else
-      0ul
-#endif
-  );
-#if MSRP_HAVE_FSYNC_SAVE
+  const std::string tmp =
+      path + ".tmp." + std::to_string(static_cast<unsigned long>(::getpid()));
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) throw std::runtime_error("cannot open for writing: " + tmp);
   std::size_t off = 0;
@@ -425,19 +416,6 @@ void Snapshot::save(const std::string& path) const {
     throw std::runtime_error("fsync failed: " + tmp);
   }
   ::close(fd);
-#else
-  {
-    std::ofstream f(tmp, std::ios::binary);
-    if (!f) throw std::runtime_error("cannot open for writing: " + tmp);
-    f.write(reinterpret_cast<const char*>(buf.data()),
-            static_cast<std::streamsize>(buf.size()));
-    f.flush();
-    if (!f) {
-      std::remove(tmp.c_str());
-      throw std::runtime_error("write failed: " + tmp);
-    }
-  }
-#endif
   // crash action: the durable temp file exists but `path` was never
   // replaced — exactly the mid-save power cut the rename protects against.
   (void)MSRP_FAILPOINT("snapshot.save");
@@ -452,8 +430,7 @@ Snapshot Snapshot::load(const std::string& path, const LoadOptions& opts) {
     auto map = std::make_shared<MmapFile>(MmapFile::open(path));
     const std::uint8_t* data = map->data();
     const std::size_t size = map->size();
-    const bool mapped = map->is_mapped();  // false on the buffered fallback
-    return from_image(data, size, map, opts, mapped);
+    return from_image(data, size, map, opts, /*mapped=*/true);
   }
   std::ifstream f(path, std::ios::binary);
   if (!f) throw std::runtime_error("cannot open for reading: " + path);

@@ -13,39 +13,18 @@
 /// All waits are bounded: callers pass a timeout so death detection (a
 /// worker that will never ring again) and stop flags are always observed
 /// within one timeout period even if a wake is lost to a crashed peer.
-///
-/// Non-Linux builds degrade to a timed sleep — semantically identical
-/// (every caller loops on its real condition), just with the old
-/// polling-grade latency. futex_available() lets callers and tests know
-/// which flavour they got.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <ctime>
 
-#if defined(__linux__)
 #include <linux/futex.h>
 #include <sys/syscall.h>
 #include <sys/time.h>
 #include <unistd.h>
-#include <cerrno>
-#include <ctime>
-#else
-#include <chrono>
-#include <thread>
-#endif
 
 namespace msrp::util {
-
-/// True when waits park in the kernel (Linux futex); false for the timed
-/// sleep fallback.
-inline constexpr bool futex_available() {
-#if defined(__linux__)
-  return true;
-#else
-  return false;
-#endif
-}
 
 /// Blocks until `word` no longer holds `expected`, a wake arrives, or
 /// `timeout_us` elapses (0 = return immediately). Spurious returns are
@@ -54,7 +33,6 @@ inline constexpr bool futex_available() {
 /// without the PRIVATE flag).
 inline void futex_wait_u32(const std::atomic<std::uint32_t>& word, std::uint32_t expected,
                            std::uint64_t timeout_us) {
-#if defined(__linux__)
   if (timeout_us == 0) return;
   ::timespec ts;
   ts.tv_sec = static_cast<time_t>(timeout_us / 1000000);
@@ -64,23 +42,14 @@ inline void futex_wait_u32(const std::atomic<std::uint32_t>& word, std::uint32_t
   // EINTR, and ETIMEDOUT all mean "go re-check the condition".
   ::syscall(SYS_futex, reinterpret_cast<const std::uint32_t*>(&word), FUTEX_WAIT, expected,
             &ts, nullptr, 0);
-#else
-  if (word.load(std::memory_order_acquire) != expected) return;
-  std::this_thread::sleep_for(std::chrono::microseconds(timeout_us));
-#endif
 }
 
 /// Wakes up to `count` waiters parked on `word`. Cheap when nobody waits
 /// (one syscall, no contention); callers ring unconditionally after bumping
 /// the word rather than tracking waiter counts across processes.
 inline void futex_wake_u32(std::atomic<std::uint32_t>& word, int count) {
-#if defined(__linux__)
   ::syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word), FUTEX_WAKE, count, nullptr,
             nullptr, 0);
-#else
-  (void)word;
-  (void)count;
-#endif
 }
 
 }  // namespace msrp::util

@@ -6,10 +6,6 @@
 // owns exactly one mapping; the creating side additionally owns the name
 // and shm_unlink()s it on destruction, so a clean supervisor shutdown
 // leaves nothing behind in /dev/shm.
-//
-// On platforms without POSIX shared memory, supported() returns false and
-// create()/open() throw std::runtime_error — multi-process sharding is a
-// POSIX-only feature, gated at the call sites.
 #pragma once
 
 #include <cstddef>
@@ -54,9 +50,6 @@ class ShmSegment {
   /// Unlinks a name without mapping it (crash-recovery cleanup); returns
   /// false when no such segment existed.
   static bool unlink(const std::string& name);
-
-  /// Whether this platform has POSIX shared memory at all.
-  static bool supported();
 
  private:
   void release() noexcept;

@@ -47,11 +47,9 @@
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 namespace msrp {
 namespace {
@@ -80,26 +78,13 @@ constexpr bool kTsanBuild = false;
     if (!fail::kCompiledIn) GTEST_SKIP() << "-DMSRP_FAILPOINTS=ON required"; \
   } while (false)
 
-#define SKIP_WITHOUT_EPOLL()                                         \
-  do {                                                               \
-    if (!net::Server::supported()) GTEST_SKIP() << "epoll required"; \
-  } while (false)
-
 /// No-hang watchdog: chaos tests inject stalls and crashes on purpose, so
 /// a wedged test must die loudly instead of eating the CI job. SIGALRM's
 /// default action terminates the process with a distinctive status.
 class WatchdogEnvironment : public ::testing::Environment {
  public:
-  void SetUp() override {
-#if defined(__unix__) || defined(__APPLE__)
-    ::alarm(480);
-#endif
-  }
-  void TearDown() override {
-#if defined(__unix__) || defined(__APPLE__)
-    ::alarm(0);
-#endif
-  }
+  void SetUp() override { ::alarm(480); }
+  void TearDown() override { ::alarm(0); }
 };
 const auto* const kWatchdog =
     ::testing::AddGlobalTestEnvironment(new WatchdogEnvironment);
@@ -172,7 +157,6 @@ TEST(Failpoint, OffSpecDisarms) {
   EXPECT_FALSE(fail::hit("test.off"));
 }
 
-#if defined(__unix__) || defined(__APPLE__)
 TEST(Failpoint, EnvironmentArmsSites) {
   ::setenv("MSRP_FAILPOINTS", "test.env.a=error*1;test.env.b=error%2", 1);
   fail::load_env();
@@ -183,7 +167,6 @@ TEST(Failpoint, EnvironmentArmsSites) {
   EXPECT_TRUE(fail::hit("test.env.b"));  // every 2nd
   fail::clear_all();
 }
-#endif
 
 // ------------------------------------------------------ deadline primitives
 
@@ -539,7 +522,6 @@ TEST(SnapshotSave, ReplacesExistingFileAtomically) {
   std::remove(path.c_str());
 }
 
-#if defined(__unix__) || defined(__APPLE__)
 TEST(SnapshotSave, CrashMidSaveLeavesTheOldFileIntact) {
   SKIP_WITHOUT_FAILPOINTS();
   if (kTsanBuild) GTEST_SKIP() << "fork-based; skipped under TSan";
@@ -570,7 +552,6 @@ TEST(SnapshotSave, CrashMidSaveLeavesTheOldFileIntact) {
   std::remove(path.c_str());
   std::remove((path + ".tmp." + std::to_string(pid)).c_str());
 }
-#endif
 
 // --------------------------------------------- registry timeouts and reaps
 
@@ -678,7 +659,6 @@ struct RegistryTestServer {
 };
 
 TEST(NetDeadline, BatchParkedPastItsDeadlineReturnsDeadlineError) {
-  SKIP_WITHOUT_EPOLL();
   ChaosFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -697,7 +677,6 @@ TEST(NetDeadline, BatchParkedPastItsDeadlineReturnsDeadlineError) {
 // parked behind a wedged pool past its budget comes back as DEADLINE, and
 // the connection then serves a clean replay of the same batch.
 TEST(NetDeadline, KFailBatchParkedPastItsDeadlineReturnsDeadlineError) {
-  SKIP_WITHOUT_EPOLL();
   ChaosFixture fx;
   const auto queries = kfail_queries(fx, 150, 16);
   const auto want = fx.svc.run<KFail>(*fx.oracle, queries);
@@ -715,7 +694,6 @@ TEST(NetDeadline, KFailBatchParkedPastItsDeadlineReturnsDeadlineError) {
 }
 
 TEST(NetDeadline, GenerousWireDeadlineAnswersByteForByte) {
-  SKIP_WITHOUT_EPOLL();
   ChaosFixture fx;
   const auto queries = fx.random_queries(1000, 11);
   const auto want = fx.svc.query_batch(*fx.oracle, queries);
@@ -726,7 +704,6 @@ TEST(NetDeadline, GenerousWireDeadlineAnswersByteForByte) {
 }
 
 TEST(NetDeadline, RetryBudgetExhaustsAsDeadlineError) {
-  SKIP_WITHOUT_EPOLL();
   ChaosFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   net::ClientOptions copts = ts.client_options();
@@ -752,7 +729,6 @@ TEST(NetDeadline, RetryBudgetExhaustsAsDeadlineError) {
 }
 
 TEST(NetEviction, IdleConnectionIsEvicted) {
-  SKIP_WITHOUT_EPOLL();
   ChaosFixture fx;
   net::ServerOptions sopts;
   sopts.idle_timeout_ms = 120;
@@ -768,7 +744,6 @@ TEST(NetEviction, IdleConnectionIsEvicted) {
 }
 
 TEST(NetChaos, StalledFlushIsEvictedAndResendRecovers) {
-  SKIP_WITHOUT_EPOLL();
   SKIP_WITHOUT_FAILPOINTS();
   ChaosFixture fx;
   const auto queries = fx.random_queries(800, 14);
@@ -792,7 +767,6 @@ TEST(NetChaos, StalledFlushIsEvictedAndResendRecovers) {
 }
 
 TEST(NetChaos, TruncatedReceivesAreRetriedToIdenticalAnswers) {
-  SKIP_WITHOUT_EPOLL();
   SKIP_WITHOUT_FAILPOINTS();
   ChaosFixture fx;
   const auto queries = fx.random_queries(600, 15);
@@ -815,7 +789,6 @@ TEST(NetChaos, TruncatedReceivesAreRetriedToIdenticalAnswers) {
 }
 
 TEST(NetChaos, StalledAnswerFailsEachWorkloadBatchButNotTheConnection) {
-  SKIP_WITHOUT_EPOLL();
   SKIP_WITHOUT_FAILPOINTS();
   ChaosFixture fx;
   TestServer ts(fx.svc, fx.oracle);
@@ -849,7 +822,6 @@ TEST(NetChaos, StalledAnswerFailsEachWorkloadBatchButNotTheConnection) {
 }
 
 TEST(NetChaos, InjectedFailuresAreVisibleInScrapedCounters) {
-  SKIP_WITHOUT_EPOLL();
   SKIP_WITHOUT_FAILPOINTS();
   ChaosFixture fx;
   TestServer ts(fx.svc, fx.oracle);
@@ -892,7 +864,6 @@ TEST(NetChaos, InjectedFailuresAreVisibleInScrapedCounters) {
 }
 
 TEST(NetRegistryChaos, FailedWireRegistrationIsListableWithItsReason) {
-  SKIP_WITHOUT_EPOLL();
   ChaosFixture fx;
   RegistryTestServer ts(fx.svc, nullptr);
   net::Client client(ts.client_options());
@@ -920,7 +891,6 @@ TEST(NetRegistryChaos, FailedWireRegistrationIsListableWithItsReason) {
 // overflow past the zero-length tenant queue is answered BUSY, BUSY means
 // "did not run", and the typed retry wrapper replays it byte-identically.
 TEST(NetRegistryChaos, VitalityBusySignalsAndTypedRetrySucceeds) {
-  SKIP_WITHOUT_EPOLL();
   ChaosFixture fx;
   const auto b1 = vitality_queries(fx, 200, 61);
   const auto b2 = vitality_queries(fx, 100, 62);
@@ -955,7 +925,6 @@ TEST(NetRegistryChaos, VitalityBusySignalsAndTypedRetrySucceeds) {
 
 // ------------------------------------------------------ shard-worker chaos
 
-#if defined(__unix__)
 Snapshot demo_snapshot(Vertex n, std::uint32_t sigma, std::uint64_t seed) {
   Rng rng(seed);
   const Graph g = gen::connected_avg_degree(n, 6.0, rng);
@@ -1027,7 +996,40 @@ TEST(ShardChaos, CorruptedAttachIsDetectedAndHealedByRespawn) {
   EXPECT_EQ(got, want);
   EXPECT_GE(router.stats().respawns, 2u);  // the corruptor, then the healer
 }
-#endif  // __unix__
+
+TEST(ShardChaos, LostWakeStillCompletesOffTheBoundedPark) {
+  if (kTsanBuild) GTEST_SKIP() << "fork-based; skipped under TSan";
+  SKIP_WITHOUT_FAILPOINTS();
+  const Snapshot oracle = demo_snapshot(150, 4, 25);
+  const auto queries = shard_queries(oracle, 1500, 26);
+  service::ShardRouterOptions opts;
+  opts.shards = 2;
+  std::vector<Dist> want;
+  {
+    service::ShardRouter router(oracle, opts);
+    want = router.query_batch(queries);
+  }
+
+  // Armed before the router forks, so every worker inherits both sites: no
+  // worker ever rings the completion doorbell, and a one-shot stall at
+  // each worker's first pop makes sure the collector has parked before
+  // any answer lands. It then sees the answers only when a bounded park
+  // times out.
+  ASSERT_TRUE(fail::set("shard_worker.lost_wake", "error"));
+  ASSERT_TRUE(fail::set("shard_worker.pop", "delay:20000*1"));
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<Dist> got;
+  {
+    service::ShardRouter router(oracle, opts);
+    got = router.query_batch(queries);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  fail::clear("shard_worker.lost_wake");
+  fail::clear("shard_worker.pop");
+
+  EXPECT_EQ(got, want);
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+}
 
 }  // namespace
 }  // namespace msrp

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <optional>
@@ -40,12 +41,10 @@
 #include "util/fnv.hpp"
 #include "util/rng.hpp"
 
-#if defined(__unix__)
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace msrp {
 namespace {
@@ -821,13 +820,7 @@ struct TestServer {
   }
 };
 
-#define SKIP_WITHOUT_EPOLL()                                         \
-  do {                                                               \
-    if (!net::Server::supported()) GTEST_SKIP() << "epoll required"; \
-  } while (false)
-
 TEST(NetServer, HelloCarriesOracleIdentity) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -839,7 +832,6 @@ TEST(NetServer, HelloCarriesOracleIdentity) {
 }
 
 TEST(NetServer, AnswersOverTcpMatchInProcessByteForByte) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   const std::vector<Query> queries = fx.random_queries(3000, 1);
   const std::vector<Dist> want = fx.svc.query_batch(*fx.oracle, queries);
@@ -858,7 +850,6 @@ TEST(NetServer, AnswersOverTcpMatchInProcessByteForByte) {
 // in-process path for every serving mode — freshly built, zero-copy mmap
 // snapshot, and multi-process shards.
 TEST(NetServer, EveryServingModeMatchesInProcess) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   const std::vector<Query> queries = fx.random_queries(2000, 2);
   const std::vector<Dist> want = fx.svc.query_batch(*fx.oracle, queries);
@@ -874,7 +865,7 @@ TEST(NetServer, EveryServingModeMatchesInProcess) {
     EXPECT_EQ(client.call(queries), want);
   }
 
-  if (!kTsanBuild && service::ShardRouter::supported()) {  // multi-process shards
+  if (!kTsanBuild) {  // multi-process shards
     service::QueryService svc({.threads = 2, .shards = 2});
     const auto oracle = svc.build(fx.g, fx.sources);
     TestServer ts(svc, oracle);
@@ -915,7 +906,6 @@ WorkloadBatches random_workloads(const NetFixture& fx, std::size_t count,
 // The v3 acceptance matrix, wire leg: all three workload opcodes over TCP
 // must be byte-identical to the in-process typed entry points.
 TEST(NetServer, WorkloadOpcodesOverTcpMatchInProcess) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   const WorkloadBatches wb = random_workloads(fx, 200, 314);
   const auto vwant = fx.svc.run<Vitality>(*fx.oracle, wb.vitality);
@@ -940,7 +930,6 @@ TEST(NetServer, WorkloadOpcodesOverTcpMatchInProcess) {
 // mmap snapshot (graph attached for the |F| == 2 tier) and against
 // multi-process shards must produce the same bytes as the built oracle.
 TEST(NetServer, WorkloadOpcodesServeEveryMode) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   const WorkloadBatches wb = random_workloads(fx, 150, 315);
   const auto vwant = fx.svc.run<Vitality>(*fx.oracle, wb.vitality);
@@ -961,7 +950,7 @@ TEST(NetServer, WorkloadOpcodesServeEveryMode) {
     EXPECT_EQ(client.call<KFail>(wb.kfail), fwant);
   }
 
-  if (!kTsanBuild && service::ShardRouter::supported()) {  // multi-process shards
+  if (!kTsanBuild) {  // multi-process shards
     service::QueryService svc({.threads = 2, .shards = 2});
     const auto oracle = svc.build(fx.g, fx.sources);
     TestServer ts(svc, oracle);
@@ -976,7 +965,6 @@ TEST(NetServer, WorkloadOpcodesServeEveryMode) {
 // the digest) is a batch error naming attach_graph — and the connection
 // keeps serving the tiers that do work.
 TEST(NetServer, TwoEdgeKFailWithoutGraphFailsTheBatchNotTheConnection) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   const std::string path = testing::TempDir() + "/net_test_nograph.v2.snap";
   fx.oracle->save(path);
@@ -1002,7 +990,6 @@ TEST(NetServer, TwoEdgeKFailWithoutGraphFailsTheBatchNotTheConnection) {
 // Point batches and all three workload kinds pipelined on one connection:
 // replies pair by (request id, opcode), whatever order completions land in.
 TEST(NetServer, PipelinedMixedOpcodesPairByIdAndKind) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -1037,7 +1024,6 @@ TEST(NetServer, PipelinedMixedOpcodesPairByIdAndKind) {
 }
 
 TEST(NetServer, EmptyBatchAnswersEmpty) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -1045,7 +1031,6 @@ TEST(NetServer, EmptyBatchAnswersEmpty) {
 }
 
 TEST(NetServer, PipelinedBatchesCollectByIdInAnyOrder) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -1067,7 +1052,6 @@ TEST(NetServer, PipelinedBatchesCollectByIdInAnyOrder) {
 }
 
 TEST(NetServer, TinyPipelineWindowStillDrainsFullBurst) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   // Window of 2 with a 30-batch burst sent before any read: progress must
   // come from completions pumping the decoder backlog, not from new bytes.
@@ -1088,19 +1072,7 @@ TEST(NetServer, TinyPipelineWindowStillDrainsFullBurst) {
   }
 }
 
-TEST(NetServer, EdgeTriggeredModeServesIdentically) {
-  SKIP_WITHOUT_EPOLL();
-  NetFixture fx;
-  net::ServerOptions sopts;
-  sopts.edge_triggered = true;
-  TestServer ts(fx.svc, fx.oracle, sopts);
-  net::Client client(ts.client_options());
-  const std::vector<Query> queries = fx.random_queries(2000, 3);
-  EXPECT_EQ(client.call(queries), fx.svc.query_batch(*fx.oracle, queries));
-}
-
 TEST(NetServer, InvalidQueryAnswersErrorAndConnectionSurvives) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -1118,7 +1090,6 @@ TEST(NetServer, InvalidQueryAnswersErrorAndConnectionSurvives) {
 }
 
 TEST(NetServer, ConcurrentClientsGetConsistentAnswers) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
 
@@ -1147,7 +1118,6 @@ TEST(NetServer, ConcurrentClientsGetConsistentAnswers) {
 }
 
 TEST(NetServer, ClientDisconnectMidBatchLeavesServerServing) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   {
@@ -1162,7 +1132,6 @@ TEST(NetServer, ClientDisconnectMidBatchLeavesServerServing) {
 }
 
 TEST(NetServer, GracefulShutdownDrainsInFlightBatches) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   auto ts = std::make_unique<TestServer>(fx.svc, fx.oracle);
   net::Client client(ts->client_options());
@@ -1190,7 +1159,6 @@ TEST(NetServer, GracefulShutdownDrainsInFlightBatches) {
 }
 
 TEST(NetServer, DrainCompletesPromptlyWhenOutputFlushesLate) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   auto ts = std::make_unique<TestServer>(fx.svc, fx.oracle);
   net::Client client(ts->client_options());
@@ -1214,7 +1182,6 @@ TEST(NetServer, DrainCompletesPromptlyWhenOutputFlushesLate) {
 // ----------------------------------------------------- multi-loop accept ---
 
 TEST(NetServerMultiLoop, ReuseportLoopsServeConcurrentClientsIdentically) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   net::ServerOptions sopts;
   sopts.loops = 3;  // all three listeners share the ephemeral port
@@ -1248,51 +1215,7 @@ TEST(NetServerMultiLoop, ReuseportLoopsServeConcurrentClientsIdentically) {
   EXPECT_EQ(st.protocol_errors, 0u);
 }
 
-TEST(NetServerMultiLoop, AcceptHandoffFallbackServesIdentically) {
-  // force_accept_handoff: loop 0 owns the only listener and posts accepted
-  // sockets to the other loops round-robin — the code path platforms
-  // without SO_REUSEPORT always take. With 3 loops and 6 clients every
-  // loop adopts handed-off connections.
-  SKIP_WITHOUT_EPOLL();
-  NetFixture fx;
-  net::ServerOptions sopts;
-  sopts.loops = 3;
-  sopts.force_accept_handoff = true;
-  TestServer ts(fx.svc, fx.oracle, sopts);
-
-  constexpr unsigned kClients = 6;
-  std::vector<std::string> errors(kClients);
-  std::vector<std::thread> threads;
-  for (unsigned c = 0; c < kClients; ++c) {
-    threads.emplace_back([&, c] {
-      try {
-        net::Client client(ts.client_options());
-        // Pipeline a few batches so handed-off connections exercise the
-        // full submit/complete path, not just one round trip.
-        std::vector<std::vector<Query>> batches;
-        std::vector<std::uint64_t> ids;
-        for (std::size_t b = 0; b < 3; ++b) {
-          batches.push_back(fx.random_queries(250, 4000 + 13 * c + b));
-          ids.push_back(client.send(batches[b]));
-        }
-        for (std::size_t b = 0; b < 3; ++b) {
-          if (client.wait(ids[b]) != fx.svc.query_batch(*fx.oracle, batches[b])) {
-            errors[c] = "answer mismatch";
-            return;
-          }
-        }
-      } catch (const std::exception& ex) {
-        errors[c] = ex.what();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (unsigned c = 0; c < kClients; ++c) EXPECT_EQ(errors[c], "") << "client " << c;
-  EXPECT_EQ(ts.server.stats().connections_accepted, kClients);
-}
-
 TEST(NetServerMultiLoop, GracefulShutdownDrainsEveryLoop) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   net::ServerOptions sopts;
   sopts.loops = 2;
@@ -1321,16 +1244,46 @@ TEST(NetServerMultiLoop, GracefulShutdownDrainsEveryLoop) {
   ts.reset();  // joins every loop thread; hangs here if one missed the drain
 }
 
-TEST(NetServerMultiLoop, EdgeTriggeredMultiLoopServesIdentically) {
-  SKIP_WITHOUT_EPOLL();
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(NetServerMultiLoop, ListenFailureClosesEveryListener) {
+  // A plain listener without SO_REUSEPORT holds an ephemeral port, so no
+  // server listener can join it, reuseport or not.
+  const int holder = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(holder, 0);
+  ::sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(holder, reinterpret_cast<::sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(holder, 4), 0);
+  ::socklen_t len = sizeof addr;
+  ASSERT_EQ(::getsockname(holder, reinterpret_cast<::sockaddr*>(&addr), &len), 0);
+  const std::uint16_t port = ntohs(addr.sin_port);
+
   NetFixture fx;
-  net::ServerOptions sopts;
-  sopts.loops = 2;
-  sopts.edge_triggered = true;
-  TestServer ts(fx.svc, fx.oracle, sopts);
-  net::Client client(ts.client_options());
-  const std::vector<Query> queries = fx.random_queries(2000, 11);
-  EXPECT_EQ(client.call(queries), fx.svc.query_batch(*fx.oracle, queries));
+  const std::size_t fds_before = open_fd_count();
+  for (const unsigned loops : {1u, 3u}) {
+    net::ServerOptions sopts;
+    sopts.port = port;
+    sopts.loops = loops;
+    try {
+      net::Server server(fx.svc, fx.oracle, sopts);
+      ADD_FAILURE() << loops << " loop(s) listened on a taken port";
+    } catch (const std::runtime_error& ex) {
+      EXPECT_NE(std::string(ex.what()).find(":" + std::to_string(port) + " "),
+                std::string::npos)
+          << ex.what();
+    }
+  }
+  EXPECT_EQ(open_fd_count(), fds_before);
+  ::close(holder);
 }
 
 // --------------------------------------- multi-tenant registry (v2) ---
@@ -1378,7 +1331,6 @@ std::promise<void> wedge_pool(service::QueryService& svc) {
 // be byte-identical to a local QueryService building the same graphs.
 // MSRP_FUZZ_TENANTS widens the matrix (2..8 random tenant graphs).
 TEST(NetRegistry, WireRegisteredTenantsMatchInProcessByteForByte) {
-  SKIP_WITHOUT_EPOLL();
   service::QueryService svc({.threads = 2, .cache_capacity = 12, .min_parallel_batch = 64});
   RegistryTestServer ts(svc, nullptr);  // no default oracle: registry only
   net::Client client(ts.client_options());
@@ -1453,7 +1405,6 @@ TEST(NetRegistry, WireRegisteredTenantsMatchInProcessByteForByte) {
 }
 
 TEST(NetRegistry, DefaultOracleServesV1AndDigestTargetedBatches) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   RegistryTestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -1473,7 +1424,6 @@ TEST(NetRegistry, DefaultOracleServesV1AndDigestTargetedBatches) {
 }
 
 TEST(NetRegistry, NoDefaultOracleRejectsUntargetedBatches) {
-  SKIP_WITHOUT_EPOLL();
   service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
   RegistryTestServer ts(svc, nullptr);
   net::Client client(ts.client_options());
@@ -1493,7 +1443,6 @@ TEST(NetRegistry, NoDefaultOracleRejectsUntargetedBatches) {
 }
 
 TEST(NetRegistry, UnknownDigestFailsTheBatchNotTheConnection) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   RegistryTestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -1513,7 +1462,6 @@ TEST(NetRegistry, UnknownDigestFailsTheBatchNotTheConnection) {
 // Digest-targeted workload batches against a wire-registered tenant: the
 // registry path and the typed opcodes compose.
 TEST(NetRegistry, WorkloadBatchesTargetRegisteredTenants) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   RegistryTestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -1552,7 +1500,6 @@ TEST(NetRegistry, WorkloadBatchesTargetRegisteredTenants) {
 }
 
 TEST(NetRegistry, RegistryDisabledServerStillSpeaksV2Shapes) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);  // single-oracle server, no registry
   net::Client client(ts.client_options());
@@ -1586,7 +1533,6 @@ TEST(NetRegistry, RegistryDisabledServerStillSpeaksV2Shapes) {
 }
 
 TEST(NetRegistry, AdmissionControlAnswersBusyAndRetrySucceeds) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   net::ServerOptions sopts;
   sopts.dispatch = {.per_tenant_inflight = 1, .per_tenant_queue = 0, .total_inflight = 4};
@@ -1615,7 +1561,6 @@ TEST(NetRegistry, AdmissionControlAnswersBusyAndRetrySucceeds) {
 }
 
 TEST(NetRegistry, UnregisterAndReRegisterOverTheWire) {
-  SKIP_WITHOUT_EPOLL();
   service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
   RegistryTestServer ts(svc, nullptr);
   net::Client client(ts.client_options());
@@ -1650,7 +1595,6 @@ TEST(NetRegistry, UnregisterAndReRegisterOverTheWire) {
 }
 
 TEST(NetRegistry, UnregisterWhileInflightDrainsThenRetires) {
-  SKIP_WITHOUT_EPOLL();
   service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
   RegistryTestServer ts(svc, nullptr);
   net::Client client(ts.client_options());
@@ -1685,7 +1629,6 @@ TEST(NetRegistry, UnregisterWhileInflightDrainsThenRetires) {
 }
 
 TEST(NetRegistry, ResendOnReconnectReplaysPipelinedBatchesAcrossRestart) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   auto tsA = std::make_unique<TestServer>(fx.svc, fx.oracle);
   const std::uint16_t port = tsA->server.port();
@@ -1719,8 +1662,6 @@ TEST(NetRegistry, ResendOnReconnectReplaysPipelinedBatchesAcrossRestart) {
   }
   EXPECT_EQ(client.inflight(), 0u);
 }
-
-#if defined(__unix__)
 
 /// Raw loopback socket for protocol-violation tests (the Client refuses to
 /// send malformed bytes, so speak to the port directly).
@@ -1776,7 +1717,6 @@ struct RawConn {
 };
 
 TEST(NetServer, GarbageBytesGetErrorFrameThenClose) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   RawConn raw(ts.server.port());
@@ -1791,7 +1731,6 @@ TEST(NetServer, GarbageBytesGetErrorFrameThenClose) {
 }
 
 TEST(NetServer, OversizedFrameHeaderGetsErrorFrameThenClose) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   net::ServerOptions sopts;
   sopts.max_frame_bytes = 4096;
@@ -1814,7 +1753,6 @@ TEST(NetServer, OversizedFrameHeaderGetsErrorFrameThenClose) {
 TEST(NetServer, RequestIdZeroIsRejected) {
   // Id 0 means "the connection" in ERROR frames; a batch using it could
   // never be failed unambiguously, so it is a protocol violation up front.
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   RawConn raw(ts.server.port());
@@ -1830,7 +1768,6 @@ TEST(NetServer, RequestIdZeroIsRejected) {
 }
 
 TEST(NetServer, NonBatchFrameFromClientIsRejected) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   RawConn raw(ts.server.port());
@@ -1848,7 +1785,6 @@ TEST(NetServer, UnknownOpcodeProbeGetsErrorFrameThenClose) {
   // server does not know (say, a hypothetical v4 opcode) must be answered
   // with a connection-level ERROR naming the allowed opcodes — never
   // silently dropped, never crashing the dispatch switch.
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   RawConn raw(ts.server.port());
@@ -1873,7 +1809,6 @@ TEST(NetServer, LegacyV2FramesAreByteIdenticalUnderV3Server) {
   // and the current HELLO must still announce sources/digest in the v1 layout
   // (v2 clients accept any announced version >= their own frames' needs,
   // so the payload shapes are load-bearing, not just the field values).
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   const std::vector<Query> queries = fx.random_queries(120, 15);
@@ -1907,7 +1842,6 @@ TEST(NetServer, PeerResetMidReplyDoesNotKillServer) {
   // MSG_NOSIGNAL, so that must surface as a failed send and a closed
   // connection — never a SIGPIPE that kills the process. If the guard
   // regresses, this whole test binary dies here.
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   {
@@ -1934,7 +1868,6 @@ TEST(NetServer, PeerResetMidReplyDoesNotKillServer) {
 }
 
 TEST(NetRegistry, TruncatedRegisterUploadLeavesNoTenantBehind) {
-  SKIP_WITHOUT_EPOLL();
   service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
   RegistryTestServer ts(svc, nullptr);
   {
@@ -1966,7 +1899,6 @@ TEST(NetRegistry, TruncatedRegisterUploadLeavesNoTenantBehind) {
 }
 
 TEST(NetRegistry, RegisterRequestIdZeroIsRejected) {
-  SKIP_WITHOUT_EPOLL();
   service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
   RegistryTestServer ts(svc, nullptr);
   RawConn raw(ts.server.port());
@@ -1986,8 +1918,6 @@ TEST(NetRegistry, RegisterRequestIdZeroIsRejected) {
   EXPECT_NE(err.message.find("reserved"), std::string::npos);
   EXPECT_EQ(ts.registry.tenant_count(), 0u);
 }
-
-#endif  // __unix__
 
 }  // namespace
 }  // namespace msrp

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,12 +21,11 @@
 #include "obs/trace.hpp"
 #include "util/shm.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace msrp {
 namespace {
@@ -187,7 +187,6 @@ TEST(ObsMetrics, ConcurrentRecordAndSnapshotAreClean) {
 // ----- shm counter pages ----------------------------------------------------
 
 TEST(ObsShmPage, SlotsSurviveReopen) {
-  if (!obs::ShmCounterPage::supported()) GTEST_SKIP() << "no POSIX shm";
   const std::string name = "/msrp.obs_test." + std::to_string(::getpid());
   obs::ShmCounterPage owner = obs::ShmCounterPage::create(name);
   auto* slot = owner.find_or_create("worker.0.requests");
@@ -211,7 +210,6 @@ TEST(ObsShmPage, SlotsSurviveReopen) {
 }
 
 TEST(ObsShmPage, CreateUnlinksOnDestruction) {
-  if (!obs::ShmCounterPage::supported()) GTEST_SKIP() << "no POSIX shm";
   const std::string name = "/msrp.obs_test.unlink." + std::to_string(::getpid());
   {
     obs::ShmCounterPage page = obs::ShmCounterPage::create(name);
@@ -221,7 +219,6 @@ TEST(ObsShmPage, CreateUnlinksOnDestruction) {
 }
 
 TEST(ObsShmPage, RejectsOverlongNamesAndFullPages) {
-  if (!obs::ShmCounterPage::supported()) GTEST_SKIP() << "no POSIX shm";
   const std::string name = "/msrp.obs_test.full." + std::to_string(::getpid());
   obs::ShmCounterPage page = obs::ShmCounterPage::create(name);
   EXPECT_EQ(page.find_or_create(std::string(obs::ShmCounterPage::kSlotNameBytes, 'x')),
@@ -366,7 +363,6 @@ TEST(ObsWire, StatsSnapshotRoundTrip) {
 
 // ----- HTTP listener --------------------------------------------------------
 
-#if defined(__unix__) || defined(__APPLE__)
 std::string http_get(const std::string& host, std::uint16_t port, const std::string& path) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return {};
@@ -387,11 +383,8 @@ std::string http_get(const std::string& host, std::uint16_t port, const std::str
   ::close(fd);
   return out;
 }
-#endif
 
 TEST(ObsHttp, ServesMetricsHealthzAndTraces) {
-#if defined(__unix__) || defined(__APPLE__)
-  if (!obs::MetricsHttpServer::supported()) GTEST_SKIP() << "no epoll";
   obs::MetricsRegistry reg;
   reg.counter("server.batches_received")->add(7);
   obs::TraceRing ring(1, 8);
@@ -415,9 +408,38 @@ TEST(ObsHttp, ServesMetricsHealthzAndTraces) {
 
   const std::string missing = http_get(http.host(), http.port(), "/nope");
   EXPECT_NE(missing.find("404"), std::string::npos);
-#else
-  GTEST_SKIP() << "POSIX sockets required";
-#endif
+}
+
+TEST(ObsHttp, SocketsAreCloseOnExec) {
+  // A socket without FD_CLOEXEC leaks into every exec'd shard worker, which
+  // then holds the /metrics port and delays a scraper's EOF.
+  obs::MetricsRegistry reg;
+  obs::MetricsHttpServer http(reg, nullptr, {});
+  const int scrape = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(scrape, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(http.port());
+  ::inet_pton(AF_INET, http.host().c_str(), &addr.sin_addr);
+  ASSERT_EQ(::connect(scrape, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string partial = "GET /metrics";  // the request line stays open
+  ASSERT_EQ(::write(scrape, partial.data(), partial.size()),
+            static_cast<ssize_t>(partial.size()));
+  // The loop accepts in order, so once a later scrape is answered the held
+  // connection has been accepted too.
+  ASSERT_NE(http_get(http.host(), http.port(), "/healthz").find("200 OK"), std::string::npos);
+
+  std::size_t sockets = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const std::string target = std::filesystem::read_symlink(entry.path(), ec).string();
+    if (ec || target.rfind("socket:", 0) != 0) continue;
+    const int fd = std::stoi(entry.path().filename().string());
+    ++sockets;
+    EXPECT_NE(::fcntl(fd, F_GETFD) & FD_CLOEXEC, 0) << "fd " << fd << " -> " << target;
+  }
+  EXPECT_GE(sockets, 3u);  // the listener, the accepted scrape, our end of it
+  ::close(scrape);
 }
 
 }  // namespace

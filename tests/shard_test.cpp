@@ -2,9 +2,9 @@
 // in-process differential checks, zero-copy placement accounting, worker
 // death + single-flight respawn, and shared-memory cleanup on exit.
 //
-// These tests fork real worker processes, so they are deliberately NOT in
-// the sanitizer CI regex (TSan and fork do not mix); the plain Debug and
-// Release matrix runs them.
+// These tests fork real worker processes. TSan cannot follow fork, so the
+// TSan job leaves them out; the ASan+UBSan job and the plain Debug and
+// Release matrix run them.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -20,10 +20,8 @@
 #include "service/shard_router.hpp"
 #include "util/shm.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
 #include <unistd.h>
-#endif
 
 namespace msrp {
 namespace {
@@ -133,10 +131,7 @@ TEST(SnapshotSliceTest, SliceRoundTripsThroughAttach) {
   EXPECT_EQ(attached.content_digest(), sliced.content_digest());
 }
 
-#if defined(__unix__) || defined(__APPLE__)
-
 TEST(ShardRouterTest, MatchesInProcessOnRandomGraphs) {
-  ASSERT_TRUE(ShardRouter::supported());
   service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
   for (std::uint64_t iter = 0; iter < 6; ++iter) {
     Rng rng(0x5AADD + iter);
@@ -439,8 +434,6 @@ TEST(QueryServiceShardingTest, ShardedAnswersMatchBruteForce) {
   }
   EXPECT_EQ(svc.query_batch(*oracle, queries), want);
 }
-
-#endif  // POSIX
 
 }  // namespace
 }  // namespace msrp

@@ -41,10 +41,6 @@
 //                          segments, each served zero-copy by a forked
 //                          msrp_serve worker; answers are bit-identical to
 //                          the in-process path (see docs/OPERATIONS.md)
-//   --shard-spin N         idle-poll rounds before the shard router sleeps
-//                          (default 64, or MSRP_SHARD_SPIN_ROUNDS)
-//   --shard-sleep-us N     router idle sleep in microseconds; 0 = yield
-//                          (default 20, or MSRP_SHARD_SLEEP_US)
 //   --out <path>           write "s t e answer" lines for the batch
 //
 // Network serving (docs/NETWORK_PROTOCOL.md):
@@ -59,12 +55,11 @@
 //                          progress for N ms — a stuck peer cannot pin
 //                          reply buffers forever (0 = never, the default)
 //   --loops N              event-loop threads; each gets its own
-//                          SO_REUSEPORT listener on the shared port (or
-//                          round-robin accept hand-off where REUSEPORT is
-//                          unavailable). Default 1.
+//                          SO_REUSEPORT listener on the shared port.
+//                          Default 1.
 //   --pin-workers          pin event-loop threads and shard worker
 //                          processes to CPUs (thread/worker k -> CPU k mod
-//                          hardware_concurrency); Linux-only
+//                          hardware_concurrency)
 //   --registry             multi-tenant mode: clients register graphs over
 //                          the wire (protocol v2) and target them by
 //                          digest. Works with or without a local oracle
@@ -121,7 +116,6 @@
 #include "service/query_gen.hpp"
 #include "service/query_service.hpp"
 #include "service/shard_process.hpp"
-#include "service/shard_router.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -151,7 +145,6 @@ std::vector<std::uint32_t> parse_list(const std::string& s) {
                "         [--batch-file <path> | --random-queries N]\n"
                "         [--workload vitality|vickrey|kfail]\n"
                "         [--threads N] [--repeat K] [--async] [--shards N]\n"
-               "         [--shard-spin N] [--shard-sleep-us N]\n"
                "         [--listen <port>] [--listen-addr <ip>] [--loops N]\n"
                "         [--pin-workers] [--idle-timeout-ms N] [--stall-timeout-ms N]\n"
                "         [--metrics-addr ip:port] [--trace-sample-n N]\n"
@@ -247,10 +240,6 @@ int serve_network(service::QueryService& svc, std::shared_ptr<const service::Sna
                   std::uint64_t stall_timeout_ms, std::uint64_t failed_ttl_ms,
                   std::uint64_t build_timeout_ms, const std::string& metrics_addr,
                   std::uint64_t trace_sample_n) {
-  if (!net::Server::supported()) {
-    std::fprintf(stderr, "error: --listen needs epoll (Linux)\n");
-    return 1;
-  }
   // Declared before the server so it outlives it: in-flight registrations
   // drain in ~Server, then the registry tears down.
   std::unique_ptr<registry::OracleRegistry> reg;
@@ -277,10 +266,6 @@ int serve_network(service::QueryService& svc, std::shared_ptr<const service::Sna
   }
   std::unique_ptr<obs::MetricsHttpServer> http;
   if (!metrics_addr.empty()) {
-    if (!obs::MetricsHttpServer::supported()) {
-      std::fprintf(stderr, "error: --metrics-addr needs epoll (Linux)\n");
-      return 1;
-    }
     const std::size_t colon = metrics_addr.rfind(':');
     if (colon == std::string::npos || colon == 0) {
       std::fprintf(stderr, "error: --metrics-addr wants ip:port, got '%s'\n",
@@ -405,7 +390,6 @@ int main(int argc, char** argv) {
   std::string metrics_addr;
   std::uint64_t trace_sample_n = 0;
   double refresh_ahead = 0.0;
-  service::ShardBackoff backoff = service::ShardBackoff::from_env();
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -446,10 +430,6 @@ int main(int argc, char** argv) {
       threads = static_cast<unsigned>(tools::cli_u64(next(), "--threads"));
     } else if (arg == "--shards") {
       shards = static_cast<unsigned>(tools::cli_u64(next(), "--shards"));
-    } else if (arg == "--shard-spin") {
-      backoff.spin_rounds = static_cast<std::uint32_t>(tools::cli_u64(next(), "--shard-spin"));
-    } else if (arg == "--shard-sleep-us") {
-      backoff.sleep_us = static_cast<std::uint32_t>(tools::cli_u64(next(), "--shard-sleep-us"));
     } else if (arg == "--listen") {
       listen = true;
       const std::uint64_t port = tools::cli_u64(next(), "--listen");
@@ -527,13 +507,8 @@ int main(int argc, char** argv) {
     svc_opts.cache_entry_ttl = std::chrono::milliseconds(cache_ttl_ms);
     svc_opts.cache_refresh_ahead = refresh_ahead;
     if (shards >= 1) {
-      if (!service::ShardRouter::supported()) {
-        std::fprintf(stderr, "error: --shards needs POSIX fork + shared memory\n");
-        return 1;
-      }
       svc_opts.shards = shards;
       svc_opts.shard_worker_argv = {argv[0]};  // workers exec this binary
-      svc_opts.shard_backoff = backoff;
       svc_opts.pin_shard_workers = pin_workers;
     }
     service::QueryService svc(svc_opts);
