@@ -186,10 +186,6 @@ Server::Server(service::QueryService& svc, std::shared_ptr<const service::Snapsh
     counter("dispatch.busy_rejections", dispatcher_->busy_rejections());
     counter("dispatch.dispatched_total", dispatcher_->dispatched_total());
     counter("dispatch.deadline_expirations", dispatcher_->deadline_expirations());
-    for (const fail::SiteStats& s : fail::all_sites()) {
-      out.counters.push_back({std::string("failpoint.") + s.name + ".hits", s.hits});
-      out.counters.push_back({std::string("failpoint.") + s.name + ".fires", s.fires});
-    }
   });
 
   HelloInfo hello;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <stdexcept>
+
+#include "util/failpoint.hpp"
 
 namespace msrp::obs {
 
@@ -60,111 +60,20 @@ void Histogram::read(std::uint64_t* out_buckets, std::uint64_t& out_count,
 }
 
 // ---------------------------------------------------------------------------
-// ShmCounterPage
-
-std::size_t ShmCounterPage::bytes_for() { return sizeof(Page); }
-
-ShmCounterPage ShmCounterPage::create(const std::string& shm_name) {
-  ShmCounterPage p;
-  p.seg_ = ShmSegment::create(shm_name, bytes_for());
-  p.page_ = reinterpret_cast<Page*>(p.seg_.data());
-  // The segment is zero-filled: state 0 == free is the valid empty page.
-  p.page_->magic = kMagic;
-  return p;
-}
-
-ShmCounterPage ShmCounterPage::open(const std::string& shm_name) {
-  ShmCounterPage p;
-  p.seg_ = ShmSegment::open(shm_name, /*writable=*/true);
-  if (p.seg_.size() < bytes_for()) {
-    throw std::runtime_error("shm counter page " + shm_name + ": segment too small");
-  }
-  p.page_ = reinterpret_cast<Page*>(p.seg_.data());
-  if (p.page_->magic != kMagic) {
-    throw std::runtime_error("shm counter page " + shm_name + ": bad magic");
-  }
-  return p;
-}
-
-std::atomic<std::uint64_t>* ShmCounterPage::find_or_create(std::string_view name) {
-  if (page_ == nullptr || name.size() >= kSlotNameBytes) return nullptr;
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    Slot& s = page_->slots[i];
-    std::uint64_t state = s.state.load(std::memory_order_acquire);
-    for (;;) {
-      if (state == 1) {
-        if (std::strncmp(s.name, name.data(), name.size()) == 0 &&
-            s.name[name.size()] == '\0') {
-          return &s.value;
-        }
-        break;  // published under another name; next slot
-      }
-      if (state == 0) {
-        // Claim: 0 -> 2, write the name, publish 2 -> 1. A concurrent
-        // claimer that loses the CAS re-reads and waits for publication.
-        if (s.state.compare_exchange_weak(state, 2, std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-          std::memset(s.name, 0, kSlotNameBytes);
-          std::memcpy(s.name, name.data(), name.size());
-          s.state.store(1, std::memory_order_release);
-          return &s.value;
-        }
-        continue;  // state reloaded by the failed CAS
-      }
-      // state == 2: another process is mid-claim on this slot; spin until
-      // it publishes, then compare names.
-      state = s.state.load(std::memory_order_acquire);
-    }
-  }
-  return nullptr;  // page full
-}
-
-std::atomic<std::uint64_t>* ShmCounterPage::find(std::string_view name) const {
-  if (page_ == nullptr || name.size() >= kSlotNameBytes) return nullptr;
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    Slot& s = page_->slots[i];
-    if (s.state.load(std::memory_order_acquire) != 1) continue;
-    if (std::strncmp(s.name, name.data(), name.size()) == 0 && s.name[name.size()] == '\0') {
-      return &s.value;
-    }
-  }
-  return nullptr;
-}
-
-void ShmCounterPage::collect(MetricsSnapshot& out, const std::string& prefix) const {
-  if (page_ == nullptr) return;
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    const Slot& s = page_->slots[i];
-    if (s.state.load(std::memory_order_acquire) != 1) continue;
-    out.counters.push_back(
-        {prefix + s.name, s.value.load(std::memory_order_relaxed)});
-  }
-}
-
-// ---------------------------------------------------------------------------
 // MetricsRegistry
 
 MetricsRegistry& MetricsRegistry::instance() {
   static MetricsRegistry reg;
+  // Failpoint counters are process-global, so they are exported once, by
+  // the registry itself, rather than by every subsystem instance that could
+  // fire one (each would add the same counts again under the same name).
+  static const CollectorHandle failpoints = reg.register_collector([](MetricsSnapshot& out) {
+    for (const fail::SiteStats& s : fail::all_sites()) {
+      out.counters.push_back({std::string("failpoint.") + s.name + ".hits", s.hits});
+      out.counters.push_back({std::string("failpoint.") + s.name + ".fires", s.fires});
+    }
+  });
   return reg;
-}
-
-Counter* MetricsRegistry::counter(std::string_view name) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& [n, c] : counters_) {
-    if (n == name) return c.get();
-  }
-  counters_.emplace_back(std::string(name), std::unique_ptr<Counter>(new Counter()));
-  return counters_.back().second.get();
-}
-
-Gauge* MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& [n, g] : gauges_) {
-    if (n == name) return g.get();
-  }
-  gauges_.emplace_back(std::string(name), std::unique_ptr<Gauge>(new Gauge()));
-  return gauges_.back().second.get();
 }
 
 Histogram* MetricsRegistry::histogram(std::string_view name, std::string_view label) {
@@ -193,10 +102,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    snap.counters.reserve(counters_.size() + 16);
-    for (const auto& [n, c] : counters_) snap.counters.push_back({n, c->value()});
-    snap.gauges.reserve(gauges_.size() + 8);
-    for (const auto& [n, g] : gauges_) snap.gauges.push_back({n, g->value()});
     snap.histograms.reserve(histograms_.size());
     for (const auto& [n, l, h] : histograms_) {
       HistogramSample hs;

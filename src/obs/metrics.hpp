@@ -1,21 +1,21 @@
 /// \file
-/// Lock-free metrics registry: named monotonic counters, gauges, and
-/// fixed-bucket log-linear latency histograms, plus shm-backed counter
-/// pages shared with forked shard workers.
+/// Lock-free metrics registry: fixed-bucket log-linear latency histograms
+/// owned by the registry, plus collectors that export the counters and
+/// gauges each subsystem keeps for itself.
 ///
 /// Design constraints, in order:
 ///
-///  1. The hot path (Counter::add, Histogram::record) must cost a couple of
-///     relaxed atomic RMWs and nothing else — no locks, no allocation, no
-///     branches on registry state. Handles are raw pointers into
+///  1. The hot path (Histogram::record) must cost a couple of relaxed
+///     atomic RMWs and nothing else — no locks, no allocation, no branches
+///     on registry state. Histogram handles are raw pointers into
 ///     registry-owned storage that is never freed or moved while the
 ///     registry lives, so recording threads never synchronize with
 ///     registration or snapshotting.
 ///
-///  2. Counters and histograms are striped across `kStripes` cache-line-
-///     padded cells; each thread picks a stripe once (thread-local
-///     round-robin) and hammers only that line. snapshot() sums the
-///     stripes — "per-thread sharded cells aggregated on read".
+///  2. Histograms are striped across `kStripes` cache-line-padded cells;
+///     each thread picks a stripe once (thread-local round-robin) and
+///     hammers only that line. snapshot() sums the stripes — "per-thread
+///     sharded cells aggregated on read".
 ///
 ///  3. Histograms are mergeable fixed-bucket log-linear (HDR-style): 4
 ///     sub-buckets per power of two over nanoseconds, exact below 8 ns,
@@ -24,19 +24,21 @@
 ///     histograms merge by adding buckets. No floating point on the
 ///     record path.
 ///
-///  4. Subsystems that already maintain their own atomics (net::Server,
-///     FairDispatcher, OracleCache, ShardRouter...) export them through
-///     collector callbacks: a registered std::function appends samples
-///     during snapshot(). Registration returns an RAII handle;
+///  4. Every counter and gauge has exactly one store: the subsystem that
+///     counts it (net::Server, FairDispatcher, OracleCache, ShardRouter...)
+///     keeps its own value and exports it through a collector callback — a
+///     registered std::function that appends samples during snapshot().
+///     The registry owns no counters, so per-instance stats() readers and
+///     the scrape never disagree. Registration returns an RAII handle;
 ///     unregistration blocks until no snapshot is mid-callback, so a
 ///     collector may safely capture `this` of a shorter-lived object.
 ///
-///  5. ShmCounterPage places named u64 slots in a POSIX shared-memory
-///     segment (util/shm.hpp) so forked shard workers publish into the
-///     supervisor's registry across fork()/exec()/respawn. Slots are
-///     claimed lock-free (CAS on a per-slot state word) and survive worker
-///     death: a respawned worker re-finds its slot by name and keeps
-///     counting — increments are never lost or doubled by the respawn.
+///  5. Per-instance stores may repeat a name — two live servers both
+///     export `server.batches_received` — and snapshot() sums duplicates
+///     into one series. That is only right for per-instance state, so
+///     process-global state (the failpoint sites) is exported once, by a
+///     collector MetricsRegistry::instance() registers when it is created,
+///     never by a subsystem instance.
 ///
 /// The process-wide registry is `MetricsRegistry::instance()`. Tests may
 /// construct private registries; everything here is instance-scoped.
@@ -52,8 +54,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "util/shm.hpp"
 
 namespace msrp::obs {
 
@@ -94,53 +94,18 @@ constexpr std::uint64_t bucket_upper_ns(std::size_t idx) {
 std::uint64_t quantile_ns(const std::uint64_t* buckets, std::size_t n_buckets, double q);
 
 // ---------------------------------------------------------------------------
-// Hot-path handles. Obtained from a MetricsRegistry; valid for its lifetime.
+// The hot-path handle. Obtained from a MetricsRegistry; valid for its
+// lifetime.
 
 namespace detail {
 
 inline constexpr std::size_t kStripes = 8;  // power of two
 
-struct alignas(64) StripedCell {
-  std::atomic<std::uint64_t> v{0};
-};
-
 /// Index of the calling thread's stripe (assigned round-robin on first use,
-/// shared by every counter/histogram in the process).
+/// shared by every histogram in the process).
 std::size_t thread_stripe();
 
 }  // namespace detail
-
-/// Monotonic counter. add() is wait-free: one relaxed fetch_add on the
-/// caller's stripe.
-class Counter {
- public:
-  void add(std::uint64_t delta = 1) noexcept {
-    cells_[detail::thread_stripe()].v.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& c : cells_) total += c.v.load(std::memory_order_relaxed);
-    return total;
-  }
-
- private:
-  friend class MetricsRegistry;
-  Counter() = default;
-  std::array<detail::StripedCell, detail::kStripes> cells_{};
-};
-
-/// Last-write-wins signed gauge (a level, not a rate).
-class Gauge {
- public:
-  void set(std::int64_t v) noexcept { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t delta) noexcept { v_.fetch_add(delta, std::memory_order_relaxed); }
-  std::int64_t value() const noexcept { return v_.load(std::memory_order_relaxed); }
-
- private:
-  friend class MetricsRegistry;
-  Gauge() = default;
-  std::atomic<std::int64_t> v_{0};
-};
 
 /// Log-linear latency histogram over nanoseconds. record() is wait-free:
 /// two relaxed fetch_adds (bucket + sum) on the caller's stripe.
@@ -196,59 +161,6 @@ struct MetricsSnapshot {
 };
 
 // ---------------------------------------------------------------------------
-// Shm-backed counter page: named u64 slots in shared memory, written by
-// forked shard workers, read by the supervisor's snapshot.
-
-class ShmCounterPage {
- public:
-  static constexpr std::size_t kSlots = 62;
-  static constexpr std::size_t kSlotNameBytes = 48;
-
-  ShmCounterPage() = default;
-
-  /// Computes the page's byte size (create passes it to ShmSegment).
-  static std::size_t bytes_for();
-
-  /// Creates (and owns — unlinks on destruction) a fresh page.
-  static ShmCounterPage create(const std::string& shm_name);
-
-  /// Attaches an existing page read-write (worker side / reopen).
-  static ShmCounterPage open(const std::string& shm_name);
-
-  bool valid() const { return page_ != nullptr; }
-  const std::string& shm_name() const { return seg_.name(); }
-
-  /// Finds the slot named `name`, claiming a fresh one if absent. Safe
-  /// concurrently from multiple processes (per-slot CAS claim). Returns
-  /// nullptr only when the page is full or the name exceeds
-  /// kSlotNameBytes-1 bytes. The returned atomic lives in shared memory:
-  /// fetch_add from any process, any time.
-  std::atomic<std::uint64_t>* find_or_create(std::string_view name);
-
-  /// Find without claiming; nullptr when absent.
-  std::atomic<std::uint64_t>* find(std::string_view name) const;
-
-  /// Appends one CounterSample per claimed slot (name prefixed with
-  /// `prefix`) — the registry-collector body for a page.
-  void collect(MetricsSnapshot& out, const std::string& prefix = {}) const;
-
- private:
-  struct Slot {
-    std::atomic<std::uint64_t> state;  // 0 free, 1 published, 2 mid-claim
-    char name[kSlotNameBytes];
-    std::atomic<std::uint64_t> value;
-  };
-  struct Page {
-    std::uint64_t magic;
-    Slot slots[kSlots];
-  };
-  static constexpr std::uint64_t kMagic = 0x6d737270'6f627331ull;  // "msrp" "obs1"
-
-  ShmSegment seg_;
-  Page* page_ = nullptr;
-};
-
-// ---------------------------------------------------------------------------
 // The registry.
 
 class MetricsRegistry {
@@ -285,15 +197,13 @@ class MetricsRegistry {
   static MetricsRegistry& instance();
 
   /// Find-or-create. The returned pointer is stable for the registry's
-  /// lifetime; repeated calls with the same name return the same object.
-  /// Not hot-path — resolve handles once, at startup.
-  Counter* counter(std::string_view name);
-  Gauge* gauge(std::string_view name);
+  /// lifetime; repeated calls with the same (name, label) return the same
+  /// object. Not hot-path — resolve handles once, at startup.
   Histogram* histogram(std::string_view name, std::string_view label = {});
 
   [[nodiscard]] CollectorHandle register_collector(CollectFn fn);
 
-  /// Full aggregated view: owned metrics summed over stripes, collector
+  /// Full aggregated view: histograms summed over stripes, collector
   /// callbacks appended, duplicates (same name) summed, sorted by name.
   MetricsSnapshot snapshot() const;
 
@@ -303,8 +213,6 @@ class MetricsRegistry {
 
   mutable std::mutex mu_;
   // deque-like stability via unique_ptr: handles are raw pointers.
-  std::vector<std::pair<std::string, std::unique_ptr<Counter>>> counters_;
-  std::vector<std::pair<std::string, std::unique_ptr<Gauge>>> gauges_;
   std::vector<std::tuple<std::string, std::string, std::unique_ptr<Histogram>>> histograms_;
   std::vector<std::pair<std::uint64_t, CollectFn>> collectors_;
   std::uint64_t next_collector_id_ = 1;

@@ -7,7 +7,6 @@
 #include <optional>
 #include <thread>
 
-#include "obs/metrics.hpp"
 #include "service/shard_channel.hpp"
 #include "service/snapshot.hpp"
 #include "util/failpoint.hpp"
@@ -29,8 +28,6 @@ std::string shard_snapshot_name(const std::string& base, std::uint32_t k) {
 }
 
 std::string shard_doorbell_name(const std::string& base) { return base + ".d"; }
-
-std::string shard_metrics_name(const std::string& base) { return base + ".m"; }
 
 namespace {
 
@@ -56,19 +53,6 @@ int run_shard_worker(const ShardWorkerConfig& cfg) {
     ShmSegment bell_seg =
         ShmSegment::open(shard_doorbell_name(cfg.base_name), /*writable=*/true);
     ShardDoorbell* bell = ShardDoorbell::adopt(bell_seg.data(), bell_seg.size());
-
-    // Shm metrics page, attached tolerantly: a supervisor that placed no
-    // page must not keep the worker from serving. The slot is re-found by
-    // name, so a respawned worker resumes the same counter — increments
-    // survive worker death with no loss or double counting.
-    obs::ShmCounterPage metrics_page;
-    std::atomic<std::uint64_t>* requests_slot = nullptr;
-    try {
-      metrics_page = obs::ShmCounterPage::open(shard_metrics_name(cfg.base_name));
-      requests_slot = metrics_page.find_or_create(
-          "worker." + std::to_string(cfg.shard_index) + ".requests");
-    } catch (const std::exception&) {
-    }
 
     if (MSRP_FAILPOINT("shard_worker.attach_corrupt")) {
       // Tear the shared image so attach-time validation must catch it. XOR
@@ -118,9 +102,6 @@ int run_shard_worker(const ShardWorkerConfig& cfg) {
       ShardRequest req;
       while (ch->try_pop_request(req)) {
         worked = true;
-        if (requests_slot != nullptr) {
-          requests_slot->fetch_add(1, std::memory_order_relaxed);
-        }
         // Crash window 1: the request left the ring but was never answered.
         // Respawn must requeue it from the supervisor's in-flight ledger.
         (void)MSRP_FAILPOINT("shard_worker.pop");

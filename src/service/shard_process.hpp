@@ -40,10 +40,6 @@ std::string shard_channel_name(const std::string& base, std::uint32_t k);
 std::string shard_snapshot_name(const std::string& base, std::uint32_t k);
 /// Name of the router-global completion-doorbell segment: "<base>.d".
 std::string shard_doorbell_name(const std::string& base);
-/// Name of the router-global shm metrics page: "<base>.m". Workers publish
-/// per-worker counters into it (obs::ShmCounterPage); attach is tolerant on
-/// both sides so older images and metrics-free supervisors interoperate.
-std::string shard_metrics_name(const std::string& base);
 
 /// Runs a worker to completion in the calling process. Returns a process
 /// exit code (0 = clean stop). Never throws.

@@ -73,15 +73,14 @@ ShardRouter::ShardRouter(const Snapshot& oracle, const ShardRouterOptions& opts)
   shards_.resize(plan_.num_shards());
   pending_.resize(plan_.num_shards());
   inflight_.resize(plan_.num_shards());
+  answers_received_.resize(plan_.num_shards());
+  answers_unfolded_.resize(plan_.num_shards());
   try {
     // The doorbell segment must exist before any worker forks: workers
     // open it unconditionally right after the channel.
     bell_seg_ = ShmSegment::create(shard_doorbell_name(base_name_),
                                    ShardDoorbell::bytes_for());
     bell_ = ShardDoorbell::init(bell_seg_.data());
-    // The metrics page likewise precedes the first fork: workers attach it
-    // (tolerantly) right after the doorbell.
-    metrics_page_ = obs::ShmCounterPage::create(shard_metrics_name(base_name_));
     for (unsigned k = 0; k < plan_.num_shards(); ++k) place_shard(oracle, k);
     for (unsigned k = 0; k < plan_.num_shards(); ++k) spawn_worker(k);
     for (unsigned k = 0; k < plan_.num_shards(); ++k) wait_worker_ready(k);
@@ -89,9 +88,11 @@ ShardRouter::ShardRouter(const Snapshot& oracle, const ShardRouterOptions& opts)
     metrics_collector_ = obs::MetricsRegistry::instance().register_collector(
         [this](obs::MetricsSnapshot& out) {
           ShardRouterStats st;
+          std::vector<std::uint64_t> received;
           {
             std::lock_guard<std::mutex> lock(mu_);
             st = stats_;
+            received = answers_received_;
           }
           out.counters.push_back({"router.segments_placed", st.segments_placed});
           out.counters.push_back({"router.bytes_placed", st.bytes_placed});
@@ -103,7 +104,10 @@ ShardRouter::ShardRouter(const Snapshot& oracle, const ShardRouterOptions& opts)
           out.gauges.push_back(
               {"router.peak_inflight_batches",
                static_cast<std::int64_t>(st.peak_inflight_batches)});
-          metrics_page_.collect(out, "shard.");
+          for (unsigned k = 0; k < received.size(); ++k) {
+            out.counters.push_back(
+                {"shard.worker." + std::to_string(k) + ".requests", received[k]});
+          }
         });
   } catch (...) {
     stop_all_workers();  // segments unlink via ~ShmSegment
@@ -548,12 +552,15 @@ bool ShardRouter::expire_batches() {
 bool ShardRouter::collector_poll() {
   bool progress = drain_submissions();
   progress = expire_batches() || progress;
+  bool popped = false;
 
   for (unsigned k = 0; k < shards_.size(); ++k) {
     Shard& sh = shards_[k];
     ShardResponse resp;
     while (sh.ch->try_pop_response(resp)) {
       progress = true;
+      popped = true;
+      ++answers_unfolded_[k];
       const std::uint32_t ns = tag_namespace(resp.tag);
       const std::uint32_t qi = tag_index(resp.tag);
       const auto it = active_.find(ns);
@@ -582,6 +589,9 @@ bool ShardRouter::collector_poll() {
       if (b->remaining == 0) {
         active_.erase(ns);
         std::lock_guard<std::mutex> lk(mu_);
+        // Fold first, so a caller woken by this batch reads counts that
+        // include every answer of it.
+        fold_answer_counts_locked();
         b->done = true;
         stats_.queries_routed += b->queries.size();
         stats_.batches_routed += 1;
@@ -605,7 +615,18 @@ bool ShardRouter::collector_poll() {
     }
     if (pushed) ring_doorbell(sh.ch->request_doorbell());
   }
+  if (popped) {
+    std::lock_guard<std::mutex> lk(mu_);
+    fold_answer_counts_locked();
+  }
   return progress;
+}
+
+void ShardRouter::fold_answer_counts_locked() {
+  for (std::size_t k = 0; k < answers_unfolded_.size(); ++k) {
+    answers_received_[k] += answers_unfolded_[k];
+    answers_unfolded_[k] = 0;
+  }
 }
 
 void ShardRouter::requeue_inflight(unsigned k) {
@@ -664,20 +685,16 @@ long ShardRouter::worker_pid(unsigned k) const {
 }
 
 std::uint64_t ShardRouter::worker_requests_total() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t total = 0;
-  for (unsigned k = 0; k < shards_.size(); ++k) {
-    const auto* slot =
-        metrics_page_.find("worker." + std::to_string(k) + ".requests");
-    if (slot != nullptr) total += slot->load(std::memory_order_relaxed);
-  }
+  for (const std::uint64_t n : answers_received_) total += n;
   return total;
 }
 
 std::vector<std::string> ShardRouter::segment_names() const {
   std::vector<std::string> names;
-  names.reserve(2 * shards_.size() + 2);
+  names.reserve(2 * shards_.size() + 1);
   names.push_back(shard_doorbell_name(base_name_));
-  names.push_back(shard_metrics_name(base_name_));
   for (unsigned k = 0; k < shards_.size(); ++k) {
     names.push_back(shard_snapshot_name(base_name_, k));
     names.push_back(shard_channel_name(base_name_, k));

@@ -148,9 +148,9 @@ class ShardRouter {
   /// destruction).
   std::vector<std::string> segment_names() const;
 
-  /// Sum of the workers' shm "worker.<k>.requests" counters. Lives in the
-  /// router-owned metrics page, so the count survives worker death and
-  /// respawn exactly.
+  /// Answers the router has received from all shards, summed — the
+  /// `shard.worker.<k>.requests` counters. Counted on the router side, so
+  /// worker death and respawn neither lose nor double an answer.
   std::uint64_t worker_requests_total() const;
 
  private:
@@ -216,6 +216,8 @@ class ShardRouter {
   void recover_after_error(const std::string& why) noexcept;
   void fail_all_batches(const std::string& why);
   void ring_submit_bell();
+  /// Adds answers_unfolded_ into answers_received_; caller holds mu_.
+  void fold_answer_counts_locked();
 
   ShardRouterOptions opts_;
   std::string base_name_;
@@ -227,15 +229,13 @@ class ShardRouter {
   std::vector<Shard> shards_;
   ShmSegment bell_seg_;
   ShardDoorbell* bell_ = nullptr;
-  // Router-owned (created, unlinked on destruction) page the workers
-  // publish per-worker counters into across fork()/exec()/respawn.
-  obs::ShmCounterPage metrics_page_;
 
   // Shared submitter/collector state, all under mu_.
   mutable std::mutex mu_;
   std::condition_variable done_cv_;
   std::deque<Batch*> submitted_;  // handed to the collector, FIFO
   ShardRouterStats stats_;
+  std::vector<std::uint64_t> answers_received_;  // per shard
   bool collector_stop_ = false;
   // Set when post-exception recovery could not restore clean rings +
   // workers; every later batch then fails fast instead of mis-merging.
@@ -246,6 +246,10 @@ class ShardRouter {
   std::unordered_map<std::uint32_t, Batch*> active_;
   std::vector<std::deque<Entry>> pending_;   // per shard, not yet in the ring
   std::vector<std::deque<Entry>> inflight_;  // per shard, in the ring, unanswered
+  // Per shard, answers popped since the last fold into answers_received_:
+  // counted without a lock, folded once per poll round and before any
+  // batch completes.
+  std::vector<std::uint64_t> answers_unfolded_;
   std::uint32_t next_ns_ = 1;
   // Whether any active batch carries a real deadline — gates the expiry
   // scan so deadline-free workloads pay nothing per poll round.
@@ -253,7 +257,8 @@ class ShardRouter {
 
   std::thread collector_;
   // Last member: unregistered (blocking on any in-flight snapshot) before
-  // anything the callback reads — stats_ under mu_, metrics_page_ — dies.
+  // anything the callback reads — stats_ and answers_received_ under mu_ —
+  // dies.
   obs::MetricsRegistry::CollectorHandle metrics_collector_;
 };
 

@@ -1,12 +1,13 @@
 /// \file
 /// Unit tests for the observability layer: histogram bucket geometry,
-/// striped counters, the registry (find-or-create, collectors, concurrent
-/// record-vs-snapshot — the TSan target), shm counter pages across
-/// processes, the trace ring, the Prometheus/stderr renderers, the v4
-/// STATS frame codec, and the HTTP metrics listener.
+/// striped histograms, the registry (find-or-create, collectors, concurrent
+/// record-vs-snapshot — the TSan target, the once-per-process failpoint
+/// export), the trace ring, the Prometheus/stderr renderers, the v4 STATS
+/// frame codec, and the HTTP metrics listener.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -14,12 +15,16 @@
 #include <thread>
 #include <vector>
 
+#include "graph/generators.hpp"
 #include "net/protocol.hpp"
+#include "net/server.hpp"
 #include "obs/exposition.hpp"
 #include "obs/http_metrics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/shm.hpp"
+#include "service/query_service.hpp"
+#include "util/failpoint.hpp"
+#include "util/rng.hpp"
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -78,30 +83,42 @@ TEST(ObsBuckets, HugeValuesClampIntoLastBucket) {
   EXPECT_EQ(obs::bucket_index(~std::uint64_t{0}), obs::kHistogramBuckets - 1);
 }
 
-// ----- counters / gauges / histograms --------------------------------------
+// ----- histograms and collectors -------------------------------------------
 
 TEST(ObsMetrics, CounterSumsAcrossThreads) {
+  // More threads than stripes, so several threads share a stripe and every
+  // stripe is written: the count must still be exact once summed on read.
   obs::MetricsRegistry reg;
-  obs::Counter* c = reg.counter("test.adds");
-  constexpr int kThreads = 8;
+  obs::Histogram* h = reg.histogram("test.adds");
+  constexpr int kThreads = 2 * static_cast<int>(obs::detail::kStripes);
   constexpr std::uint64_t kPerThread = 10000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([c] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) c->add();
+    threads.emplace_back([h] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) h->record(3);
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(c->value(), kThreads * kPerThread);
+  std::array<std::uint64_t, obs::kHistogramBuckets> buckets{};
+  std::uint64_t count = 0;
+  std::uint64_t sum_ns = 0;
+  h->read(buckets.data(), count, sum_ns);
+  EXPECT_EQ(count, kThreads * kPerThread);
+  EXPECT_EQ(buckets[3], kThreads * kPerThread);
+  EXPECT_EQ(sum_ns, 3 * kThreads * kPerThread);
 }
 
 TEST(ObsMetrics, FindOrCreateReturnsStableHandles) {
   obs::MetricsRegistry reg;
-  EXPECT_EQ(reg.counter("a"), reg.counter("a"));
-  EXPECT_NE(reg.counter("a"), reg.counter("b"));
-  EXPECT_EQ(reg.gauge("g"), reg.gauge("g"));
+  obs::Histogram* a = reg.histogram("a");
+  EXPECT_EQ(reg.histogram("a"), a);
+  EXPECT_NE(reg.histogram("b"), a);
   EXPECT_EQ(reg.histogram("h", "x"), reg.histogram("h", "x"));
   EXPECT_NE(reg.histogram("h", "x"), reg.histogram("h", "y"));
+  EXPECT_NE(reg.histogram("h", "x"), reg.histogram("h"));
+  // Later registrations must not move earlier handles.
+  for (int i = 0; i < 64; ++i) reg.histogram("filler." + std::to_string(i));
+  EXPECT_EQ(reg.histogram("a"), a);
 }
 
 TEST(ObsMetrics, HistogramQuantilesFromKnownData) {
@@ -124,18 +141,23 @@ TEST(ObsMetrics, HistogramQuantilesFromKnownData) {
 
 TEST(ObsMetrics, SnapshotSortsAndSumsDuplicates) {
   obs::MetricsRegistry reg;
-  reg.counter("z")->add(1);
-  reg.counter("a")->add(2);
-  // A collector reporting the same name as an owned counter: summed.
-  auto handle = reg.register_collector([](obs::MetricsSnapshot& out) {
+  // Two collectors — two instances of one subsystem — reporting the same
+  // names: summed into one series each, and the output sorted by name.
+  auto first = reg.register_collector([](obs::MetricsSnapshot& out) {
+    out.counters.push_back({"z", 1});
+    out.counters.push_back({"a", 2});
+    out.gauges.push_back({"g", 3});
+  });
+  auto second = reg.register_collector([](obs::MetricsSnapshot& out) {
     out.counters.push_back({"a", 40});
-    out.gauges.push_back({"g", 7});
+    out.gauges.push_back({"g", 4});
   });
   const obs::MetricsSnapshot snap = reg.snapshot();
   ASSERT_EQ(snap.counters.size(), 2u);
   EXPECT_EQ(snap.counters[0].name, "a");
   EXPECT_EQ(snap.counters[0].value, 42u);
   EXPECT_EQ(snap.counters[1].name, "z");
+  EXPECT_EQ(snap.counters[1].value, 1u);
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_EQ(snap.gauges[0].value, 7);
 }
@@ -150,84 +172,73 @@ TEST(ObsMetrics, CollectorHandleUnregistersOnDestruction) {
   EXPECT_EQ(reg.snapshot().counters.size(), 0u);
 }
 
-// The TSan job runs this: recording threads hammer a counter and a
-// histogram while a reader loops snapshot(). Any missing synchronization
-// in the stripe or collector paths shows up as a race report.
+// The TSan job runs this: recording threads hammer a histogram and a
+// subsystem-owned atomic (exported by a collector, as net::Server does)
+// while a reader loops snapshot(). Any missing synchronization in the
+// stripe or collector paths shows up as a race report.
 TEST(ObsMetrics, ConcurrentRecordAndSnapshotAreClean) {
   obs::MetricsRegistry reg;
-  obs::Counter* c = reg.counter("c");
+  std::atomic<std::uint64_t> c{0};
   obs::Histogram* h = reg.histogram("h", "stage");
-  auto handle = reg.register_collector(
-      [c](obs::MetricsSnapshot& out) { out.counters.push_back({"echo", c->value()}); });
+  auto handle = reg.register_collector([&c](obs::MetricsSnapshot& out) {
+    out.counters.push_back({"c", c.load(std::memory_order_relaxed)});
+  });
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
     writers.emplace_back([&] {
       std::uint64_t ns = 1;
       while (!stop.load(std::memory_order_relaxed)) {
-        c->add();
+        c.fetch_add(1, std::memory_order_relaxed);
         h->record(ns = (ns * 2862933555777941757ull + 3037000493ull) % 1'000'000);
       }
     });
   }
-  std::uint64_t last = 0;
+  std::uint64_t last_counter = 0;
+  std::uint64_t last_count = 0;
   for (int i = 0; i < 200; ++i) {
     const obs::MetricsSnapshot snap = reg.snapshot();
     for (const auto& s : snap.counters) {
       if (s.name == "c") {
-        EXPECT_GE(s.value, last);  // monotone under concurrent adds
-        last = s.value;
+        EXPECT_GE(s.value, last_counter);  // monotone under concurrent adds
+        last_counter = s.value;
       }
     }
+    ASSERT_EQ(snap.histograms.size(), 1u);
+    EXPECT_GE(snap.histograms[0].count, last_count);  // monotone under records
+    last_count = snap.histograms[0].count;
   }
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : writers) t.join();
 }
 
-// ----- shm counter pages ----------------------------------------------------
+// Failpoint counters are process-global. They must be exported once per
+// process by the registry itself, however many servers are alive, and
+// without any server at all.
+TEST(ObsMetrics, FailpointCountersExportedOncePerProcess) {
+  ASSERT_TRUE(fail::set("obs_test.site", "error"));
+  EXPECT_TRUE(fail::hit("obs_test.site"));
+  fail::clear("obs_test.site");
 
-TEST(ObsShmPage, SlotsSurviveReopen) {
-  const std::string name = "/msrp.obs_test." + std::to_string(::getpid());
-  obs::ShmCounterPage owner = obs::ShmCounterPage::create(name);
-  auto* slot = owner.find_or_create("worker.0.requests");
-  ASSERT_NE(slot, nullptr);
-  slot->fetch_add(41);
-  {
-    // A worker attaching the page by name finds the same slot — this is
-    // what respawn does; the count continues, never resets.
-    obs::ShmCounterPage worker = obs::ShmCounterPage::open(name);
-    auto* again = worker.find_or_create("worker.0.requests");
-    ASSERT_NE(again, nullptr);
-    again->fetch_add(1);
-  }
-  EXPECT_EQ(slot->load(), 42u);
-  obs::MetricsSnapshot snap;
-  owner.collect(snap, "shard.");
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].name, "shard.worker.0.requests");
-  EXPECT_EQ(snap.counters[0].value, 42u);
-  EXPECT_TRUE(ShmSegment::exists(name));
-}
+  const auto site_counter = [](const obs::MetricsSnapshot& snap, const std::string& name) {
+    for (const auto& c : snap.counters) {
+      if (c.name == name) return c.value;
+    }
+    ADD_FAILURE() << name << " missing from the snapshot";
+    return std::uint64_t{0};
+  };
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  EXPECT_EQ(site_counter(reg.snapshot(), "failpoint.obs_test.site.fires"), 1u);
 
-TEST(ObsShmPage, CreateUnlinksOnDestruction) {
-  const std::string name = "/msrp.obs_test.unlink." + std::to_string(::getpid());
-  {
-    obs::ShmCounterPage page = obs::ShmCounterPage::create(name);
-    EXPECT_TRUE(ShmSegment::exists(name));
-  }
-  EXPECT_FALSE(ShmSegment::exists(name));
-}
-
-TEST(ObsShmPage, RejectsOverlongNamesAndFullPages) {
-  const std::string name = "/msrp.obs_test.full." + std::to_string(::getpid());
-  obs::ShmCounterPage page = obs::ShmCounterPage::create(name);
-  EXPECT_EQ(page.find_or_create(std::string(obs::ShmCounterPage::kSlotNameBytes, 'x')),
-            nullptr);
-  for (std::size_t i = 0; i < obs::ShmCounterPage::kSlots; ++i) {
-    ASSERT_NE(page.find_or_create("slot." + std::to_string(i)), nullptr) << i;
-  }
-  EXPECT_EQ(page.find_or_create("one.too.many"), nullptr);
-  EXPECT_EQ(page.find("absent"), nullptr);
+  Rng rng(5);
+  const Graph g = gen::connected_gnp(40, 0.1, rng);
+  service::QueryService svc({.threads = 1});
+  const auto oracle = svc.build(g, std::vector<Vertex>{0, 7});
+  net::Server first(svc, oracle);
+  net::Server second(svc, oracle);
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(site_counter(snap, "failpoint.obs_test.site.fires"), 1u);
+  EXPECT_EQ(site_counter(snap, "failpoint.obs_test.site.hits"), 1u);
 }
 
 // ----- trace ring -----------------------------------------------------------
@@ -386,7 +397,9 @@ std::string http_get(const std::string& host, std::uint16_t port, const std::str
 
 TEST(ObsHttp, ServesMetricsHealthzAndTraces) {
   obs::MetricsRegistry reg;
-  reg.counter("server.batches_received")->add(7);
+  auto handle = reg.register_collector([](obs::MetricsSnapshot& out) {
+    out.counters.push_back({"server.batches_received", 7});
+  });
   obs::TraceRing ring(1, 8);
   obs::TraceSpan span;
   span.request_id = 5;

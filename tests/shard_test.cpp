@@ -16,6 +16,7 @@
 #include "baseline/baselines.hpp"
 #include "core/msrp.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
 #include "service/query_service.hpp"
 #include "service/shard_router.hpp"
 #include "util/shm.hpp"
@@ -206,13 +207,11 @@ TEST(ShardRouterTest, RespawnsDeadWorkerAndRequeues) {
 }
 
 TEST(ShardRouterTest, ShmCountersSurviveWorkerKillAndRespawn) {
-  // The workers publish per-worker request counts into the router-owned
-  // shm metrics page. The page outlives the workers, and a respawned
-  // worker re-finds its slot by name — so counts accumulate exactly
-  // across a kill, with no lost or doubled increments. Killing while the
-  // router is idle keeps the arithmetic exact: every query is popped by a
-  // worker exactly once (a mid-batch kill could legitimately re-pop a
-  // requeued request).
+  // The router counts the answers it receives from each shard, so the
+  // per-shard `shard.worker.<k>.requests` counts live in the supervisor
+  // and outlive the workers: they accumulate exactly across a kill and
+  // respawn, with no lost or doubled answers, and the registry scrape
+  // reads the same totals.
   const Snapshot oracle = demo_snapshot(150, 4, 29);
   ShardRouterOptions opts;
   opts.shards = 2;
@@ -232,6 +231,14 @@ TEST(ShardRouterTest, ShmCountersSurviveWorkerKillAndRespawn) {
   ASSERT_EQ(answers.size(), second.size());
   EXPECT_GE(router.stats().respawns, 1u);
   EXPECT_EQ(router.worker_requests_total(), first.size() + second.size());
+
+  std::uint64_t scraped = 0;
+  for (const auto& c : obs::MetricsRegistry::instance().snapshot().counters) {
+    if (c.name == "shard.worker.0.requests" || c.name == "shard.worker.1.requests") {
+      scraped += c.value;
+    }
+  }
+  EXPECT_EQ(scraped, first.size() + second.size());
 }
 
 TEST(ShardRouterTest, UnlinksSegmentsOnDestruction) {
@@ -242,7 +249,7 @@ TEST(ShardRouterTest, UnlinksSegmentsOnDestruction) {
     opts.shards = 3;
     ShardRouter router(oracle, opts);
     names = router.segment_names();
-    ASSERT_EQ(names.size(), 8u);  // snapshot + channel per shard, doorbell, metrics page
+    ASSERT_EQ(names.size(), 7u);  // snapshot + channel per shard, doorbell
     for (const auto& name : names) {
       EXPECT_TRUE(ShmSegment::exists(name)) << name;
     }
