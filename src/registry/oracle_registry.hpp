@@ -8,8 +8,9 @@
 /// loaded asynchronously on the QueryService pool, walking the state
 /// machine in registry/oracle_state.hpp. The heavy work routes through
 /// QueryService::build/load and therefore through the single-flight
-/// OracleCache: two tenants registering the same graph share one solve,
-/// and the registry's byte budget rides on top of the cache's.
+/// OracleCache: two tenants registering the same graph share one solve.
+/// The cache owns no oracle, so the registry's byte budget bounds every
+/// tenant oracle the process holds.
 ///
 /// Queries resolve a digest to a pinned shared_ptr<const Snapshot> only
 /// in kReady; a building registration answers BUSY, an expiring one is

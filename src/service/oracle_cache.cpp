@@ -1,9 +1,9 @@
 #include "service/oracle_cache.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <mutex>
 
-#include "util/assert.hpp"
 #include "util/fnv.hpp"
 
 namespace msrp::service {
@@ -32,193 +32,71 @@ std::size_t OracleKeyHash::operator()(const OracleKey& k) const {
   return static_cast<std::size_t>(h);
 }
 
-OracleCache::OracleCache(std::size_t capacity, std::size_t max_bytes,
-                         std::chrono::milliseconds entry_ttl)
-    : capacity_(capacity), max_bytes_(max_bytes), entry_ttl_(entry_ttl),
-      clock_([] { return std::chrono::steady_clock::now(); }) {
-  MSRP_REQUIRE(capacity >= 1, "oracle cache capacity must be >= 1");
-}
-
-void OracleCache::set_clock_for_testing(
-    std::function<std::chrono::steady_clock::time_point()> clock) {
-  std::lock_guard<std::mutex> lock(mu_);
-  clock_ = std::move(clock);
-}
-
-void OracleCache::enable_refresh_ahead(double fraction, TaskRunner runner) {
-  MSRP_REQUIRE(fraction > 0.0, "refresh-ahead fraction must be > 0");
-  MSRP_REQUIRE(runner != nullptr, "refresh-ahead needs a task runner");
-  std::lock_guard<std::mutex> lock(mu_);
-  refresh_fraction_ = fraction;
-  runner_ = std::move(runner);
-}
-
 std::size_t OracleCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
+  return static_cast<std::size_t>(std::count_if(
+      entries_.begin(), entries_.end(), [](const auto& kv) { return !kv.second.dead(); }));
 }
 
-std::size_t OracleCache::size_bytes() const {
+std::shared_ptr<const Snapshot> OracleCache::lookup_locked(const OracleKey& key) {
+  auto it = entries_.find(key);
+  std::shared_ptr<const Snapshot> live =
+      it == entries_.end() ? nullptr : it->second.oracle.lock();
+  ++(live ? hits_ : misses_);
+  return live;
+}
+
+void OracleCache::sweep_locked() {
+  std::erase_if(entries_, [](const auto& kv) { return kv.second.dead(); });
+}
+
+std::shared_ptr<const Snapshot> OracleCache::get_or_insert(
+    const OracleKey& key, std::shared_ptr<const Snapshot> oracle) {
   std::lock_guard<std::mutex> lock(mu_);
-  return bytes_;
-}
-
-std::shared_ptr<const Snapshot> OracleCache::find_locked(const OracleKey& key,
-                                                         std::function<void()>* refresh_out) {
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  const auto age = clock_() - it->second->inserted_at;
-  if (entry_ttl_.count() > 0 && age >= entry_ttl_) {
-    // Aged out: drop the entry and report a miss so get_or_build() refreshes
-    // it through the single-flight slot. In-flight holders of the old
-    // shared_ptr are unaffected.
-    bytes_ -= it->second->bytes;
-    lru_.erase(it->second);
-    index_.erase(it);
-    ++expirations_;
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);  // move to front, iterator stays valid
-
-  // Refresh-ahead: old enough, refreshable, and not already refreshing —
-  // claim the single-flight slot NOW (under the lock, so concurrent hits
-  // see it) but hand the task to the caller to start after unlocking: a
-  // synchronous test runner executing it here would deadlock on mu_.
-  if (refresh_out != nullptr && refresh_fraction_ > 0.0 && entry_ttl_.count() > 0 &&
-      it->second->rebuild != nullptr && building_.find(key) == building_.end() &&
-      std::chrono::duration<double, std::milli>(age).count() >=
-          refresh_fraction_ * static_cast<double>(entry_ttl_.count())) {
-    auto prom = std::make_shared<std::promise<std::shared_ptr<const Snapshot>>>();
-    building_.emplace(key, prom->get_future().share());
-    *refresh_out = [this, key, rebuild = it->second->rebuild, prom] {
-      std::shared_ptr<const Snapshot> built;
-      try {
-        built = rebuild();
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          building_.erase(key);
-          ++refresh_failures_;
-        }
-        // Waiters parked on the slot (a cold miss racing this refresh) see
-        // the failure; the stale-but-valid entry keeps serving hits.
-        prom->set_exception(std::current_exception());
-        return;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        insert_locked(key, built, rebuild);  // re-stamps inserted_at
-        building_.erase(key);
-        ++refreshes_;
-      }
-      prom->set_value(std::move(built));
-    };
-  }
-  return it->second->oracle;
-}
-
-std::shared_ptr<const Snapshot> OracleCache::find(const OracleKey& key) {
-  std::function<void()> refresh;
-  std::shared_ptr<const Snapshot> got;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    got = find_locked(key, &refresh);
-  }
-  if (refresh) runner_(std::move(refresh));
-  return got;
-}
-
-void OracleCache::insert_locked(const OracleKey& key, std::shared_ptr<const Snapshot> oracle,
-                                Builder rebuild) {
-  const std::size_t footprint = oracle ? oracle->footprint_bytes() : 0;
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    bytes_ -= it->second->bytes;
-    it->second->oracle = std::move(oracle);
-    it->second->bytes = footprint;
-    it->second->inserted_at = clock_();
-    if (rebuild) it->second->rebuild = std::move(rebuild);
-    bytes_ += footprint;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    evict_over_budget_locked();
-    return;
-  }
-  lru_.push_front(Entry{key, std::move(oracle), footprint, clock_(), std::move(rebuild)});
-  index_.emplace(key, lru_.begin());
-  bytes_ += footprint;
-  evict_over_budget_locked();
-}
-
-void OracleCache::evict_over_budget_locked() {
-  // Entry-count cap first, then the byte budget; never evict the entry
-  // just touched (the front), so a single over-budget oracle still serves.
-  while (lru_.size() > 1 &&
-         (lru_.size() > capacity_ || (max_bytes_ != 0 && bytes_ > max_bytes_))) {
-    bytes_ -= lru_.back().bytes;
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++evictions_;
-  }
-}
-
-void OracleCache::insert(const OracleKey& key, std::shared_ptr<const Snapshot> oracle) {
-  std::lock_guard<std::mutex> lock(mu_);
-  insert_locked(key, std::move(oracle));
+  if (auto live = lookup_locked(key)) return live;
+  sweep_locked();
+  entries_[key].oracle = oracle;
+  return oracle;
 }
 
 std::shared_ptr<const Snapshot> OracleCache::get_or_build(
-    const OracleKey& key, const Builder& build, const BuilderFactory& rebuild_factory) {
+    const OracleKey& key, const std::function<std::shared_ptr<const Snapshot>()>& build) {
   std::promise<std::shared_ptr<const Snapshot>> mine;
   PendingFuture watch;
-  std::function<void()> refresh;
-  std::shared_ptr<const Snapshot> hit;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    hit = find_locked(key, &refresh);
-    if (!hit) {
-      auto pending = building_.find(key);
-      if (pending != building_.end()) {
-        watch = pending->second;  // someone else is building (or refreshing)
-      } else {
-        building_.emplace(key, mine.get_future().share());
-      }
+    if (auto live = lookup_locked(key)) return live;
+    sweep_locked();
+    Entry& entry = entries_[key];
+    if (entry.pending.valid()) {
+      watch = entry.pending;  // someone else is building
+    } else {
+      entry.pending = mine.get_future().share();
     }
-  }
-  if (hit) {
-    // Start the refresh this hit may have claimed, then serve the current
-    // oracle — the caller never waits on the rebuild.
-    if (refresh) runner_(std::move(refresh));
-    return hit;
   }
   if (watch.valid()) return watch.get();  // rethrows if that build failed
 
-  // We own the build. The pending slot keeps concurrent misses parked and
-  // is immune to eviction; the local shared_ptr (and every waiter's future)
-  // pins the snapshot even if the LRU evicts it the moment it lands. The
-  // catch must release the slot on ANY failure — build or landing — or the
-  // key would be poisoned with a broken promise forever.
-  //
-  // The rebuild factory also runs out here: it typically copies the graph,
-  // a cost only cold builds should pay.
+  // We own the build. The pending future keeps concurrent misses parked
+  // and the entry safe from sweeps; it is cleared before the promise is
+  // fulfilled, so once every waiter has returned no copy of the oracle
+  // outlives its holders. The slot is released on failure too, or the key
+  // would be poisoned with a broken promise forever.
   std::shared_ptr<const Snapshot> built;
   try {
-    Builder rebuild = rebuild_factory ? rebuild_factory() : Builder{};
     built = build();
-    std::lock_guard<std::mutex> lock(mu_);
-    insert_locked(key, built, std::move(rebuild));
-    building_.erase(key);
   } catch (...) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      building_.erase(key);
+      entries_.find(key)->second.pending = {};
     }
     mine.set_exception(std::current_exception());
     throw;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    Entry& entry = entries_.find(key)->second;
+    entry.oracle = built;
+    entry.pending = {};
   }
   mine.set_value(built);
   return built;
@@ -226,7 +104,9 @@ std::shared_ptr<const Snapshot> OracleCache::get_or_build(
 
 std::size_t OracleCache::pending_builds() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return building_.size();
+  return static_cast<std::size_t>(
+      std::count_if(entries_.begin(), entries_.end(),
+                    [](const auto& kv) { return kv.second.pending.valid(); }));
 }
 
 std::uint64_t OracleCache::hits() const {
@@ -237,26 +117,6 @@ std::uint64_t OracleCache::hits() const {
 std::uint64_t OracleCache::misses() const {
   std::lock_guard<std::mutex> lock(mu_);
   return misses_;
-}
-
-std::uint64_t OracleCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evictions_;
-}
-
-std::uint64_t OracleCache::expirations() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return expirations_;
-}
-
-std::uint64_t OracleCache::refreshes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return refreshes_;
-}
-
-std::uint64_t OracleCache::refresh_failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return refresh_failures_;
 }
 
 }  // namespace msrp::service

@@ -1,39 +1,30 @@
 /// \file
-/// LRU cache of solved oracles, keyed by what determines the solve.
+/// Single-flight table of the live oracles, keyed by what determines the
+/// solve.
 ///
 /// A solve is a pure function of (graph, sources, Config) — the solver is
-/// deterministic given its seed — so the cache key is (graph digest,
-/// source list, config fingerprint). Values are shared_ptr<const
-/// Snapshot>: handing out shared ownership means an oracle evicted
-/// mid-flight stays alive for the batches still holding it, which is what
-/// makes eviction safe with a lock-free read path.
+/// deterministic given its seed — so the key is (graph digest, source
+/// list, config fingerprint). The table holds weak_ptr<const Snapshot>:
+/// it owns no oracle. Whoever holds the shared_ptr (a caller, a batch, the
+/// registry) is the only owner of an oracle's memory, and the table serves
+/// the oracle for exactly as long as somebody does. A repeat build of an
+/// instance that is still held is a hit, not a re-solve.
 ///
-/// The cache itself is mutex-guarded (build/insert/evict are rare and
-/// expensive next to a solve); the hot path never touches it — batches run
-/// against the Snapshot reference they already hold.
+/// The table is mutex-guarded (lookups and inserts are rare and cheap next
+/// to a solve); the hot path never touches it — batches run against the
+/// Snapshot reference they already hold.
 ///
-/// In-flight builds are single-flighted: the first miss on a key claims a
-/// pending slot (a shared_future in a side map), concurrent misses wait on
-/// it instead of duplicating the solve, and the slot is immune to LRU
-/// eviction until the build lands. Together with the shared_ptr each
-/// waiter receives, that guarantees an eviction racing an async build can
-/// never drop an oracle a pending future still references.
-///
-/// Refresh-ahead rides on the same slots: with enable_refresh_ahead(f,
-/// runner), a lookup that hits an entry older than f * entry_ttl schedules
-/// the entry's stored rebuilder on `runner` (the serving pool) while still
-/// returning the current oracle. The rebuild claims the key's single-flight
-/// slot, so concurrent hot lookups schedule exactly one refresh — and a
-/// cold miss arriving mid-refresh parks on that slot instead of paying its
-/// own build. After warmup no request ever observes a cold build across a
-/// TTL boundary: the entry is re-stamped before it can expire.
+/// Builds are single-flighted: the first miss on a key parks a
+/// shared_future in the key's entry, concurrent misses wait on it instead
+/// of duplicating the solve, and each waiter receives its own shared_ptr.
+/// An entry whose oracle has expired and that has no build in flight is
+/// swept on the next insert, so the table holds only live oracles plus
+/// in-flight builds.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -62,130 +53,49 @@ struct OracleKeyHash {
 
 class OracleCache {
  public:
-  /// Produces one oracle (a full solve or snapshot load).
-  using Builder = std::function<std::shared_ptr<const Snapshot>()>;
-  /// Produces a self-contained Builder for later refreshes. Invoked at
-  /// most once per cold build this cache owns, outside the lock — this is
-  /// where the caller copies whatever the rebuild needs (the graph, the
-  /// sources) without taxing pure cache hits.
-  using BuilderFactory = std::function<Builder()>;
-  /// Executes refresh tasks (the serving pool in production, an inline or
-  /// manual runner in tests). Called outside the cache lock.
-  using TaskRunner = std::function<void(std::function<void()>)>;
-
-  /// `capacity` is in oracles and must be >= 1. `max_bytes` is an
-  /// additional budget on the summed Snapshot::footprint_bytes() of the
-  /// resident oracles (0 = unlimited): when inserting pushes the total
-  /// over, least-recently-used entries are evicted until it fits — so one
-  /// large oracle can displace several small ones. The most recent insert
-  /// itself is never evicted, even when it alone exceeds the budget
-  /// (callers hold a shared_ptr anyway; caching it costs nothing extra).
-  ///
-  /// `entry_ttl` (zero = never expire) ages entries out of the cache: a
-  /// lookup that finds an entry older than the TTL treats it as a miss and
-  /// drops it, so the next get_or_build() re-runs the builder — through the
-  /// same single-flight `building_` slot as any cold build, meaning one
-  /// refresh solve no matter how many threads hit the stale key at once.
-  /// Long-running servers use this to pick up re-saved snapshots or to
-  /// bound how stale a served oracle can get; batches already holding the
-  /// old shared_ptr keep serving it untouched.
-  explicit OracleCache(std::size_t capacity, std::size_t max_bytes = 0,
-                       std::chrono::milliseconds entry_ttl = {});
-
-  std::size_t capacity() const { return capacity_; }
-  std::size_t max_bytes() const { return max_bytes_; }
-  std::chrono::milliseconds entry_ttl() const { return entry_ttl_; }
+  /// Live oracles plus builds in flight.
   std::size_t size() const;
 
-  /// Replaces the time source used for TTL stamping/expiry (tests inject a
-  /// fake clock to age entries deterministically). Call before concurrent
-  /// use; the default is steady_clock::now.
-  void set_clock_for_testing(std::function<std::chrono::steady_clock::time_point()> clock);
+  /// The live oracle for `key`, else `oracle` — which is then recorded
+  /// under `key`. Lookup and insert happen under one lock, so concurrent
+  /// callers with the same key all get the first one's oracle.
+  std::shared_ptr<const Snapshot> get_or_insert(const OracleKey& key,
+                                                std::shared_ptr<const Snapshot> oracle);
 
-  /// Turns on refresh-ahead: a hit on an entry older than `fraction` *
-  /// entry_ttl (0 < fraction, meaningful below 1) schedules the entry's
-  /// stored rebuilder on `runner`, single-flighted through the same slot
-  /// as cold builds. Only entries built through get_or_build with a
-  /// BuilderFactory can refresh (plain insert()s have no rebuilder). Call
-  /// before concurrent use; requires a nonzero entry_ttl to do anything.
-  void enable_refresh_ahead(double fraction, TaskRunner runner);
-
-  /// Summed footprint of the resident oracles.
-  std::size_t size_bytes() const;
-
-  /// Returns the cached oracle and marks it most-recently-used; nullptr on
-  /// miss.
-  std::shared_ptr<const Snapshot> find(const OracleKey& key);
-
-  /// Inserts (or replaces) an oracle, evicting the least-recently-used
-  /// entry when over capacity.
-  void insert(const OracleKey& key, std::shared_ptr<const Snapshot> oracle);
-
-  /// find(), falling back to build() + insert() on a miss. The builder runs
-  /// outside the cache lock: a long solve must not block readers of other
-  /// entries. Concurrent misses on the same key are single-flighted: one
+  /// The live oracle for `key`, else the result of build(). The builder
+  /// runs outside the lock: a long solve must not block lookups of other
+  /// keys. Concurrent misses on the same key are single-flighted: one
   /// caller builds, the rest block on its result (and see its exception if
-  /// the build fails). The pending entry cannot be evicted mid-build.
-  /// `rebuild_factory`, when given, is invoked on the cold build this call
-  /// owns (never on hits or parked waits) and the Builder it returns is
-  /// stored with the entry for refresh-ahead.
-  std::shared_ptr<const Snapshot> get_or_build(const OracleKey& key, const Builder& build,
-                                               const BuilderFactory& rebuild_factory = nullptr);
+  /// the build fails; a failed key can be built again).
+  std::shared_ptr<const Snapshot> get_or_build(
+      const OracleKey& key, const std::function<std::shared_ptr<const Snapshot>()>& build);
 
-  // Counters (monotonic, for observability and the eviction tests).
+  // Counters (monotonic, for observability and the tests).
   std::uint64_t hits() const;
   std::uint64_t misses() const;
-  std::uint64_t evictions() const;
-
-  /// Entries dropped because they outlived entry_ttl (a subset of misses).
-  std::uint64_t expirations() const;
-
-  /// Refresh-ahead rebuilds that landed / failed.
-  std::uint64_t refreshes() const;
-  std::uint64_t refresh_failures() const;
 
   /// Builds currently in flight (claimed but not yet landed).
   std::size_t pending_builds() const;
 
  private:
-  struct Entry {
-    OracleKey key;
-    std::shared_ptr<const Snapshot> oracle;
-    std::size_t bytes = 0;  // footprint at insert time (snapshots are immutable)
-    std::chrono::steady_clock::time_point inserted_at{};  // TTL stamp
-    Builder rebuild;  // refresh-ahead rebuilder; null when not refreshable
-  };
-  // Most-recently-used at the front; the map points into the list.
-  using LruList = std::list<Entry>;
   using PendingFuture = std::shared_future<std::shared_ptr<const Snapshot>>;
+  struct Entry {
+    std::weak_ptr<const Snapshot> oracle;
+    PendingFuture pending;  // valid while a build is in flight
 
-  /// On a hit old enough to refresh (and not already refreshing), claims
-  /// the key's single-flight slot and writes the refresh task into
-  /// `*refresh_out` — the caller MUST run it after releasing mu_.
-  std::shared_ptr<const Snapshot> find_locked(const OracleKey& key,
-                                              std::function<void()>* refresh_out);
-  void insert_locked(const OracleKey& key, std::shared_ptr<const Snapshot> oracle,
-                     Builder rebuild = nullptr);
-  void evict_over_budget_locked();
+    bool dead() const { return !pending.valid() && oracle.expired(); }
+  };
 
-  std::size_t capacity_;
-  std::size_t max_bytes_;
-  std::chrono::milliseconds entry_ttl_{};
-  std::function<std::chrono::steady_clock::time_point()> clock_;
-  double refresh_fraction_ = 0.0;  // 0 = refresh-ahead off
-  TaskRunner runner_;
-  std::size_t bytes_ = 0;
+  /// The live oracle under `key` (nullptr if none), counting a hit or a
+  /// miss.
+  std::shared_ptr<const Snapshot> lookup_locked(const OracleKey& key);
+  /// Drops every dead entry: no live oracle and no build in flight.
+  void sweep_locked();
+
   mutable std::mutex mu_;
-  LruList lru_;
-  std::unordered_map<OracleKey, LruList::iterator, OracleKeyHash> index_;
-  // Single-flight slots for in-flight builds; never subject to eviction.
-  std::unordered_map<OracleKey, PendingFuture, OracleKeyHash> building_;
+  std::unordered_map<OracleKey, Entry, OracleKeyHash> entries_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t expirations_ = 0;
-  std::uint64_t refreshes_ = 0;
-  std::uint64_t refresh_failures_ = 0;
 };
 
 }  // namespace msrp::service

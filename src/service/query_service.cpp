@@ -17,36 +17,18 @@ namespace msrp::service {
 static constexpr std::size_t kMaxRouters = 4;
 
 /// Graphs kept attached for |F| == 2 K_FAIL service. A graph is a fraction
-/// of its oracle's footprint, so this can sit above the oracle cache's
-/// default capacity without mattering.
+/// of its oracle's footprint, so keeping a few costs little.
 static constexpr std::size_t kMaxAttachedGraphs = 8;
 
-QueryService::QueryService(Options opts)
-    : opts_(std::move(opts)),
-      cache_(opts_.cache_capacity, opts_.cache_max_bytes, opts_.cache_entry_ttl),
-      pool_(opts_.threads) {
-  if (opts_.cache_refresh_ahead > 0.0 && opts_.cache_entry_ttl.count() > 0) {
-    // Refresh tasks run on the serving pool. pool_ is declared last, so
-    // its destructor drains every queued refresh before cache_ dies.
-    cache_.enable_refresh_ahead(opts_.cache_refresh_ahead,
-                                [this](std::function<void()> task) {
-                                  pool_.submit(std::move(task));
-                                });
-  }
+QueryService::QueryService(Options opts) : opts_(std::move(opts)), pool_(opts_.threads) {
   collector_ = obs::MetricsRegistry::instance().register_collector(
       [this](obs::MetricsSnapshot& out) {
         out.counters.push_back({"service.queries_served", queries_served()});
         out.counters.push_back({"cache.hits", cache_.hits()});
         out.counters.push_back({"cache.misses", cache_.misses()});
-        out.counters.push_back({"cache.evictions", cache_.evictions()});
-        out.counters.push_back({"cache.expirations", cache_.expirations()});
-        out.counters.push_back({"cache.refreshes", cache_.refreshes()});
-        out.counters.push_back({"cache.refresh_failures", cache_.refresh_failures()});
         out.gauges.push_back(
             {"cache.pending_builds", static_cast<std::int64_t>(cache_.pending_builds())});
         out.gauges.push_back({"cache.entries", static_cast<std::int64_t>(cache_.size())});
-        out.gauges.push_back(
-            {"cache.bytes", static_cast<std::int64_t>(cache_.size_bytes())});
       });
 }
 
@@ -54,28 +36,15 @@ std::shared_ptr<const Snapshot> QueryService::build(const Graph& g,
                                                     const std::vector<Vertex>& sources,
                                                     const Config& cfg) {
   OracleKey key{io::graph_digest(g), sources, config_fingerprint(cfg)};
-  // One solve routine serves both the cold build (borrowing the caller's
-  // graph by reference) and the refresh-ahead rebuilder (owning a copy —
-  // the caller's graph is long gone when a refresh fires). The pool never
-  // enters the cache key: parallel builds are bit-identical to sequential
-  // ones, and cold builds running ON a pool worker stay safe because the
-  // solver's phase loops use caller-participating parallel_for.
-  auto solve = [this, cfg](const Graph& graph, const std::vector<Vertex>& srcs) {
+  // The pool never enters the key: parallel builds are bit-identical to
+  // sequential ones, and builds running ON a pool worker stay safe because
+  // the solver's phase loops use caller-participating parallel_for.
+  auto snap = cache_.get_or_build(key, [&] {
     Config build_cfg = cfg;
     build_cfg.build_pool = &pool_;
-    const MsrpResult res = solve_msrp(graph, srcs, build_cfg);
+    const MsrpResult res = solve_msrp(g, sources, build_cfg);
     return std::make_shared<const Snapshot>(Snapshot::capture(res));
-  };
-  OracleCache::BuilderFactory rebuild_factory;
-  if (opts_.cache_refresh_ahead > 0.0 && opts_.cache_entry_ttl.count() > 0) {
-    rebuild_factory = [&]() -> OracleCache::Builder {
-      // Invoked only on the cold build this call owns: copy the graph
-      // once so later refreshes are self-contained.
-      auto owned = std::make_shared<const Graph>(g);
-      return [solve, owned, srcs = sources] { return solve(*owned, srcs); };
-    };
-  }
-  auto snap = cache_.get_or_build(key, [&] { return solve(g, sources); }, rebuild_factory);
+  });
   // 2-edge-failure queries need the graph itself, and the caller is holding
   // it right here — attach a copy on first sight of this oracle so K_FAIL
   // works out of the box for built (as opposed to snapshot-loaded) oracles.
@@ -126,13 +95,11 @@ std::shared_ptr<const Graph> QueryService::graph_for(std::uint64_t digest) {
 std::shared_ptr<const Snapshot> QueryService::load(const std::string& path,
                                                    const Snapshot::LoadOptions& opts) {
   auto snap = std::make_shared<const Snapshot>(Snapshot::load(path, opts));
-  // Snapshots carry no (graph, config) identity, so they are cached under
+  // Snapshots carry no (graph, config) identity, so they are keyed by
   // their content digest; config_fingerprint 0 keeps the key space disjoint
   // from built oracles (config_fingerprint() never returns 0 in practice).
   OracleKey key{snap->content_digest(), snap->sources(), 0};
-  if (auto hit = cache_.find(key)) return hit;
-  cache_.insert(key, snap);
-  return snap;
+  return cache_.get_or_insert(key, std::move(snap));
 }
 
 std::shared_ptr<ShardRouter> QueryService::router_for(const Snapshot& oracle) {
@@ -290,7 +257,7 @@ struct QueryService::AsyncBatch {
   std::vector<Query> queries;
   BatchPlan plan;
   std::vector<Dist> answers;
-  std::shared_ptr<const Snapshot> oracle;  // pins the oracle against eviction
+  std::shared_ptr<const Snapshot> oracle;  // keeps the oracle alive
   std::atomic<std::size_t> pending{0};     // unfinished chunk tasks
   std::promise<BatchResult> promise;
   BatchCallback callback;  // non-null => callback flavour, promise unused
@@ -328,9 +295,9 @@ std::future<BatchResult> QueryService::submit_batch_impl(
   std::future<BatchResult> fut;
   if (!state->callback) fut = state->promise.get_future();
 
-  // Everything heavy — the oracle resolve (a cold-cache build is a full
-  // MSRP solve), validation, sharding, answering — happens inside pool
-  // tasks. This submit only enqueues one closure.
+  // Everything heavy — the oracle resolve (a miss is a full MSRP solve),
+  // validation, sharding, answering — happens inside pool tasks. This
+  // submit only enqueues one closure.
   pool_.submit([this, state, resolve = std::move(resolve), deadline] {
     try {
       state->oracle = resolve();
@@ -425,16 +392,6 @@ void QueryService::submit_batch(std::shared_ptr<const Snapshot> oracle,
   MSRP_REQUIRE(done != nullptr, "submit_batch: null callback");
   submit_batch_impl([oracle = std::move(oracle)] { return oracle; }, std::move(queries),
                     std::move(done), deadline);
-}
-
-void QueryService::submit_batch(Graph g, std::vector<Vertex> sources, Config cfg,
-                                std::vector<Query> queries, BatchCallback done) {
-  MSRP_REQUIRE(done != nullptr, "submit_batch: null callback");
-  submit_batch_impl(
-      [this, g = std::move(g), sources = std::move(sources), cfg] {
-        return build(g, sources, cfg);
-      },
-      std::move(queries), std::move(done));
 }
 
 void QueryService::check_before_answer(Deadline deadline) {

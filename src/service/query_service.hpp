@@ -6,9 +6,10 @@
 /// snapshot-loads) an oracle once and amortizes it over millions of
 /// queries. QueryService packages that split:
 ///
-///   * build()/load() produce immutable Snapshot oracles through an LRU
-///     cache keyed by (graph digest, sources, config fingerprint) — a
-///     repeat build of the same instance is a cache hit, not a re-solve;
+///   * build()/load() produce immutable Snapshot oracles through a
+///     single-flight table of live oracles keyed by (graph digest, sources,
+///     config fingerprint) — a repeat build of an instance somebody still
+///     holds is a hit, not a re-solve; the table itself owns no oracle;
 ///   * query_batch() answers a span of (s, t, e) queries on a fixed thread
 ///     pool. The batch is sharded by source: every worker task reads one
 ///     source's replacement table, so shards touch disjoint table slices
@@ -16,13 +17,13 @@
 ///     slots are disjoint by query index);
 ///   * submit_batch() is the asynchronous flavour: it returns a
 ///     std::future<BatchResult> (or invokes a callback) and does everything
-///     — the oracle build on a cold cache included — on the pool, so the
+///     — the oracle build on a miss included — on the pool, so the
 ///     submitting thread gets its hands back in microseconds while the
 ///     solve proceeds. The answering stage is counter-driven (the last
 ///     finishing shard fulfils the promise), so no worker ever waits on
 ///     shard tasks. The one place a worker does park is a cold submit whose
 ///     oracle is already being built by another worker: the single-flight
-///     cache makes it wait for that solve instead of duplicating it. That
+///     table makes it wait for that solve instead of duplicating it. That
 ///     wait is always on a build actively running on some worker — the slot
 ///     only exists while its owner executes — so the pool makes progress
 ///     even at size 1.
@@ -40,7 +41,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <functional>
 #include <future>
@@ -72,8 +72,8 @@ template <class W>
 struct WorkloadResult {
   /// answers[i] answers queries[i]; empty when error is set.
   std::vector<typename W::Result> answers;
-  /// The oracle that answered (freshly built or cache-hit). Holding it here
-  /// pins it against cache eviction for as long as the result lives.
+  /// The oracle that answered (freshly built or already live). Holding it
+  /// here keeps it alive for as long as the result lives.
   std::shared_ptr<const Snapshot> oracle;
   /// Null on success; the build/validation failure otherwise (future-based
   /// callers get the same exception rethrown from future::get instead).
@@ -93,24 +93,9 @@ using BatchCallback = WorkloadCallback<Point>;
 class QueryService {
  public:
   struct Options {
-    /// Worker threads; 0 = hardware concurrency. Cold-cache oracle builds
-    /// run their phase loops on this same pool.
+    /// Worker threads; 0 = hardware concurrency. Oracle builds run their
+    /// phase loops on this same pool.
     unsigned threads = 0;
-    /// Oracle cache capacity, in oracles.
-    std::size_t cache_capacity = 4;
-    /// Oracle cache byte budget (summed Snapshot footprints; 0 = unlimited).
-    std::size_t cache_max_bytes = 0;
-    /// Age limit on cached oracles (0 = never expire). An expired entry is
-    /// refreshed through the single-flight build path on next use; see
-    /// OracleCache. Long-running servers set this to re-pick-up re-saved
-    /// snapshots without a restart.
-    std::chrono::milliseconds cache_entry_ttl{0};
-    /// Refresh-ahead fraction of cache_entry_ttl (0 = off; meaningful in
-    /// (0, 1)). A cache hit on an entry older than fraction * TTL kicks a
-    /// rebuild on the pool while still serving the current oracle, so a
-    /// warmed key never pays a cold build at the TTL boundary. Requires a
-    /// nonzero cache_entry_ttl.
-    double cache_refresh_ahead = 0.0;
     /// Batches smaller than this answer inline on the calling thread —
     /// below it the fan-out overhead exceeds the O(1)-per-query work.
     std::size_t min_parallel_batch = 2048;
@@ -132,15 +117,16 @@ class QueryService {
   QueryService() : QueryService(Options{}) {}
   explicit QueryService(Options opts);
 
-  /// Solves MSRP for (g, sources, cfg) — or returns the cached oracle for
-  /// an identical instance — and hands back an immutable snapshot oracle.
-  /// Concurrent builds of the same instance are single-flighted.
+  /// Solves MSRP for (g, sources, cfg) — or returns the live oracle of an
+  /// identical instance somebody still holds — and hands back an immutable
+  /// snapshot oracle. Concurrent builds of the same instance are
+  /// single-flighted.
   std::shared_ptr<const Snapshot> build(const Graph& g, const std::vector<Vertex>& sources,
                                         const Config& cfg = {});
 
-  /// Loads a snapshot from disk into the cache (keyed by its content
-  /// digest, so loading the same file twice hits). `opts` selects the
-  /// zero-copy mmap path for v2 files.
+  /// Loads a snapshot from disk. Keyed by its content digest: loading a
+  /// file whose oracle is still held returns that oracle. `opts` selects
+  /// the zero-copy mmap path for v2 files.
   std::shared_ptr<const Snapshot> load(const std::string& path,
                                        const Snapshot::LoadOptions& opts = {});
 
@@ -162,12 +148,12 @@ class QueryService {
                                         std::vector<Query> queries);
 
   /// Answers `queries` against the oracle for (g, sources, cfg), building
-  /// it on the pool first when the cache is cold — the submit itself
-  /// returns in microseconds either way.
+  /// it on the pool first unless it is live — the submit itself returns
+  /// in microseconds either way.
   std::future<BatchResult> submit_batch(Graph g, std::vector<Vertex> sources, Config cfg,
                                         std::vector<Query> queries);
 
-  /// Callback flavours of the two overloads above; `done` runs on a pool
+  /// Callback flavour of the first overload; `done` runs on a pool
   /// worker once the batch completes (or fails, with BatchResult::error
   /// set). `deadline` bounds the whole batch: an expired batch fails with
   /// DeadlineExceeded in BatchResult::error instead of waiting — checked
@@ -175,8 +161,6 @@ class QueryService {
   /// router while answers are in flight.
   void submit_batch(std::shared_ptr<const Snapshot> oracle, std::vector<Query> queries,
                     BatchCallback done, Deadline deadline = kNoDeadline);
-  void submit_batch(Graph g, std::vector<Vertex> sources, Config cfg,
-                    std::vector<Query> queries, BatchCallback done);
 
   // ----- any workload (see service/workloads.hpp) --------------------------
 
@@ -234,8 +218,6 @@ class QueryService {
 
   unsigned num_threads() const { return pool_.size(); }
   const OracleCache& cache() const { return cache_; }
-  /// Mutable access for tests (clock injection on the TTL/refresh paths).
-  OracleCache& cache_for_testing() { return cache_; }
 
   /// Total queries answered since construction (across all batches).
   std::uint64_t queries_served() const {

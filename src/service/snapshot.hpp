@@ -167,7 +167,7 @@ class Snapshot {
 
   /// Approximate resident size: the primary table sections (cells, trees,
   /// row offsets — owned or mapped alike) plus the derived ancestry index.
-  /// The oracle cache's byte budget evicts against this.
+  /// The registry's byte budget is summed from this.
   std::size_t footprint_bytes() const;
 
   /// True when the tables alias a live memory mapping of the source file.

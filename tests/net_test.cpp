@@ -1331,7 +1331,7 @@ std::promise<void> wedge_pool(service::QueryService& svc) {
 // be byte-identical to a local QueryService building the same graphs.
 // MSRP_FUZZ_TENANTS widens the matrix (2..8 random tenant graphs).
 TEST(NetRegistry, WireRegisteredTenantsMatchInProcessByteForByte) {
-  service::QueryService svc({.threads = 2, .cache_capacity = 12, .min_parallel_batch = 64});
+  service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
   RegistryTestServer ts(svc, nullptr);  // no default oracle: registry only
   net::Client client(ts.client_options());
   EXPECT_TRUE(client.registry_enabled());
@@ -1342,7 +1342,7 @@ TEST(NetRegistry, WireRegisteredTenantsMatchInProcessByteForByte) {
     tenants = std::clamp<std::size_t>(std::strtoul(fuzz, nullptr, 10), 2, 8);
   }
 
-  service::QueryService local({.threads = 2, .cache_capacity = 12, .min_parallel_batch = 64});
+  service::QueryService local({.threads = 2, .min_parallel_batch = 64});
   struct Tenant {
     Graph g{0};
     std::vector<Vertex> sources;

@@ -1,26 +1,20 @@
 // Tests for the multi-tenant registry layer (src/registry/): the weighted
 // round-robin dispatcher's fairness and admission verdicts under manual
-// completion, the OracleRegistry lifecycle state machine (admission,
-// build, unregister, drain, byte budget), and the OracleCache
-// refresh-ahead path under an injected clock — including the acceptance
-// property that a warmed key never pays a cold build across a TTL
-// boundary. The wire-level counterparts live in net_test.cpp.
+// completion, and the OracleRegistry lifecycle state machine (admission,
+// build, unregister, drain, byte budget) — including that an unregistered
+// oracle's memory is released. The wire-level counterparts live in
+// net_test.cpp.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "registry/dispatch.hpp"
 #include "registry/oracle_registry.hpp"
-#include "service/oracle_cache.hpp"
 #include "service/query_service.hpp"
 #include "util/rng.hpp"
 
@@ -320,6 +314,26 @@ TEST(OracleRegistry, UnregisterLifecycle) {
   EXPECT_EQ(reg.tenant_count(), 0u);
 }
 
+// The registry is the only owner of a registered oracle: once the tenant
+// is unregistered and the caller drops its outcome, the oracle's memory is
+// gone — the service's cache keeps no copy of its own.
+TEST(RegistryTest, UnregisterReleasesTheOracle) {
+  RegistryFixture fx;
+  OracleRegistry reg(fx.svc);
+  std::weak_ptr<const Snapshot> weak;
+  std::uint64_t digest = 0;
+  {
+    const RegisterOutcome out = fx.register_and_wait(reg, fx.g, fx.sources);
+    ASSERT_EQ(out.state, OracleState::kReady);
+    weak = out.oracle;
+    digest = out.digest;
+  }
+  EXPECT_EQ(reg.unregister(digest), OracleState::kUnregistered);
+  EXPECT_EQ(reg.resident_bytes(), 0u);
+  EXPECT_TRUE(weak.expired());
+  EXPECT_EQ(fx.svc.cache().size(), 0u);
+}
+
 TEST(OracleRegistry, ByteBudgetRejectsAtCompletion) {
   RegistryFixture fx;
   OracleRegistry reg(fx.svc, {.max_tenants = 8, .max_bytes = 1});
@@ -386,178 +400,6 @@ TEST(OracleRegistry, AdoptMakesTheDefaultOracleAFirstClassTenant) {
   EXPECT_EQ(reg.adopt(oracle), digest);  // idempotent
   EXPECT_EQ(reg.resolve(digest), oracle);
   EXPECT_EQ(reg.tenant_count(), 1u);
-}
-
-// ---------------------------------------------------- refresh-ahead cache ---
-
-/// A cache with an injected clock and a manual refresh runner: the test
-/// advances time and runs refresh tasks by hand, so every interleaving of
-/// TTL, refresh, and eviction is deterministic.
-struct RefreshFixture {
-  service::QueryService svc{{.threads = 2, .min_parallel_batch = 64}};
-  std::shared_ptr<const Snapshot> snap;
-  service::OracleCache cache{2, 0, std::chrono::milliseconds(1000)};
-  std::vector<std::function<void()>> tasks;  // parked refresh work
-  std::chrono::steady_clock::time_point base{};
-  std::int64_t now_ms = 0;
-  int builds = 0;
-  int rebuilds = 0;
-  bool rebuild_throws = false;
-
-  RefreshFixture() {
-    Rng rng(9);
-    const Graph g = gen::connected_gnp(20, 0.2, rng);
-    snap = svc.build(g, {0, 3});
-    cache.set_clock_for_testing([this] { return base + std::chrono::milliseconds(now_ms); });
-    cache.enable_refresh_ahead(0.5, [this](std::function<void()> t) {
-      tasks.push_back(std::move(t));
-    });
-  }
-
-  service::OracleKey key(std::uint64_t graph_digest) {
-    return {graph_digest, {0}, 1};
-  }
-
-  std::shared_ptr<const Snapshot> lookup(const service::OracleKey& k) {
-    return cache.get_or_build(
-        k, [this] { ++builds; return snap; },
-        [this]() -> service::OracleCache::Builder {
-          return [this]() -> std::shared_ptr<const Snapshot> {
-            ++rebuilds;
-            if (rebuild_throws) throw std::runtime_error("rebuild exploded");
-            return snap;
-          };
-        });
-  }
-
-  void run_refreshes() {
-    auto pending = std::move(tasks);
-    tasks.clear();
-    for (auto& t : pending) t();
-  }
-};
-
-TEST(OracleCacheRefreshAhead, HitPastFractionSchedulesExactlyOneRefresh) {
-  RefreshFixture fx;
-  const auto k = fx.key(1);
-  fx.lookup(k);
-  EXPECT_EQ(fx.builds, 1);
-  EXPECT_TRUE(fx.tasks.empty());  // fresh entry: nothing to refresh
-
-  fx.now_ms = 600;  // past 0.5 * 1000ms
-  fx.lookup(k);
-  EXPECT_EQ(fx.tasks.size(), 1u);
-  fx.lookup(k);  // concurrent hot lookups single-flight through one slot
-  EXPECT_EQ(fx.tasks.size(), 1u);
-
-  fx.run_refreshes();
-  EXPECT_EQ(fx.rebuilds, 1);
-  EXPECT_EQ(fx.cache.refreshes(), 1u);
-  EXPECT_EQ(fx.builds, 1);  // the cold builder never ran again
-}
-
-// The acceptance property: after warmup, a key that stays hot never pays a
-// cold build at a TTL boundary — the refresh re-stamps the entry first.
-TEST(OracleCacheRefreshAhead, WarmKeyNeverColdBuildsAcrossTtlBoundary) {
-  RefreshFixture fx;
-  const auto k = fx.key(1);
-  fx.lookup(k);  // warmup at t=0
-  for (std::int64_t t = 600; t <= 6000; t += 600) {
-    fx.now_ms = t;  // every step crosses the refresh fraction; t=1200 and
-                    // beyond are past the ORIGINAL entry's full TTL
-    ASSERT_EQ(fx.lookup(k), fx.snap) << "t=" << t;
-    fx.run_refreshes();
-  }
-  EXPECT_EQ(fx.builds, 1);                  // exactly one cold build, ever
-  EXPECT_EQ(fx.cache.expirations(), 0u);    // no entry aged out
-  EXPECT_GE(fx.cache.refreshes(), 9u);      // the rebuilds kept it warm
-  EXPECT_EQ(fx.cache.misses(), 1u);
-}
-
-TEST(OracleCacheRefreshAhead, FailedRefreshKeepsServingAndRetriesLater) {
-  RefreshFixture fx;
-  const auto k = fx.key(1);
-  fx.lookup(k);
-  fx.now_ms = 600;
-  fx.rebuild_throws = true;
-  fx.lookup(k);
-  fx.run_refreshes();
-  EXPECT_EQ(fx.cache.refresh_failures(), 1u);
-  EXPECT_EQ(fx.lookup(k), fx.snap);  // still served from the old entry
-
-  // The single-flight slot was released: the next stale hit schedules a
-  // fresh attempt, and a successful one re-stamps the entry.
-  fx.rebuild_throws = false;
-  fx.lookup(k);
-  ASSERT_EQ(fx.tasks.size(), 1u);
-  fx.run_refreshes();
-  EXPECT_EQ(fx.cache.refreshes(), 1u);
-  fx.now_ms = 1400;  // past the original TTL, within the re-stamped one
-  fx.lookup(k);
-  EXPECT_EQ(fx.builds, 1);
-}
-
-TEST(OracleCacheRefreshAhead, IdleKeyStillExpiresAndColdBuilds) {
-  RefreshFixture fx;
-  const auto k = fx.key(1);
-  fx.lookup(k);
-  fx.now_ms = 1100;  // no hit crossed the refresh window; TTL elapsed
-  fx.lookup(k);
-  EXPECT_EQ(fx.builds, 2);  // cold build: refresh-ahead needs hits to help
-  EXPECT_EQ(fx.cache.expirations(), 1u);
-  EXPECT_TRUE(fx.tasks.empty());
-}
-
-TEST(OracleCacheRefreshAhead, EvictionRacingARefreshStaysConsistent) {
-  RefreshFixture fx;  // capacity 2
-  const auto k1 = fx.key(1);
-  fx.lookup(k1);
-  fx.now_ms = 600;
-  fx.lookup(k1);  // schedules k1's refresh...
-  ASSERT_EQ(fx.tasks.size(), 1u);
-  fx.lookup(fx.key(2));
-  fx.lookup(fx.key(3));  // ...k1 is now the LRU victim and gets evicted
-  fx.run_refreshes();    // the refresh lands after the eviction
-  EXPECT_LE(fx.cache.size(), fx.cache.capacity());
-  EXPECT_NE(fx.lookup(fx.key(3)), nullptr);
-  EXPECT_NE(fx.lookup(fx.key(2)), nullptr);
-  // Whether the late refresh re-inserted k1 or was dropped, the cache is
-  // budget-consistent and every lookup still answers.
-  EXPECT_NE(fx.lookup(k1), nullptr);
-}
-
-// The same property end to end through QueryService: Options wire the
-// refresh runner to the serving pool, so the rebuild happens on a worker
-// while the hit returns immediately.
-TEST(QueryServiceRefreshAhead, PoolRefreshKeepsRepeatBuildsHitting) {
-  service::QueryService svc({.threads = 2,
-                             .cache_entry_ttl = std::chrono::milliseconds(1000),
-                             .cache_refresh_ahead = 0.5,
-                             .min_parallel_batch = 64});
-  std::atomic<std::int64_t> now_ms{0};
-  const auto base = std::chrono::steady_clock::time_point{};
-  svc.cache_for_testing().set_clock_for_testing(
-      [&now_ms, base] { return base + std::chrono::milliseconds(now_ms.load()); });
-
-  Rng rng(11);
-  const Graph g = gen::connected_gnp(30, 0.15, rng);
-  const std::vector<Vertex> sources{0, 5, 9};
-  const auto first = svc.build(g, sources);
-  EXPECT_EQ(svc.cache().misses(), 1u);
-
-  now_ms = 600;
-  const auto second = svc.build(g, sources);  // hit; refresh kicked on the pool
-  EXPECT_EQ(second->content_digest(), first->content_digest());
-  for (int i = 0; i < 2000 && svc.cache().refreshes() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GE(svc.cache().refreshes(), 1u);
-
-  now_ms = 1200;  // past the original TTL; the refresh re-stamped the entry
-  const auto third = svc.build(g, sources);
-  EXPECT_EQ(third->content_digest(), first->content_digest());
-  EXPECT_EQ(svc.cache().misses(), 1u);  // never went cold
-  EXPECT_EQ(svc.cache().expirations(), 0u);
 }
 
 }  // namespace

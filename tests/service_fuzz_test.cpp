@@ -75,13 +75,11 @@ TEST(ServiceFuzz, AllServingPathsMatchBruteForce) {
   const std::uint64_t shards = env_u64("MSRP_FUZZ_SHARDS", 0);
   const std::string dir = testing::TempDir();
 
-  service::QueryService svc(
-      {.threads = 4, .cache_capacity = 2, .min_parallel_batch = 64});
+  service::QueryService svc({.threads = 4, .min_parallel_batch = 64});
   std::unique_ptr<service::QueryService> sharded_svc;
   if (shards > 0) {
     service::QueryService::Options opts;
     opts.threads = 2;
-    opts.cache_capacity = 2;
     opts.min_parallel_batch = 64;
     opts.shards = static_cast<unsigned>(shards);
     sharded_svc = std::make_unique<service::QueryService>(opts);
@@ -248,17 +246,14 @@ TEST(ServiceFuzz, WorkloadOpcodesMatchBruteForce) {
   const std::uint64_t shards = env_u64("MSRP_FUZZ_SHARDS", 0);
   const std::string dir = testing::TempDir();
 
-  service::QueryService svc(
-      {.threads = 4, .cache_capacity = 2, .min_parallel_batch = 64});
+  service::QueryService svc({.threads = 4, .min_parallel_batch = 64});
   // A second service that never built anything: oracles arrive here only as
   // mmap-loaded snapshots, so it exercises the attach_graph contract.
-  service::QueryService reload_svc(
-      {.threads = 2, .cache_capacity = 2, .min_parallel_batch = 64});
+  service::QueryService reload_svc({.threads = 2, .min_parallel_batch = 64});
   std::unique_ptr<service::QueryService> sharded_svc;
   if (shards > 0) {
     service::QueryService::Options opts;
     opts.threads = 2;
-    opts.cache_capacity = 2;
     opts.min_parallel_batch = 64;
     opts.shards = static_cast<unsigned>(shards);
     sharded_svc = std::make_unique<service::QueryService>(opts);

@@ -212,7 +212,7 @@ TEST(QueryService, ConcurrentBatchMatchesBruteForceOracle) {
   const Graph g = gen::connected_gnp(80, 0.07, rng);
   const std::vector<Vertex> sources{0, 5, 9, 17};
 
-  service::QueryService svc({.threads = 4, .cache_capacity = 2, .min_parallel_batch = 1});
+  service::QueryService svc({.threads = 4, .min_parallel_batch = 1});
   const auto oracle = svc.build(g, sources);
 
   // Every (s, t, e) triple: sigma * n * m queries, answered on 4 threads.
@@ -417,11 +417,13 @@ TEST(QueryService, AsyncValidationErrorsSurfaceThroughBothChannels) {
   EXPECT_THROW(std::rethrow_exception(res.error), std::invalid_argument);
 }
 
-TEST(QueryService, StressConcurrentAsyncSubmitsRacingCacheEviction) {
-  // Three distinct instances thrash a capacity-1 cache while six caller
-  // threads submit async builds concurrently: every answer must still be
-  // exact, every future must complete, and (under TSan) the pool, cache,
-  // and completion paths must be race-free.
+TEST(QueryService, StressConcurrentAsyncSubmitsRacingEntryExpiry) {
+  // Six caller threads submit async builds of three distinct instances.
+  // Each oracle lives only as long as some in-flight batch holds it, so
+  // entries expire and rebuild while other callers hit, park on, or sweep
+  // them: every answer must still be exact, every future must complete,
+  // and (under TSan) the pool, table, and completion paths must be
+  // race-free.
   constexpr int kInstances = 3, kCallers = 6, kRounds = 5;
   std::vector<Graph> graphs;
   std::vector<std::vector<Vertex>> sources;
@@ -437,8 +439,7 @@ TEST(QueryService, StressConcurrentAsyncSubmitsRacingCacheEviction) {
     truths.push_back(solve_msrp(graphs.back(), sources.back()));
   }
 
-  service::QueryService svc(
-      {.threads = 4, .cache_capacity = 1, .min_parallel_batch = 16});
+  service::QueryService svc({.threads = 4, .min_parallel_batch = 16});
   std::atomic<int> failures{0};
   std::vector<std::thread> callers;
   for (int c = 0; c < kCallers; ++c) {
@@ -479,141 +480,8 @@ std::shared_ptr<const Snapshot> tiny_oracle(Vertex n) {
   return std::make_shared<const Snapshot>(Snapshot::capture(solve_msrp(g, {0})));
 }
 
-TEST(OracleCache, EvictsLeastRecentlyUsed) {
-  service::OracleCache cache(2);
-  const OracleKey a{1, {0}, 0}, b{2, {0}, 0}, c{3, {0}, 0};
-  cache.insert(a, tiny_oracle(4));
-  cache.insert(b, tiny_oracle(5));
-  EXPECT_EQ(cache.size(), 2u);
-
-  EXPECT_NE(cache.find(a), nullptr);  // touch a: b becomes LRU
-  cache.insert(c, tiny_oracle(6));    // evicts b
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.find(b), nullptr);
-  EXPECT_NE(cache.find(a), nullptr);
-  EXPECT_NE(cache.find(c), nullptr);
-}
-
-TEST(OracleCache, ByteBudgetEvictsSeveralSmallOraclesForOneLarge) {
-  // Budget sized to hold four small oracles (4s < s + L since L > 3s) but
-  // not four plus the large one: inserting the large one must evict small
-  // entries in LRU order until the sum fits, even though the entry-count
-  // cap alone would keep them all.
-  const auto small = tiny_oracle(6);
-  const auto large = tiny_oracle(200);
-  ASSERT_GT(large->footprint_bytes(), 3 * small->footprint_bytes());
-
-  service::OracleCache cache(
-      /*capacity=*/16,
-      /*max_bytes=*/small->footprint_bytes() + large->footprint_bytes());
-  const OracleKey k1{1, {0}, 0}, k2{2, {0}, 0}, k3{3, {0}, 0}, k4{4, {0}, 0};
-  cache.insert(k1, tiny_oracle(6));
-  cache.insert(k2, tiny_oracle(6));
-  cache.insert(k3, tiny_oracle(6));
-  cache.insert(k4, tiny_oracle(6));
-  EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.evictions(), 0u);  // four small ones fit together
-
-  cache.insert(OracleKey{5, {0}, 0}, large);
-  EXPECT_LE(cache.size_bytes(), cache.max_bytes());
-  EXPECT_NE(cache.find(OracleKey{5, {0}, 0}), nullptr);  // newest survives
-  EXPECT_GE(cache.evictions(), 3u);  // several small entries had to go
-  EXPECT_EQ(cache.find(k1), nullptr);  // LRU evicted first
-}
-
-TEST(OracleCache, SingleOracleOverBudgetStillServes) {
-  const auto large = tiny_oracle(64);
-  service::OracleCache cache(/*capacity=*/4, /*max_bytes=*/1);  // absurdly tight
-  const OracleKey key{9, {0}, 0};
-  cache.insert(key, large);
-  EXPECT_EQ(cache.size(), 1u);  // never evict the entry just inserted
-  EXPECT_NE(cache.find(key), nullptr);
-  cache.insert(OracleKey{10, {0}, 0}, tiny_oracle(32));
-  EXPECT_EQ(cache.size(), 1u);  // the older one is evicted to chase the budget
-  EXPECT_EQ(cache.find(key), nullptr);
-}
-
-TEST(OracleCache, TtlExpiresEntriesOnTheInjectedClock) {
-  using namespace std::chrono_literals;
-  service::OracleCache cache(4, 0, /*entry_ttl=*/1000ms);
-  auto now = std::chrono::steady_clock::time_point{};  // fake time
-  cache.set_clock_for_testing([&now] { return now; });
-
-  const OracleKey key{1, {0}, 0};
-  int builds = 0;
-  auto builder = [&builds] {
-    ++builds;
-    return tiny_oracle(4);
-  };
-
-  const auto first = cache.get_or_build(key, builder);
-  EXPECT_EQ(builds, 1);
-  now += 999ms;  // just inside the TTL: still a hit
-  EXPECT_EQ(cache.get_or_build(key, builder).get(), first.get());
-  EXPECT_EQ(builds, 1);
-  EXPECT_EQ(cache.expirations(), 0u);
-
-  now += 1ms;  // exactly at the TTL: expired, refreshed through get_or_build
-  const auto refreshed = cache.get_or_build(key, builder);
-  EXPECT_EQ(builds, 2);
-  EXPECT_NE(refreshed.get(), first.get());
-  EXPECT_EQ(cache.expirations(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-  // The pre-refresh holder keeps serving its own copy untouched.
-  EXPECT_EQ(first->num_vertices(), 4u);
-}
-
-TEST(OracleCache, TtlRefreshIsSingleFlightedAcrossThreads) {
-  using namespace std::chrono_literals;
-  service::OracleCache cache(4, 0, /*entry_ttl=*/10ms);
-  std::atomic<std::int64_t> now_ms{0};
-  cache.set_clock_for_testing([&now_ms] {
-    return std::chrono::steady_clock::time_point{} +
-           std::chrono::milliseconds(now_ms.load());
-  });
-
-  const OracleKey key{2, {0}, 0};
-  std::atomic<int> builds{0};
-  auto builder = [&builds] {
-    builds.fetch_add(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return tiny_oracle(5);
-  };
-  (void)cache.get_or_build(key, builder);
-  ASSERT_EQ(builds.load(), 1);
-
-  now_ms.store(1000);  // stale for everyone at once
-  constexpr int kThreads = 6;
-  std::vector<std::thread> threads;
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&] { (void)cache.get_or_build(key, builder); });
-  }
-  for (auto& t : threads) t.join();
-  // One expiration noticed, one refresh build shared by all six threads.
-  EXPECT_EQ(builds.load(), 2);
-  EXPECT_EQ(cache.expirations(), 1u);
-}
-
-TEST(OracleCache, ZeroTtlNeverExpires) {
-  service::OracleCache cache(4);  // default: no TTL
-  auto now = std::chrono::steady_clock::time_point{};
-  cache.set_clock_for_testing([&now] { return now; });
-  const OracleKey key{3, {0}, 0};
-  cache.insert(key, tiny_oracle(4));
-  now += std::chrono::hours(10000);
-  EXPECT_NE(cache.find(key), nullptr);
-  EXPECT_EQ(cache.expirations(), 0u);
-}
-
-TEST(QueryService, CacheTtlOptionReachesTheCache) {
-  using namespace std::chrono_literals;
-  service::QueryService svc({.threads = 1, .cache_entry_ttl = 250ms});
-  EXPECT_EQ(svc.cache().entry_ttl(), 250ms);
-}
-
 TEST(OracleCache, GetOrBuildBuildsOnce) {
-  service::OracleCache cache(2);
+  service::OracleCache cache;
   const OracleKey key{42, {0}, 7};
   int builds = 0;
   auto builder = [&builds] {
@@ -629,7 +497,7 @@ TEST(OracleCache, GetOrBuildBuildsOnce) {
 }
 
 TEST(OracleCache, ConcurrentGetOrBuildSingleFlights) {
-  service::OracleCache cache(2);
+  service::OracleCache cache;
   const OracleKey key{77, {0}, 1};
   std::atomic<int> builds{0};
   constexpr int kThreads = 8;
@@ -650,8 +518,8 @@ TEST(OracleCache, ConcurrentGetOrBuildSingleFlights) {
   EXPECT_EQ(cache.pending_builds(), 0u);
 }
 
-TEST(OracleCache, EvictionRacingInFlightBuildKeepsPendingOracle) {
-  service::OracleCache cache(1);
+TEST(OracleCache, ExpiryRacingInFlightBuildKeepsPendingOracle) {
+  service::OracleCache cache;
   const OracleKey slow_key{10, {0}, 0};
   std::promise<void> build_started;
   std::promise<void> release_build;
@@ -669,14 +537,18 @@ TEST(OracleCache, EvictionRacingInFlightBuildKeepsPendingOracle) {
   build_started.get_future().wait();
   EXPECT_EQ(cache.pending_builds(), 1u);
 
-  // Churn the capacity-1 cache while the build is in flight: the pending
-  // slot must survive the evictions.
-  cache.insert(OracleKey{11, {0}, 0}, tiny_oracle(4));
-  cache.insert(OracleKey{12, {0}, 0}, tiny_oracle(5));
-  EXPECT_GE(cache.evictions(), 1u);
+  // Churn expiring entries while the build is in flight: each insert
+  // sweeps the one dropped before it, and the pending entry must survive
+  // every sweep.
+  for (std::uint64_t k = 11; k < 14; ++k) {
+    (void)cache.get_or_insert(OracleKey{k, {0}, 0}, tiny_oracle(4));  // dropped at once
+  }
+  EXPECT_EQ(cache.pending_builds(), 1u);
+  EXPECT_EQ(cache.size(), 1u);  // the build in flight; the churned oracles are gone
 
   // A second caller for the same key parks on the single-flight slot and
   // must receive the original build, not run its own.
+  const std::uint64_t misses_before = cache.misses();
   std::thread waiter([&] {
     auto oracle = cache.get_or_build(slow_key, [&]() -> std::shared_ptr<const Snapshot> {
       ADD_FAILURE() << "waiter must not rebuild a key that is in flight";
@@ -685,15 +557,21 @@ TEST(OracleCache, EvictionRacingInFlightBuildKeepsPendingOracle) {
     ASSERT_NE(oracle, nullptr);
     EXPECT_EQ(oracle->num_vertices(), 6u);
   });
+  // The waiter counts its miss in the same locked step that copies the
+  // pending future, so from here on it is parked. Releasing earlier could
+  // let the build land and be dropped before the waiter looks, which would
+  // correctly make it rebuild.
+  while (cache.misses() == misses_before) std::this_thread::yield();
 
   release_build.set_value();
   builder.join();
   waiter.join();
   EXPECT_EQ(cache.pending_builds(), 0u);
+  EXPECT_EQ(cache.size(), 0u);  // both holders returned and dropped it
 }
 
 TEST(OracleCache, FailedBuildPropagatesAndAllowsRetry) {
-  service::OracleCache cache(2);
+  service::OracleCache cache;
   const OracleKey key{55, {0}, 3};
   EXPECT_THROW(cache.get_or_build(key,
                                   []() -> std::shared_ptr<const Snapshot> {
@@ -706,15 +584,28 @@ TEST(OracleCache, FailedBuildPropagatesAndAllowsRetry) {
   EXPECT_NE(ok, nullptr);
 }
 
-TEST(OracleCache, EvictedOracleStaysAliveForHolders) {
-  service::OracleCache cache(1);
+TEST(OracleCache, HoldersAloneKeepAnOracleAlive) {
+  service::OracleCache cache;
   const OracleKey a{1, {0}, 0}, b{2, {0}, 0};
-  auto held = tiny_oracle(4);
-  cache.insert(a, held);
-  cache.insert(b, tiny_oracle(5));  // evicts a
-  EXPECT_EQ(cache.find(a), nullptr);
-  // The shared_ptr we kept still answers queries.
-  EXPECT_EQ(held->shortest(0, 2), 2u);
+  auto held = cache.get_or_insert(a, tiny_oracle(4));
+  // While somebody holds it, the entry is live and serves as a hit.
+  EXPECT_EQ(cache.get_or_insert(a, tiny_oracle(4)), held);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.size(), 1u);
+
+  // Dropping the last holder frees the oracle: the table kept no copy.
+  const std::weak_ptr<const Snapshot> weak = held;
+  held.reset();
+  EXPECT_TRUE(weak.expired());
+  EXPECT_EQ(cache.size(), 0u);
+
+  // The expired key misses and takes the new oracle; the next insert
+  // sweeps whatever has expired by then.
+  auto again = cache.get_or_insert(a, tiny_oracle(5));
+  EXPECT_EQ(again->num_vertices(), 5u);
+  (void)cache.get_or_insert(b, tiny_oracle(6));  // dropped at once
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(again->shortest(0, 2), 2u);
 }
 
 // ------------------------------------------------------------ graph digest ---

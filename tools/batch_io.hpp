@@ -7,6 +7,7 @@
 // written here once.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -79,6 +80,23 @@ inline bool parse_field(const std::string& token, std::uint32_t& out) {
 }
 
 }  // namespace detail
+
+/// Comma-separated list flag ("0,5,9"): every element must be an unsigned
+/// 32-bit decimal number, with the same exit-2 contract as cli_u64.
+inline std::vector<std::uint32_t> cli_u32_list(const std::string& value, const char* flag) {
+  std::vector<std::uint32_t> out;
+  std::size_t pos = 0;
+  while (true) {
+    const std::size_t comma = std::min(value.find(',', pos), value.size());
+    out.push_back(0);
+    if (!detail::parse_field(value.substr(pos, comma - pos), out.back())) {
+      std::fprintf(stderr, "error: %s: invalid list \"%s\"\n", flag, value.c_str());
+      std::exit(2);
+    }
+    if (comma == value.size()) return out;
+    pos = comma + 1;
+  }
+}
 
 /// Calls f(std::type_identity<W>{}) for the workload W whose --workload
 /// name is `name` ("" = Point, the default). False when no workload has

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "batch_io.hpp"
 #include "core/msrp.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -35,18 +36,6 @@
 using namespace msrp;
 
 namespace {
-
-std::vector<std::uint32_t> parse_list(const std::string& s) {
-  std::vector<std::uint32_t> out;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t next = s.find(',', pos);
-    if (next == std::string::npos) next = s.size();
-    out.push_back(static_cast<std::uint32_t>(std::stoul(s.substr(pos, next - pos))));
-    pos = next + 1;
-  }
-  return out;
-}
 
 [[noreturn]] void usage() {
   std::fprintf(stderr,
@@ -118,11 +107,11 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--sources") {
-      for (const auto v : parse_list(next())) sources.push_back(v);
+      sources = tools::cli_u32_list(next(), "--sources");
     } else if (arg == "--seed") {
-      cfg.seed = std::stoull(next());
+      cfg.seed = tools::cli_u64(next(), "--seed");
     } else if (arg == "--oversample") {
-      cfg.oversample = std::stod(next());
+      cfg.oversample = tools::cli_double(next(), "--oversample");
     } else if (arg == "--exact") {
       cfg.exact = true;
     } else if (arg == "--bk") {
@@ -132,7 +121,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--stats") {
       print_stats = true;
     } else if (arg == "--query") {
-      const auto q = parse_list(next());
+      const auto q = tools::cli_u32_list(next(), "--query");
       if (q.size() != 3) usage();
       queries.push_back(q);
     } else if (arg == "--save") {

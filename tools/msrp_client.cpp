@@ -64,6 +64,7 @@
 //                          printed by the tools); unknown digests are a
 //                          usage error listing what the server has
 //   --list                 print the server's resident oracles and exit
+//   --unregister HEX       retire a registered oracle and exit
 //   --stats                print the server's metrics registry (protocol
 //                          v4 STATS_REQUEST) and exit: one line per
 //                          counter/gauge, histogram lines with derived
@@ -106,20 +107,9 @@ namespace {
                "                   [--build-seed N] [...batch or load options]\n"
                "       msrp_client --connect host:port --digest HEX [...batch or load options]\n"
                "       msrp_client --connect host:port --list\n"
+               "       msrp_client --connect host:port --unregister HEX\n"
                "       msrp_client --connect host:port --stats\n");
   std::exit(2);
-}
-
-std::vector<Vertex> parse_list(const std::string& s) {
-  std::vector<Vertex> out;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t next = s.find(',', pos);
-    if (next == std::string::npos) next = s.size();
-    out.push_back(static_cast<Vertex>(std::stoul(s.substr(pos, next - pos))));
-    pos = next + 1;
-  }
-  return out;
 }
 
 /// Identity of the oracle batches will run against — what random query
@@ -197,6 +187,7 @@ int main(int argc, char** argv) {
   bool digest_given = false;
   std::uint64_t digest_value = 0;
   bool list_only = false;
+  std::optional<std::uint64_t> unregister_digest;
   bool stats_only = false;
   unsigned connections = 1;
   std::size_t batch_size = 512;
@@ -242,7 +233,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--register") {
       register_path = next();
     } else if (arg == "--sources") {
-      reg_sources = parse_list(next());
+      reg_sources = tools::cli_u32_list(next(), "--sources");
     } else if (arg == "--build-seed") {
       build_seed = tools::cli_u64(next(), "--build-seed");
     } else if (arg == "--digest") {
@@ -250,6 +241,8 @@ int main(int argc, char** argv) {
       digest_value = tools::cli_hex_u64(next(), "--digest");
     } else if (arg == "--list") {
       list_only = true;
+    } else if (arg == "--unregister") {
+      unregister_digest = tools::cli_hex_u64(next(), "--unregister");
     } else if (arg == "--stats") {
       stats_only = true;
     } else {
@@ -331,6 +324,13 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(e.queries_answered),
                     static_cast<unsigned long long>(e.footprint_bytes));
       }
+      return 0;
+    }
+
+    if (unregister_digest) {
+      const net::RegisterAckFrame ack = client.unregister(*unregister_digest);
+      std::printf("unregistered %016llx: %s\n", static_cast<unsigned long long>(ack.digest),
+                  registry::to_string(ack.state));
       return 0;
     }
 

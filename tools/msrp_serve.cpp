@@ -82,16 +82,11 @@
 //   --trace-sample-n N     sample every Nth query into the bounded trace
 //                          ring dumped at /traces (0 = tracing off, the
 //                          default)
-//   --cache-ttl-ms N       oracle cache TTL (0 = never expire)
-//   --refresh-ahead X      rebuild cached oracles at X * TTL (0 < X < 1)
-//                          in the background so a warmed key never pays a
-//                          cold build at the TTL boundary
 //
 // Internal:
 //   --shard-worker <base>:<k>   run as shard worker k of the supervisor
 //                               that owns shm prefix <base>; never invoked
 //                               by hand (the router passes it to exec)
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -123,18 +118,6 @@ using namespace msrp;
 
 namespace {
 
-std::vector<std::uint32_t> parse_list(const std::string& s) {
-  std::vector<std::uint32_t> out;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t next = s.find(',', pos);
-    if (next == std::string::npos) next = s.size();
-    out.push_back(static_cast<std::uint32_t>(std::stoul(s.substr(pos, next - pos))));
-    pos = next + 1;
-  }
-  return out;
-}
-
 [[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: msrp_serve --build <graph-file> --sources a,b,c [options]\n"
@@ -150,7 +133,6 @@ std::vector<std::uint32_t> parse_list(const std::string& s) {
                "         [--metrics-addr ip:port] [--trace-sample-n N]\n"
                "         [--registry] [--max-tenants N] [--registry-bytes N]\n"
                "         [--failed-ttl-ms N] [--build-timeout-ms N]\n"
-               "         [--cache-ttl-ms N] [--refresh-ahead X]\n"
                "         [--out <path>]\n"
                "       msrp_serve --registry --listen <port>   (empty multi-tenant server)\n");
   std::exit(2);
@@ -262,6 +244,8 @@ int serve_network(service::QueryService& svc, std::shared_ptr<const service::Sna
     reg_collector = metrics.register_collector([r](obs::MetricsSnapshot& out) {
       out.gauges.push_back(
           {"registry.tenants_resident", static_cast<std::int64_t>(r->tenant_count())});
+      out.gauges.push_back(
+          {"registry.resident_bytes", static_cast<std::int64_t>(r->resident_bytes())});
     });
   }
   std::unique_ptr<obs::MetricsHttpServer> http;
@@ -386,10 +370,8 @@ int main(int argc, char** argv) {
   std::uint64_t stall_timeout_ms = 0;
   std::uint64_t failed_ttl_ms = 60000;
   std::uint64_t build_timeout_ms = 0;
-  std::uint64_t cache_ttl_ms = 0;
   std::string metrics_addr;
   std::uint64_t trace_sample_n = 0;
-  double refresh_ahead = 0.0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -404,7 +386,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--load-snapshot") {
       snapshot_path = next();
     } else if (arg == "--sources") {
-      for (const auto v : parse_list(next())) sources.push_back(v);
+      sources = tools::cli_u32_list(next(), "--sources");
     } else if (arg == "--seed") {
       cfg.seed = tools::cli_u64(next(), "--seed");
     } else if (arg == "--oversample") {
@@ -468,14 +450,6 @@ int main(int argc, char** argv) {
       metrics_addr = next();
     } else if (arg == "--trace-sample-n") {
       trace_sample_n = tools::cli_u64(next(), "--trace-sample-n");
-    } else if (arg == "--cache-ttl-ms") {
-      cache_ttl_ms = tools::cli_u64(next(), "--cache-ttl-ms");
-    } else if (arg == "--refresh-ahead") {
-      refresh_ahead = tools::cli_double(next(), "--refresh-ahead");
-      if (refresh_ahead <= 0.0 || refresh_ahead >= 1.0) {
-        std::fprintf(stderr, "error: --refresh-ahead must be in (0, 1)\n");
-        return 2;
-      }
     } else if (arg == "--repeat") {
       repeat = tools::cli_u64(next(), "--repeat");
       if (repeat == 0) repeat = 1;
@@ -494,18 +468,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --metrics-addr/--trace-sample-n need --listen\n");
     return 2;
   }
-  if (refresh_ahead > 0.0 && cache_ttl_ms == 0) {
-    std::fprintf(stderr, "error: --refresh-ahead needs a nonzero --cache-ttl-ms\n");
-    return 2;
-  }
 
   try {
     service::QueryService::Options svc_opts;
     svc_opts.threads = threads;
-    svc_opts.cache_capacity = 4;
-    if (use_registry) svc_opts.cache_capacity = std::max<std::size_t>(max_tenants, 4);
-    svc_opts.cache_entry_ttl = std::chrono::milliseconds(cache_ttl_ms);
-    svc_opts.cache_refresh_ahead = refresh_ahead;
     if (shards >= 1) {
       svc_opts.shards = shards;
       svc_opts.shard_worker_argv = {argv[0]};  // workers exec this binary
