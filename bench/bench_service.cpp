@@ -5,10 +5,11 @@
 // snapshot decode speed, cold-load-to-first-answer for the buffered
 // (checksum-verified) vs. the zero-copy mmap path on a high-diameter grid
 // (the largest cells payload per vertex), and sync vs. async batch
-// serving: submit_batch() latency on a cold cache plus end-to-end
-// throughput when batches overlap on the pool.
+// serving: end-to-end throughput when batches overlap on the pool.
 #include <cstdio>
 #include <filesystem>
+#include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -127,29 +128,6 @@ BENCHMARK(BM_ColdLoadToFirstAnswerV2Mmap)->Unit(benchmark::kMillisecond);
 
 // ----------------------------------------------------------- async serving ---
 
-// Submit latency on a cold cache: the measured region is ONLY the
-// submit_batch() call — the MSRP solve it triggers runs on the pool and is
-// drained outside the timer. A fresh service per iteration keeps the cache
-// cold.
-void BM_AsyncSubmitColdCache(benchmark::State& state) {
-  const Graph g = benchutil::er_graph(400, 6.0, /*seed=*/1234);
-  const std::vector<Vertex> sources = benchutil::spread_sources(g, 4);
-  std::vector<service::Query> queries;
-  for (Vertex t = 0; t < g.num_vertices(); ++t) queries.push_back({sources[0], t, 0});
-  for (auto _ : state) {
-    state.PauseTiming();
-    {
-      service::QueryService svc({.threads = 4});
-      state.ResumeTiming();
-      auto fut = svc.submit_batch(g, sources, Config{}, queries);
-      state.PauseTiming();
-      benchmark::DoNotOptimize(fut.get().answers.data());
-    }  // service teardown stays outside the timed region
-    state.ResumeTiming();
-  }
-}
-BENCHMARK(BM_AsyncSubmitColdCache)->Unit(benchmark::kMicrosecond)->Iterations(8);
-
 // Sync vs. async end-to-end throughput for a burst of batches: the sync
 // caller runs them lockstep; the async caller submits all of them and
 // drains, letting independent batches overlap on the pool.
@@ -187,7 +165,13 @@ void BM_BurstAsync(benchmark::State& state) {
   for (auto _ : state) {
     std::vector<std::future<service::BatchResult>> futures;
     futures.reserve(kBurst);
-    for (const auto& batch : batches) futures.push_back(svc.submit_batch(oracle, batch));
+    for (const auto& batch : batches) {
+      auto done = std::make_shared<std::promise<service::BatchResult>>();
+      futures.push_back(done->get_future());
+      svc.submit<service::Point>(oracle, batch, [done](service::BatchResult r) {
+        done->set_value(std::move(r));
+      });
+    }
     for (auto& fut : futures) benchmark::DoNotOptimize(fut.get().answers.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -136,12 +136,7 @@ Server::Server(service::QueryService& svc, std::shared_ptr<const service::Snapsh
 
   // Every batch funnels through the fair dispatcher; with a single oracle
   // its caps simply act as a global inflight bound.
-  dispatcher_ = std::make_unique<registry::FairDispatcher>(
-      [this](std::shared_ptr<const service::Snapshot> o, std::vector<service::Query> q,
-             service::BatchCallback done, Deadline deadline) {
-        svc_.submit_batch(std::move(o), std::move(q), std::move(done), deadline);
-      },
-      opts_.dispatch);
+  dispatcher_ = std::make_unique<registry::FairDispatcher>(opts_.dispatch);
 
   // Per-stage latency histograms plus the registry export of everything the
   // server already counts. The histogram handles are process-global, so
@@ -235,7 +230,7 @@ Server::Server(service::QueryService& svc, std::shared_ptr<const service::Snapsh
 
 Server::~Server() {
   shutdown();
-  // No callback may outlive the server: each submit_batch callback posts
+  // No callback may outlive the server: each batch callback posts
   // its reply and only then decrements the count, so once it reaches zero
   // nothing can touch any loop or the counters again.
   std::unique_lock<std::mutex> lock(inflight_mu_);
@@ -639,7 +634,8 @@ void Server::admit_batch(const std::shared_ptr<Conn>& conn, std::uint64_t reques
                          std::shared_ptr<BatchReply> reply, Deadline deadline,
                          std::shared_ptr<obs::TraceSpan> span) {
   // Every opcode takes a dispatcher slot under its tenant digest, so a
-  // vitality flood fights a point-query flood for exactly one WRR share.
+  // vitality flood fights a point-query flood for exactly one round-robin
+  // turn.
   ++conn->inflight;
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
@@ -666,7 +662,7 @@ void Server::admit_batch(const std::shared_ptr<Conn>& conn, std::uint64_t reques
         --inflight_total_;
         inflight_cv_.notify_all();
       },
-      /*weight=*/1, deadline);
+      deadline);
   if (verdict == registry::DispatchVerdict::kBusy) {
     // Rejected without queueing: the callback will never fire, so roll
     // every piece of accounting back and tell the client to retry.

@@ -252,8 +252,8 @@ class Server {
   std::shared_ptr<const service::Snapshot> oracle_;
   registry::OracleRegistry* registry_ = nullptr;  ///< optional; not owned
   std::uint64_t default_digest_ = 0;              ///< HELLO oracle; 0 = none
-  /// Every batch routes through this WRR gate (even single-oracle servers:
-  /// the caps then act as a global inflight bound).
+  /// Every batch routes through this round-robin gate (even single-oracle
+  /// servers: the caps then act as a global inflight bound).
   std::unique_ptr<registry::FairDispatcher> dispatcher_;
   ServerOptions opts_;
   /// One per event loop; unique_ptr keeps addresses stable (Conns point at

@@ -13,7 +13,7 @@
 ///   decode   frame arrival on the loop thread -> batch validated,
 ///            oracle resolved, handed to the dispatcher
 ///   queue    dispatcher submit -> the batch wins an inflight slot and
-///            starts executing (admission + weighted-fair wait)
+///            starts executing (admission + round-robin wait)
 ///   execute  execution start -> completion callback (pool workers and/or
 ///            shard round trips)
 ///   flush    completion posted back to the loop thread -> reply encoded

@@ -6,39 +6,19 @@
 
 namespace msrp::registry {
 
-FairDispatcher::FairDispatcher(Submit submit, DispatchOptions opts)
-    : submit_(std::move(submit)), opts_(opts) {
-  MSRP_REQUIRE(submit_ != nullptr, "dispatcher: null submit function");
+FairDispatcher::FairDispatcher(DispatchOptions opts) : opts_(opts) {
   MSRP_REQUIRE(opts_.per_tenant_inflight >= 1, "dispatcher: per-tenant inflight cap must be >= 1");
   MSRP_REQUIRE(opts_.total_inflight >= 1, "dispatcher: total inflight cap must be >= 1");
 }
 
-DispatchVerdict FairDispatcher::submit(std::uint64_t digest,
-                                       std::shared_ptr<const service::Snapshot> oracle,
-                                       std::vector<service::Query> queries,
-                                       service::BatchCallback done, std::uint32_t weight,
-                                       Deadline deadline) {
-  // Point-query batches are just one kind of task: wrap the constructor's
-  // Submit function into a StartFn and share the admission machinery.
-  return submit_task(
-      digest,
-      [this, oracle = std::move(oracle),
-       queries = std::move(queries)](service::BatchCallback cb, Deadline dl) mutable {
-        submit_(std::move(oracle), std::move(queries), std::move(cb), dl);
-      },
-      std::move(done), weight, deadline);
-}
-
 DispatchVerdict FairDispatcher::submit_task(std::uint64_t digest, StartFn start,
-                                            service::BatchCallback done,
-                                            std::uint32_t weight, Deadline deadline) {
+                                            service::BatchCallback done, Deadline deadline) {
   MSRP_REQUIRE(start != nullptr, "dispatcher: null start function");
   MSRP_REQUIRE(done != nullptr, "dispatcher: null callback");
   Pending batch{std::move(start), std::move(done), deadline};
   {
     std::lock_guard<std::mutex> lock(mu_);
     Tenant& t = tenants_[digest];
-    t.weight = weight == 0 ? 1 : weight;
     // Fast path only when nothing of this tenant is queued — a batch must
     // never overtake its own tenant's parked predecessors (per-tenant FIFO
     // is part of the contract).
@@ -131,41 +111,27 @@ void FairDispatcher::expire_queued_locked(std::vector<Pending>& expired) {
 
 void FairDispatcher::pump_locked(std::vector<Ready>& out, std::vector<Pending>& expired) {
   expire_queued_locked(expired);
-  // Weighted round robin over the digests with queued work: the front
-  // tenant takes up to `weight` grants, then rotates to the back. A full
-  // lap of rotations without a single grant means every queued tenant is
-  // pinned by a cap — stop; the next completion pumps again. Queued work
-  // always implies inflight work somewhere (batches only queue when a cap
-  // binds), so the pump is always re-entered and queues cannot wedge.
+  // Round robin over the digests with queued work: the front tenant takes
+  // one grant and rotates to the back. A full lap of rotations without a
+  // single grant means every queued tenant is pinned by a cap — stop; the
+  // next completion pumps again. Queued work always implies inflight work
+  // somewhere (batches only queue when a cap binds), so the pump is always
+  // re-entered and queues cannot wedge.
   std::size_t stalled = 0;
   while (!ring_.empty() && total_inflight_ < opts_.total_inflight) {
     const std::uint64_t digest = ring_.front();
+    ring_.pop_front();
     Tenant& t = tenants_[digest];
     if (t.queue.empty()) {
       t.in_ring = false;
-      t.credits = 0;
-      ring_.pop_front();
       maybe_erase_locked(digest);
       continue;
     }
+    ring_.push_back(digest);
     if (t.inflight >= opts_.per_tenant_inflight) {
-      t.credits = 0;
-      ring_.push_back(digest);
-      ring_.pop_front();
       if (++stalled >= ring_.size()) break;
       continue;
     }
-    if (t.credits >= t.weight) {
-      // Lap boundary, not a stall: the reset below makes this tenant
-      // grantable on its next visit, so the rotation always progresses
-      // (counting it as stalled would wedge a one-tenant ring with zero
-      // batches inflight).
-      t.credits = 0;
-      ring_.push_back(digest);
-      ring_.pop_front();
-      continue;
-    }
-    ++t.credits;
     ++t.inflight;
     ++total_inflight_;
     ++dispatched_total_;

@@ -1,10 +1,10 @@
 /// \file
-/// Weighted round-robin admission control in front of the query service.
+/// Round-robin admission control in front of the query service.
 ///
 /// The QueryService pool is a shared resource: without a gate, one tenant
 /// streaming huge batches at one digest occupies every worker and every
 /// other tenant's batches queue behind its backlog. The dispatcher sits
-/// between the server's frame handler and QueryService::submit_batch and
+/// between the server's frame handler and QueryService::submit<W> and
 /// enforces three limits:
 ///
 ///   * per-tenant inflight cap — at most `per_tenant_inflight` batches of
@@ -15,15 +15,14 @@
 ///   * total inflight cap — the sum across tenants, so the pool's task
 ///     queue stays bounded no matter how many tenants are registered.
 ///
-/// Queued batches drain in weighted round-robin order: each completion
-/// pumps the ring, granting up to `weight` consecutive batches per tenant
-/// per lap. A saturating tenant therefore cannot starve another — the
-/// starved tenant's first queued batch is at most one ring lap away from
-/// dispatch, and the fairness test in tests/registry_test.cpp pins exactly
-/// that property.
+/// Queued batches drain in round-robin order: each completion pumps the
+/// ring, granting one batch per tenant per lap. A saturating tenant
+/// therefore cannot starve another — the starved tenant's first queued
+/// batch is at most one ring lap away from dispatch, and the fairness test
+/// in tests/registry_test.cpp pins exactly that property.
 ///
-/// Thread safety: submit() and the internal completion hook may run
-/// concurrently from any threads. The underlying submit function is always
+/// Thread safety: submit_task() and the internal completion hook may run
+/// concurrently from any threads. A batch's start function is always
 /// invoked OUTSIDE the dispatcher lock (it may do real work), and the
 /// completion bookkeeping runs BEFORE the caller's callback — so by the
 /// time a server's inflight gate releases its last batch, the dispatcher
@@ -61,47 +60,29 @@ enum class DispatchVerdict {
 
 class FairDispatcher {
  public:
-  /// The downstream submit — QueryService::submit_batch in production, a
-  /// manually-completed stub in the fairness tests. The Deadline is the
-  /// batch's end-to-end budget (kNoDeadline = none), already spent in part
-  /// by any time the batch sat in the dispatch queue.
-  using Submit = std::function<void(std::shared_ptr<const service::Snapshot>,
-                                    std::vector<service::Query>, service::BatchCallback,
-                                    Deadline)>;
-
-  /// A deferred batch of ANY workload: invoked (at most once, outside the
+  /// A deferred batch of any workload: invoked (at most once, outside the
   /// dispatcher lock) when the batch wins an inflight slot, with the
   /// dispatcher's bookkeeping wrapped into the callback it must hand to the
-  /// service. Admission control does not care what the batch computes —
-  /// only that exactly one completion comes back — so the v3 opcodes
-  /// (vitality, Vickrey, k-fail) ride the same WRR ring as point-query
-  /// batches via submit_task().
+  /// service, and the batch's end-to-end budget (kNoDeadline = none),
+  /// already spent in part by any time the batch sat in the queue.
+  /// Admission control does not care what the batch computes — only that
+  /// exactly one completion comes back.
   using StartFn = std::function<void(service::BatchCallback, Deadline)>;
 
-  FairDispatcher(Submit submit, DispatchOptions opts);
+  explicit FairDispatcher(DispatchOptions opts);
 
   FairDispatcher(const FairDispatcher&) = delete;
   FairDispatcher& operator=(const FairDispatcher&) = delete;
 
-  /// Admits one batch for `digest`. On kDispatched/kQueued the callback
-  /// fires exactly once when the batch completes (bookkeeping already
-  /// done); on kBusy it never fires. `weight` is the tenant's WRR share —
-  /// grants per ring lap; later submits may revise it. A batch whose
-  /// `deadline` passes while parked in the queue is completed with
-  /// DeadlineExceeded at the next pump instead of dispatching stale work.
-  DispatchVerdict submit(std::uint64_t digest,
-                         std::shared_ptr<const service::Snapshot> oracle,
-                         std::vector<service::Query> queries, service::BatchCallback done,
-                         std::uint32_t weight = 1, Deadline deadline = kNoDeadline);
-
-  /// Like submit(), for a batch that starts through an arbitrary closure
-  /// instead of the constructor's Submit function. `start` receives the
-  /// bookkeeping-wrapped callback and the deadline; it must hand them to
-  /// exactly one service submit. A batch whose deadline expires while
-  /// queued completes with DeadlineExceeded and `start` is never invoked.
+  /// Admits one batch for `digest`. On kDispatched/kQueued, `start` runs
+  /// once the batch holds an inflight slot and must hand the callback and
+  /// deadline it receives to exactly one service submit; `done` then fires
+  /// exactly once when the batch completes (bookkeeping already done). On
+  /// kBusy neither ever runs. A batch whose `deadline` passes while parked
+  /// in the queue is completed with DeadlineExceeded at the next pump, and
+  /// its `start` is never invoked.
   DispatchVerdict submit_task(std::uint64_t digest, StartFn start,
-                              service::BatchCallback done, std::uint32_t weight = 1,
-                              Deadline deadline = kNoDeadline);
+                              service::BatchCallback done, Deadline deadline = kNoDeadline);
 
   // Observability (tests assert against these).
   std::size_t inflight_batches() const;
@@ -121,8 +102,6 @@ class FairDispatcher {
   struct Tenant {
     std::deque<Pending> queue;
     std::size_t inflight = 0;
-    std::uint32_t weight = 1;
-    std::uint32_t credits = 0;  // grants taken this ring turn
     bool in_ring = false;
   };
   /// One batch popped by the pump, dispatched outside the lock.
@@ -145,7 +124,6 @@ class FairDispatcher {
   /// under digest churn).
   void maybe_erase_locked(std::uint64_t digest);
 
-  Submit submit_;
   DispatchOptions opts_;
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, Tenant> tenants_;

@@ -188,210 +188,110 @@ void QueryService::answer_range(const Snapshot& oracle, std::span<const Query> q
 std::vector<Dist> QueryService::query_batch(const Snapshot& oracle,
                                             std::span<const Query> queries,
                                             Deadline deadline) {
-  if (sharding()) {
-    // Multi-process path: the router validates, routes each query to the
-    // worker owning its source, and merges in batch order — bit-identical
-    // to the in-process path below. The router's collector enforces the
-    // deadline while answers are in flight.
-    std::vector<Dist> out = router_for(oracle)->query_batch(queries, deadline);
-    queries_served_.fetch_add(queries.size(), std::memory_order_relaxed);
-    return out;
+  struct Outcome {
+    std::mutex mu;
+    std::condition_variable done_cv;
+    bool done = false;
+    BatchResult result;
+  } outcome;
+  PointBatch batch(oracle, deadline, [&outcome](BatchResult r) {
+    // Notify under the lock: the waiter below may destroy `outcome` the
+    // moment it sees `done`.
+    std::lock_guard<std::mutex> lock(outcome.mu);
+    outcome.result = std::move(r);
+    outcome.done = true;
+    outcome.done_cv.notify_all();
+  });
+  batch.queries = queries;
+  // This frame owns the batch and outlives every chunk task (it waits for
+  // the completion below), so the engine gets a non-owning pointer: the
+  // aliasing constructor with an empty owner allocates no control block.
+  answer_points(std::shared_ptr<PointBatch>(std::shared_ptr<void>(), &batch));
+  {
+    std::unique_lock<std::mutex> lock(outcome.mu);
+    outcome.done_cv.wait(lock, [&outcome] { return outcome.done; });
   }
-  // The in-process path has no unbounded waits (every chunk is O(1) work
-  // on an immutable table), so an up-front check suffices.
-  if (deadline_expired(deadline)) {
-    throw DeadlineExceeded("batch expired before answering");
-  }
-  const std::uint32_t sigma = oracle.num_sources();
-  const BatchPlan plan = plan_shards(oracle, queries);
-
-  std::vector<Dist> out(queries.size());
-  if (queries.size() < opts_.min_parallel_batch || pool_.size() <= 1) {
-    for (std::uint32_t si = 0; si < sigma; ++si) {
-      answer_range(oracle, queries, plan, out, si, plan.shard_begin[si],
-                   plan.shard_begin[si + 1]);
-    }
-  } else {
-    // One task per (source, chunk): sharding by source keeps each worker in
-    // one source's table; chunking caps shard size so a skewed batch (all
-    // queries on one source) still spreads across the pool. Completion is
-    // tracked per batch (not via the pool-wide wait_idle) so concurrent
-    // query_batch callers sharing the pool never observe each other's
-    // tasks or errors.
-    const std::size_t chunk =
-        std::max<std::size_t>(512, queries.size() / (std::size_t{pool_.size()} * 4));
-    struct BatchState {
-      std::mutex mu;
-      std::condition_variable done_cv;
-      std::size_t pending = 0;
-    };
-    BatchState batch;
-    for (std::uint32_t si = 0; si < sigma; ++si) {
-      for (std::size_t lo = plan.shard_begin[si]; lo < plan.shard_begin[si + 1]; lo += chunk) {
-        const std::size_t hi = std::min(plan.shard_begin[si + 1], lo + chunk);
-        {
-          std::lock_guard<std::mutex> lock(batch.mu);
-          ++batch.pending;
-        }
-        pool_.submit([&oracle, &queries, &plan, &out, &batch, si, lo, hi] {
-          // Touches only validated indices; nothrow.
-          answer_range(oracle, queries, plan, out, si, lo, hi);
-          std::lock_guard<std::mutex> lock(batch.mu);
-          if (--batch.pending == 0) batch.done_cv.notify_all();
-        });
-      }
-    }
-    std::unique_lock<std::mutex> lock(batch.mu);
-    batch.done_cv.wait(lock, [&batch] { return batch.pending == 0; });
-  }
-  queries_served_.fetch_add(queries.size(), std::memory_order_relaxed);
-  return out;
+  if (outcome.result.error != nullptr) std::rethrow_exception(outcome.result.error);
+  return std::move(outcome.result.answers);
 }
 
-// --------------------------------------------------------------- async API ---
-
-/// Shared state of one in-flight async batch. Lives until the promise or
-/// callback has fired; chunk tasks co-own it, so a caller that drops the
-/// future early cannot invalidate anything a worker still touches.
-struct QueryService::AsyncBatch {
-  std::vector<Query> queries;
-  BatchPlan plan;
-  std::vector<Dist> answers;
-  std::shared_ptr<const Snapshot> oracle;  // keeps the oracle alive
-  std::atomic<std::size_t> pending{0};     // unfinished chunk tasks
-  std::promise<BatchResult> promise;
-  BatchCallback callback;  // non-null => callback flavour, promise unused
-  std::atomic<bool> done{false};           // exactly-once delivery latch
-
-  // The latch keeps the once-only contract even if the user callback itself
-  // throws mid-delivery: the orchestrator's catch block would otherwise
-  // report the batch a second time. A throwing callback's exception then
-  // propagates into the pool's fire-and-forget error slot instead.
-  void deliver(BatchResult&& result) {
-    if (done.exchange(true, std::memory_order_acq_rel)) return;
-    if (callback) {
-      callback(std::move(result));
+void QueryService::answer_points(std::shared_ptr<PointBatch> batch) {
+  PointBatch& b = *batch;
+  std::size_t chunk = 0;  // 0 = answered inline
+  try {
+    if (sharding() && !b.queries.empty()) {
+      // Multi-process path: the router validates, routes each query to the
+      // worker owning its source, and merges in batch order — bit-identical
+      // to the in-process path below. The worker processes are the
+      // parallelism; routing occupies only this thread, and the router's
+      // collector enforces the deadline while answers are in flight. An
+      // empty batch (a workload expansion answered without point queries)
+      // stays in process, so it never spawns a router.
+      b.answers = router_for(b.oracle)->query_batch(b.queries, b.deadline);
     } else {
-      promise.set_value(std::move(result));
-    }
-  }
-
-  void fail(std::exception_ptr err) {
-    if (done.exchange(true, std::memory_order_acq_rel)) return;
-    if (callback) {
-      callback(BatchResult{{}, nullptr, err});
-    } else {
-      promise.set_exception(err);
-    }
-  }
-};
-
-std::future<BatchResult> QueryService::submit_batch_impl(
-    std::function<std::shared_ptr<const Snapshot>()> resolve, std::vector<Query> queries,
-    BatchCallback done, Deadline deadline) {
-  auto state = std::make_shared<AsyncBatch>();
-  state->queries = std::move(queries);
-  state->callback = std::move(done);
-  std::future<BatchResult> fut;
-  if (!state->callback) fut = state->promise.get_future();
-
-  // Everything heavy — the oracle resolve (a miss is a full MSRP solve),
-  // validation, sharding, answering — happens inside pool tasks. This
-  // submit only enqueues one closure.
-  pool_.submit([this, state, resolve = std::move(resolve), deadline] {
-    try {
-      state->oracle = resolve();
-      // delay action: burns the batch's budget right where a slow cold
-      // build or a saturated pool would, so deadline tests are exact.
-      (void)MSRP_FAILPOINT("service.answer");
-      // The resolve may have been a full cold build, or the batch may have
-      // queued behind a saturated pool — either can consume the whole
-      // budget before a single answer is computed.
-      if (deadline_expired(deadline)) {
+      // In process every chunk is O(1) work per query on an immutable
+      // table, so an up-front check suffices.
+      if (deadline_expired(b.deadline)) {
         throw DeadlineExceeded("batch expired before answering");
       }
-      const Snapshot& oracle = *state->oracle;
-      if (sharding()) {
-        // The worker processes are the parallelism; routing occupies just
-        // this one pool task (and never blocks on other pool tasks, so the
-        // no-worker-waits-on-workers pool invariant holds).
-        state->answers = router_for(oracle)->query_batch(state->queries, deadline);
-        queries_served_.fetch_add(state->queries.size(), std::memory_order_relaxed);
-        state->deliver(BatchResult{std::move(state->answers), state->oracle, nullptr});
-        return;
-      }
-      state->plan = plan_shards(oracle, state->queries);
-      state->answers.resize(state->queries.size());
-
-      const std::uint32_t sigma = oracle.num_sources();
-      const std::size_t total = state->queries.size();
-      auto finish = [this, state] {
-        queries_served_.fetch_add(state->queries.size(), std::memory_order_relaxed);
-        state->deliver(BatchResult{std::move(state->answers), state->oracle, nullptr});
-      };
-
-      if (total == 0 || total < opts_.min_parallel_batch || pool_.size() <= 1) {
-        for (std::uint32_t si = 0; si < sigma; ++si) {
-          answer_range(oracle, state->queries, state->plan, state->answers, si,
-                       state->plan.shard_begin[si], state->plan.shard_begin[si + 1]);
+      b.plan = plan_shards(b.oracle, b.queries);
+      b.answers.resize(b.queries.size());
+      if (b.queries.size() < opts_.min_parallel_batch || pool_.size() <= 1) {
+        for (std::uint32_t si = 0; si < b.oracle.num_sources(); ++si) {
+          answer_range(b.oracle, b.queries, b.plan, b.answers, si, b.plan.shard_begin[si],
+                       b.plan.shard_begin[si + 1]);
         }
-        finish();
-        return;
+      } else {
+        // One task per (source, chunk): sharding by source keeps each
+        // worker in one source's table; chunking caps shard size so a
+        // skewed batch (all queries on one source) still spreads across
+        // the pool.
+        chunk =
+            std::max<std::size_t>(512, b.queries.size() / (std::size_t{pool_.size()} * 4));
       }
-
-      // Fan the shards out as chunk tasks. Nobody waits: the last chunk to
-      // finish fulfils the promise, so the pool stays deadlock-free no
-      // matter how many async batches are in flight.
-      const std::size_t chunk =
-          std::max<std::size_t>(512, total / (std::size_t{pool_.size()} * 4));
-      std::size_t num_chunks = 0;
-      for (std::uint32_t si = 0; si < sigma; ++si) {
-        const std::size_t len = state->plan.shard_begin[si + 1] - state->plan.shard_begin[si];
-        num_chunks += (len + chunk - 1) / chunk;
-      }
-      state->pending.store(num_chunks, std::memory_order_relaxed);
-      for (std::uint32_t si = 0; si < sigma; ++si) {
-        for (std::size_t lo = state->plan.shard_begin[si];
-             lo < state->plan.shard_begin[si + 1]; lo += chunk) {
-          const std::size_t hi = std::min(state->plan.shard_begin[si + 1], lo + chunk);
-          pool_.submit([state, finish, si, lo, hi] {
-            // Touches only validated indices; nothrow.
-            answer_range(*state->oracle, state->queries, state->plan, state->answers, si,
-                         lo, hi);
-            if (state->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) finish();
-          });
-        }
-      }
-    } catch (...) {
-      state->fail(std::current_exception());
     }
-  });
-  return fut;
+  } catch (...) {
+    finish(b, std::current_exception());
+    return;
+  }
+  if (chunk == 0) {
+    finish(b, nullptr);
+    return;
+  }
+  // Nobody waits on the chunks: the last one to finish completes the
+  // batch, so the pool stays deadlock-free however many batches are in
+  // flight, and concurrent batches never observe each other's tasks.
+  const std::uint32_t sigma = b.oracle.num_sources();
+  std::size_t num_chunks = 0;
+  for (std::uint32_t si = 0; si < sigma; ++si) {
+    num_chunks += (b.plan.shard_begin[si + 1] - b.plan.shard_begin[si] + chunk - 1) / chunk;
+  }
+  b.pending.store(num_chunks, std::memory_order_relaxed);
+  for (std::uint32_t si = 0; si < sigma; ++si) {
+    const std::size_t end = b.plan.shard_begin[si + 1];
+    for (std::size_t lo = b.plan.shard_begin[si]; lo < end; lo += chunk) {
+      const std::size_t hi = std::min(end, lo + chunk);
+      pool_.submit([this, batch, si, lo, hi] {
+        // Touches only validated indices; nothrow.
+        answer_range(batch->oracle, batch->queries, batch->plan, batch->answers, si, lo, hi);
+        if (batch->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          finish(*batch, nullptr);
+        }
+      });
+    }
+  }
 }
 
-std::future<BatchResult> QueryService::submit_batch(std::shared_ptr<const Snapshot> oracle,
-                                                    std::vector<Query> queries) {
-  MSRP_REQUIRE(oracle != nullptr, "submit_batch: null oracle");
-  return submit_batch_impl([oracle = std::move(oracle)] { return oracle; },
-                           std::move(queries), nullptr);
-}
-
-std::future<BatchResult> QueryService::submit_batch(Graph g, std::vector<Vertex> sources,
-                                                    Config cfg, std::vector<Query> queries) {
-  return submit_batch_impl(
-      [this, g = std::move(g), sources = std::move(sources), cfg] {
-        return build(g, sources, cfg);
-      },
-      std::move(queries), nullptr);
-}
-
-void QueryService::submit_batch(std::shared_ptr<const Snapshot> oracle,
-                                std::vector<Query> queries, BatchCallback done,
-                                Deadline deadline) {
-  MSRP_REQUIRE(oracle != nullptr, "submit_batch: null oracle");
-  MSRP_REQUIRE(done != nullptr, "submit_batch: null callback");
-  submit_batch_impl([oracle = std::move(oracle)] { return oracle; }, std::move(queries),
-                    std::move(done), deadline);
+void QueryService::finish(PointBatch& batch, std::exception_ptr error) {
+  // The latch keeps the once-only contract whatever path reports: a
+  // completion that throws cannot be followed by a second delivery.
+  if (batch.finished.exchange(true, std::memory_order_acq_rel)) return;
+  if (error != nullptr) {
+    batch.complete(BatchResult{{}, nullptr, std::move(error)});
+    return;
+  }
+  note_served(batch.queries.size());
+  batch.complete(BatchResult{std::move(batch.answers), batch.owner, nullptr});
 }
 
 void QueryService::check_before_answer(Deadline deadline) {

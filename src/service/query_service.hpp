@@ -15,27 +15,23 @@
 ///     source's replacement table, so shards touch disjoint table slices
 ///     and the read path takes no locks (the oracle is immutable; answer
 ///     slots are disjoint by query index);
-///   * submit_batch() is the asynchronous flavour: it returns a
-///     std::future<BatchResult> (or invokes a callback) and does everything
-///     — the oracle build on a miss included — on the pool, so the
-///     submitting thread gets its hands back in microseconds while the
-///     solve proceeds. The answering stage is counter-driven (the last
-///     finishing shard fulfils the promise), so no worker ever waits on
-///     shard tasks. The one place a worker does park is a cold submit whose
-///     oracle is already being built by another worker: the single-flight
-///     table makes it wait for that solve instead of duplicating it. That
-///     wait is always on a build actively running on some worker — the slot
-///     only exists while its owner executes — so the pool makes progress
-///     even at size 1.
+///   * submit<W>() is the asynchronous flavour, for any workload: it
+///     enqueues one closure and returns, and a pool worker invokes the
+///     callback once the batch completes. Sync and async point batches run
+///     through one engine (answer_points): one validation pass, one
+///     inline-or-fan-out rule, one shard-router branch, one exactly-once
+///     completion. The sync caller waits for that completion; an async
+///     batch's callback fires from whichever task finishes last, so no
+///     worker ever waits on other pool tasks.
 ///   * Options::shards > 1 moves the serving out of this process entirely:
 ///     batches delegate to a ShardRouter (shard_router.hpp) that routes
 ///     each query to one of K forked worker processes over shared-memory
 ///     snapshot segments, bit-identical to the in-process path. Routers are
 ///     created per oracle on first use and kept in a small MRU list.
 ///
-/// Invalid queries are rejected up front — in the calling thread for
-/// query_batch, through the future/callback error channel for
-/// submit_batch; workers only ever see validated indices.
+/// Invalid queries are rejected before any answer is computed — thrown to
+/// the query_batch caller, delivered in WorkloadResult::error to a
+/// submit<W> callback; chunk tasks only ever see validated indices.
 ///
 /// docs/ARCHITECTURE.md traces a query's life through every path.
 #pragma once
@@ -43,7 +39,6 @@
 #include <atomic>
 #include <exception>
 #include <functional>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -72,18 +67,18 @@ template <class W>
 struct WorkloadResult {
   /// answers[i] answers queries[i]; empty when error is set.
   std::vector<typename W::Result> answers;
-  /// The oracle that answered (freshly built or already live). Holding it
-  /// here keeps it alive for as long as the result lives.
+  /// The oracle that answered; null when error is set. Holding it here
+  /// keeps it alive for as long as the result lives.
   std::shared_ptr<const Snapshot> oracle;
-  /// Null on success; the build/validation failure otherwise (future-based
-  /// callers get the same exception rethrown from future::get instead).
+  /// Null on success; the validation, deadline, or routing failure
+  /// otherwise.
   std::exception_ptr error;
 };
 
-/// Invoked exactly once per callback-flavoured submit, from a pool worker
-/// thread. Must not block on futures of the same service's pool, and
-/// should not throw — an escaping exception cannot trigger a second
-/// delivery, but it is lost to the pool's fire-and-forget error slot.
+/// Invoked exactly once per submit, from a pool worker thread. Must not
+/// block on work of the same service's pool, and should not throw — an
+/// escaping exception cannot trigger a second delivery, but it is lost to
+/// the pool's fire-and-forget error slot.
 template <class W>
 using WorkloadCallback = std::function<void(WorkloadResult<W>)>;
 
@@ -140,28 +135,6 @@ class QueryService {
   std::vector<Dist> query_batch(const Snapshot& oracle, std::span<const Query> queries,
                                 Deadline deadline = kNoDeadline);
 
-  // ----- async API --------------------------------------------------------
-
-  /// Answers `queries` against an oracle the caller already holds. Returns
-  /// immediately; validation, sharding, and answering all run on the pool.
-  std::future<BatchResult> submit_batch(std::shared_ptr<const Snapshot> oracle,
-                                        std::vector<Query> queries);
-
-  /// Answers `queries` against the oracle for (g, sources, cfg), building
-  /// it on the pool first unless it is live — the submit itself returns
-  /// in microseconds either way.
-  std::future<BatchResult> submit_batch(Graph g, std::vector<Vertex> sources, Config cfg,
-                                        std::vector<Query> queries);
-
-  /// Callback flavour of the first overload; `done` runs on a pool
-  /// worker once the batch completes (or fails, with BatchResult::error
-  /// set). `deadline` bounds the whole batch: an expired batch fails with
-  /// DeadlineExceeded in BatchResult::error instead of waiting — checked
-  /// after the oracle resolve and enforced continuously inside the shard
-  /// router while answers are in flight.
-  void submit_batch(std::shared_ptr<const Snapshot> oracle, std::vector<Query> queries,
-                    BatchCallback done, Deadline deadline = kNoDeadline);
-
   // ----- any workload (see service/workloads.hpp) --------------------------
 
   /// Answers a batch of any workload. Point is query_batch itself; the
@@ -177,11 +150,14 @@ class QueryService {
                                       std::span<const typename W::Query> queries,
                                       Deadline deadline = kNoDeadline);
 
-  /// Async flavour of run(): validation, expansion, and answering all run
-  /// on the pool; `done` fires exactly once from a worker (error channel
-  /// on validation failure, DeadlineExceeded, or a missing attached
-  /// graph). The point batch chains through submit_batch, so the same
-  /// failpoints, deadline checks, and shard routing apply.
+  /// The one asynchronous entry point: async flavour of run(). Returns
+  /// once one closure is enqueued; the "service.answer" failpoint, the
+  /// deadline check, expansion, validation, and answering all run on the
+  /// pool, and `done` fires exactly once from a worker — with the answers
+  /// and the oracle, or with WorkloadResult::error set (validation failure,
+  /// DeadlineExceeded, a missing attached graph). `deadline` is checked
+  /// before expansion and before answering, and enforced continuously
+  /// inside the shard router while answers are in flight.
   template <class W>
   void submit(std::shared_ptr<const Snapshot> oracle, std::vector<typename W::Query> queries,
               WorkloadCallback<W> done, Deadline deadline = kNoDeadline);
@@ -231,8 +207,6 @@ class QueryService {
   bool sharding() const { return opts_.shards >= 1; }
 
  private:
-  struct AsyncBatch;
-
   /// Validated counting-sort of a batch by source index (the in-process
   /// fan-out axis; distinct from the multi-process ShardPlan).
   struct BatchPlan {
@@ -244,9 +218,41 @@ class QueryService {
                            const BatchPlan& plan, std::span<Dist> out, std::uint32_t si,
                            std::size_t lo, std::size_t hi);
 
-  std::future<BatchResult> submit_batch_impl(
-      std::function<std::shared_ptr<const Snapshot>()> resolve,
-      std::vector<Query> queries, BatchCallback done, Deadline deadline = kNoDeadline);
+  /// One point batch on its way through answer_points. A sync caller keeps
+  /// it on its stack and waits for `complete`; an async submit allocates
+  /// it, and `owner`/`owned` keep the oracle and the queries alive until
+  /// the last chunk task lets go.
+  struct PointBatch {
+    PointBatch(const Snapshot& o, Deadline d, BatchCallback c)
+        : oracle(o), deadline(d), complete(std::move(c)) {}
+
+    const Snapshot& oracle;
+    std::shared_ptr<const Snapshot> owner;  // async only; handed back in the result
+    std::vector<Query> owned;               // async only; what `queries` views
+    std::span<const Query> queries;
+    Deadline deadline;
+    BatchCallback complete;  // fired by finish(), exactly once
+    BatchPlan plan;
+    std::vector<Dist> answers;
+    std::atomic<std::size_t> pending{0};  // unfinished chunk tasks
+    std::atomic<bool> finished{false};    // the exactly-once latch
+  };
+
+  /// The point engine, shared by query_batch and submit<W>. Routes `batch`
+  /// through the shard router when sharding; otherwise checks the
+  /// deadline, validates and plans, and answers inline below
+  /// min_parallel_batch or as (source, chunk) pool tasks. Completes the
+  /// batch through finish() from whichever thread answers last, and never
+  /// waits on pool tasks.
+  void answer_points(std::shared_ptr<PointBatch> batch);
+  /// Passes the latch at most once: on success counts the batch as served
+  /// and hands `complete` the answers, otherwise hands it `error`.
+  void finish(PointBatch& batch, std::exception_ptr error);
+  /// Pool-task body of submit<W>: the failpoint, the deadline check, and
+  /// `prepare` (which returns the batch's point queries), then the engine.
+  /// A throw from any of them completes the batch through the latch.
+  template <class Prepare>
+  void start_points(std::shared_ptr<PointBatch> batch, Prepare&& prepare);
 
   /// Returns (creating on first use) the shard router serving `oracle`,
   /// keyed by content digest. Routers are kept in a small LRU so a stream
@@ -254,7 +260,7 @@ class QueryService {
   std::shared_ptr<ShardRouter> router_for(const Snapshot& oracle);
 
   /// The "service.answer" failpoint and the deadline check every async
-  /// workload batch passes before it expands.
+  /// batch passes before it expands or answers.
   static void check_before_answer(Deadline deadline);
   void note_served(std::size_t queries) {
     queries_served_.fetch_add(queries, std::memory_order_relaxed);
@@ -289,8 +295,8 @@ std::vector<typename W::Result> QueryService::run(const Snapshot& oracle,
   } else {
     typename W::Plan plan = W::expand(*this, oracle, queries, deadline);
     note_served(plan.answered_inline);
-    std::vector<Dist> answers;  // query_batch counts the point queries itself
-    if (!plan.points.empty()) answers = query_batch(oracle, plan.points, deadline);
+    // query_batch counts the point queries itself.
+    const std::vector<Dist> answers = query_batch(oracle, plan.points, deadline);
     return W::assemble(queries, plan, answers);
   }
 }
@@ -299,41 +305,53 @@ template <class W>
 void QueryService::submit(std::shared_ptr<const Snapshot> oracle,
                           std::vector<typename W::Query> queries, WorkloadCallback<W> done,
                           Deadline deadline) {
-  if constexpr (std::is_same_v<W, Point>) {
-    submit_batch(std::move(oracle), std::move(queries), std::move(done), deadline);
-  } else {
-    MSRP_REQUIRE(oracle != nullptr, "submit: null oracle");
-    MSRP_REQUIRE(done != nullptr, "submit: null callback");
-    // Expansion runs on the pool; the point batch chains through
-    // submit_batch (counter-driven, nobody blocks), and assembly runs in
-    // its callback. Both hops check the deadline and fire "service.answer".
-    pool_.submit([this, oracle = std::move(oracle), queries = std::move(queries),
-                  done = std::move(done), deadline]() mutable {
-      try {
-        check_before_answer(deadline);
-        auto plan =
-            std::make_shared<typename W::Plan>(W::expand(*this, *oracle, queries, deadline));
-        note_served(plan->answered_inline);
-        if (plan->points.empty()) {
-          done({W::assemble(queries, *plan, {}), std::move(oracle), nullptr});
-          return;
-        }
-        std::vector<Query> points = std::move(plan->points);
-        submit_batch(
-            oracle, std::move(points),
-            [plan, queries = std::move(queries), done](BatchResult r) {
-              if (r.error) {
-                done({{}, nullptr, r.error});
-                return;
-              }
-              done({W::assemble(queries, *plan, r.answers), std::move(r.oracle), nullptr});
-            },
-            deadline);
-      } catch (...) {
-        done({{}, nullptr, std::current_exception()});
-      }
-    });
+  MSRP_REQUIRE(oracle != nullptr, "submit: null oracle");
+  MSRP_REQUIRE(done != nullptr, "submit: null callback");
+  // Everything heavy — expansion, validation, answering — runs inside this
+  // one pool task (and the engine's chunk tasks); the caller only enqueues.
+  pool_.submit([this, oracle = std::move(oracle), queries = std::move(queries),
+                done = std::move(done), deadline]() mutable {
+    if constexpr (std::is_same_v<W, Point>) {
+      auto batch = std::make_shared<PointBatch>(*oracle, deadline, std::move(done));
+      batch->owner = std::move(oracle);
+      start_points(std::move(batch), [&] { return std::move(queries); });
+    } else {
+      // Assembly runs after the last point answer, so the completion
+      // co-owns the workload queries and the expansion plan it reads.
+      struct Expansion {
+        std::vector<typename W::Query> queries;
+        typename W::Plan plan;
+      };
+      auto x = std::make_shared<Expansion>(std::move(queries));
+      auto batch = std::make_shared<PointBatch>(
+          *oracle, deadline, [x, done = std::move(done)](BatchResult r) {
+            if (r.error != nullptr) {
+              done({{}, nullptr, r.error});
+              return;
+            }
+            done({W::assemble(x->queries, x->plan, r.answers), std::move(r.oracle), nullptr});
+          });
+      batch->owner = oracle;
+      start_points(std::move(batch), [&] {
+        x->plan = W::expand(*this, *oracle, x->queries, deadline);
+        note_served(x->plan.answered_inline);
+        return std::move(x->plan.points);
+      });
+    }
+  });
+}
+
+template <class Prepare>
+void QueryService::start_points(std::shared_ptr<PointBatch> batch, Prepare&& prepare) {
+  try {
+    check_before_answer(batch->deadline);
+    batch->owned = prepare();
+    batch->queries = batch->owned;
+  } catch (...) {
+    finish(*batch, std::current_exception());
+    return;
   }
+  answer_points(std::move(batch));
 }
 
 }  // namespace msrp::service

@@ -10,9 +10,9 @@
 //     return answers).
 //   * submit_task() — returns a std::future for the closure's result, for
 //     callers that want one task's value or error back without touching the
-//     pool-wide wait_idle() channel. (The async batch path in
+//     pool-wide wait_idle() channel. (The point engine in
 //     query_service.cpp manages its own completion counter instead: one
-//     future per *batch*, not per shard task.)
+//     completion per *batch*, not per chunk task.)
 //   * parallel_for() — a blocking parallel loop in which the CALLING thread
 //     participates: items are claimed from a shared atomic cursor by the
 //     caller and by helper tasks on the pool, so the loop completes even
@@ -21,8 +21,8 @@
 //     This is the one sanctioned way for a pool task to fan out onto its
 //     own pool without deadlocking.
 //
-// Tasks must never block on other tasks of the same pool (the async batch
-// path is written completion-driven for exactly this reason): with every
+// Tasks must never block on other tasks of the same pool (the point
+// engine is written completion-driven for exactly this reason): with every
 // worker parked in a wait there is nobody left to run the task being
 // waited for. parallel_for is safe because the waiter drains the loop
 // itself.

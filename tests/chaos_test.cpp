@@ -236,33 +236,31 @@ TEST(RetryPolicy, SeedsProduceDistinctSchedules) {
 
 // ----------------------------------------------- dispatcher queue deadlines
 
-std::vector<Query> tagged_batch(Vertex tag) { return {Query{tag, 0, 0}}; }
-
 TEST(FairDispatcherDeadline, ExpiredQueuedBatchFailsInsteadOfDispatching) {
   struct {
     std::deque<service::BatchCallback> captured;
   } sink;
+  const auto capture = [&sink](service::BatchCallback done, Deadline) {
+    sink.captured.push_back(std::move(done));
+  };
   registry::FairDispatcher disp(
-      [&](std::shared_ptr<const Snapshot>, std::vector<Query>,
-          service::BatchCallback done, Deadline) { sink.captured.push_back(std::move(done)); },
       {.per_tenant_inflight = 1, .per_tenant_queue = 8, .total_inflight = 8});
 
   auto noop = [](service::BatchResult) {};
-  ASSERT_EQ(disp.submit(1, nullptr, tagged_batch(1), noop),
-            registry::DispatchVerdict::kDispatched);
+  ASSERT_EQ(disp.submit_task(1, capture, noop), registry::DispatchVerdict::kDispatched);
 
   bool expired_seen = false;
   const Deadline past = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  ASSERT_EQ(disp.submit(1, nullptr, tagged_batch(2),
-                        [&](service::BatchResult r) {
-                          ASSERT_NE(r.error, nullptr);
-                          try {
-                            std::rethrow_exception(r.error);
-                          } catch (const DeadlineExceeded& e) {
-                            expired_seen = is_deadline_exceeded_message(e.what());
-                          }
-                        },
-                        /*weight=*/1, past),
+  ASSERT_EQ(disp.submit_task(1, capture,
+                             [&](service::BatchResult r) {
+                               ASSERT_NE(r.error, nullptr);
+                               try {
+                                 std::rethrow_exception(r.error);
+                               } catch (const DeadlineExceeded& e) {
+                                 expired_seen = is_deadline_exceeded_message(e.what());
+                               }
+                             },
+                             past),
             registry::DispatchVerdict::kQueued);
 
   // Completing the inflight batch pumps the queue; the parked batch is past
@@ -364,8 +362,9 @@ TEST(ServiceDeadline, ExpiredDeadlineFailsTheBatchWithoutAnswering) {
   const Deadline past = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
 
   std::promise<service::BatchResult> done;
-  fx.svc.submit_batch(fx.oracle, queries,
-                      [&](service::BatchResult r) { done.set_value(std::move(r)); }, past);
+  fx.svc.submit<service::Point>(
+      fx.oracle, queries, [&](service::BatchResult r) { done.set_value(std::move(r)); },
+      past);
   const service::BatchResult r = done.get_future().get();
   ASSERT_NE(r.error, nullptr);
   EXPECT_TRUE(r.answers.empty());
@@ -442,9 +441,9 @@ TEST(ServiceDeadline, DelayFailpointForcesDeadlineWithinTwiceTheBudget) {
 
   const auto t0 = std::chrono::steady_clock::now();
   std::promise<service::BatchResult> done;
-  fx.svc.submit_batch(fx.oracle, queries,
-                      [&](service::BatchResult r) { done.set_value(std::move(r)); },
-                      deadline_after_ms(kDeadlineMs));
+  fx.svc.submit<service::Point>(
+      fx.oracle, queries, [&](service::BatchResult r) { done.set_value(std::move(r)); },
+      deadline_after_ms(kDeadlineMs));
   const service::BatchResult r = done.get_future().get();
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - t0);
@@ -460,7 +459,7 @@ TEST(ServiceDeadline, DelayFailpointForcesDeadlineWithinTwiceTheBudget) {
 }
 
 // The same acceptance for each typed workload path: the service.answer site
-// fires on every submit_* closure, so a one-shot stall past the budget must
+// fires on every submit<W> closure, so a one-shot stall past the budget must
 // turn into the error channel, opcode by opcode, never a late answer.
 TEST(ServiceDeadline, DelayFailpointFailsEachWorkloadBatchInsteadOfAnsweringLate) {
   SKIP_WITHOUT_FAILPOINTS();

@@ -1,4 +1,4 @@
-// Tests for the multi-tenant registry layer (src/registry/): the weighted
+// Tests for the multi-tenant registry layer (src/registry/): the
 // round-robin dispatcher's fairness and admission verdicts under manual
 // completion, and the OracleRegistry lifecycle state machine (admission,
 // build, unregister, drain, byte budget) — including that an unregistered
@@ -28,34 +28,31 @@ using registry::OracleRegistry;
 using registry::OracleState;
 using registry::RegisterOutcome;
 using registry::RegistryOptions;
-using service::Query;
 using service::Snapshot;
 
 // --------------------------------------------------------- FairDispatcher ---
 
-/// Captures every downstream submit so the test completes batches by hand
-/// and observes the exact dispatch order. The tenant is tagged in the
-/// batch's first query source (the Submit signature does not carry the
-/// digest — production does not need it there).
-struct ManualSubmit {
+/// Captures every dispatched batch so the test completes batches by hand
+/// and observes the exact dispatch order. Each batch's start function
+/// carries its tenant tag (the dispatcher itself never looks inside).
+struct ManualStart {
   struct Captured {
-    Vertex tag = 0;
+    int tag = 0;
     service::BatchCallback done;
   };
   std::deque<Captured> captured;
-  bool throw_on_submit = false;
+  bool throw_on_start = false;
 
-  FairDispatcher::Submit fn() {
-    return [this](std::shared_ptr<const Snapshot>, std::vector<Query> queries,
-                  service::BatchCallback done, Deadline) {
-      if (throw_on_submit) throw std::runtime_error("submit refused");
-      captured.push_back({queries.empty() ? Vertex{0} : queries[0].s, std::move(done)});
+  FairDispatcher::StartFn batch(int tag) {
+    return [this, tag](service::BatchCallback done, Deadline) {
+      if (throw_on_start) throw std::runtime_error("start refused");
+      captured.push_back({tag, std::move(done)});
     };
   }
 
   /// Completes the oldest dispatched batch (which may synchronously pump
   /// more batches into `captured`) and returns its tenant tag.
-  Vertex complete_front() {
+  int complete_front() {
     Captured c = std::move(captured.front());
     captured.pop_front();
     c.done(service::BatchResult{});
@@ -63,14 +60,11 @@ struct ManualSubmit {
   }
 };
 
-std::vector<Query> tagged_batch(Vertex tag) { return {Query{tag, 0, 0}}; }
-
 TEST(FairDispatcher, FastPathDispatchesUnderCaps) {
-  ManualSubmit ms;
-  FairDispatcher disp(ms.fn(), DispatchOptions{});
+  ManualStart ms;
+  FairDispatcher disp(DispatchOptions{});
   int completions = 0;
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(1),
-                        [&](service::BatchResult) { ++completions; }),
+  EXPECT_EQ(disp.submit_task(1, ms.batch(1), [&](service::BatchResult) { ++completions; }),
             DispatchVerdict::kDispatched);
   EXPECT_EQ(disp.inflight_batches(), 1u);
   EXPECT_EQ(disp.tenant_inflight(1), 1u);
@@ -82,13 +76,12 @@ TEST(FairDispatcher, FastPathDispatchesUnderCaps) {
 }
 
 TEST(FairDispatcher, PerTenantCapQueuesInFifoOrder) {
-  ManualSubmit ms;
-  FairDispatcher disp(ms.fn(), {.per_tenant_inflight = 1, .per_tenant_queue = 8,
-                                .total_inflight = 8});
+  ManualStart ms;
+  FairDispatcher disp({.per_tenant_inflight = 1, .per_tenant_queue = 8, .total_inflight = 8});
   auto noop = [](service::BatchResult) {};
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(10), noop), DispatchVerdict::kDispatched);
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(11), noop), DispatchVerdict::kQueued);
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(12), noop), DispatchVerdict::kQueued);
+  EXPECT_EQ(disp.submit_task(1, ms.batch(10), noop), DispatchVerdict::kDispatched);
+  EXPECT_EQ(disp.submit_task(1, ms.batch(11), noop), DispatchVerdict::kQueued);
+  EXPECT_EQ(disp.submit_task(1, ms.batch(12), noop), DispatchVerdict::kQueued);
   EXPECT_EQ(disp.queued_batches(), 2u);
 
   // Completions drain the tenant's own queue in submission order.
@@ -102,15 +95,14 @@ TEST(FairDispatcher, PerTenantCapQueuesInFifoOrder) {
 }
 
 TEST(FairDispatcher, FullQueueAnswersBusyAndNeverRunsTheCallback) {
-  ManualSubmit ms;
-  FairDispatcher disp(ms.fn(), {.per_tenant_inflight = 1, .per_tenant_queue = 1,
-                                .total_inflight = 8});
+  ManualStart ms;
+  FairDispatcher disp({.per_tenant_inflight = 1, .per_tenant_queue = 1, .total_inflight = 8});
   auto noop = [](service::BatchResult) {};
   bool busy_callback_ran = false;
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(1), noop), DispatchVerdict::kDispatched);
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(1), noop), DispatchVerdict::kQueued);
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(1),
-                        [&](service::BatchResult) { busy_callback_ran = true; }),
+  EXPECT_EQ(disp.submit_task(1, ms.batch(1), noop), DispatchVerdict::kDispatched);
+  EXPECT_EQ(disp.submit_task(1, ms.batch(1), noop), DispatchVerdict::kQueued);
+  EXPECT_EQ(disp.submit_task(1, ms.batch(1),
+                             [&](service::BatchResult) { busy_callback_ran = true; }),
             DispatchVerdict::kBusy);
   EXPECT_EQ(disp.busy_rejections(), 1u);
 
@@ -125,71 +117,52 @@ TEST(FairDispatcher, FullQueueAnswersBusyAndNeverRunsTheCallback) {
 // deterministic, so the test pins it exactly: B's first batch goes out on
 // the second completion even though seven A batches were queued before it.
 TEST(FairDispatcher, SaturatingTenantCannotStarveAnother) {
-  ManualSubmit ms;
-  FairDispatcher disp(ms.fn(), {.per_tenant_inflight = 1, .per_tenant_queue = 64,
-                                .total_inflight = 1});
+  ManualStart ms;
+  FairDispatcher disp(
+      {.per_tenant_inflight = 1, .per_tenant_queue = 64, .total_inflight = 1});
   auto noop = [](service::BatchResult) {};
   // Tenant A floods: one dispatched, seven parked.
-  EXPECT_EQ(disp.submit(0xA, nullptr, tagged_batch(1), noop), DispatchVerdict::kDispatched);
+  EXPECT_EQ(disp.submit_task(0xA, ms.batch(1), noop), DispatchVerdict::kDispatched);
   for (int i = 0; i < 7; ++i) {
-    EXPECT_EQ(disp.submit(0xA, nullptr, tagged_batch(1), noop), DispatchVerdict::kQueued);
+    EXPECT_EQ(disp.submit_task(0xA, ms.batch(1), noop), DispatchVerdict::kQueued);
   }
   // Tenant B arrives last with two batches.
-  EXPECT_EQ(disp.submit(0xB, nullptr, tagged_batch(2), noop), DispatchVerdict::kQueued);
-  EXPECT_EQ(disp.submit(0xB, nullptr, tagged_batch(2), noop), DispatchVerdict::kQueued);
+  EXPECT_EQ(disp.submit_task(0xB, ms.batch(2), noop), DispatchVerdict::kQueued);
+  EXPECT_EQ(disp.submit_task(0xB, ms.batch(2), noop), DispatchVerdict::kQueued);
 
-  std::vector<Vertex> order;
+  std::vector<int> order;
   while (!ms.captured.empty()) order.push_back(ms.complete_front());
-  EXPECT_EQ(order,
-            (std::vector<Vertex>{1, 1, 2, 1, 2, 1, 1, 1, 1, 1}));  // B at 3rd and 5th
+  EXPECT_EQ(order, (std::vector<int>{1, 1, 2, 1, 2, 1, 1, 1, 1, 1}));  // B at 3rd and 5th
   EXPECT_EQ(disp.dispatched_total(), 10u);
   EXPECT_EQ(disp.queued_batches(), 0u);
 }
 
-TEST(FairDispatcher, WeightGrantsProportionalShare) {
-  ManualSubmit ms;
-  FairDispatcher disp(ms.fn(), {.per_tenant_inflight = 2, .per_tenant_queue = 64,
-                                .total_inflight = 1});
-  auto noop = [](service::BatchResult) {};
-  EXPECT_EQ(disp.submit(0xA, nullptr, tagged_batch(1), noop, /*weight=*/2),
-            DispatchVerdict::kDispatched);
-  for (int i = 0; i < 5; ++i) disp.submit(0xA, nullptr, tagged_batch(1), noop, 2);
-  for (int i = 0; i < 3; ++i) disp.submit(0xB, nullptr, tagged_batch(2), noop, 1);
-
-  std::vector<Vertex> order;
-  while (!ms.captured.empty()) order.push_back(ms.complete_front());
-  // Two A grants per ring lap to B's one.
-  EXPECT_EQ(order, (std::vector<Vertex>{1, 1, 1, 2, 1, 1, 2, 1, 2}));
-}
-
 TEST(FairDispatcher, SubmitExceptionDeliversFailureExactlyOnce) {
-  ManualSubmit ms;
-  FairDispatcher disp(ms.fn(), DispatchOptions{});
-  ms.throw_on_submit = true;
+  ManualStart ms;
+  FairDispatcher disp(DispatchOptions{});
+  ms.throw_on_start = true;
   int failures = 0;
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(1),
-                        [&](service::BatchResult r) { failures += (r.error != nullptr); }),
-            DispatchVerdict::kDispatched);
+  const auto count_failure = [&](service::BatchResult r) { failures += r.error != nullptr; };
+  EXPECT_EQ(disp.submit_task(1, ms.batch(1), count_failure), DispatchVerdict::kDispatched);
   EXPECT_EQ(failures, 1);
   EXPECT_EQ(disp.inflight_batches(), 0u);  // bookkeeping rolled back
 
   // The dispatcher stays healthy for the next submit.
-  ms.throw_on_submit = false;
+  ms.throw_on_start = false;
   int completions = 0;
-  disp.submit(1, nullptr, tagged_batch(1), [&](service::BatchResult) { ++completions; });
+  disp.submit_task(1, ms.batch(1), [&](service::BatchResult) { ++completions; });
   ms.complete_front();
   EXPECT_EQ(completions, 1);
 }
 
 TEST(FairDispatcher, TotalInflightCapBindsAcrossTenants) {
-  ManualSubmit ms;
-  FairDispatcher disp(ms.fn(), {.per_tenant_inflight = 4, .per_tenant_queue = 8,
-                                .total_inflight = 2});
+  ManualStart ms;
+  FairDispatcher disp({.per_tenant_inflight = 4, .per_tenant_queue = 8, .total_inflight = 2});
   auto noop = [](service::BatchResult) {};
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(1), noop), DispatchVerdict::kDispatched);
-  EXPECT_EQ(disp.submit(2, nullptr, tagged_batch(2), noop), DispatchVerdict::kDispatched);
+  EXPECT_EQ(disp.submit_task(1, ms.batch(1), noop), DispatchVerdict::kDispatched);
+  EXPECT_EQ(disp.submit_task(2, ms.batch(2), noop), DispatchVerdict::kDispatched);
   // Tenant 3 is under its own cap but the pool is full.
-  EXPECT_EQ(disp.submit(3, nullptr, tagged_batch(3), noop), DispatchVerdict::kQueued);
+  EXPECT_EQ(disp.submit_task(3, ms.batch(3), noop), DispatchVerdict::kQueued);
   EXPECT_EQ(ms.complete_front(), 1);
   ASSERT_EQ(ms.captured.size(), 2u);  // tenant 3 dispatched by the completion
   EXPECT_EQ(ms.captured.back().tag, 3);

@@ -5,7 +5,10 @@
 // batch through every serving path the service layer offers:
 //
 //   1. sync  — QueryService::query_batch against the built oracle
-//   2. async — QueryService::submit_batch future against the same oracle
+//   2. async — QueryService::submit<Point> against the same oracle, on a
+//              service with default Options: the batch as drawn, and tiled
+//              past the default min_parallel_batch so both the inline and
+//              the fan-out branch of the point engine answer it
 //   3. load  — snapshot saved to disk, bulk-read back into an owned buffer
 //              with the cells checksum verified
 //   4. mmap  — the same file, reloaded zero-copy through a memory mapping
@@ -76,6 +79,7 @@ TEST(ServiceFuzz, AllServingPathsMatchBruteForce) {
   const std::string dir = testing::TempDir();
 
   service::QueryService svc({.threads = 4, .min_parallel_batch = 64});
+  service::QueryService async_svc({.threads = 4});
   std::unique_ptr<service::QueryService> sharded_svc;
   if (shards > 0) {
     service::QueryService::Options opts;
@@ -84,6 +88,15 @@ TEST(ServiceFuzz, AllServingPathsMatchBruteForce) {
     opts.shards = static_cast<unsigned>(shards);
     sharded_svc = std::make_unique<service::QueryService>(opts);
   }
+  const auto submit_and_wait = [&async_svc](std::shared_ptr<const Snapshot> oracle,
+                                            std::vector<Query> queries) {
+    std::promise<service::BatchResult> delivered;
+    async_svc.submit<service::Point>(std::move(oracle), std::move(queries),
+                                     [&delivered](service::BatchResult r) {
+                                       delivered.set_value(std::move(r));
+                                     });
+    return delivered.get_future().get();
+  };
 
   for (std::uint64_t iter = 0; iter < num_graphs; ++iter) {
     const std::uint64_t seed = base_seed + iter;
@@ -142,10 +155,19 @@ TEST(ServiceFuzz, AllServingPathsMatchBruteForce) {
     const std::vector<Dist> sync_got = svc.query_batch(*oracle, queries);
     ASSERT_EQ(sync_got, want) << "sync path diverged, seed=" << seed;
 
-    // Path 2: async future against the same oracle handle.
-    service::BatchResult async_res = svc.submit_batch(oracle, queries).get();
+    // Path 2: async against the same oracle handle, as drawn and tiled.
+    const service::BatchResult async_res = submit_and_wait(oracle, queries);
     ASSERT_EQ(async_res.error, nullptr) << "async path failed, seed=" << seed;
     ASSERT_EQ(async_res.answers, want) << "async path diverged, seed=" << seed;
+    std::vector<Query> tiled;
+    std::vector<Dist> tiled_want;
+    while (tiled.size() < service::QueryService::Options{}.min_parallel_batch) {
+      tiled.insert(tiled.end(), queries.begin(), queries.end());
+      tiled_want.insert(tiled_want.end(), want.begin(), want.end());
+    }
+    const service::BatchResult tiled_res = submit_and_wait(oracle, tiled);
+    ASSERT_EQ(tiled_res.error, nullptr) << "async fan-out failed, seed=" << seed;
+    ASSERT_EQ(tiled_res.answers, tiled_want) << "async fan-out diverged, seed=" << seed;
 
     // Path 5 (opt-in): route the same batch through forked shard workers
     // over shared-memory segments.

@@ -1,7 +1,7 @@
 // Tests for the batched query service layer: snapshot round trips (the
 // buffered and the mmap load path), sync and async batches
-// against the brute-force oracle, single-flighted LRU cache builds racing
-// eviction, and the thread pool underneath it all. The concurrency tests
+// against the brute-force oracle, single-flighted builds racing entry
+// expiry, and the thread pool underneath it all. The concurrency tests
 // double as the TSan workload in CI.
 #include <gtest/gtest.h>
 
@@ -331,50 +331,49 @@ TEST(QueryService, RepeatBuildHitsCache) {
 
 // --------------------------------------------------------------- async API ---
 
+/// submit<W> and wait for its one delivery.
+template <class W>
+service::WorkloadResult<W> submit_and_wait(service::QueryService& svc,
+                                           std::shared_ptr<const Snapshot> oracle,
+                                           std::vector<typename W::Query> queries) {
+  std::promise<service::WorkloadResult<W>> delivered;
+  svc.submit<W>(std::move(oracle), std::move(queries),
+                [&delivered](service::WorkloadResult<W> r) {
+                  delivered.set_value(std::move(r));
+                });
+  return delivered.get_future().get();
+}
+
+std::vector<Query> random_batch(const Graph& g, const std::vector<Vertex>& sources,
+                                std::size_t count, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Query> batch;
+  for (std::size_t i = 0; i < count; ++i) {
+    batch.push_back({sources[rng.next_below(sources.size())],
+                     static_cast<Vertex>(rng.next_below(g.num_vertices())),
+                     static_cast<EdgeId>(rng.next_below(g.num_edges()))});
+  }
+  return batch;
+}
+
+// Sync and async share one engine; both of its in-process branches — the
+// inline one below min_parallel_batch and the chunked fan-out — must agree
+// with the sync answers (which Snapshot tests pin against the solver).
 TEST(QueryService, AsyncBatchMatchesSync) {
   Rng rng(61);
   const Graph g = gen::connected_avg_degree(100, 5.0, rng);
   const std::vector<Vertex> sources{0, 40, 80};
-  service::QueryService svc({.threads = 4, .min_parallel_batch = 1});
+  service::QueryService svc({.threads = 4});
   const auto oracle = svc.build(g, sources);
 
-  Rng qrng(62);
-  std::vector<Query> batch;
-  for (int i = 0; i < 20000; ++i) {
-    batch.push_back({sources[qrng.next_below(sources.size())],
-                     static_cast<Vertex>(qrng.next_below(g.num_vertices())),
-                     static_cast<EdgeId>(qrng.next_below(g.num_edges()))});
-  }
-  const std::vector<Dist> want = svc.query_batch(*oracle, batch);
-
-  service::BatchResult res = svc.submit_batch(oracle, batch).get();
-  EXPECT_EQ(res.error, nullptr);
-  EXPECT_EQ(res.oracle.get(), oracle.get());
-  EXPECT_EQ(res.answers, want);
-}
-
-TEST(QueryService, AsyncColdCacheSubmitReturnsBeforeTheBuildFinishes) {
-  Rng rng(63);
-  const Graph g = gen::connected_avg_degree(500, 8.0, rng);
-  const std::vector<Vertex> sources{1, 100, 200, 300};
-  service::QueryService svc({.threads = 2});
-
-  std::vector<Query> queries{{1, 5, 0}, {100, 499, 3}};
-  auto fut = svc.submit_batch(g, sources, Config{}, queries);
-  // The solve runs on the pool; the future cannot be ready the instant the
-  // submit call returns (the build takes orders of magnitude longer than
-  // the enqueue).
-  EXPECT_EQ(fut.wait_for(std::chrono::milliseconds(0)), std::future_status::timeout);
-
-  service::BatchResult res = fut.get();
-  ASSERT_EQ(res.answers.size(), queries.size());
-  ASSERT_NE(res.oracle, nullptr);
-  // The async build landed in the cache: a sync build of the same instance
-  // is now a hit and must agree.
-  const auto oracle = svc.build(g, sources);
-  EXPECT_EQ(oracle.get(), res.oracle.get());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(res.answers[i], oracle->avoiding(queries[i].s, queries[i].t, queries[i].e));
+  for (const std::size_t count : {std::size_t{100}, std::size_t{20000}}) {
+    SCOPED_TRACE(count);  // below and above the default min_parallel_batch
+    const std::vector<Query> batch = random_batch(g, sources, count, 62);
+    const std::vector<Dist> want = svc.query_batch(*oracle, batch);
+    const service::BatchResult res = submit_and_wait<service::Point>(svc, oracle, batch);
+    EXPECT_EQ(res.error, nullptr);
+    EXPECT_EQ(res.oracle.get(), oracle.get());
+    EXPECT_EQ(res.answers, want);
   }
 }
 
@@ -389,41 +388,61 @@ TEST(QueryService, AsyncCallbackDeliversOnAPoolThread) {
   for (Vertex t = 0; t < g.num_vertices(); ++t) batch.push_back({0, t, 0});
   const std::vector<Dist> want = svc.query_batch(*oracle, batch);
 
-  std::promise<service::BatchResult> delivered;
-  svc.submit_batch(oracle, batch, [&delivered](service::BatchResult r) {
-    delivered.set_value(std::move(r));
+  std::promise<std::pair<service::BatchResult, std::thread::id>> delivered;
+  svc.submit<service::Point>(oracle, batch, [&delivered](service::BatchResult r) {
+    delivered.set_value({std::move(r), std::this_thread::get_id()});
   });
-  service::BatchResult res = delivered.get_future().get();
+  auto [res, thread] = delivered.get_future().get();
+  EXPECT_NE(thread, std::this_thread::get_id());
   EXPECT_EQ(res.error, nullptr);
   EXPECT_EQ(res.answers, want);
 }
 
-TEST(QueryService, AsyncValidationErrorsSurfaceThroughBothChannels) {
+TEST(QueryService, AsyncValidationErrorsArriveInBatchResult) {
   const Graph g = gen::cycle(10);
   service::QueryService svc({.threads = 2});
   const auto oracle = svc.build(g, {0});
 
-  // Future flavour: get() rethrows.
-  auto fut = svc.submit_batch(oracle, std::vector<Query>{{1, 2, 0}});  // not a source
-  EXPECT_THROW(fut.get(), std::invalid_argument);
+  for (const Query bad : {Query{1, 2, 0}, Query{0, 99, 0}, Query{0, 2, 99}}) {
+    const service::BatchResult res =
+        submit_and_wait<service::Point>(svc, oracle, std::vector<Query>{{0, 1, 0}, bad});
+    ASSERT_NE(res.error, nullptr);
+    EXPECT_TRUE(res.answers.empty());
+    EXPECT_EQ(res.oracle, nullptr);
+    EXPECT_THROW(std::rethrow_exception(res.error), std::invalid_argument);
+  }
+}
 
-  // Callback flavour: error lands in BatchResult::error.
-  std::promise<service::BatchResult> delivered;
-  svc.submit_batch(oracle, std::vector<Query>{{0, 99, 0}},  // target out of range
-                   [&delivered](service::BatchResult r) { delivered.set_value(std::move(r)); });
-  service::BatchResult res = delivered.get_future().get();
-  ASSERT_NE(res.error, nullptr);
-  EXPECT_TRUE(res.answers.empty());
-  EXPECT_THROW(std::rethrow_exception(res.error), std::invalid_argument);
+// A callback that throws must still be delivered exactly once: the
+// exception may not turn the finished batch into a second, failed delivery.
+TEST(QueryService, ThrowingCallbackIsDeliveredOnce) {
+  const Graph g = gen::cycle(10);
+  std::atomic<int> deliveries{0};
+  std::atomic<int> failed_deliveries{0};
+  {
+    service::QueryService svc({.threads = 2});
+    const auto oracle = svc.build(g, {0});
+    const auto throwing = [&](const auto& r) {
+      if (r.error != nullptr) failed_deliveries.fetch_add(1);
+      if (deliveries.fetch_add(1) == 0) throw std::runtime_error("callback failed");
+    };
+    // |F| = 0 k-fail is answered without a point query; the point batch
+    // exercises the engine's own completion.
+    svc.submit<service::KFail>(oracle, {service::KFailQuery{0, 3, {}}}, throwing);
+    svc.submit<service::Point>(oracle, {Query{0, 3, 0}}, throwing);
+  }  // ~QueryService drains the pool
+  EXPECT_EQ(deliveries.load(), 2);
+  EXPECT_EQ(failed_deliveries.load(), 0);
 }
 
 TEST(QueryService, StressConcurrentAsyncSubmitsRacingEntryExpiry) {
-  // Six caller threads submit async builds of three distinct instances.
-  // Each oracle lives only as long as some in-flight batch holds it, so
-  // entries expire and rebuild while other callers hit, park on, or sweep
-  // them: every answer must still be exact, every future must complete,
-  // and (under TSan) the pool, table, and completion paths must be
-  // race-free.
+  // Six caller threads build one of three distinct instances and submit a
+  // batch against it, dropping the oracle once the batch is answered. Each
+  // oracle lives only as long as some caller or in-flight batch holds it,
+  // so entries expire and rebuild while other callers hit, park on, or
+  // sweep them: every answer must still be exact, every batch must
+  // complete, and (under TSan) the pool, table, and completion paths must
+  // be race-free.
   constexpr int kInstances = 3, kCallers = 6, kRounds = 5;
   std::vector<Graph> graphs;
   std::vector<std::vector<Vertex>> sources;
@@ -447,14 +466,10 @@ TEST(QueryService, StressConcurrentAsyncSubmitsRacingEntryExpiry) {
       Rng rng(900 + c);
       for (int r = 0; r < kRounds; ++r) {
         const int i = static_cast<int>(rng.next_below(kInstances));
-        const Graph& g = graphs[i];
-        std::vector<Query> batch;
-        for (int q = 0; q < 400; ++q) {
-          batch.push_back({sources[i][rng.next_below(sources[i].size())],
-                           static_cast<Vertex>(rng.next_below(g.num_vertices())),
-                           static_cast<EdgeId>(rng.next_below(g.num_edges()))});
-        }
-        service::BatchResult res = svc.submit_batch(g, sources[i], Config{}, batch).get();
+        const std::vector<Query> batch =
+            random_batch(graphs[i], sources[i], 400, rng.next_u64());
+        service::BatchResult res = submit_and_wait<service::Point>(
+            svc, svc.build(graphs[i], sources[i]), batch);
         if (res.error != nullptr || res.answers.size() != batch.size()) {
           failures.fetch_add(1);
           continue;

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -403,8 +404,12 @@ TEST(QueryServiceShardingTest, ShardedServiceMatchesInProcess) {
 
   // Sync path.
   EXPECT_EQ(sharded.query_batch(*oracle2, queries), want);
-  // Async future path (routing runs on the pool).
-  auto res = sharded.submit_batch(oracle2, queries).get();
+  // Async path (routing runs on the pool).
+  std::promise<service::BatchResult> delivered;
+  sharded.submit<service::Point>(oracle2, queries, [&delivered](service::BatchResult r) {
+    delivered.set_value(std::move(r));
+  });
+  const service::BatchResult res = delivered.get_future().get();
   ASSERT_EQ(res.error, nullptr);
   EXPECT_EQ(res.answers, want);
   EXPECT_EQ(sharded.queries_served(), 2 * queries.size());

@@ -35,6 +35,16 @@ inline std::uint64_t cli_u64(const std::string& value, const char* flag) {
   std::exit(2);
 }
 
+/// cli_u64 for 32-bit settings: a value above UINT32_MAX is the same
+/// exit-2 usage error, never silently truncated by a narrowing cast.
+inline std::uint32_t cli_u32(const std::string& value, const char* flag) {
+  const std::uint64_t parsed = cli_u64(value, flag);
+  if (parsed <= UINT32_MAX) return static_cast<std::uint32_t>(parsed);
+  std::fprintf(stderr, "error: %s: %s is out of range (max %u)\n", flag, value.c_str(),
+               UINT32_MAX);
+  std::exit(2);
+}
+
 /// Hex flavour for oracle digests: accepts "9f3a..." or "0x9f3a..." (the
 /// tools print digests as %016llx). Same strict-parse exit(2) contract.
 inline std::uint64_t cli_hex_u64(const std::string& value, const char* flag) {

@@ -132,14 +132,14 @@ std::vector<service::Query> random_batch(const Target& target, std::size_t count
 /// msrp_serve writes for that workload.
 template <class W>
 int send_batch_file(net::Client& client, const Target& target, const std::string& batch_path,
-                    const std::string& out_path, std::uint64_t deadline_ms,
+                    const std::string& out_path, std::uint32_t deadline_ms,
                     unsigned max_attempts) {
   const std::vector<typename W::Query> batch = tools::read_batch_file<W>(batch_path);
   Timer t;
   std::vector<typename W::Result> answers;
   if (deadline_ms > 0) {
     net::RetryPolicy policy;
-    policy.deadline_ms = static_cast<std::uint32_t>(deadline_ms);
+    policy.deadline_ms = deadline_ms;
     policy.max_attempts = max_attempts;
     answers = client.call_retry<W>(batch, policy, target.digest);
   } else {
@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
   double duration_s = 5.0;
   std::uint64_t seed = 1;
   unsigned retries = 25;
-  std::uint64_t deadline_ms = 0;
+  std::uint32_t deadline_ms = 0;
   unsigned max_attempts = 3;
 
   for (int i = 1; i < argc; ++i) {
@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--connections") {
-      connections = static_cast<unsigned>(tools::cli_u64(next(), "--connections"));
+      connections = tools::cli_u32(next(), "--connections");
     } else if (arg == "--batch-size") {
       batch_size = tools::cli_u64(next(), "--batch-size");
     } else if (arg == "--inflight") {
@@ -224,11 +224,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       seed = tools::cli_u64(next(), "--seed");
     } else if (arg == "--retries") {
-      retries = static_cast<unsigned>(tools::cli_u64(next(), "--retries"));
+      retries = tools::cli_u32(next(), "--retries");
     } else if (arg == "--deadline-ms") {
-      deadline_ms = tools::cli_u64(next(), "--deadline-ms");
+      deadline_ms = tools::cli_u32(next(), "--deadline-ms");
     } else if (arg == "--max-attempts") {
-      max_attempts = static_cast<unsigned>(tools::cli_u64(next(), "--max-attempts"));
+      max_attempts = tools::cli_u32(next(), "--max-attempts");
       if (max_attempts == 0) max_attempts = 1;
     } else if (arg == "--register") {
       register_path = next();
@@ -417,9 +417,7 @@ int main(int argc, char** argv) {
                                 std::chrono::duration<double>(duration_s);
           std::unordered_map<std::uint64_t, std::chrono::steady_clock::time_point> sent_at;
           const std::optional<std::uint32_t> batch_deadline =
-              deadline_ms > 0 ? std::optional<std::uint32_t>(
-                                    static_cast<std::uint32_t>(deadline_ms))
-                              : std::nullopt;
+              deadline_ms > 0 ? std::optional<std::uint32_t>(deadline_ms) : std::nullopt;
           while (std::chrono::steady_clock::now() < deadline) {
             while (worker.inflight() < inflight) {
               const auto batch = random_batch(target, batch_size, rng);

@@ -33,9 +33,6 @@
 //   --random-queries N     generate N uniform random queries instead
 //   --threads N            worker threads (default: hardware concurrency)
 //   --repeat K             run the batch K times for throughput (default 1)
-//   --async                submit every repeat through the async service
-//                          path; reports submit latency separately from
-//                          completion
 //   --shards N             serve through N worker processes: the oracle is
 //                          partitioned by source into N shared-memory v2
 //                          segments, each served zero-copy by a forked
@@ -93,7 +90,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -127,7 +123,7 @@ namespace {
                "         [--save-snapshot <path>] [--mmap]\n"
                "         [--batch-file <path> | --random-queries N]\n"
                "         [--workload vitality|vickrey|kfail]\n"
-               "         [--threads N] [--repeat K] [--async] [--shards N]\n"
+               "         [--threads N] [--repeat K] [--shards N]\n"
                "         [--listen <port>] [--listen-addr <ip>] [--loops N]\n"
                "         [--pin-workers] [--idle-timeout-ms N] [--stall-timeout-ms N]\n"
                "         [--metrics-addr ip:port] [--trace-sample-n N]\n"
@@ -144,7 +140,6 @@ struct LocalRun {
   std::size_t random_queries = 0;
   std::uint64_t seed = 0;
   std::size_t repeat = 1;
-  bool use_async = false;
   bool sharded = false;
 };
 
@@ -166,35 +161,12 @@ int answer_local(service::QueryService& svc,
 
   std::vector<typename W::Result> answers;
   Timer serve_timer;
-  if (run.use_async) {
-    // Submit every repeat up front, then drain: batches overlap on the
-    // pool instead of running lockstep.
-    std::vector<std::future<service::WorkloadResult<W>>> futures;
-    futures.reserve(run.repeat);
-    Timer submit_timer;
-    for (std::size_t r = 0; r < run.repeat; ++r) {
-      auto done = std::make_shared<std::promise<service::WorkloadResult<W>>>();
-      futures.push_back(done->get_future());
-      svc.submit<W>(oracle, batch, [done](service::WorkloadResult<W> res) {
-        done->set_value(std::move(res));
-      });
-    }
-    const double submit_ms = submit_timer.millis();
-    for (auto& fut : futures) {
-      service::WorkloadResult<W> res = fut.get();
-      if (res.error) std::rethrow_exception(res.error);
-      answers = std::move(res.answers);
-    }
-    std::printf("submitted %zu async batches in %.3f ms\n", run.repeat, submit_ms);
-  } else {
-    for (std::size_t r = 0; r < run.repeat; ++r) answers = svc.run<W>(*oracle, batch);
-  }
+  for (std::size_t r = 0; r < run.repeat; ++r) answers = svc.run<W>(*oracle, batch);
   const double secs = serve_timer.seconds();
   const double total = static_cast<double>(batch.size()) * static_cast<double>(run.repeat);
   const std::string kind = *W::kName ? std::string(W::kName) + " " : "";
-  std::printf("answered %zu %squeries x%zu in %.1f ms  (%.0f queries/sec%s)\n", batch.size(),
-              kind.c_str(), run.repeat, secs * 1e3, secs > 0 ? total / secs : 0.0,
-              run.use_async ? ", async" : "");
+  std::printf("answered %zu %squeries x%zu in %.1f ms  (%.0f queries/sec)\n", batch.size(),
+              kind.c_str(), run.repeat, secs * 1e3, secs > 0 ? total / secs : 0.0);
   if (run.sharded) {
     // Router/cache/worker telemetry, rendered from the registry (the
     // same series --listen serves over /metrics and STATS).
@@ -221,7 +193,7 @@ int serve_network(service::QueryService& svc, std::shared_ptr<const service::Sna
                   std::size_t registry_bytes, std::uint64_t idle_timeout_ms,
                   std::uint64_t stall_timeout_ms, std::uint64_t failed_ttl_ms,
                   std::uint64_t build_timeout_ms, const std::string& metrics_addr,
-                  std::uint64_t trace_sample_n) {
+                  std::uint32_t trace_sample_n) {
   // Declared before the server so it outlives it: in-flight registrations
   // drain in ~Server, then the registry tears down.
   std::unique_ptr<registry::OracleRegistry> reg;
@@ -237,7 +209,7 @@ int serve_network(service::QueryService& svc, std::shared_ptr<const service::Sna
   // frame: declared before the server (so stage handlers can publish spans
   // for the server's whole lifetime) and torn down after it.
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
-  obs::TraceRing trace_ring(static_cast<std::uint32_t>(trace_sample_n));
+  obs::TraceRing trace_ring(trace_sample_n);
   obs::MetricsRegistry::CollectorHandle reg_collector;
   if (use_registry) {
     registry::OracleRegistry* r = reg.get();
@@ -357,7 +329,6 @@ int main(int argc, char** argv) {
   std::size_t repeat = 1;
   unsigned shards = 0;
   bool use_mmap = false;
-  bool use_async = false;
   bool listen = false;
   unsigned listen_port = 0;
   std::string listen_addr = "127.0.0.1";
@@ -371,7 +342,7 @@ int main(int argc, char** argv) {
   std::uint64_t failed_ttl_ms = 60000;
   std::uint64_t build_timeout_ms = 0;
   std::string metrics_addr;
-  std::uint64_t trace_sample_n = 0;
+  std::uint32_t trace_sample_n = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -399,8 +370,6 @@ int main(int argc, char** argv) {
       save_path = next();
     } else if (arg == "--mmap") {
       use_mmap = true;
-    } else if (arg == "--async") {
-      use_async = true;
     } else if (arg == "--batch-file") {
       batch_path = next();
     } else if (arg == "--workload") {
@@ -409,9 +378,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--random-queries") {
       random_queries = tools::cli_u64(next(), "--random-queries");
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(tools::cli_u64(next(), "--threads"));
+      threads = tools::cli_u32(next(), "--threads");
     } else if (arg == "--shards") {
-      shards = static_cast<unsigned>(tools::cli_u64(next(), "--shards"));
+      shards = tools::cli_u32(next(), "--shards");
     } else if (arg == "--listen") {
       listen = true;
       const std::uint64_t port = tools::cli_u64(next(), "--listen");
@@ -424,7 +393,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--listen-addr") {
       listen_addr = next();
     } else if (arg == "--loops") {
-      loops = static_cast<unsigned>(tools::cli_u64(next(), "--loops"));
+      loops = tools::cli_u32(next(), "--loops");
       if (loops == 0) loops = 1;
     } else if (arg == "--pin-workers") {
       pin_workers = true;
@@ -449,7 +418,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics-addr") {
       metrics_addr = next();
     } else if (arg == "--trace-sample-n") {
-      trace_sample_n = tools::cli_u64(next(), "--trace-sample-n");
+      trace_sample_n = tools::cli_u32(next(), "--trace-sample-n");
     } else if (arg == "--repeat") {
       repeat = tools::cli_u64(next(), "--repeat");
       if (repeat == 0) repeat = 1;
@@ -530,8 +499,7 @@ int main(int argc, char** argv) {
 
     // Typed workloads are shard-aware like point queries: their
     // replacement lookups route through the shard workers.
-    const LocalRun run{batch_path, out_path, random_queries, cfg.seed,
-                       repeat,     use_async, shards >= 1};
+    const LocalRun run{batch_path, out_path, random_queries, cfg.seed, repeat, shards >= 1};
     int rc = 0;
     tools::with_workload(workload, [&](auto tag) {
       rc = answer_local<typename decltype(tag)::type>(svc, oracle, run);
