@@ -23,7 +23,6 @@ void run_build(benchmark::State& state, const Graph& g, std::uint32_t sigma,
   const auto sources = spread_sources(g, sigma);
   Config cfg;
   cfg.landmark_rp = method;
-  cfg.collect_phase_timings = false;
   cfg.build_threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     const MsrpResult res = solve_msrp(g, sources, cfg);

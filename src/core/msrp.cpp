@@ -118,7 +118,7 @@ class MsrpEngine {
     for (std::uint32_t k = 0; k < landmarks_->num_levels(); ++k) {
       st.landmarks_per_level.push_back(landmarks_->level(k).size());
     }
-    if (cfg_.collect_phase_timings) st.phase_seconds = timers.totals();
+    st.phase_seconds = timers.totals();
     return std::move(result_);
   }
 

@@ -46,7 +46,7 @@ namespace {
 
 /// connect() with a timeout: non-blocking dial, poll for writability, then
 /// back to blocking mode for the plain read/write loops.
-int dial_once(const std::string& host, std::uint16_t port, unsigned timeout_ms) {
+int dial_once(const std::string& host, std::uint16_t port) {
   ::sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -60,7 +60,7 @@ int dial_once(const std::string& host, std::uint16_t port, unsigned timeout_ms) 
   int rc = ::connect(fd, reinterpret_cast<::sockaddr*>(&addr), sizeof addr);
   if (rc != 0 && errno == EINPROGRESS) {
     ::pollfd pfd{fd, POLLOUT, 0};
-    rc = ::poll(&pfd, 1, static_cast<int>(timeout_ms));
+    rc = ::poll(&pfd, 1, static_cast<int>(kConnectTimeout.count()));
     if (rc == 1) {
       int err = 0;
       ::socklen_t len = sizeof err;
@@ -82,10 +82,7 @@ int dial_once(const std::string& host, std::uint16_t port, unsigned timeout_ms) 
 
 }  // namespace
 
-Client::Client(ClientOptions opts)
-    : opts_(std::move(opts)), decoder_(opts_.max_frame_bytes) {
-  dial();
-}
+Client::Client(ClientOptions opts) : opts_(std::move(opts)) { dial(); }
 
 Client::~Client() { close_socket(); }
 
@@ -97,22 +94,19 @@ void Client::close_socket() {
 }
 
 void Client::dial() {
-  dialing_ = true;
   recv_bound_ = kNoDeadline;  // the handshake reads are not batch waits
   for (unsigned attempt = 0;; ++attempt) {
-    fd_ = dial_once(opts_.host, opts_.port, opts_.connect_timeout_ms);
+    fd_ = dial_once(opts_.host, opts_.port);
     if (fd_ >= 0) break;
     if (attempt >= opts_.connect_retries) {
-      dialing_ = false;
       throw std::runtime_error("net client: cannot connect to " + opts_.host + ":" +
                                std::to_string(opts_.port));
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(opts_.retry_delay_ms));
+    std::this_thread::sleep_for(kRetryDelay);
   }
-  decoder_ = FrameDecoder(opts_.max_frame_bytes);
+  decoder_ = FrameDecoder();
   ready_.clear();
   inflight_.clear();
-  pending_frames_.clear();
   wire_deadlines_.clear();
 
   // The handshake: the first frame on the wire must be a HELLO we can
@@ -124,77 +118,37 @@ void Client::dial() {
   // works until a registry call is made. Every failure path closes the
   // socket (the constructor may be about to propagate, with no destructor
   // coming).
-  try {
-    Frame frame = read_frame();
-    if (frame.type != FrameType::kHello) {
-      close_socket();
-      throw std::runtime_error("net client: server did not start with HELLO");
-    }
-    if (frame.payload.size() < 4) {
-      close_socket();
-      throw std::runtime_error("net client: HELLO frame too short");
-    }
-    const std::uint32_t version = std::uint32_t{frame.payload[0]} |
-                                  (std::uint32_t{frame.payload[1]} << 8) |
-                                  (std::uint32_t{frame.payload[2]} << 16) |
-                                  (std::uint32_t{frame.payload[3]} << 24);
-    if (version < kMinProtocolVersion || version > kProtocolVersion) {
-      close_socket();
-      throw std::runtime_error("net client: server speaks protocol version " +
-                               std::to_string(version) + ", this client speaks " +
-                               std::to_string(kMinProtocolVersion) + ".." +
-                               std::to_string(kProtocolVersion));
-    }
-    try {
-      hello_ = decode_hello(frame.payload);
-    } catch (const ProtocolError& ex) {
-      close_socket();
-      throw std::runtime_error(std::string("net client: malformed HELLO: ") + ex.what());
-    }
-  } catch (...) {
-    dialing_ = false;
-    throw;
+  Frame frame = read_frame();
+  if (frame.type != FrameType::kHello) {
+    close_socket();
+    throw std::runtime_error("net client: server did not start with HELLO");
   }
-  dialing_ = false;
+  if (frame.payload.size() < 4) {
+    close_socket();
+    throw std::runtime_error("net client: HELLO frame too short");
+  }
+  const std::uint32_t version = std::uint32_t{frame.payload[0]} |
+                                (std::uint32_t{frame.payload[1]} << 8) |
+                                (std::uint32_t{frame.payload[2]} << 16) |
+                                (std::uint32_t{frame.payload[3]} << 24);
+  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+    close_socket();
+    throw std::runtime_error("net client: server speaks protocol version " +
+                             std::to_string(version) + ", this client speaks " +
+                             std::to_string(kMinProtocolVersion) + ".." +
+                             std::to_string(kProtocolVersion));
+  }
+  try {
+    hello_ = decode_hello(frame.payload);
+  } catch (const ProtocolError& ex) {
+    close_socket();
+    throw std::runtime_error(std::string("net client: malformed HELLO: ") + ex.what());
+  }
 }
 
 void Client::reconnect() {
   close_socket();
   dial();
-}
-
-bool Client::try_resend() {
-  // Only idempotent batch traffic (every workload's batch frame) can be
-  // replayed: every in-flight id must have its frame bytes stored,
-  // and no control call may be pending (REGISTER_GRAPH replayed twice
-  // would build twice — and worse, a replay that half-succeeded is
-  // unobservable).
-  if (!opts_.resend_on_reconnect || control_pending_ || dialing_) return false;
-  if (pending_frames_.size() != inflight_.size()) return false;
-  // dial() resets every per-connection map — save the batch state across
-  // it. Buffered answers survive too: reconnecting must never destroy
-  // results the caller has yet to wait() for.
-  auto frames = std::move(pending_frames_);
-  auto inflight = std::move(inflight_);
-  auto ready = std::move(ready_);
-  auto deadlines = std::move(wire_deadlines_);
-  try {
-    dial();
-  } catch (...) {
-    return false;  // the caller reports the original connection loss
-  }
-  pending_frames_ = std::move(frames);
-  inflight_ = std::move(inflight);
-  ready_ = std::move(ready);
-  wire_deadlines_ = std::move(deadlines);  // absolute instants survive a re-dial
-  // Replay in send order (the map is id-ordered and ids are monotonic).
-  // A loss during the replay recurses — bounded by connect_retries per
-  // dial, and each recursion starts from a fresh socket.
-  for (const auto& [id, bytes] : pending_frames_) {
-    write_all(bytes);
-    if (fd_ < 0) return false;
-  }
-  return true;
 }
 
 void Client::write_all(std::span<const std::uint8_t> bytes) {
@@ -204,10 +158,6 @@ void Client::write_all(std::span<const std::uint8_t> bytes) {
     if (n < 0) {
       if (errno == EINTR) continue;
       close_socket();
-      // A successful resend already rewrote these bytes from
-      // pending_frames_ (the caller registered them before writing), so
-      // this call's job is done.
-      if (try_resend()) return;
       throw std::runtime_error("net client: connection lost during send");
     }
     off += static_cast<std::size_t>(n);
@@ -215,8 +165,6 @@ void Client::write_all(std::span<const std::uint8_t> bytes) {
 }
 
 Frame Client::read_frame() {
-  // Capture the wait's bound: dial() (inside a mid-read resend) resets the
-  // member, but this read must stay bounded across the reconnect too.
   const Deadline bound = recv_bound_;
   for (;;) {
     try {
@@ -242,7 +190,6 @@ Frame Client::read_frame() {
       if (pr < 0) {
         if (errno == EINTR) continue;
         close_socket();
-        if (try_resend()) continue;
         throw std::runtime_error("net client: connection lost during receive");
       }
     }
@@ -250,35 +197,25 @@ Frame Client::read_frame() {
     const ::ssize_t n = ::read(fd_, buf, sizeof buf);
     if (n == 0) {
       close_socket();
-      if (try_resend()) continue;  // fresh socket, batches replayed
       throw std::runtime_error("net client: server closed the connection");
     }
     if (n < 0) {
       if (errno == EINTR) continue;
       close_socket();
-      if (try_resend()) continue;
       throw std::runtime_error("net client: connection lost during receive");
     }
     if (MSRP_FAILPOINT("client.recv_truncate")) {
       // Drop these bytes and the socket: the connection dies mid-frame,
       // exactly as a peer reset between two reads would look.
       close_socket();
-      if (try_resend()) continue;
       throw std::runtime_error("net client: connection lost during receive");
     }
     decoder_.feed({buf, static_cast<std::size_t>(n)});
   }
 }
 
-void Client::ensure_connected() {
-  if (fd_ >= 0) return;
-  // inflight() (not inflight_) on purpose: dial() clears the buffered
-  // ready_ replies too, and reconnecting must never destroy
-  // answers the caller has yet to wait() for.
-  if (!opts_.auto_reconnect || inflight() != 0) {
-    throw std::runtime_error("net client: not connected");
-  }
-  dial();
+void Client::ensure_connected() const {
+  if (fd_ < 0) throw std::runtime_error("net client: not connected");
 }
 
 std::uint64_t Client::track_and_write(std::uint64_t id, std::vector<std::uint8_t> bytes,
@@ -286,27 +223,14 @@ std::uint64_t Client::track_and_write(std::uint64_t id, std::vector<std::uint8_t
                                       std::optional<std::uint32_t> deadline_ms) {
   // Reject a frame the server's decoder would refuse anyway — before
   // shipping tens of megabytes just to learn that.
-  if (bytes.size() > kFrameHeaderBytes + opts_.max_frame_bytes) {
+  if (bytes.size() > kFrameHeaderBytes + kDefaultMaxFrameBytes) {
     throw std::runtime_error("net client: batch exceeds the maximum frame size (" +
                              std::to_string(bytes.size() - kFrameHeaderBytes) + " > " +
-                             std::to_string(opts_.max_frame_bytes) + " payload bytes)");
+                             std::to_string(kDefaultMaxFrameBytes) + " payload bytes)");
   }
-  // Register before writing: a connection loss inside write_all resends
-  // from pending_frames_, and this frame must be part of that replay.
+  write_all(bytes);
   inflight_.emplace(id, Inflight{expect, count});
-  if (opts_.resend_on_reconnect) pending_frames_.emplace(id, bytes);
-  if (deadline_ms) {
-    wire_deadlines_[id] =
-        deadline_after_ms(*deadline_ms) + std::chrono::milliseconds(opts_.deadline_grace_ms);
-  }
-  try {
-    write_all(bytes);
-  } catch (...) {
-    inflight_.erase(id);
-    pending_frames_.erase(id);
-    wire_deadlines_.erase(id);
-    throw;
-  }
+  if (deadline_ms) wire_deadlines_[id] = deadline_after_ms(*deadline_ms) + kDeadlineGrace;
   return id;
 }
 
@@ -336,7 +260,6 @@ void Client::settle_inflight(std::uint64_t request_id, FrameType got, std::size_
     throw std::runtime_error("net client: answer count does not match the batch");
   }
   inflight_.erase(it);
-  pending_frames_.erase(request_id);
   wire_deadlines_.erase(request_id);
 }
 
@@ -367,7 +290,6 @@ std::optional<Frame> Client::route_one(std::uint64_t control_id) {
         throw std::runtime_error("net client: error for a request that is not in flight");
       }
       inflight_.erase(it);
-      pending_frames_.erase(err.request_id);
       wire_deadlines_.erase(err.request_id);
       ready_.emplace(err.request_id, Reply{FrameType::kError, {}, std::move(err.message)});
       return std::nullopt;
@@ -381,7 +303,6 @@ std::optional<Frame> Client::route_one(std::uint64_t control_id) {
         throw std::runtime_error("net client: BUSY for a request that is not in flight");
       }
       inflight_.erase(it);
-      pending_frames_.erase(busy.request_id);
       wire_deadlines_.erase(busy.request_id);
       ready_.emplace(busy.request_id, Reply{FrameType::kBusy, {}, std::move(busy.message)});
       return std::nullopt;
@@ -522,19 +443,9 @@ void Client::retry(const RetryPolicy& policy,
 Frame Client::control_round_trip(std::uint64_t control_id, std::vector<std::uint8_t> bytes) {
   ensure_connected();
   recv_bound_ = kNoDeadline;  // control calls keep the unbounded wait
-  MSRP_REQUIRE(!control_pending_, "net client: nested control call");
-  control_pending_ = true;
-  try {
-    write_all(bytes);
-    for (;;) {
-      if (auto reply = route_one(control_id)) {
-        control_pending_ = false;
-        return std::move(*reply);
-      }
-    }
-  } catch (...) {
-    control_pending_ = false;
-    throw;
+  write_all(bytes);
+  for (;;) {
+    if (auto reply = route_one(control_id)) return std::move(*reply);
   }
 }
 

@@ -39,18 +39,11 @@
 /// admission-control rejection (BUSY frame) surfaces as BusyError — the
 /// batch did not run and an identical resend is safe after backing off. A
 /// connection-level ERROR (id 0) or any framing violation additionally
-/// marks the connection dead. reconnect() re-dials and re-handshakes —
-/// in-flight ids are lost (their batches die with the old socket) — and
-/// with ClientOptions::auto_reconnect a send() on a dead connection does
-/// this transparently when nothing is in flight.
-///
-/// ClientOptions::resend_on_reconnect goes further: every batch frame is
-/// idempotent (same oracle, same queries, same answers), so when the
-/// connection drops with batches in flight the client re-dials and replays
-/// every uncollected batch frame verbatim — same ids — and the waits
-/// proceed as if nothing happened. Control frames are never replayed
-/// (REGISTER_GRAPH is not idempotent); a drop during a control call is an
-/// error.
+/// marks the connection dead, and in-flight ids die with the socket.
+/// call_retry<W>() is the one recovery path: on its next attempt it
+/// re-dials, re-handshakes and resends the batch (every batch frame is
+/// idempotent — same oracle, same queries, same answers). A send or a
+/// control call on a dead connection throws.
 ///
 /// Protocol v4 adds observability: stats() performs a STATS_REQUEST /
 /// STATS_SNAPSHOT control round trip and returns the server's typed
@@ -69,7 +62,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -85,29 +77,25 @@
 
 namespace msrp::net {
 
+/// Per-dial connect timeout.
+inline constexpr std::chrono::milliseconds kConnectTimeout{5000};
+/// Pause between two dial attempts.
+inline constexpr std::chrono::milliseconds kRetryDelay{200};
+/// Local wait bound for batches sent with a deadline: a wait gives up
+/// (DeadlineError, socket closed — the orphaned reply could never be
+/// reconciled) this long after the batch's own deadline passes with no
+/// reply, so a dead or wedged server cannot park the client forever.
+/// Batches sent without a deadline keep the unbounded wait.
+inline constexpr std::chrono::milliseconds kDeadlineGrace{500};
+
+/// Every client frame is capped at kDefaultMaxFrameBytes (net/protocol.hpp),
+/// the server's cap too.
 struct ClientOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Per-dial connect timeout.
-  unsigned connect_timeout_ms = 5000;
   /// Extra dial attempts before connect() gives up — lets a client start
   /// before its server finishes binding (CI does exactly this).
   unsigned connect_retries = 0;
-  unsigned retry_delay_ms = 200;
-  /// Re-dial transparently when send() finds the connection dead and no
-  /// batches are in flight.
-  bool auto_reconnect = false;
-  /// On connection loss with batches in flight: re-dial and replay every
-  /// uncollected QUERY_BATCH with its original id (idempotent, so answers
-  /// are identical). Implies nothing for control calls — those fail.
-  bool resend_on_reconnect = false;
-  /// Local wait bound for batches sent with a deadline: a wait gives up
-  /// (DeadlineError, socket closed — the orphaned reply could never be
-  /// reconciled) this many ms after the batch's own deadline passes with
-  /// no reply, so a dead or wedged server cannot park the client forever.
-  /// Batches sent without a deadline keep the unbounded legacy wait.
-  unsigned deadline_grace_ms = 500;
 };
 
 /// One completed batch collected by wait_any().
@@ -178,9 +166,6 @@ class Client {
   /// Batches sent but not yet collected by a wait.
   std::size_t inflight() const { return inflight_.size() + ready_.size(); }
 
-  /// Drops the current socket (in-flight ids are lost) and dials fresh.
-  void reconnect();
-
   /// Writes one batch of workload W and returns its request id without
   /// waiting. `digest` targets a registered oracle (v2); nullopt sends the
   /// v1-compatible shape answered by the HELLO default oracle.
@@ -211,10 +196,11 @@ class Client {
 
   /// call() with a retry loop: BUSY rejections, connection loss, and
   /// DEADLINE_EXCEEDED replies are retried on the policy's backoff
-  /// schedule (every batch frame is idempotent, so a resend is always
-  /// safe); any other server-reported failure rethrows immediately. The
-  /// policy's deadline bounds the whole call, backoffs included, and each
-  /// attempt carries the remaining budget on the wire.
+  /// schedule, re-dialing first when the connection is dead (every batch
+  /// frame is idempotent, so a resend is always safe); any other
+  /// server-reported failure rethrows immediately. The policy's deadline
+  /// bounds the whole call, backoffs included, and each attempt carries the
+  /// remaining budget on the wire.
   template <class W = service::Point>
   std::vector<typename W::Result> call_retry(
       std::span<const typename W::Query> queries, const RetryPolicy& policy,
@@ -275,9 +261,8 @@ class Client {
  private:
   void dial();
   void close_socket();
-  /// True when a dropped connection was successfully re-dialed and every
-  /// uncollected batch replayed; the caller restarts its read/write.
-  bool try_resend();
+  /// Drops the current socket (in-flight ids are lost) and dials fresh.
+  void reconnect();
   void write_all(std::span<const std::uint8_t> bytes);
   /// Reads socket bytes into the decoder until one frame is complete.
   Frame read_frame();
@@ -290,8 +275,9 @@ class Client {
   /// Performs one control round trip: writes `bytes`, blocks for the reply
   /// to `control_id`, decodes ERROR/BUSY into the documented throws.
   Frame control_round_trip(std::uint64_t control_id, std::vector<std::uint8_t> bytes);
-  /// Shared auto_reconnect gate used by send() and the control calls.
-  void ensure_connected();
+  /// Throws unless the connection is up; shared by send() and the control
+  /// calls.
+  void ensure_connected() const;
   /// Shared tail of every send: registers the already-encoded frame under
   /// `id` (expecting `count` replies of `expect`'s kind), arms the wire
   /// deadline, writes — rolling all of it back when the write fails.
@@ -325,8 +311,6 @@ class Client {
   FrameDecoder decoder_;
   HelloInfo hello_;
   std::uint64_t next_id_ = 1;
-  bool control_pending_ = false;  // a control round trip is on the wire
-  bool dialing_ = false;          // inside dial(); resend must not recurse
   /// One batch on the wire: which reply frame kind must answer it and how
   /// many entries that reply owes us.
   struct Inflight {
@@ -337,9 +321,6 @@ class Client {
   // something we sent is treated as a protocol violation, never returned
   // to the caller.
   std::unordered_map<std::uint64_t, Inflight> inflight_;
-  // Verbatim frame bytes of in-flight batches, kept only when
-  // resend_on_reconnect is set; ordered so a replay preserves send order.
-  std::map<std::uint64_t, std::vector<std::uint8_t>> pending_frames_;
   // Replies (answers, server-reported errors, busy rejections) that
   // arrived while waiting for a different id.
   std::unordered_map<std::uint64_t, Reply> ready_;

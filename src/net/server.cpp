@@ -15,7 +15,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -57,8 +56,6 @@ struct Server::Conn {
   // socket, and last time queued output made write progress.
   std::chrono::steady_clock::time_point last_read;
   std::chrono::steady_clock::time_point last_write_progress;
-
-  explicit Conn(std::size_t max_frame_bytes) : decoder(max_frame_bytes) {}
 };
 
 /// Success reply of one batch. The service callback encodes it on a pool
@@ -111,15 +108,6 @@ std::uint16_t bound_port(int fd) {
   ::socklen_t len = sizeof addr;
   ::getsockname(fd, reinterpret_cast<::sockaddr*>(&addr), &len);
   return ntohs(addr.sin_port);
-}
-
-void pin_loop_thread(unsigned slot) {
-  unsigned ncpu = std::thread::hardware_concurrency();
-  if (ncpu == 0) ncpu = 1;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(slot % ncpu, &set);
-  ::sched_setaffinity(0, sizeof(set), &set);
 }
 
 }  // namespace
@@ -250,14 +238,11 @@ void Server::run() {
   threads.reserve(loops_.size() - 1);
   for (std::size_t i = 1; i < loops_.size(); ++i) {
     LoopShard* ls = loops_[i].get();
-    const bool pin = opts_.pin_loops;
-    threads.emplace_back([this, ls, pin] {
-      if (pin) pin_loop_thread(ls->index);
+    threads.emplace_back([this, ls] {
       ls->loop.set_tick([this, ls] { on_tick(*ls); }, 100);
       ls->loop.run();
     });
   }
-  if (opts_.pin_loops) pin_loop_thread(0);
   loops_[0]->loop.set_tick([this] { on_tick(*loops_[0]); }, 100);
   loops_[0]->loop.run();
   for (auto& t : threads) t.join();
@@ -270,8 +255,7 @@ void Server::shutdown() {
   }
   // Written before any loop can observe draining_ == true via its posted
   // closure below.
-  drain_deadline_ =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(opts_.drain_timeout_ms);
+  drain_deadline_ = std::chrono::steady_clock::now() + kDrainTimeout;
   for (auto& lsp : loops_) {
     LoopShard* ls = lsp.get();
     ls->loop.post([this, ls] { drain_loop(*ls); });
@@ -380,7 +364,7 @@ void Server::adopt_conn(LoopShard& ls, int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
-  auto conn = std::make_shared<Conn>(opts_.max_frame_bytes);
+  auto conn = std::make_shared<Conn>();
   conn->fd = fd;
   conn->home = &ls;
   conn->last_read = conn->last_write_progress = std::chrono::steady_clock::now();
@@ -430,7 +414,7 @@ void Server::on_readable(const std::shared_ptr<Conn>& conn) {
 bool Server::has_capacity(const Conn& conn) const {
   return !draining_.load(std::memory_order_acquire) &&
          conn.inflight < opts_.max_inflight_batches &&
-         conn.out_bytes <= opts_.output_high_water;
+         conn.out_bytes <= kOutputHighWater;
 }
 
 void Server::pump(const std::shared_ptr<Conn>& conn) {

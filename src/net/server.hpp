@@ -32,7 +32,7 @@
 ///
 /// Backpressure is per connection and two-sided. Reads pause (the fd drops
 /// out of the epoll interest set) while the connection has
-/// max_inflight_batches batches in flight or more than output_high_water
+/// max_inflight_batches batches in flight or more than kOutputHighWater
 /// reply bytes queued; they resume when both clear. Combined with the
 /// frame-size cap this bounds the memory a connection can hold:
 /// inflight * max_frame + queued output, no matter how fast it writes or
@@ -41,7 +41,7 @@
 /// shutdown() drains instead of dropping: the listener closes immediately,
 /// reads stop, but every batch already in the service completes and its
 /// reply is flushed before the connection closes (bounded by
-/// drain_timeout_ms, then force-closed). A client that disconnects
+/// kDrainTimeout, then force-closed). A client that disconnects
 /// mid-batch just has its replies dropped on completion — the service is
 /// never cancelled, the server never blocks.
 #pragma once
@@ -68,30 +68,28 @@
 
 namespace msrp::net {
 
+/// Queued unsent reply bytes per connection beyond which reads pause until
+/// the client drains its socket.
+inline constexpr std::size_t kOutputHighWater = 8u << 20;
+/// How long shutdown() waits for in-flight batches to complete and their
+/// replies to flush before force-closing connections.
+inline constexpr std::chrono::milliseconds kDrainTimeout{10000};
+
+/// Every connection's frame-size cap, both directions, is
+/// kDefaultMaxFrameBytes (net/protocol.hpp).
 struct ServerOptions {
   /// Address to bind (dotted IPv4). Loopback by default: exposing an
   /// unauthenticated oracle on a public interface is an explicit decision.
   std::string bind_addr = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   std::uint16_t port = 0;
-  /// Per-frame payload cap, both directions.
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Batches one connection may have inside the QueryService at once;
   /// reads pause beyond this (pipelining window).
   std::size_t max_inflight_batches = 64;
-  /// Queued unsent reply bytes per connection beyond which reads pause
-  /// until the client drains its socket.
-  std::size_t output_high_water = 8u << 20;
   /// Event-loop threads. Each loop gets its own listener on the shared
   /// port (SO_REUSEPORT when there are several) and owns its accepted
   /// connections outright. 0 is treated as 1.
   unsigned loops = 1;
-  /// Pin loop thread i to CPU (i mod hardware_concurrency). Note run()'s
-  /// calling thread (loop 0) is pinned too.
-  bool pin_loops = false;
-  /// How long shutdown() waits for in-flight batches to complete and their
-  /// replies to flush before force-closing connections.
-  unsigned drain_timeout_ms = 10000;
   /// Evict a connection with no batches in flight, no queued output, and
   /// no bytes read for this long (0 = never). Bounds the sockets a silent
   /// peer can pin; swept on the ~100 ms loop tick.

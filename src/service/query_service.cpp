@@ -12,14 +12,6 @@
 
 namespace msrp::service {
 
-/// Worker-process routers a service keeps alive at once; least recently
-/// used beyond this are torn down (stopping their workers, unlinking shm).
-static constexpr std::size_t kMaxRouters = 4;
-
-/// Graphs kept attached for |F| == 2 K_FAIL service. A graph is a fraction
-/// of its oracle's footprint, so keeping a few costs little.
-static constexpr std::size_t kMaxAttachedGraphs = 8;
-
 QueryService::QueryService(Options opts) : opts_(std::move(opts)), pool_(opts_.threads) {
   collector_ = obs::MetricsRegistry::instance().register_collector(
       [this](obs::MetricsSnapshot& out) {
@@ -48,48 +40,65 @@ std::shared_ptr<const Snapshot> QueryService::build(const Graph& g,
   // 2-edge-failure queries need the graph itself, and the caller is holding
   // it right here — attach a copy on first sight of this oracle so K_FAIL
   // works out of the box for built (as opposed to snapshot-loaded) oracles.
-  bool attached;
+  // The graph lives as long as `snap`, and the copy is made outside the
+  // lock: `snap` holds the entry from the first lock on, so no sweep can
+  // remove it in between.
+  const std::uint64_t digest = snap->content_digest();
   {
-    std::lock_guard<std::mutex> lock(graphs_mu_);
-    attached = std::any_of(graphs_.begin(), graphs_.end(), [&](const auto& entry) {
-      return entry.first == snap->content_digest();
-    });
+    std::lock_guard<std::mutex> lock(side_mu_);
+    OracleSide& side = side_[digest];
+    follow(side, snap);
+    if (side.graph != nullptr) return snap;
   }
-  if (!attached) attach_graph(snap->content_digest(), std::make_shared<const Graph>(g));
+  auto graph = std::make_shared<const Graph>(g);
+  std::vector<OracleSide> doomed;
+  std::lock_guard<std::mutex> lock(side_mu_);
+  OracleSide& side = side_[digest];
+  if (side.graph == nullptr) side.graph = std::move(graph);
+  sweep_locked(doomed);
   return snap;
 }
 
 void QueryService::attach_graph(std::uint64_t digest, std::shared_ptr<const Graph> graph) {
   MSRP_REQUIRE(graph != nullptr, "attach_graph: null graph");
-  // Destroy an evicted graph outside the lock (freeing a CSR can be a
-  // large deallocation).
-  std::vector<std::shared_ptr<const Graph>> evicted;
-  {
-    std::lock_guard<std::mutex> lock(graphs_mu_);
-    for (auto it = graphs_.begin(); it != graphs_.end(); ++it) {
-      if (it->first == digest) {
-        it->second = std::move(graph);
-        graphs_.splice(graphs_.begin(), graphs_, it);
-        return;
-      }
-    }
-    graphs_.emplace_front(digest, std::move(graph));
-    while (graphs_.size() > kMaxAttachedGraphs) {
-      evicted.push_back(std::move(graphs_.back().second));
-      graphs_.pop_back();
-    }
-  }
+  std::vector<OracleSide> doomed;
+  std::lock_guard<std::mutex> lock(side_mu_);
+  OracleSide& side = side_[digest];
+  side.graph.swap(graph);  // a replaced graph is freed after the lock drops
+  side.keep_graph = true;
+  sweep_locked(doomed);
 }
 
 std::shared_ptr<const Graph> QueryService::graph_for(std::uint64_t digest) {
-  std::lock_guard<std::mutex> lock(graphs_mu_);
-  for (auto it = graphs_.begin(); it != graphs_.end(); ++it) {
-    if (it->first == digest) {
-      graphs_.splice(graphs_.begin(), graphs_, it);
-      return it->second;
+  std::lock_guard<std::mutex> lock(side_mu_);
+  const auto it = side_.find(digest);
+  return it == side_.end() ? nullptr : it->second.graph;
+}
+
+void QueryService::follow(OracleSide& side, const std::shared_ptr<const Snapshot>& owner) {
+  std::erase_if(side.oracles, [](const auto& held) { return held.expired(); });
+  const bool known =
+      std::any_of(side.oracles.begin(), side.oracles.end(), [&](const auto& held) {
+        return !held.owner_before(owner) && !owner.owner_before(held);
+      });
+  if (!known) side.oracles.push_back(owner);
+}
+
+void QueryService::sweep_locked(std::vector<OracleSide>& doomed) {
+  for (auto it = side_.begin(); it != side_.end();) {
+    OracleSide& side = it->second;
+    const bool held = std::any_of(side.oracles.begin(), side.oracles.end(),
+                                  [](const auto& o) { return !o.expired(); });
+    if (held) {
+      ++it;
+    } else if (side.keep_graph) {
+      if (side.router != nullptr) doomed.emplace_back().router = std::move(side.router);
+      ++it;
+    } else {
+      doomed.push_back(std::move(side));
+      it = side_.erase(it);
     }
   }
-  return nullptr;
 }
 
 std::shared_ptr<const Snapshot> QueryService::load(const std::string& path,
@@ -103,47 +112,39 @@ std::shared_ptr<const Snapshot> QueryService::load(const std::string& path,
 }
 
 std::shared_ptr<ShardRouter> QueryService::router_for(const Snapshot& oracle) {
-  const std::uint64_t key = oracle.content_digest();
-  // Evicted routers are destroyed AFTER the lock drops: a router teardown
-  // stops and reaps worker processes (seconds in the worst case), which
-  // must not stall other oracles' batches or the stats accessor.
-  std::vector<std::shared_ptr<ShardRouter>> evicted;
-  {
-    std::lock_guard<std::mutex> lock(routers_mu_);
-    for (auto it = routers_.begin(); it != routers_.end(); ++it) {
-      if (it->first == key) {
-        routers_.splice(routers_.begin(), routers_, it);  // mark MRU
-        return routers_.front().second;
-      }
-    }
-    // First batch against this oracle: shard it and spawn the workers.
-    // Deliberately under the lock so concurrent cold batches share one
-    // placement (single flight); routing itself never takes this lock
-    // again. The cost is that a cold router on oracle A briefly blocks a
-    // cold router on oracle B — acceptable until a workload actually
-    // interleaves many distinct sharded oracles.
+  const auto make_router = [&] {
     ShardRouterOptions router_opts;
     router_opts.shards = opts_.shards;
     router_opts.worker_argv = opts_.shard_worker_argv;
-    router_opts.pin_workers = opts_.pin_shard_workers;
-    auto router = std::make_shared<ShardRouter>(oracle, router_opts);
-    routers_.emplace_front(key, router);
-    while (routers_.size() > kMaxRouters) {
-      evicted.push_back(std::move(routers_.back().second));
-      routers_.pop_back();
-    }
-    return router;
+    return std::make_shared<ShardRouter>(oracle, router_opts);
+  };
+  const std::shared_ptr<const Snapshot> owner = oracle.weak_from_this().lock();
+  if (owner == nullptr) return make_router();
+  // Swept routers are destroyed AFTER the lock drops: a router teardown
+  // stops and reaps worker processes (seconds in the worst case), which
+  // must not stall other oracles' batches or the stats accessor.
+  std::vector<OracleSide> doomed;
+  std::lock_guard<std::mutex> lock(side_mu_);
+  OracleSide& side = side_[oracle.content_digest()];
+  follow(side, owner);
+  if (side.router == nullptr) {
+    // First batch against this oracle: shard it and spawn the workers.
+    // Deliberately under the lock so concurrent cold batches share one
+    // placement (single flight); routing itself never takes this lock
+    // again. The cost is that a cold router on oracle A briefly blocks
+    // batches and graph lookups on oracle B — acceptable until a workload
+    // actually interleaves many distinct sharded oracles.
+    side.router = make_router();
+    sweep_locked(doomed);
   }
+  return side.router;
 }
 
 std::shared_ptr<const ShardRouter> QueryService::router(const Snapshot& oracle) {
   if (!sharding()) return nullptr;
-  const std::uint64_t key = oracle.content_digest();
-  std::lock_guard<std::mutex> lock(routers_mu_);
-  for (const auto& [digest, router] : routers_) {
-    if (digest == key) return router;
-  }
-  return nullptr;
+  std::lock_guard<std::mutex> lock(side_mu_);
+  const auto it = side_.find(oracle.content_digest());
+  return it == side_.end() ? nullptr : it->second.router;
 }
 
 QueryService::BatchPlan QueryService::plan_shards(const Snapshot& oracle,

@@ -26,8 +26,8 @@
 ///   * Options::shards > 1 moves the serving out of this process entirely:
 ///     batches delegate to a ShardRouter (shard_router.hpp) that routes
 ///     each query to one of K forked worker processes over shared-memory
-///     snapshot segments, bit-identical to the in-process path. Routers are
-///     created per oracle on first use and kept in a small MRU list.
+///     snapshot segments, bit-identical to the in-process path. A router
+///     is created per oracle on first use and lives as long as its oracle.
 ///
 /// Invalid queries are rejected before any answer is computed — thrown to
 /// the query_batch caller, delivered in WorkloadResult::error to a
@@ -39,12 +39,12 @@
 #include <atomic>
 #include <exception>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -105,8 +105,6 @@ class QueryService {
     /// the router appends "--shard-worker <base>:<k>"). Empty = plain fork
     /// without exec. Only meaningful when sharding (shards >= 1).
     std::vector<std::string> shard_worker_argv = {};
-    /// Pin shard worker k to CPU (k mod hardware_concurrency); shards >= 1.
-    bool pin_shard_workers = false;
   };
 
   QueryService() : QueryService(Options{}) {}
@@ -178,13 +176,13 @@ class QueryService {
 
   /// Attaches the graph behind an oracle digest so 2-edge-failure queries
   /// (a BFS of G - F, not a table read) can be served. build() attaches
-  /// automatically; oracles loaded from snapshots need an explicit attach
-  /// before |F| == 2 K_FAIL queries work. Attached graphs live in a small
-  /// MRU list, so a stream of distinct digests cannot hoard memory.
+  /// automatically, and that graph lives exactly as long as the built
+  /// oracle. Oracles loaded from snapshots need this explicit attach before
+  /// |F| == 2 K_FAIL queries work; a graph attached here has no oracle to
+  /// follow, so the service keeps it until the service is destroyed.
   void attach_graph(std::uint64_t digest, std::shared_ptr<const Graph> graph);
 
-  /// Graph previously attached for `digest`, or nullptr. Marks the entry
-  /// most recently used.
+  /// Graph attached for `digest`, or nullptr.
   std::shared_ptr<const Graph> graph_for(std::uint64_t digest);
 
   /// Runs a closure on the worker pool — the registry layer builds its
@@ -255,9 +253,29 @@ class QueryService {
   void start_points(std::shared_ptr<PointBatch> batch, Prepare&& prepare);
 
   /// Returns (creating on first use) the shard router serving `oracle`,
-  /// keyed by content digest. Routers are kept in a small LRU so a stream
-  /// of distinct oracles cannot accumulate worker processes without bound.
+  /// keyed by content digest; it lives as long as the oracle. An oracle no
+  /// shared_ptr owns has no lifetime to follow and gets a router for this
+  /// call alone.
   std::shared_ptr<ShardRouter> router_for(const Snapshot& oracle);
+
+  /// What the service keeps beside the oracles of one content digest: the
+  /// graph for |F| == 2 K_FAIL and the shard router. Equal digests mean
+  /// equal answers, so oracles with the same content (a built one and its
+  /// reloaded snapshot) share one entry, which lives while any of them
+  /// does. A graph attached by digest alone outlives them all.
+  struct OracleSide {
+    std::vector<std::weak_ptr<const Snapshot>> oracles;  // the entry's holders
+    std::shared_ptr<const Graph> graph;
+    bool keep_graph = false;  // attach_graph: no oracle to follow
+    std::shared_ptr<ShardRouter> router;
+  };
+  /// Adds `owner` to the entry's holders, forgetting expired ones.
+  static void follow(OracleSide& side, const std::shared_ptr<const Snapshot>& owner);
+  /// Moves the side tables whose holders have all expired into `doomed`, so
+  /// the caller destroys them (stopping router workers, unlinking shm,
+  /// freeing a graph) after side_mu_ is released. Runs whenever an entry
+  /// gains a graph or a router.
+  void sweep_locked(std::vector<OracleSide>& doomed);
 
   /// The "service.answer" failpoint and the deadline check every async
   /// batch passes before it expands or answers.
@@ -268,15 +286,11 @@ class QueryService {
 
   Options opts_;
   OracleCache cache_;
-  // Graphs attached for K_FAIL |F| == 2 service, by oracle content digest,
-  // MRU first (bounded; see kMaxAttachedGraphs in the .cpp).
-  std::mutex graphs_mu_;
-  std::list<std::pair<std::uint64_t, std::shared_ptr<const Graph>>> graphs_;
-  // Multi-process shard routers by oracle content digest, MRU first.
-  // Declared before pool_: pool tasks route through these, and the pool's
-  // destructor drains its queue before the routers shut their workers down.
-  std::mutex routers_mu_;
-  std::list<std::pair<std::uint64_t, std::shared_ptr<ShardRouter>>> routers_;
+  // Side tables by oracle content digest. Declared before pool_: pool tasks
+  // route through these, and the pool's destructor drains its queue before
+  // the routers shut their workers down.
+  std::mutex side_mu_;
+  std::unordered_map<std::uint64_t, OracleSide> side_;
   std::atomic<std::uint64_t> queries_served_{0};
   // Declared last so its destructor — which drains queued tasks — runs
   // first: async tasks touch the cache, routers, and counters above.

@@ -14,7 +14,6 @@
 #include "util/futex.hpp"
 
 #include <csignal>
-#include <sched.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -43,15 +42,6 @@ std::string make_base_name() {
 void ring_doorbell(std::atomic<std::uint32_t>& word) {
   word.fetch_add(1, std::memory_order_release);
   util::futex_wake_u32(word, 1);
-}
-
-void pin_current_thread(unsigned slot) {
-  unsigned ncpu = std::thread::hardware_concurrency();
-  if (ncpu == 0) ncpu = 1;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(slot % ncpu, &set);
-  ::sched_setaffinity(0, sizeof(set), &set);
 }
 
 }  // namespace
@@ -147,11 +137,7 @@ void ShardRouter::spawn_worker(unsigned k) {
   sh.ch->stop_flag().store(0, std::memory_order_release);
 
   if (opts_.workers_in_process) {
-    const bool pin = opts_.pin_workers;
-    sh.thr = std::thread([this, k, pin] {
-      if (pin) pin_current_thread(k);
-      run_shard_worker({base_name_, k});
-    });
+    sh.thr = std::thread([this, k] { run_shard_worker({base_name_, k}); });
     return;
   }
 
@@ -161,7 +147,6 @@ void ShardRouter::spawn_worker(unsigned k) {
     // Child. Either exec the configured worker binary or serve from the
     // inherited image directly. _exit (not exit) so the parent's atexit
     // hooks and static destructors never run twice.
-    if (opts_.pin_workers) pin_current_thread(k);  // affinity survives exec
     if (!opts_.worker_argv.empty()) {
       const std::string spec = base_name_ + ":" + std::to_string(k);
       std::vector<char*> argv;
@@ -186,7 +171,7 @@ void ShardRouter::spawn_worker(unsigned k) {
 void ShardRouter::wait_worker_ready(unsigned k) {
   Shard& sh = shards_[k];
   const auto start = std::chrono::steady_clock::now();
-  const auto deadline = start + std::chrono::milliseconds(opts_.ready_timeout_ms);
+  const auto deadline = start + kWorkerReadyTimeout;
   // Park on the state word itself: the worker futex-wakes it when storing
   // kReady (or kExited), so the happy path returns within microseconds of
   // the worker coming up instead of on a polling-granularity boundary.

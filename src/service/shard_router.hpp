@@ -39,6 +39,7 @@
 /// segment; ~ShmSegment unlinks even on exception paths.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -61,6 +62,9 @@
 
 namespace msrp::service {
 
+/// How long the router waits for a spawned worker to flag itself ready.
+inline constexpr std::chrono::milliseconds kWorkerReadyTimeout{30000};
+
 struct ShardRouterOptions {
   /// Worker processes; clamped to the oracle's source count.
   unsigned shards = 2;
@@ -75,11 +79,6 @@ struct ShardRouterOptions {
   /// allocator around fork) — embedders whose processes hold other locks
   /// across calls should prefer exec mode.
   std::vector<std::string> worker_argv = {};
-  /// How long to wait for a forked worker to flag itself ready.
-  unsigned ready_timeout_ms = 30000;
-  /// Pin worker k to CPU (k mod hardware_concurrency). Set between fork
-  /// and exec, so it works for both spawn flavours.
-  bool pin_workers = false;
   /// Test hook: run each worker as a std::thread in this process instead
   /// of forking. run_shard_worker attaches the same shm segments by name,
   /// so the transport is exercised end to end — but under TSan, which

@@ -50,7 +50,9 @@ struct SnapshotLoadOptions {
   bool verify_cells = true;
 };
 
-class Snapshot {
+/// Shared-owned snapshots expose their owner (weak_from_this) so the query
+/// service can tie per-oracle side tables to the oracle's lifetime.
+class Snapshot : public std::enable_shared_from_this<Snapshot> {
  public:
   using LoadOptions = SnapshotLoadOptions;
 

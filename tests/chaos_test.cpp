@@ -705,14 +705,13 @@ TEST(NetDeadline, GenerousWireDeadlineAnswersByteForByte) {
 TEST(NetDeadline, RetryBudgetExhaustsAsDeadlineError) {
   ChaosFixture fx;
   TestServer ts(fx.svc, fx.oracle);
-  net::ClientOptions copts = ts.client_options();
-  copts.deadline_grace_ms = 200;
-  net::Client client(copts);
+  net::Client client(ts.client_options());
   const auto queries = fx.random_queries(100, 12);
 
   // Every attempt parks behind the wedge until past its (tiny) budget; the
-  // client's local wait bound (deadline + grace) must cut each one loose
-  // and the retry loop must give up on schedule rather than spin forever.
+  // client's local wait bound (deadline + net::kDeadlineGrace, 500 ms) must
+  // cut each one loose and the retry loop must give up on schedule rather
+  // than spin forever.
   auto release = wedge_pool(fx.svc);
   net::RetryPolicy policy;
   policy.deadline_ms = 150;
@@ -742,7 +741,7 @@ TEST(NetEviction, IdleConnectionIsEvicted) {
   EXPECT_THROW(client.call(queries), std::runtime_error);
 }
 
-TEST(NetChaos, StalledFlushIsEvictedAndResendRecovers) {
+TEST(NetChaos, StalledFlushIsEvictedAndRetryRecovers) {
   SKIP_WITHOUT_FAILPOINTS();
   ChaosFixture fx;
   const auto queries = fx.random_queries(800, 14);
@@ -751,18 +750,19 @@ TEST(NetChaos, StalledFlushIsEvictedAndResendRecovers) {
   net::ServerOptions sopts;
   sopts.write_stall_timeout_ms = 150;
   TestServer ts(fx.svc, fx.oracle, sopts);
-  net::ClientOptions copts = ts.client_options();
-  copts.resend_on_reconnect = true;
-  net::Client client(copts);
+  net::Client client(ts.client_options());
 
   // One reply flush "takes nothing" (a stuck socket); the stall timer must
-  // evict the connection and the client's resend must replay the batch on a
-  // fresh one — same id, byte-identical answers.
+  // evict the connection, and call_retry must re-dial and resend the batch
+  // on a fresh one — byte-identical answers.
   ASSERT_TRUE(fail::set("server.flush", "error*1"));
-  const auto got = client.call(queries);
+  net::RetryPolicy policy;
+  policy.initial_backoff_ms = 1;
+  const auto got = client.call_retry(queries, policy);
   fail::clear("server.flush");
   EXPECT_EQ(got, want);
   EXPECT_GE(ts.server.stats().connections_evicted, 1u);
+  EXPECT_GE(ts.server.stats().connections_accepted, 2u);  // the retry re-dialed
 }
 
 TEST(NetChaos, TruncatedReceivesAreRetriedToIdenticalAnswers) {

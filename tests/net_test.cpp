@@ -7,7 +7,7 @@
 // Protocol v2 coverage: wire registration of multiple tenants (the
 // differential matrix, scalable via MSRP_FUZZ_TENANTS), digest-targeted
 // batches, BUSY admission rejections, unregister lifecycles,
-// resend-on-reconnect across a server restart, and adversarial registry
+// call_retry recovery across a server restart, and adversarial registry
 // frames. Multi-loop coverage: SO_REUSEPORT listeners and the
 // accept-hand-off fallback serve identically, drain on shutdown, and a
 // peer RST mid-reply never raises SIGPIPE. Protocol v3 coverage: the three
@@ -1628,38 +1628,30 @@ TEST(NetRegistry, UnregisterWhileInflightDrainsThenRetires) {
   EXPECT_EQ(ts.registry.tenant_count(), 0u);  // fully retired after the drain
 }
 
-TEST(NetRegistry, ResendOnReconnectReplaysPipelinedBatchesAcrossRestart) {
+// A server restart on the same port: the client's socket dies with the
+// old server, and call_retry re-dials the new one and answers every batch
+// byte for byte.
+TEST(NetRegistry, CallRetryRecoversAcrossRestart) {
   NetFixture fx;
   auto tsA = std::make_unique<TestServer>(fx.svc, fx.oracle);
   const std::uint16_t port = tsA->server.port();
-  net::ClientOptions copts = tsA->client_options();
-  copts.resend_on_reconnect = true;
-  net::Client client(copts);
+  net::Client client(tsA->client_options());
+  net::RetryPolicy policy;
+  policy.initial_backoff_ms = 1;
 
-  std::vector<std::vector<Query>> batches;
-  std::vector<std::uint64_t> ids;
-  for (std::size_t b = 0; b < 2; ++b) {
-    batches.push_back(fx.random_queries(150 + 40 * b, 600 + b));
-    ids.push_back(client.send(batches[b]));
-  }
-  while (tsA->server.stats().batches_received < 2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  tsA.reset();  // the server dies with both batches un-collected
+  const auto warm = fx.random_queries(150, 600);
+  EXPECT_EQ(client.call_retry(warm, policy), fx.svc.query_batch(*fx.oracle, warm));
+  tsA.reset();  // the server dies under a connected client
 
   net::ServerOptions sopts;
   sopts.port = port;
   TestServer tsB(fx.svc, fx.oracle, sopts);  // restart on the same port
-  for (std::size_t b = 2; b < 4; ++b) {  // keep pipelining across the outage
-    batches.push_back(fx.random_queries(150 + 40 * b, 600 + b));
-    ids.push_back(client.send(batches[b]));
-  }
-  // Every id must resolve with its original answers: the client re-dials
-  // and replays whatever the restart swallowed, ids preserved.
-  for (std::size_t b = batches.size(); b-- > 0;) {
-    EXPECT_EQ(client.wait(ids[b]), fx.svc.query_batch(*fx.oracle, batches[b]))
+  for (std::size_t b = 1; b < 4; ++b) {
+    const auto queries = fx.random_queries(150 + 40 * b, 600 + b);
+    EXPECT_EQ(client.call_retry(queries, policy), fx.svc.query_batch(*fx.oracle, queries))
         << "batch " << b;
   }
+  EXPECT_EQ(tsB.server.stats().connections_accepted, 1u);
   EXPECT_EQ(client.inflight(), 0u);
 }
 
@@ -1732,16 +1724,14 @@ TEST(NetServer, GarbageBytesGetErrorFrameThenClose) {
 
 TEST(NetServer, OversizedFrameHeaderGetsErrorFrameThenClose) {
   NetFixture fx;
-  net::ServerOptions sopts;
-  sopts.max_frame_bytes = 4096;
-  TestServer ts(fx.svc, fx.oracle, sopts);
+  TestServer ts(fx.svc, fx.oracle);
   RawConn raw(ts.server.port());
   // Valid magic, payload_len = max+1: rejected from the header alone.
   std::vector<std::uint8_t> header;
   net::append_error(header, 0, "");     // borrow a real header...
   header.resize(net::kFrameHeaderBytes);  // ...keep only the 24 header bytes
-  header[4] = 0x01;                     // payload_len = 0x1001 > 4096
-  header[5] = 0x10;
+  const auto too_big = static_cast<std::uint32_t>(net::kDefaultMaxFrameBytes + 1);
+  for (int i = 0; i < 4; ++i) header[4 + i] = static_cast<std::uint8_t>(too_big >> (8 * i));
   raw.send(header);
   const std::vector<Frame> frames = raw.read_all_frames();
   ASSERT_EQ(frames.size(), 2u);

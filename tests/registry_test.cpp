@@ -307,6 +307,25 @@ TEST(RegistryTest, UnregisterReleasesTheOracle) {
   EXPECT_EQ(fx.svc.cache().size(), 0u);
 }
 
+// The graph build() attaches for |F| == 2 K_FAIL lives as long as its
+// oracle, however many other tenants the registry builds meanwhile.
+TEST(OracleRegistry, TwoFailureQueriesAnswerOnEveryBuiltTenant) {
+  RegistryFixture fx;
+  OracleRegistry reg(fx.svc);  // default cap: 16 tenants
+  std::vector<RegisterOutcome> tenants;
+  for (Vertex s = 0; s < 9; ++s) {
+    tenants.push_back(fx.register_and_wait(reg, fx.g, {s}));
+    ASSERT_EQ(tenants.back().state, OracleState::kReady) << "tenant " << s;
+  }
+  ASSERT_EQ(reg.tenant_count(), 9u);
+
+  const std::vector<service::KFailQuery> queries{
+      {0, 20, {0, 1}}, {0, 29, {2, 7}}, {0, 11, {3, 5}}};
+  service::QueryService ref({.threads = 1});
+  const auto want = ref.run<service::KFail>(*ref.build(fx.g, {0}), queries);
+  EXPECT_EQ(fx.svc.run<service::KFail>(*tenants.front().oracle, queries), want);
+}
+
 TEST(OracleRegistry, ByteBudgetRejectsAtCompletion) {
   RegistryFixture fx;
   OracleRegistry reg(fx.svc, {.max_tenants = 8, .max_bytes = 1});

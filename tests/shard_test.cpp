@@ -422,6 +422,40 @@ TEST(QueryServiceShardingTest, ShardedServiceMatchesInProcess) {
   EXPECT_EQ(st.queries_routed, 2 * queries.size());
 }
 
+// A service's router lives as long as its oracle: once the oracle's last
+// holder drops it, the next router the service creates sweeps the old
+// one, so its worker exits and its shm segments (one a full copy of the
+// oracle's table) are unlinked.
+TEST(QueryServiceShardingTest, RouterIsReleasedWithItsOracle) {
+  service::QueryService::Options opts;
+  opts.threads = 1;
+  opts.shards = 1;
+  service::QueryService svc(opts);
+  Rng rng(0xD0D0);
+  const Graph g = gen::connected_avg_degree(80, 6.0, rng);
+
+  auto first = svc.build(g, {0, 40});
+  svc.query_batch(*first, random_queries(*first, 200, 81));
+  std::vector<std::string> names;
+  {
+    const auto router = svc.router(*first);
+    ASSERT_NE(router, nullptr);
+    names = router->segment_names();
+  }
+  ASSERT_EQ(names.size(), 3u);  // snapshot, channel, doorbell
+  for (const auto& name : names) EXPECT_TRUE(ShmSegment::exists(name)) << name;
+  first.reset();  // the oracle's last holder lets go
+
+  const auto second = svc.build(g, {10, 50});
+  const auto queries = random_queries(*second, 200, 82);
+  std::vector<Dist> want;
+  for (const Query& q : queries) want.push_back(second->avoiding(q.s, q.t, q.e));
+  EXPECT_EQ(svc.query_batch(*second, queries), want);
+  for (const auto& name : names) {
+    EXPECT_FALSE(ShmSegment::exists(name)) << name << " outlived its oracle";
+  }
+}
+
 TEST(QueryServiceShardingTest, ShardedAnswersMatchBruteForce) {
   Rng rng(0xBEEF);
   const Graph g = gen::connected_gnp(28, 0.2, rng);

@@ -54,9 +54,6 @@
 //   --loops N              event-loop threads; each gets its own
 //                          SO_REUSEPORT listener on the shared port.
 //                          Default 1.
-//   --pin-workers          pin event-loop threads and shard worker
-//                          processes to CPUs (thread/worker k -> CPU k mod
-//                          hardware_concurrency)
 //   --registry             multi-tenant mode: clients register graphs over
 //                          the wire (protocol v2) and target them by
 //                          digest. Works with or without a local oracle
@@ -125,7 +122,7 @@ namespace {
                "         [--workload vitality|vickrey|kfail]\n"
                "         [--threads N] [--repeat K] [--shards N]\n"
                "         [--listen <port>] [--listen-addr <ip>] [--loops N]\n"
-               "         [--pin-workers] [--idle-timeout-ms N] [--stall-timeout-ms N]\n"
+               "         [--idle-timeout-ms N] [--stall-timeout-ms N]\n"
                "         [--metrics-addr ip:port] [--trace-sample-n N]\n"
                "         [--registry] [--max-tenants N] [--registry-bytes N]\n"
                "         [--failed-ttl-ms N] [--build-timeout-ms N]\n"
@@ -189,11 +186,10 @@ void on_signal(int) { g_stop = 1; }
 /// Runs the TCP front end until a signal arrives, then drains and reports.
 int serve_network(service::QueryService& svc, std::shared_ptr<const service::Snapshot> oracle,
                   const std::string& addr, std::uint16_t port, unsigned loops,
-                  bool pin_loops, bool use_registry, std::size_t max_tenants,
-                  std::size_t registry_bytes, std::uint64_t idle_timeout_ms,
-                  std::uint64_t stall_timeout_ms, std::uint64_t failed_ttl_ms,
-                  std::uint64_t build_timeout_ms, const std::string& metrics_addr,
-                  std::uint32_t trace_sample_n) {
+                  bool use_registry, std::size_t max_tenants, std::size_t registry_bytes,
+                  std::uint64_t idle_timeout_ms, std::uint64_t stall_timeout_ms,
+                  std::uint64_t failed_ttl_ms, std::uint64_t build_timeout_ms,
+                  const std::string& metrics_addr, std::uint32_t trace_sample_n) {
   // Declared before the server so it outlives it: in-flight registrations
   // drain in ~Server, then the registry tears down.
   std::unique_ptr<registry::OracleRegistry> reg;
@@ -244,7 +240,6 @@ int serve_network(service::QueryService& svc, std::shared_ptr<const service::Sna
   sopts.bind_addr = addr;
   sopts.port = port;
   sopts.loops = loops;
-  sopts.pin_loops = pin_loops;
   sopts.idle_timeout_ms = idle_timeout_ms;
   sopts.write_stall_timeout_ms = stall_timeout_ms;
   sopts.trace_ring = &trace_ring;
@@ -333,7 +328,6 @@ int main(int argc, char** argv) {
   unsigned listen_port = 0;
   std::string listen_addr = "127.0.0.1";
   unsigned loops = 1;
-  bool pin_workers = false;
   bool use_registry = false;
   std::size_t max_tenants = 16;
   std::size_t registry_bytes = 0;
@@ -395,8 +389,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--loops") {
       loops = tools::cli_u32(next(), "--loops");
       if (loops == 0) loops = 1;
-    } else if (arg == "--pin-workers") {
-      pin_workers = true;
     } else if (arg == "--registry") {
       use_registry = true;
     } else if (arg == "--max-tenants") {
@@ -444,7 +436,6 @@ int main(int argc, char** argv) {
     if (shards >= 1) {
       svc_opts.shards = shards;
       svc_opts.shard_worker_argv = {argv[0]};  // workers exec this binary
-      svc_opts.pin_shard_workers = pin_workers;
     }
     service::QueryService svc(svc_opts);
     std::shared_ptr<const service::Snapshot> oracle;
@@ -491,10 +482,9 @@ int main(int argc, char** argv) {
       // TCP front end over whatever oracle mode was selected above
       // (in-process build, mmap snapshot, sharded workers alike).
       return serve_network(svc, oracle, listen_addr,
-                           static_cast<std::uint16_t>(listen_port), loops, pin_workers,
-                           use_registry, max_tenants, registry_bytes, idle_timeout_ms,
-                           stall_timeout_ms, failed_ttl_ms, build_timeout_ms,
-                           metrics_addr, trace_sample_n);
+                           static_cast<std::uint16_t>(listen_port), loops, use_registry,
+                           max_tenants, registry_bytes, idle_timeout_ms, stall_timeout_ms,
+                           failed_ttl_ms, build_timeout_ms, metrics_addr, trace_sample_n);
     }
 
     // Typed workloads are shard-aware like point queries: their
