@@ -182,8 +182,9 @@ void LandmarkRpTable::fill_mmg(const Graph& g, TreePool& trees, ScratchPool& scr
   MSRP_REQUIRE(scratches.size() >= (exec != nullptr ? exec->max_parallelism() : 1),
                "fill_mmg needs one scratch per participant");
   // Build any missing landmark trees up front (in parallel if possible):
-  // the pair loop below must only ever read the tree pool.
-  trees.ensure(landmarks_, exec);
+  // the pair loop below must only ever read the tree pool, and reads only
+  // each landmark tree's root and dists.
+  trees.ensure(landmarks_, exec, TreeParts::kDist);
   for (std::size_t i = 0; i < scratches.size(); ++i) {
     auto& layer = scratches.slot(i).mmg_layer;
     if (layer.size() < g.num_vertices()) layer.resize(g.num_vertices(), 0);

@@ -36,35 +36,42 @@ LevelSets::LevelSets(const Params& params, const std::vector<Vertex>& forced, Rn
   }
 }
 
-const RootedTree& TreePool::at(Vertex v) {
-  MSRP_REQUIRE(v < slot_.size(), "root out of range");
-  if (slot_[v] == kNoSlot) {
-    slot_[v] = static_cast<std::uint32_t>(trees_.size());
-    trees_.push_back(std::make_unique<RootedTree>(*g_, v));
-  }
-  return *trees_[slot_[v]];
-}
-
 const RootedTree& TreePool::existing(Vertex v) const {
   MSRP_REQUIRE(v < slot_.size() && slot_[v] != kNoSlot, "tree was never built");
   return *trees_[slot_[v]];
 }
 
-void TreePool::ensure(const std::vector<Vertex>& roots, ThreadPool* pool) {
-  // Claim slots sequentially (deterministic pool layout), then build the
-  // missing trees — each an independent BFS + DFS-stamp pass — in parallel.
-  std::vector<std::pair<Vertex, std::uint32_t>> missing;
+void TreePool::ensure(const std::vector<Vertex>& roots, ThreadPool* exec, TreeParts parts) {
+  // Check every root before claiming any slot, so a rejected call leaves the
+  // pool as it was.
   for (const Vertex v : roots) {
     MSRP_REQUIRE(v < slot_.size(), "root out of range");
+    MSRP_REQUIRE(slot_[v] == kNoSlot || trees_[slot_[v]]->parts >= parts,
+                 "tree was built with fewer parts");
+  }
+  // Claim slots sequentially (deterministic pool layout), then build the
+  // missing trees — each an independent BFS, plus the DFS-stamp pass if kept
+  // — in parallel.
+  std::vector<std::pair<Vertex, std::uint32_t>> missing;
+  for (const Vertex v : roots) {
     if (slot_[v] != kNoSlot) continue;
     slot_[v] = static_cast<std::uint32_t>(trees_.size());
     trees_.emplace_back();  // filled below
     missing.emplace_back(v, slot_[v]);
   }
-  maybe_parallel_for(pool, missing.size(), [&](std::size_t i, std::size_t) {
+  std::vector<BfsTree> scratch(exec != nullptr ? exec->max_parallelism() : 1);
+  maybe_parallel_for(exec, missing.size(), [&](std::size_t i, std::size_t participant) {
     const auto [v, slot] = missing[i];
-    trees_[slot] = std::make_unique<RootedTree>(*g_, v);
+    BfsTree& bfs = scratch[participant];
+    bfs.rebuild(*g_, v);
+    trees_[slot] = std::make_unique<RootedTree>(bfs, parts);
   });
+}
+
+std::size_t TreePool::bytes() const {
+  std::size_t total = 0;
+  for (const auto& tree : trees_) total += tree->bytes();
+  return total;
 }
 
 }  // namespace msrp

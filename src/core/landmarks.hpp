@@ -6,9 +6,11 @@
 // source. A vertex sampled at several levels has *priority* = its highest
 // level (Section 8's "a center is said to have priority k if it lies in C_k").
 //
-// Every distinct root (source, landmark, or center) needs one BFS tree with
-// an ancestor index; a vertex frequently plays several roles, so the trees
-// live in a TreePool keyed by root vertex and are built exactly once.
+// Every distinct landmark or center root needs one BFS tree; a vertex
+// frequently plays several roles, so the trees live in a TreePool keyed by
+// root vertex and are built exactly once. There are O~(sqrt(n*sigma)) of
+// them, n vertices each: the build's largest memory term. So each tree keeps
+// only the arrays its build method reads (TreePool::ensure, TreeParts).
 #pragma once
 
 #include <cstdint>
@@ -49,24 +51,30 @@ class LevelSets {
   std::vector<std::int32_t> priority_;
 };
 
-/// Lazily-built cache of RootedTree, one per distinct root.
+/// RootedTree per distinct root, each keeping the TreeParts it was built
+/// with. The MMG build keeps kGuard for level-0 landmarks and kDist for the
+/// rest (16 and 4 B per vertex); BK keeps kFull (24 B), the default.
 class TreePool {
  public:
   explicit TreePool(const Graph& g) : g_(&g), slot_(g.num_vertices(), kNoSlot) {}
 
-  /// Returns the tree rooted at v, building it on first use.
-  const RootedTree& at(Vertex v);
-
   /// Returns the tree rooted at v, which must already exist.
   const RootedTree& existing(Vertex v) const;
 
-  /// Builds trees for every vertex in `roots`. With a pool, the (fully
-  /// independent) BFS+ancestry builds run in parallel; slot indices are
-  /// assigned sequentially first, so the pool's layout — and every tree —
-  /// is identical to the sequential build.
-  void ensure(const std::vector<Vertex>& roots, ThreadPool* pool = nullptr);
+  /// Builds a tree keeping `parts` for every vertex in `roots` that has none;
+  /// one that has a tree must already hold at least `parts` (MSRP_REQUIRE:
+  /// a tree is never rebuilt). Each BFS runs in a scratch tree reused per
+  /// participant, and only the kept arrays are copied out, at exact size.
+  /// With a pool, the (fully independent) builds run in parallel; slot
+  /// indices are assigned sequentially first, so the pool's layout — and
+  /// every tree — is identical to the sequential build.
+  void ensure(const std::vector<Vertex>& roots, ThreadPool* exec = nullptr,
+              TreeParts parts = TreeParts::kFull);
 
   std::size_t size() const { return trees_.size(); }
+
+  /// Heap bytes held by the trees' arrays.
+  std::size_t bytes() const;
 
  private:
   static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);

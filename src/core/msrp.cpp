@@ -60,9 +60,16 @@ class MsrpEngine {
                             landmarks_->members().end());
       centers_.emplace(params_, forced_centers, center_rng);
 
-      pool_.ensure(landmarks_->members(), exec);
+      // Each tree keeps only what its method reads (TreeParts). BK walks
+      // the parents of every landmark and center tree. MMG reads dist from
+      // every landmark tree, and Algorithm 4's guard (edge_on_path_to)
+      // from the level-0 ones only: assembly evaluates it at k = 0.
       if (cfg_.landmark_rp == LandmarkRpMethod::kBkAuxGraphs) {
+        pool_.ensure(landmarks_->members(), exec);
         pool_.ensure(centers_->members(), exec);
+      } else {
+        pool_.ensure(landmarks_->level(0), exec, TreeParts::kGuard);
+        pool_.ensure(landmarks_->members(), exec, TreeParts::kDist);
       }
     }
 
@@ -115,6 +122,7 @@ class MsrpEngine {
     st.num_centers =
         cfg_.landmark_rp == LandmarkRpMethod::kBkAuxGraphs ? centers_->members().size() : 0;
     st.num_trees = pool_.size() + result_.num_sources();
+    st.tree_pool_bytes = pool_.bytes();
     for (std::uint32_t k = 0; k < landmarks_->num_levels(); ++k) {
       st.landmarks_per_level.push_back(landmarks_->level(k).size());
     }

@@ -26,6 +26,7 @@ struct MsrpStats {
   std::size_t num_landmarks = 0;
   std::size_t num_centers = 0;
   std::size_t num_trees = 0;
+  std::size_t tree_pool_bytes = 0;  // landmark/center trees' arrays (TreePool::bytes)
   std::vector<std::size_t> landmarks_per_level;
   std::size_t near_small_aux_nodes = 0;
   std::size_t near_small_aux_arcs = 0;

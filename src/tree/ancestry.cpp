@@ -35,4 +35,17 @@ AncestorIndex::AncestorIndex(const BfsTree& tree) {
   }
 }
 
+RootedTree::RootedTree(const BfsTree& built, TreeParts keep) : parts(keep) {
+  tree.root_ = built.root_;
+  tree.dist_ = built.dist_;
+  if (keep >= TreeParts::kGuard) {
+    tree.parent_edge_ = built.parent_edge_;
+    anc = AncestorIndex(built);
+  }
+  if (keep == TreeParts::kFull) {
+    tree.parent_ = built.parent_;
+    tree.order_ = built.order_;
+  }
+}
+
 }  // namespace msrp

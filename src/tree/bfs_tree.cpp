@@ -48,6 +48,7 @@ void BfsTree::rebuild(const Graph& g, Vertex root, EdgeId skip_edge) {
 
 std::vector<Vertex> BfsTree::path_to(Vertex t) const {
   MSRP_REQUIRE(t < num_vertices(), "vertex out of range");
+  MSRP_DCHECK(has_parents(), "tree dropped its parents");
   if (!reachable(t)) return {};
   std::vector<Vertex> path;
   path.reserve(dist_[t] + 1);
@@ -58,6 +59,7 @@ std::vector<Vertex> BfsTree::path_to(Vertex t) const {
 
 std::vector<EdgeId> BfsTree::path_edges(Vertex t) const {
   MSRP_REQUIRE(t < num_vertices(), "vertex out of range");
+  MSRP_DCHECK(has_parents() && has_parent_edges(), "tree dropped its parents");
   if (!reachable(t)) return {};
   std::vector<EdgeId> edges;
   edges.reserve(dist_[t]);
@@ -75,8 +77,8 @@ bool BfsTree::is_tree_edge(const Graph& g, EdgeId e) const {
 std::optional<Vertex> BfsTree::tree_edge_child(const Graph& g, EdgeId e) const {
   MSRP_REQUIRE(e < g.num_edges(), "edge out of range");
   const auto [u, v] = g.endpoints(e);
-  if (parent_edge_[u] == e) return u;
-  if (parent_edge_[v] == e) return v;
+  if (parent_edge(u) == e) return u;
+  if (parent_edge(v) == e) return v;
   return std::nullopt;
 }
 

@@ -11,6 +11,10 @@
 //   * dist(v), parent(v), parent_edge(v)
 //   * "is edge e on the canonical s->t path?"   (tree-edge + ancestry test)
 //   * position of an on-path edge (distance of its far endpoint from s)
+//
+// A tree kept in a TreePool may hold dist alone, or dist and parent_edge
+// (see TreeParts in ancestry.hpp). Reading an array it dropped fails an
+// MSRP_DCHECK in Debug builds.
 #pragma once
 
 #include <optional>
@@ -47,13 +51,22 @@ class BfsTree {
   bool reachable(Vertex v) const { return dist_[v] != kInfDist; }
 
   /// Parent in the tree; kNoVertex for the root and unreachable vertices.
-  Vertex parent(Vertex v) const { return parent_[v]; }
+  Vertex parent(Vertex v) const {
+    MSRP_DCHECK(has_parents(), "tree dropped its parents");
+    return parent_[v];
+  }
 
   /// Edge id to the parent; kNoEdge for the root and unreachable vertices.
-  EdgeId parent_edge(Vertex v) const { return parent_edge_[v]; }
+  EdgeId parent_edge(Vertex v) const {
+    MSRP_DCHECK(has_parent_edges(), "tree dropped its parent edges");
+    return parent_edge_[v];
+  }
 
   /// Vertices in BFS discovery order (root first); unreachable ones absent.
-  const std::vector<Vertex>& order() const { return order_; }
+  const std::vector<Vertex>& order() const {
+    MSRP_DCHECK(has_parents(), "tree dropped its BFS order");
+    return order_;
+  }
 
   /// The canonical root->t path as a vertex sequence (root first, t last).
   /// Empty if t is unreachable.
@@ -70,7 +83,20 @@ class BfsTree {
   /// child (deeper) endpoint v; nullopt if e is not a tree edge.
   std::optional<Vertex> tree_edge_child(const Graph& g, EdgeId e) const;
 
+  /// Heap bytes held by the tree's arrays.
+  std::size_t bytes() const {
+    return dist_.capacity() * sizeof(Dist) + parent_.capacity() * sizeof(Vertex) +
+           parent_edge_.capacity() * sizeof(EdgeId) + order_.capacity() * sizeof(Vertex);
+  }
+
  private:
+  friend struct RootedTree;  // copies out the arrays it keeps
+
+  // A kept array has one entry per vertex (order_ goes with parent_); a
+  // dropped one is empty.
+  bool has_parents() const { return parent_.size() == dist_.size(); }
+  bool has_parent_edges() const { return parent_edge_.size() == dist_.size(); }
+
   Vertex root_ = kNoVertex;
   std::vector<Dist> dist_;
   std::vector<Vertex> parent_;

@@ -149,14 +149,79 @@ TEST(LevelSets, MembersSortedUnique) {
 TEST(TreePool, BuildsOnceAndReuses) {
   const Graph g = gen::grid(4, 4);
   TreePool pool(g);
-  const RootedTree& a = pool.at(3);
-  const RootedTree& b = pool.at(3);
-  EXPECT_EQ(&a, &b);
+  pool.ensure({3});
+  const RootedTree& a = pool.existing(3);
   EXPECT_EQ(pool.size(), 1u);
   pool.ensure({3, 5, 7});
+  EXPECT_EQ(&pool.existing(3), &a);
   EXPECT_EQ(pool.size(), 3u);
   EXPECT_EQ(pool.existing(5).root(), 5u);
   EXPECT_THROW(pool.existing(9), std::invalid_argument);
+}
+
+TEST(TreePool, SlimTreesAnswerLikeFullOnes) {
+  Rng rng(31);
+  struct Case {
+    std::string name;
+    Graph g;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"er", gen::erdos_renyi(48, 0.06, rng)});  // some vertices unreachable
+  cases.push_back({"grid", gen::grid(6, 7)});
+  cases.push_back({"chords", gen::path_with_chords(50, 6, rng)});
+  ThreadPool exec(3);
+  for (const Case& c : cases) {
+    const Graph& g = c.g;
+    std::vector<Vertex> roots(g.num_vertices());
+    std::iota(roots.begin(), roots.end(), Vertex{0});
+    TreePool guard(g), dist(g);
+    guard.ensure(roots, &exec, TreeParts::kGuard);
+    dist.ensure(roots, nullptr, TreeParts::kDist);
+    for (const Vertex r : roots) {
+      const RootedTree full(g, r);
+      const RootedTree& gt = guard.existing(r);
+      const RootedTree& dt = dist.existing(r);
+      EXPECT_EQ(gt.parts, TreeParts::kGuard);
+      EXPECT_EQ(dt.parts, TreeParts::kDist);
+      EXPECT_EQ(gt.root(), r);
+      EXPECT_EQ(dt.root(), r);
+      ASSERT_EQ(gt.tree.dists(), full.tree.dists()) << c.name << " r=" << r;
+      ASSERT_EQ(dt.tree.dists(), full.tree.dists()) << c.name << " r=" << r;
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        ASSERT_EQ(gt.tree.parent_edge(v), full.tree.parent_edge(v)) << c.name << " r=" << r;
+        const EdgeId e = full.tree.parent_edge(v);
+        if (e == kNoEdge) continue;
+        const auto [eu, ev] = g.endpoints(e);
+        for (Vertex t = 0; t < g.num_vertices(); ++t) {
+          ASSERT_EQ(gt.edge_on_path_to(e, eu, ev, t), full.edge_on_path_to(e, eu, ev, t))
+              << c.name << " r=" << r << " e=" << e << " t=" << t;
+        }
+      }
+      // Kept arrays are exact-size; dropped ones hold nothing.
+      const std::size_t n = g.num_vertices();
+      EXPECT_EQ(gt.bytes(), 16 * n);
+      EXPECT_EQ(dt.bytes(), 4 * n);
+#ifndef NDEBUG
+      EXPECT_THROW(dt.tree.parent_edge(r), std::logic_error);
+      EXPECT_THROW(dt.anc.is_ancestor(r, r), std::logic_error);
+      EXPECT_THROW(gt.tree.parent(r), std::logic_error);
+      EXPECT_THROW(gt.tree.order(), std::logic_error);
+      EXPECT_THROW(gt.tree.path_to(r), std::logic_error);
+#endif
+    }
+    // An entry never gains parts: asking for more throws and changes nothing.
+    EXPECT_THROW(dist.ensure({0}, nullptr, TreeParts::kGuard), std::invalid_argument);
+    EXPECT_THROW(guard.ensure({0}, nullptr, TreeParts::kFull), std::invalid_argument);
+    EXPECT_EQ(dist.existing(0).parts, TreeParts::kDist);
+    TreePool partial(g);
+    partial.ensure({0}, nullptr, TreeParts::kDist);
+    EXPECT_THROW(partial.ensure({1, 0}, nullptr, TreeParts::kGuard), std::invalid_argument);
+    EXPECT_EQ(partial.size(), 1u);
+    EXPECT_THROW(partial.existing(1), std::invalid_argument);
+    guard.ensure(roots, &exec, TreeParts::kDist);  // fewer parts: a no-op
+    EXPECT_EQ(guard.size(), roots.size());
+    EXPECT_EQ(guard.bytes(), 16 * roots.size() * g.num_vertices());
+  }
 }
 
 // ---------------------------------------------------------------- near small

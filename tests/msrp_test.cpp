@@ -314,6 +314,31 @@ TEST(MsrpResult, StatsPopulated) {
   EXPECT_GT(st.bk_center_landmark_aux_arcs, 0u);
 }
 
+TEST(MsrpResult, TreePoolKeepsOnlyWhatTheMethodReads) {
+  // MMG keeps dist + the Algorithm 4 guard (16 B per vertex) for level-0
+  // landmarks and dist alone (4 B) for the rest; BK keeps full trees (24 B).
+  // Default sampling (no oversampling), so level 0 is a proper subset.
+  Rng rng(29);
+  const Graph g = gen::connected_gnp(250, 0.03, rng);
+  const std::size_t n = g.num_vertices();
+  const std::vector<Vertex> sources{0, 7, 42};
+  Config cfg;
+  cfg.seed = 31;
+
+  const MsrpStats mmg = solve_msrp(g, sources, cfg).stats();
+  const std::size_t level0 = mmg.landmarks_per_level.at(0);
+  ASSERT_LT(level0, mmg.num_landmarks);  // some trees are dist-only
+  EXPECT_EQ(mmg.num_trees, mmg.num_landmarks + sources.size());
+  EXPECT_GE(mmg.tree_pool_bytes, 4 * n * mmg.num_landmarks);
+  EXPECT_LE(mmg.tree_pool_bytes, 16 * n * level0 + 4 * n * (mmg.num_landmarks - level0));
+
+  cfg.landmark_rp = LandmarkRpMethod::kBkAuxGraphs;
+  const MsrpStats bk = solve_msrp(g, sources, cfg).stats();
+  const std::size_t bk_pool = bk.num_trees - sources.size();
+  EXPECT_GE(bk.tree_pool_bytes, 4 * n * bk_pool);
+  EXPECT_LE(bk.tree_pool_bytes, 24 * n * bk_pool);
+}
+
 // ------------------------------------------------------------- baselines
 
 TEST(Baselines, PerPairMatchesBruteForce) {
