@@ -110,15 +110,18 @@ void Client::dial() {
   wire_deadlines_.clear();
 
   // The handshake: the first frame on the wire must be a HELLO we can
-  // speak. The version is checked from the leading u32 BEFORE the payload
-  // is decoded — a future version is allowed to change the HELLO layout,
-  // so a mismatch must surface as the version diagnostic, not as a decode
-  // error. Versions back to kMinProtocolVersion are accepted: a v2 frame
-  // with zero flags IS a v1 frame, so against an old server this client
-  // works until a registry call is made. Every failure path closes the
-  // socket (the constructor may be about to propagate, with no destructor
-  // coming).
-  Frame frame = read_frame();
+  // speak. A server before protocol v5 checksums frames byte-wise, so its
+  // HELLO already fails verification here. The version is checked from the
+  // leading u32 BEFORE the payload is decoded — a future version is allowed
+  // to change the HELLO layout, so a mismatch must surface as the version
+  // diagnostic, not as a decode error. Every failure path closes the socket
+  // (the constructor may be about to propagate, with no destructor coming).
+  Frame frame;
+  try {
+    frame = read_frame();
+  } catch (const ProtocolError& ex) {
+    throw std::runtime_error(std::string("net client: bad HELLO frame: ") + ex.what());
+  }
   if (frame.type != FrameType::kHello) {
     close_socket();
     throw std::runtime_error("net client: server did not start with HELLO");
@@ -127,15 +130,11 @@ void Client::dial() {
     close_socket();
     throw std::runtime_error("net client: HELLO frame too short");
   }
-  const std::uint32_t version = std::uint32_t{frame.payload[0]} |
-                                (std::uint32_t{frame.payload[1]} << 8) |
-                                (std::uint32_t{frame.payload[2]} << 16) |
-                                (std::uint32_t{frame.payload[3]} << 24);
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+  const std::uint32_t version = detail::get_u32(frame.payload.data());
+  if (version != kProtocolVersion) {
     close_socket();
     throw std::runtime_error("net client: server speaks protocol version " +
                              std::to_string(version) + ", this client speaks " +
-                             std::to_string(kMinProtocolVersion) + ".." +
                              std::to_string(kProtocolVersion));
   }
   try {
@@ -232,13 +231,6 @@ std::uint64_t Client::track_and_write(std::uint64_t id, std::vector<std::uint8_t
   inflight_.emplace(id, Inflight{expect, count});
   if (deadline_ms) wire_deadlines_[id] = deadline_after_ms(*deadline_ms) + kDeadlineGrace;
   return id;
-}
-
-void Client::require_version(std::uint32_t version, const char* opcode) const {
-  if (hello_.version >= version) return;
-  throw std::runtime_error("net client: " + std::string(opcode) + " needs protocol version " +
-                           std::to_string(version) + ", but the server speaks version " +
-                           std::to_string(hello_.version));
 }
 
 void Client::settle_inflight(std::uint64_t request_id, FrameType got, std::size_t answered) {
@@ -518,7 +510,6 @@ RegisterAckFrame Client::unregister(std::uint64_t digest) {
 }
 
 StatsSnapshotFrame Client::stats() {
-  require_version(4, "STATS_REQUEST");
   const std::uint64_t id = next_id_++;
   std::vector<std::uint8_t> bytes;
   append_stats_request(bytes, id);

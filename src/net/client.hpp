@@ -19,10 +19,6 @@
 ///     only. This is the shape the msrp_client load generator drives;
 ///   * call_retry<W>() — call() inside a retry loop (RetryPolicy).
 ///
-/// Each send throws std::runtime_error up front when the server announced
-/// a protocol version below the workload's kMinVersion (3 for the typed
-/// workloads — an older server would fail the connection on the opcode).
-///
 /// Protocol v2 adds registry control: register_graph() /
 /// register_snapshot_path() upload or name a graph and block until the
 /// server's oracle is built (minutes for big graphs — size the socket's
@@ -31,8 +27,7 @@
 /// by passing its digest to send()/call(); without one the connection's
 /// HELLO default answers, exactly as in v1. Control calls interleave
 /// freely with pipelined batches — answers arriving during a control wait
-/// are buffered for their own wait() to find. A v1 server (HELLO version
-/// 1) works unchanged as long as no v2 feature is used.
+/// are buffered for their own wait() to find.
 ///
 /// A server-reported batch failure (ERROR frame with our id) surfaces as a
 /// thrown std::runtime_error from the wait that collects it; an
@@ -51,8 +46,11 @@
 /// process registry, histograms as sparse (bucket index, count) pairs over
 /// the fixed obs/metrics.hpp geometry, so percentiles are derivable
 /// client-side without shipping 136 buckets per series. Like the other
-/// control calls it interleaves freely with pipelined batches and throws
-/// against a server that announced a version below 4.
+/// control calls it interleaves freely with pipelined batches.
+///
+/// The handshake accepts exactly kProtocolVersion: protocol v5 changed the
+/// frame checksum, so a v1–v4 server's HELLO fails verification and the
+/// constructor throws, naming the checksum.
 ///
 /// Instances are not thread-safe; give each thread its own Client (the
 /// load generator opens one per connection by design).
@@ -144,8 +142,8 @@ struct RetryPolicy {
 class Client {
  public:
   /// Dials and handshakes; throws std::runtime_error when the server is
-  /// unreachable (after retries) or speaks a protocol version outside
-  /// [kMinProtocolVersion, kProtocolVersion].
+  /// unreachable (after retries), its HELLO fails the frame checksum, or
+  /// it announces a protocol version other than kProtocolVersion.
   explicit Client(ClientOptions opts);
   ~Client();
 
@@ -154,9 +152,6 @@ class Client {
 
   /// Server identity from the handshake (oracle digest, n, m, sources).
   const HelloInfo& hello() const { return hello_; }
-
-  /// The protocol version the server announced (may be lower than ours).
-  std::uint32_t server_version() const { return hello_.version; }
 
   /// True when the server advertises registry support (HELLO flag).
   bool registry_enabled() const { return (hello_.flags & kHelloRegistryEnabled) != 0; }
@@ -254,8 +249,7 @@ class Client {
   /// Dumps the server's metrics registry: a STATS_REQUEST / STATS_SNAPSHOT
   /// round trip. Counters and gauges carry their registry names verbatim
   /// ("server.batches_received"); histogram buckets are sparse over the
-  /// shared obs geometry. Throws std::runtime_error against a server that
-  /// announced a version below 4.
+  /// shared obs geometry.
   StatsSnapshotFrame stats();
 
  private:
@@ -284,9 +278,6 @@ class Client {
   std::uint64_t track_and_write(std::uint64_t id, std::vector<std::uint8_t> bytes,
                                 FrameType expect, std::size_t count,
                                 std::optional<std::uint32_t> deadline_ms);
-  /// Throws std::runtime_error unless the server announced protocol >=
-  /// `version`; `opcode` names the frame in the message.
-  void require_version(std::uint32_t version, const char* opcode) const;
   /// On a reply frame: looks up `request_id` expecting `got`-typed replies
   /// owing `answered` entries; erases the in-flight record on match, fails
   /// the connection on any mismatch.
@@ -337,7 +328,6 @@ std::uint64_t Client::send(std::span<const typename W::Query> queries,
                            std::optional<std::uint64_t> digest,
                            std::optional<std::uint32_t> deadline_ms) {
   ensure_connected();
-  require_version(W::kMinVersion, W::kFrameName);
   const std::uint64_t id = next_id_++;
   std::vector<std::uint8_t> bytes;
   append_batch<W>(bytes, id, queries, digest, deadline_ms);

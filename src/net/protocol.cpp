@@ -6,68 +6,28 @@ namespace msrp::net {
 
 using detail::get_u32;
 using detail::get_u64;
-using detail::put_u32;
-using detail::put_u64;
 using detail::Reader;
-
-namespace {
-
-void put_u32_at(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-void put_u64_at(std::uint8_t* p, std::uint64_t v) {
-  put_u32_at(p, static_cast<std::uint32_t>(v));
-  put_u32_at(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-/// Encodes payload via `fill` between begin_frame and end_frame.
-template <typename Fill>
-void append_frame(std::vector<std::uint8_t>& out, FrameType type, Fill&& fill) {
-  const std::size_t header_at = detail::begin_frame(out);
-  fill(out);
-  detail::end_frame(out, header_at, type);
-}
-
-}  // namespace
 
 namespace detail {
 
-// The payload is built directly in `out` after a 24-byte gap, and the
-// header (whose checksum needs the final payload) is then written straight
-// into the gap — no temporary buffer on the per-frame path.
-std::size_t begin_frame(std::vector<std::uint8_t>& out) {
+// The payload is written straight into `out` after a 24-byte gap, and the
+// header (whose checksum needs the final payload) then fills the gap — no
+// temporary buffer and one allocation per frame.
+std::size_t begin_frame(std::vector<std::uint8_t>& out, std::size_t payload_bytes) {
   const std::size_t header_at = out.size();
-  out.resize(out.size() + kFrameHeaderBytes);
+  out.resize(out.size() + kFrameHeaderBytes + payload_bytes);
   return header_at;
 }
 
 void end_frame(std::vector<std::uint8_t>& out, std::size_t header_at, FrameType type) {
-  std::uint8_t* h = out.data() + header_at;
-  const std::uint8_t* payload = h + kFrameHeaderBytes;
+  Writer h{out.data() + header_at};
+  const std::uint8_t* payload = h.p + kFrameHeaderBytes;
   const std::size_t payload_len = out.size() - header_at - kFrameHeaderBytes;
-  put_u32_at(h, kFrameMagic);
-  put_u32_at(h + 4, static_cast<std::uint32_t>(payload_len));
-  put_u32_at(h + 8, static_cast<std::uint32_t>(type));
-  put_u32_at(h + 12, 0);  // reserved
-  put_u64_at(h + 16, fnv::mix_bytes(fnv::kOffset, payload, payload_len));
-}
-
-void put_batch_envelope(std::vector<std::uint8_t>& buf, std::uint64_t request_id,
-                        std::size_t count, const std::optional<std::uint64_t>& digest,
-                        const std::optional<std::uint32_t>& deadline_ms) {
-  put_u64(buf, request_id);
-  put_u32(buf, static_cast<std::uint32_t>(count));
-  // v1 wrote this word as reserved-zero; v2 uses it as a flag field, so a
-  // batch with neither digest nor deadline is byte-identical to v1.
-  const std::uint32_t flags = (digest ? kQueryBatchHasDigest : 0) |
-                              (deadline_ms ? kQueryBatchHasDeadline : 0);
-  put_u32(buf, flags);
-  if (digest) put_u64(buf, *digest);
-  if (deadline_ms) put_u32(buf, *deadline_ms);
+  h.u32(kFrameMagic);
+  h.u32(static_cast<std::uint32_t>(payload_len));
+  h.u32(static_cast<std::uint32_t>(type));
+  h.u32(0);  // reserved
+  h.u64(fnv::mix_words(fnv::kOffset, payload, payload_len));
 }
 
 BatchEnvelope read_batch_envelope(Reader& r, const char* frame_name) {
@@ -85,111 +45,112 @@ BatchEnvelope read_batch_envelope(Reader& r, const char* frame_name) {
 
 }  // namespace detail
 
+using detail::append_frame;
+
 void append_hello(std::vector<std::uint8_t>& out, const HelloInfo& hello) {
-  append_frame(out, FrameType::kHello, [&](std::vector<std::uint8_t>& buf) {
-    put_u32(buf, hello.version);
-    put_u32(buf, hello.flags);  // reserved (always 0) before v2
-    put_u64(buf, hello.oracle_digest);
-    put_u32(buf, hello.num_vertices);
-    put_u32(buf, hello.num_edges);
-    put_u32(buf, static_cast<std::uint32_t>(hello.sources.size()));
-    put_u32(buf, 0);  // reserved
-    for (const Vertex s : hello.sources) put_u32(buf, s);
+  append_frame(out, FrameType::kHello, [&](auto& w) {
+    w.u32(hello.version);
+    w.u32(hello.flags);  // reserved (always 0) before v2
+    w.u64(hello.oracle_digest);
+    w.u32(hello.num_vertices);
+    w.u32(hello.num_edges);
+    w.u32(static_cast<std::uint32_t>(hello.sources.size()));
+    w.u32(0);  // reserved
+    for (const Vertex s : hello.sources) w.u32(s);
   });
 }
 
 void append_error(std::vector<std::uint8_t>& out, std::uint64_t request_id,
                   std::string_view message) {
-  append_frame(out, FrameType::kError, [&](std::vector<std::uint8_t>& buf) {
-    put_u64(buf, request_id);
-    put_u32(buf, static_cast<std::uint32_t>(message.size()));
-    put_u32(buf, 0);  // reserved
-    buf.insert(buf.end(), message.begin(), message.end());
+  append_frame(out, FrameType::kError, [&](auto& w) {
+    w.u64(request_id);
+    w.u32(static_cast<std::uint32_t>(message.size()));
+    w.u32(0);  // reserved
+    w.raw(message);
   });
 }
 
 void append_busy(std::vector<std::uint8_t>& out, std::uint64_t request_id,
                  std::string_view message) {
-  append_frame(out, FrameType::kBusy, [&](std::vector<std::uint8_t>& buf) {
-    put_u64(buf, request_id);
-    put_u32(buf, static_cast<std::uint32_t>(message.size()));
-    put_u32(buf, 0);  // reserved
-    buf.insert(buf.end(), message.begin(), message.end());
+  append_frame(out, FrameType::kBusy, [&](auto& w) {
+    w.u64(request_id);
+    w.u32(static_cast<std::uint32_t>(message.size()));
+    w.u32(0);  // reserved
+    w.raw(message);
   });
 }
 
 void append_register_graph(std::vector<std::uint8_t>& out, const RegisterGraphFrame& reg) {
-  append_frame(out, FrameType::kRegisterGraph, [&](std::vector<std::uint8_t>& buf) {
-    put_u64(buf, reg.request_id);
-    put_u32(buf, static_cast<std::uint32_t>(reg.mode));
-    put_u32(buf, 0);  // reserved
+  append_frame(out, FrameType::kRegisterGraph, [&](auto& w) {
+    w.u64(reg.request_id);
+    w.u32(static_cast<std::uint32_t>(reg.mode));
+    w.u32(0);  // reserved
     if (reg.mode == RegisterMode::kEdgeList) {
-      put_u64(buf, reg.seed);
-      put_u32(buf, reg.num_vertices);
-      put_u32(buf, static_cast<std::uint32_t>(reg.edges.size()));
-      put_u32(buf, static_cast<std::uint32_t>(reg.sources.size()));
-      put_u32(buf, 0);  // reserved
-      for (const Vertex s : reg.sources) put_u32(buf, s);
+      w.u64(reg.seed);
+      w.u32(reg.num_vertices);
+      w.u32(static_cast<std::uint32_t>(reg.edges.size()));
+      w.u32(static_cast<std::uint32_t>(reg.sources.size()));
+      w.u32(0);  // reserved
+      for (const Vertex s : reg.sources) w.u32(s);
       for (const auto& [u, v] : reg.edges) {
-        put_u32(buf, u);
-        put_u32(buf, v);
+        w.u32(u);
+        w.u32(v);
       }
     } else {
-      put_u32(buf, static_cast<std::uint32_t>(reg.snapshot_path.size()));
-      put_u32(buf, 0);  // reserved
-      buf.insert(buf.end(), reg.snapshot_path.begin(), reg.snapshot_path.end());
+      w.u32(static_cast<std::uint32_t>(reg.snapshot_path.size()));
+      w.u32(0);  // reserved
+      w.raw(reg.snapshot_path);
     }
   });
 }
 
 void append_register_ack(std::vector<std::uint8_t>& out, const RegisterAckFrame& ack) {
-  append_frame(out, FrameType::kRegisterAck, [&](std::vector<std::uint8_t>& buf) {
-    put_u64(buf, ack.request_id);
-    put_u64(buf, ack.digest);
-    put_u32(buf, static_cast<std::uint32_t>(ack.state));
-    put_u32(buf, 0);  // reserved
-    put_u32(buf, ack.num_vertices);
-    put_u32(buf, ack.num_edges);
-    put_u32(buf, static_cast<std::uint32_t>(ack.sources.size()));
-    put_u32(buf, 0);  // reserved
-    for (const Vertex s : ack.sources) put_u32(buf, s);
+  append_frame(out, FrameType::kRegisterAck, [&](auto& w) {
+    w.u64(ack.request_id);
+    w.u64(ack.digest);
+    w.u32(static_cast<std::uint32_t>(ack.state));
+    w.u32(0);  // reserved
+    w.u32(ack.num_vertices);
+    w.u32(ack.num_edges);
+    w.u32(static_cast<std::uint32_t>(ack.sources.size()));
+    w.u32(0);  // reserved
+    for (const Vertex s : ack.sources) w.u32(s);
   });
 }
 
 void append_list_oracles(std::vector<std::uint8_t>& out, std::uint64_t request_id) {
-  append_frame(out, FrameType::kListOracles,
-               [&](std::vector<std::uint8_t>& buf) { put_u64(buf, request_id); });
+  append_frame(out, FrameType::kListOracles, [&](auto& w) { w.u64(request_id); });
 }
 
 void append_oracle_list(std::vector<std::uint8_t>& out, const OracleListFrame& list) {
-  append_frame(out, FrameType::kOracleList, [&](std::vector<std::uint8_t>& buf) {
-    put_u64(buf, list.request_id);
-    put_u32(buf, static_cast<std::uint32_t>(list.oracles.size()));
-    put_u32(buf, 0);  // reserved
+  append_frame(out, FrameType::kOracleList, [&](auto& w) {
+    w.u64(list.request_id);
+    w.u32(static_cast<std::uint32_t>(list.oracles.size()));
+    w.u32(0);  // reserved
     for (const OracleListEntry& e : list.oracles) {
-      put_u64(buf, e.digest);
-      put_u32(buf, static_cast<std::uint32_t>(e.state));
-      put_u32(buf, e.num_vertices);
-      put_u32(buf, e.num_edges);
-      put_u32(buf, static_cast<std::uint32_t>(e.sources.size()));
-      put_u32(buf, e.inflight_batches);
+      w.u64(e.digest);
+      w.u32(static_cast<std::uint32_t>(e.state));
+      w.u32(e.num_vertices);
+      w.u32(e.num_edges);
+      w.u32(static_cast<std::uint32_t>(e.sources.size()));
+      w.u32(e.inflight_batches);
       // Previously reserved-zero: length of the failure-reason string that
       // follows the source list. FAILED entries are the only producers, so
       // pre-deadline streams are byte-identical.
-      put_u32(buf, static_cast<std::uint32_t>(e.error.size()));
-      put_u64(buf, e.queries_answered);
-      put_u64(buf, e.footprint_bytes);
-      for (const Vertex s : e.sources) put_u32(buf, s);
-      buf.insert(buf.end(), e.error.begin(), e.error.end());
+      w.u32(static_cast<std::uint32_t>(e.error.size()));
+      w.u64(e.queries_answered);
+      w.u64(e.footprint_bytes);
+      for (const Vertex s : e.sources) w.u32(s);
+      w.raw(e.error);
     }
   });
 }
 
 void append_unregister(std::vector<std::uint8_t>& out, std::uint64_t request_id,
                        std::uint64_t digest) {
-  append_frame(out, FrameType::kUnregister, [&](std::vector<std::uint8_t>& buf) {
-    put_u64(buf, request_id);
-    put_u64(buf, digest);
+  append_frame(out, FrameType::kUnregister, [&](auto& w) {
+    w.u64(request_id);
+    w.u64(digest);
   });
 }
 
@@ -336,15 +297,15 @@ UnregisterFrame decode_unregister(std::span<const std::uint8_t> payload) {
 }
 
 void append_stats_request(std::vector<std::uint8_t>& out, std::uint64_t request_id) {
-  append_frame(out, FrameType::kStatsRequest,
-               [&](std::vector<std::uint8_t>& buf) { put_u64(buf, request_id); });
+  append_frame(out, FrameType::kStatsRequest, [&](auto& w) { w.u64(request_id); });
 }
 
 namespace {
 
-void put_name(std::vector<std::uint8_t>& buf, const std::string& name) {
-  put_u32(buf, static_cast<std::uint32_t>(name.size()));
-  buf.insert(buf.end(), name.begin(), name.end());
+template <class Out>
+void put_name(Out& w, const std::string& name) {
+  w.u32(static_cast<std::uint32_t>(name.size()));
+  w.raw(name);
 }
 
 std::string read_name(Reader& r) {
@@ -356,30 +317,30 @@ std::string read_name(Reader& r) {
 }  // namespace
 
 void append_stats_snapshot(std::vector<std::uint8_t>& out, const StatsSnapshotFrame& stats) {
-  append_frame(out, FrameType::kStatsSnapshot, [&](std::vector<std::uint8_t>& buf) {
-    put_u64(buf, stats.request_id);
-    put_u32(buf, static_cast<std::uint32_t>(stats.counters.size()));
-    put_u32(buf, static_cast<std::uint32_t>(stats.gauges.size()));
-    put_u32(buf, static_cast<std::uint32_t>(stats.histograms.size()));
-    put_u32(buf, 0);  // reserved
+  append_frame(out, FrameType::kStatsSnapshot, [&](auto& w) {
+    w.u64(stats.request_id);
+    w.u32(static_cast<std::uint32_t>(stats.counters.size()));
+    w.u32(static_cast<std::uint32_t>(stats.gauges.size()));
+    w.u32(static_cast<std::uint32_t>(stats.histograms.size()));
+    w.u32(0);  // reserved
     for (const StatsCounter& c : stats.counters) {
-      put_name(buf, c.name);
-      put_u64(buf, c.value);
+      put_name(w, c.name);
+      w.u64(c.value);
     }
     for (const StatsGauge& g : stats.gauges) {
-      put_name(buf, g.name);
-      put_u64(buf, static_cast<std::uint64_t>(g.value));
+      put_name(w, g.name);
+      w.u64(static_cast<std::uint64_t>(g.value));
     }
     for (const StatsHistogram& h : stats.histograms) {
-      put_name(buf, h.name);
-      put_name(buf, h.label);
-      put_u64(buf, h.count);
-      put_u64(buf, h.sum_ns);
-      put_u32(buf, static_cast<std::uint32_t>(h.buckets.size()));
-      put_u32(buf, 0);  // reserved
+      put_name(w, h.name);
+      put_name(w, h.label);
+      w.u64(h.count);
+      w.u64(h.sum_ns);
+      w.u32(static_cast<std::uint32_t>(h.buckets.size()));
+      w.u32(0);  // reserved
       for (const auto& [idx, cnt] : h.buckets) {
-        put_u32(buf, idx);
-        put_u64(buf, cnt);
+        w.u32(idx);
+        w.u64(cnt);
       }
     }
   });
@@ -467,7 +428,7 @@ std::optional<Frame> FrameDecoder::next() {
   const std::uint32_t type = get_u32(h + 8);
   const std::uint64_t checksum = get_u64(h + 16);
   const std::uint8_t* payload = h + kFrameHeaderBytes;
-  if (fnv::mix_bytes(fnv::kOffset, payload, payload_len) != checksum) {
+  if (fnv::mix_words(fnv::kOffset, payload, payload_len) != checksum) {
     throw ProtocolError("frame checksum mismatch");
   }
   Frame frame;

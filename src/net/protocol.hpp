@@ -5,15 +5,15 @@
 /// payload length, type, checksum) followed by the payload. Frames are
 /// self-delimiting, so a TCP stream of them can be cut anywhere — the
 /// incremental FrameDecoder reassembles frames across arbitrary read
-/// boundaries — and every payload travels under an FNV-1a checksum, so a
-/// corrupted or desynchronized stream is detected at the first bad frame
-/// instead of being served as garbage answers.
+/// boundaries — and every payload travels under a word-wise FNV-1a checksum
+/// (fnv::mix_words), so a corrupted or desynchronized stream is detected at
+/// the first bad frame instead of being served as garbage answers.
 ///
 /// The conversation (byte-exact layouts in docs/NETWORK_PROTOCOL.md):
 ///
 ///   * on accept the server sends one HELLO frame: protocol version,
 ///     oracle identity (content digest, n, m) and the source vertex list.
-///     A client that sees an unknown version (or no HELLO as the first
+///     A client that sees any other version (or no HELLO as the first
 ///     frame) must disconnect — version negotiation is "take it or leave
 ///     it", which keeps old clients from silently mis-decoding new frames;
 ///   * the client then sends QUERY_BATCH frames, each carrying a caller-
@@ -39,8 +39,7 @@
 ///   * QUERY_BATCH grows an optional target digest (flag bit 0): a v2
 ///     client can aim any batch at any registered oracle. A v1-shaped
 ///     batch (flags == 0, no digest) still decodes and targets the HELLO
-///     default — the frame layouts of v1 are a strict subset of v2, which
-///     is why updated clients accept either announced version;
+///     default — the frame layouts of v1 are a strict subset of v2;
 ///   * BUSY (same payload shape as ERROR) rejects a batch that admission
 ///     control will not queue; the connection stays healthy and the
 ///     client may retry.
@@ -81,13 +80,23 @@
 /// Every v1–v3 frame layout is untouched; v3 clients' bytes decode
 /// identically against a v4 server.
 ///
+/// Protocol v5 (docs/NETWORK_PROTOCOL.md §v5) changes only the frame
+/// checksum: fnv::mix_words, one FNV-1a step per little-endian 64-bit word
+/// plus a fold, in place of the byte-serial FNV-1a that took half the time
+/// of encoding a 512-query batch. Every payload layout is untouched, but a
+/// v1–v4 peer's checksums no longer verify, so it fails at its first frame
+/// (the HELLO, or its first request) — there is one checksum rule and no
+/// negotiation.
+///
 /// All integers are little-endian. A frame's payload is capped
 /// (max_frame_bytes, default 64 MiB); an oversized length in the header is
 /// a protocol error — the decoder refuses it *before* buffering, so a
 /// malicious or corrupt length cannot balloon memory.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -104,11 +113,9 @@ namespace msrp::net {
 
 /// First bytes of every frame, little-endian "MRPC".
 inline constexpr std::uint32_t kFrameMagic = 0x4350524du;
-/// Wire protocol version announced in the server HELLO.
-inline constexpr std::uint32_t kProtocolVersion = 4;
-/// Lowest announced version an updated client still speaks (the v1–v3
-/// frame layouts are strict subsets of v4).
-inline constexpr std::uint32_t kMinProtocolVersion = 1;
+/// Wire protocol version announced in the server HELLO. A client accepts
+/// exactly this version: v5's checksum rule breaks every older peer.
+inline constexpr std::uint32_t kProtocolVersion = 5;
 /// Fixed byte size of the frame header.
 inline constexpr std::size_t kFrameHeaderBytes = 24;
 /// Default payload cap; both sides reject frames claiming more.
@@ -159,8 +166,8 @@ struct HelloInfo {
 template <class W>
 struct BatchFrame {
   std::uint64_t request_id = 0;
-  /// v2 target oracle; nullopt = the connection's HELLO default (the only
-  /// shape a v1 client can produce).
+  /// v2 target oracle; nullopt = the connection's HELLO default (the v1
+  /// layout).
   std::optional<std::uint64_t> digest;
   /// Relative deadline budget in ms; nullopt = no deadline. The receiver
   /// pins it to an absolute instant at decode time.
@@ -309,18 +316,6 @@ namespace detail {
 
 // Little-endian scalar I/O, independent of host byte order.
 
-inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
 inline std::uint32_t get_u32(const std::uint8_t* p) {
   return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) | (std::uint32_t{p[2]} << 16) |
          (std::uint32_t{p[3]} << 24);
@@ -330,10 +325,34 @@ inline std::uint64_t get_u64(const std::uint8_t* p) {
   return std::uint64_t{get_u32(p)} | (std::uint64_t{get_u32(p + 4)} << 32);
 }
 
-/// The record writer a trait's put_query/put_result sees.
+/// Sizes a payload: the first of an encoder's two passes runs its field
+/// writes against this, so the frame is allocated once at its final size.
+struct SizeCounter {
+  std::size_t bytes = 0;
+  void u32(std::uint32_t) { bytes += 4; }
+  void u64(std::uint64_t) { bytes += 8; }
+  void raw(std::string_view s) { bytes += s.size(); }
+};
+
+/// The payload writer every encoder (and a trait's put_query/put_result)
+/// sees: stores through a cursor into space SizeCounter already sized.
 struct Writer {
-  std::vector<std::uint8_t>& buf;
-  void u32(std::uint32_t v) { put_u32(buf, v); }
+  std::uint8_t* p;
+  /// One 4-byte store: byte-wise stores interleaved with a record's field
+  /// loads do not merge, since the bytes may alias the record.
+  void u32(std::uint32_t v) {
+    if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap32(v);
+    std::memcpy(p, &v, 4);
+    p += 4;
+  }
+  void u64(std::uint64_t v) {
+    u32(static_cast<std::uint32_t>(v));
+    u32(static_cast<std::uint32_t>(v >> 32));
+  }
+  void raw(std::string_view s) {
+    if (!s.empty()) std::memcpy(p, s.data(), s.size());
+    p += s.size();
+  }
 };
 
 /// A payload reader that throws ProtocolError instead of reading past the
@@ -356,7 +375,7 @@ class Reader {
   /// Guards a count field before it sizes any allocation: the payload must
   /// actually hold `count` records of `record_bytes` each. Without this, a
   /// 40-byte frame claiming 2^32 queries would drive a multi-gigabyte
-  /// reserve() whose bad_alloc is not a ProtocolError.
+  /// resize() whose bad_alloc is not a ProtocolError.
   void expect_records(std::uint64_t count, std::size_t record_bytes) const {
     if ((p_.size() - pos_) / record_bytes < count) {
       throw ProtocolError("frame payload truncated (count exceeds payload)");
@@ -375,16 +394,38 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// Reserves the 24-byte header gap; returns where it starts.
-std::size_t begin_frame(std::vector<std::uint8_t>& out);
+/// Appends a header gap plus `payload_bytes` of payload space; returns
+/// where the header starts.
+std::size_t begin_frame(std::vector<std::uint8_t>& out, std::size_t payload_bytes);
 /// Writes the header into the gap once the payload after it is final.
 void end_frame(std::vector<std::uint8_t>& out, std::size_t header_at, FrameType type);
 
+/// Appends one frame whose payload `put(w)` writes through `w`: a first
+/// pass against a SizeCounter sizes it, the second fills it in place.
+template <class Put>
+void append_frame(std::vector<std::uint8_t>& out, FrameType type, Put&& put) {
+  SizeCounter size;
+  put(size);
+  const std::size_t header_at = begin_frame(out, size.bytes);
+  Writer w{out.data() + header_at + kFrameHeaderBytes};
+  put(w);
+  end_frame(out, header_at, type);
+}
+
 /// Request id, record count, flag word, then the optional digest and
 /// deadline the flags announce.
-void put_batch_envelope(std::vector<std::uint8_t>& buf, std::uint64_t request_id,
-                        std::size_t count, const std::optional<std::uint64_t>& digest,
-                        const std::optional<std::uint32_t>& deadline_ms);
+template <class Out>
+void put_batch_envelope(Out& w, std::uint64_t request_id, std::size_t count,
+                        const std::optional<std::uint64_t>& digest,
+                        const std::optional<std::uint32_t>& deadline_ms) {
+  w.u64(request_id);
+  w.u32(static_cast<std::uint32_t>(count));
+  // v1 wrote this word as reserved-zero; v2 uses it as a flag field, so a
+  // batch with neither digest nor deadline keeps the v1 layout.
+  w.u32((digest ? kQueryBatchHasDigest : 0) | (deadline_ms ? kQueryBatchHasDeadline : 0));
+  if (digest) w.u64(*digest);
+  if (deadline_ms) w.u32(*deadline_ms);
+}
 
 struct BatchEnvelope {
   std::uint64_t request_id = 0;
@@ -399,7 +440,7 @@ BatchEnvelope read_batch_envelope(Reader& r, const char* frame_name);
 }  // namespace detail
 
 /// Appends one batch request of workload W. `digest` targets a specific
-/// registered oracle; nullopt emits the v1-compatible shape (flags == 0,
+/// registered oracle; nullopt emits the v1-layout shape (flags == 0,
 /// no digest field). `deadline_ms` adds a relative deadline (flag bit 1);
 /// nullopt keeps the legacy layout.
 template <class W = service::Point>
@@ -407,11 +448,10 @@ void append_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
                   std::span<const typename W::Query> queries,
                   std::optional<std::uint64_t> digest = std::nullopt,
                   std::optional<std::uint32_t> deadline_ms = std::nullopt) {
-  const std::size_t header_at = detail::begin_frame(out);
-  detail::put_batch_envelope(out, request_id, queries.size(), digest, deadline_ms);
-  detail::Writer w{out};
-  for (const typename W::Query& q : queries) W::put_query(w, q);
-  detail::end_frame(out, header_at, W::kBatchFrame);
+  detail::append_frame(out, W::kBatchFrame, [&](auto& w) {
+    detail::put_batch_envelope(w, request_id, queries.size(), digest, deadline_ms);
+    for (const typename W::Query& q : queries) W::put_query(w, q);
+  });
 }
 
 /// Appends the reply to one batch of workload W: request id, count, a
@@ -419,13 +459,12 @@ void append_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
 template <class W = service::Point>
 void append_answer(std::vector<std::uint8_t>& out, std::uint64_t request_id,
                    std::span<const typename W::Result> answers) {
-  const std::size_t header_at = detail::begin_frame(out);
-  detail::put_u64(out, request_id);
-  detail::put_u32(out, static_cast<std::uint32_t>(answers.size()));
-  detail::put_u32(out, 0);  // reserved
-  detail::Writer w{out};
-  for (const typename W::Result& r : answers) W::put_result(w, r);
-  detail::end_frame(out, header_at, W::kAnswerFrame);
+  detail::append_frame(out, W::kAnswerFrame, [&](auto& w) {
+    w.u64(request_id);
+    w.u32(static_cast<std::uint32_t>(answers.size()));
+    w.u32(0);  // reserved
+    for (const typename W::Result& r : answers) W::put_result(w, r);
+  });
 }
 
 /// Decodes a batch request of workload W. Beyond size consistency this
@@ -438,8 +477,8 @@ BatchFrame<W> decode_batch(std::span<const std::uint8_t> payload) {
   const detail::BatchEnvelope env = detail::read_batch_envelope(r, W::kFrameName);
   BatchFrame<W> frame{env.request_id, env.digest, env.deadline_ms, {}};
   r.expect_records(env.count, W::kQueryBytes);
-  frame.queries.reserve(env.count);
-  for (std::uint32_t i = 0; i < env.count; ++i) frame.queries.push_back(W::get_query(r));
+  frame.queries.resize(env.count);
+  for (typename W::Query& q : frame.queries) q = W::get_query(r);
   r.expect_end();
   return frame;
 }
@@ -452,8 +491,8 @@ AnswerFrame<W> decode_answer(std::span<const std::uint8_t> payload) {
   const std::uint32_t count = r.u32();
   r.u32();  // reserved
   r.expect_records(count, W::kResultBytes);
-  frame.answers.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) frame.answers.push_back(W::get_result(r));
+  frame.answers.resize(count);
+  for (typename W::Result& a : frame.answers) a = W::get_result(r);
   r.expect_end();
   return frame;
 }

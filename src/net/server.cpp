@@ -425,9 +425,12 @@ void Server::pump(const std::shared_ptr<Conn>& conn) {
   // even when no new bytes ever arrive.
   try {
     while (!conn->closed && !conn->closing && has_capacity(*conn)) {
+      // The decode stage's zero point, taken before reassembly and the
+      // checksum so that they count toward it.
+      const std::uint64_t recv_ns = obs::now_ns();
       auto frame = conn->decoder.next();
       if (!frame) break;
-      handle_frame(conn, std::move(*frame));
+      handle_frame(conn, std::move(*frame), recv_ns);
     }
   } catch (const ProtocolError& ex) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -437,13 +440,11 @@ void Server::pump(const std::shared_ptr<Conn>& conn) {
   update_read_interest(conn);
 }
 
-void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame frame) {
+void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame frame,
+                          std::uint64_t recv_ns) {
   // Decode errors and a reserved request id are connection-fatal; anything
   // per-request is answered on the request's own id and the connection
   // keeps serving.
-  // One stamp per frame, taken before any payload decode: the zero point
-  // of the decode stage for every batch opcode.
-  const std::uint64_t recv_ns = obs::now_ns();
   try {
     bool batch = false;
     service::for_each_workload([&](auto tag) {

@@ -138,9 +138,9 @@ class Server {
 
   /// Multi-tenant flavour: batches may target any oracle `registry` has
   /// ready (protocol v2), and REGISTER_GRAPH / LIST_ORACLES / UNREGISTER
-  /// are served. `oracle` is the HELLO default for v1 clients and may be
-  /// null (clients must then name a digest per batch). The registry must
-  /// outlive the server — declare it first.
+  /// are served. `oracle` is the HELLO default for untargeted batches and
+  /// may be null (clients must then name a digest per batch). The registry
+  /// must outlive the server — declare it first.
   Server(service::QueryService& svc, std::shared_ptr<const service::Snapshot> oracle,
          registry::OracleRegistry* registry, ServerOptions opts = {});
 
@@ -184,10 +184,11 @@ class Server {
   /// Processes frames already buffered in the decoder as far as
   /// has_capacity allows, then re-syncs the epoll read interest.
   void pump(const std::shared_ptr<Conn>& conn);
-  void handle_frame(const std::shared_ptr<Conn>& conn, Frame frame);
-  /// Decodes and admits one batch of workload W. `recv_ns` is the
-  /// obs::now_ns() stamp taken when the frame surfaced on the loop thread —
-  /// the zero point of the batch's decode stage.
+  /// Dispatches one frame. `recv_ns` is the obs::now_ns() stamp pump took
+  /// before reassembling and verifying it: the zero point of a batch's
+  /// decode stage.
+  void handle_frame(const std::shared_ptr<Conn>& conn, Frame frame, std::uint64_t recv_ns);
+  /// Decodes and admits one batch of workload W, stamped `recv_ns`.
   template <class W>
   void handle_batch(const std::shared_ptr<Conn>& conn, BatchFrame<W> batch,
                     std::uint64_t recv_ns);

@@ -146,7 +146,6 @@ struct KFailPlan {
 /// Field-by-field layout of the trait members; see the \file comment.
 ///   Query, Result            in-process records
 ///   kBatchFrame, kAnswerFrame  request and reply frame types
-///   kMinVersion              lowest HELLO version whose server decodes it
 ///   kFrameName               request frame name, for diagnostics
 ///   kName                    msrp_serve/msrp_client --workload value
 ///   kStatsCounter            per-opcode batch counter (nullptr = none)
@@ -161,7 +160,6 @@ struct Point {
   using Result = Dist;
   static constexpr net::FrameType kBatchFrame = net::FrameType::kQueryBatch;
   static constexpr net::FrameType kAnswerFrame = net::FrameType::kAnswerBatch;
-  static constexpr std::uint32_t kMinVersion = 1;
   static constexpr const char* kFrameName = "QUERY_BATCH";
   static constexpr const char* kName = "";  ///< the default: no --workload
   static constexpr const char* kStatsCounter = nullptr;
@@ -202,7 +200,6 @@ struct Vitality {
   using Result = VitalityResult;
   static constexpr net::FrameType kBatchFrame = net::FrameType::kVitalityBatch;
   static constexpr net::FrameType kAnswerFrame = net::FrameType::kVitalityAnswer;
-  static constexpr std::uint32_t kMinVersion = 3;
   static constexpr const char* kFrameName = "VITALITY_BATCH";
   static constexpr const char* kName = "vitality";
   static constexpr const char* kStatsCounter = "server.vitality_batches";
@@ -274,7 +271,6 @@ struct Vickrey {
   using Result = VickreyResult;
   static constexpr net::FrameType kBatchFrame = net::FrameType::kVickreyBatch;
   static constexpr net::FrameType kAnswerFrame = net::FrameType::kVickreyAnswer;
-  static constexpr std::uint32_t kMinVersion = 3;
   static constexpr const char* kFrameName = "VICKREY_BATCH";
   static constexpr const char* kName = "vickrey";
   static constexpr const char* kStatsCounter = "server.vickrey_batches";
@@ -336,7 +332,6 @@ struct KFail {
   using Result = Dist;
   static constexpr net::FrameType kBatchFrame = net::FrameType::kKFailBatch;
   static constexpr net::FrameType kAnswerFrame = net::FrameType::kKFailAnswer;
-  static constexpr std::uint32_t kMinVersion = 3;
   static constexpr const char* kFrameName = "KFAIL_BATCH";
   static constexpr const char* kName = "kfail";
   static constexpr const char* kStatsCounter = "server.kfail_batches";

@@ -14,8 +14,10 @@
 // workload opcodes (TOP_K_VITAL, VICKREY_PRICES, K_FAIL) round-trip,
 // reject lying counts / out-of-range k / oversized or duplicated failure
 // sets, serve byte-identically across every serving mode and pipeline
-// mixed with point batches, and the legacy v2 frame shapes stay
-// byte-identical under the v3 server (plus an unknown-opcode probe).
+// mixed with point batches, and an untargeted point batch keeps the v1
+// payload layout (plus an unknown-opcode probe). Protocol v5 coverage: the
+// word-wise frame checksum's known answers and flip detection, and a
+// v1–v4 peer's byte-wise checksum failing the connection on either side.
 // Runs under TSan in CI (loop threads vs pool callbacks vs client
 // threads).
 #include <gtest/gtest.h>
@@ -632,17 +634,113 @@ TEST(FrameDecoderAdversarial, LyingWorkloadPayloadCountsThrow) {
   EXPECT_THROW(net::decode_answer<KFail>(huge), ProtocolError);
 }
 
+// ------------------------------------------------------ frame checksum ---
+
+/// A fixed byte pattern, (i * 131 + 7) mod 256, with no zero words.
+std::vector<std::uint8_t> checksum_pattern(std::size_t size) {
+  std::vector<std::uint8_t> bytes(size);
+  for (std::size_t i = 0; i < size; ++i) bytes[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  return bytes;
+}
+
+/// The word loop without the h ^= h >> 32 fold, kept only to show that the
+/// flip sweep below can see the weakness the fold removes.
+std::uint64_t plain_word_fnv(const std::uint8_t* data, std::size_t size) {
+  std::uint64_t h = fnv::kOffset;
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) h = (h ^ net::detail::get_u64(data + i)) * fnv::kPrime;
+  return fnv::mix_bytes(h, data + i, size - i);
+}
+
+/// How many of the 1- and 2-bit flips of `payload` leave `hash` unchanged.
+template <class Hash>
+std::size_t missed_flips(std::vector<std::uint8_t> payload, Hash&& hash) {
+  const std::uint64_t want = hash(payload.data(), payload.size());
+  const std::size_t bits = payload.size() * 8;
+  const auto flip = [&](std::size_t bit) {
+    payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  };
+  std::size_t missed = 0;
+  for (std::size_t a = 0; a < bits; ++a) {
+    flip(a);
+    missed += hash(payload.data(), payload.size()) == want;
+    for (std::size_t b = a + 1; b < bits; ++b) {
+      flip(b);
+      missed += hash(payload.data(), payload.size()) == want;
+      flip(b);
+    }
+    flip(a);
+  }
+  return missed;
+}
+
+TEST(FrameChecksum, KnownAnswers) {
+  // Recorded from fnv::mix_words and from an independent big-integer
+  // implementation of the same rule; a change to the word order, the fold
+  // or the tail handling moves them.
+  const std::vector<std::uint8_t> bytes = checksum_pattern(6160);
+  const std::pair<std::size_t, std::uint64_t> pins[] = {
+      {0, 0xcbf29ce484222325ULL},  {1, 0xaf63ba4c8601b2c6ULL},  {7, 0xde50935f6b78323bULL},
+      {8, 0x940cc3d7d8f0a711ULL},  {9, 0x8257d5c5a0ebdccaULL},  {15, 0xc537d085a99e840fULL},
+      {16, 0x9d66f1f324916739ULL}, {6160, 0x10b0faae8201e162ULL},
+  };
+  for (const auto& [size, want] : pins) {
+    EXPECT_EQ(fnv::mix_words(fnv::kOffset, bytes.data(), size), want) << size << " bytes";
+  }
+}
+
+TEST(FrameChecksum, DetectsEveryOneAndTwoBitFlipOfA64BytePayload) {
+  const std::vector<std::uint8_t> payload = checksum_pattern(64);
+  EXPECT_EQ(missed_flips(payload,
+                         [](const std::uint8_t* p, std::size_t n) {
+                           return fnv::mix_words(fnv::kOffset, p, n);
+                         }),
+            0u);
+  // Without the fold, paired top-bit flips cancel: the sweep sees it.
+  EXPECT_GT(missed_flips(payload, plain_word_fnv), 0u);
+}
+
+TEST(FrameChecksum, DecoderRejectsEveryOneBitFlipOfAPointBatch) {
+  Rng rng(27);
+  std::vector<Query> queries(512);
+  for (Query& q : queries) {
+    q = {static_cast<Vertex>(rng.next_below(4096)), static_cast<Vertex>(rng.next_below(4096)),
+         static_cast<EdgeId>(rng.next_below(16384))};
+  }
+  std::vector<std::uint8_t> bytes;
+  net::append_batch(bytes, 42, queries);
+  ASSERT_EQ(bytes.size(), net::kFrameHeaderBytes + 6160);
+  for (std::size_t bit = net::kFrameHeaderBytes * 8; bit < bytes.size() * 8; ++bit) {
+    bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    FrameDecoder dec;
+    dec.feed(bytes);
+    try {
+      dec.next();
+      ADD_FAILURE() << "flipped payload bit " << bit << " decoded";
+    } catch (const ProtocolError& ex) {
+      EXPECT_STREQ(ex.what(), "frame checksum mismatch") << "payload bit " << bit;
+    }
+    bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  }
+}
+
 // ---------------------------------------------------- pinned wire bytes ---
 
-/// FNV-1a of a whole frame (header + payload) and its length.
+/// A frame's length, the byte-wise FNV-1a of its payload alone, and the
+/// byte-wise FNV-1a of the whole frame (header + payload).
 struct PinnedFrame {
   const char* name;
   std::size_t size;
+  std::uint64_t payload_fnv;
   std::uint64_t fnv;
 };
 
 void expect_pinned(const std::vector<std::uint8_t>& bytes, const PinnedFrame& pin) {
   EXPECT_EQ(bytes.size(), pin.size) << pin.name;
+  EXPECT_EQ(fnv::mix_bytes(fnv::kOffset, bytes.data() + net::kFrameHeaderBytes,
+                           bytes.size() - net::kFrameHeaderBytes),
+            pin.payload_fnv)
+      << pin.name;
   EXPECT_EQ(fnv::mix_bytes(fnv::kOffset, bytes.data(), bytes.size()), pin.fnv) << pin.name;
 }
 
@@ -656,32 +754,34 @@ Frame only_frame(const std::vector<std::uint8_t>& bytes) {
 }
 
 TEST(Protocol, WireBytesMatchPinnedFrames) {
-  // The round-trip and v2-compat tests encode both sides with the same
+  // The round-trip and v1-layout tests encode both sides with the same
   // code, so a layout change made symmetrically in encoder and decoder
-  // passes them. These constants were recorded from the encoders before
-  // the batch codec was made generic; any byte that moves fails here.
+  // passes them. The sizes and payload hashes were recorded from the
+  // protocol v4 encoders, before the v5 frame checksum; any payload byte
+  // that moves fails here. The whole-frame hashes cover the header too,
+  // so they were re-recorded when v5 changed the checksum field.
   constexpr std::uint64_t kId = 0x0102030405060708ULL;
   constexpr std::uint64_t kDigest = 0x1122334455667788ULL;
   constexpr std::uint32_t kDeadline = 250;
   static constexpr PinnedFrame kBatchPins[4][3] = {
-      {{"QUERY_BATCH", 64, 0xcb746be600589264ULL},
-       {"QUERY_BATCH digest", 72, 0xf8b857732d9a7df2ULL},
-       {"QUERY_BATCH digest+deadline", 76, 0x8a0cea57cc58a584ULL}},
-      {{"VITALITY_BATCH", 64, 0xe8ed1398a2e4edb8ULL},
-       {"VITALITY_BATCH digest", 72, 0x1a00b86595c36b12ULL},
-       {"VITALITY_BATCH digest+deadline", 76, 0x4884e61ace538977ULL}},
-      {{"VICKREY_BATCH", 56, 0x306cbf08aae88001ULL},
-       {"VICKREY_BATCH digest", 64, 0xc71926c45ff37ec0ULL},
-       {"VICKREY_BATCH digest+deadline", 68, 0x56c7506514a5a565ULL}},
-      {{"KFAIL_BATCH", 88, 0x6faccfc3f74997a3ULL},
-       {"KFAIL_BATCH digest", 96, 0xaac1a48ca2db34d9ULL},
-       {"KFAIL_BATCH digest+deadline", 100, 0x13877e8b80db8cedULL}},
+      {{"QUERY_BATCH", 64, 0xca0d51be19efd2dfULL, 0x70acc141dec450d7ULL},
+       {"QUERY_BATCH digest", 72, 0x3a302e424565526eULL, 0xaaf7a7dd6e199252ULL},
+       {"QUERY_BATCH digest+deadline", 76, 0x0da730a8e65ff36eULL, 0x3536ca701acc3bc9ULL}},
+      {{"VITALITY_BATCH", 64, 0x27a399289f87aaf2ULL, 0xda53c6bbb260db0fULL},
+       {"VITALITY_BATCH digest", 72, 0xe122a3bbb6a7bba3ULL, 0x335590f0b472c40aULL},
+       {"VITALITY_BATCH digest+deadline", 76, 0xb499a62257a25ca3ULL, 0x86f2c83c5152d770ULL}},
+      {{"VICKREY_BATCH", 56, 0x6e2404004a49e1e0ULL, 0xe9f7afb050b5f1b9ULL},
+       {"VICKREY_BATCH digest", 64, 0x65e52306d343e0b1ULL, 0xa7dc59efa3adeac9ULL},
+       {"VICKREY_BATCH digest+deadline", 68, 0xdaa1ce558be461b1ULL, 0xd1007d9f18e210cdULL}},
+      {{"KFAIL_BATCH", 88, 0x035852e2e52050bbULL, 0x7fb57c82f7aeaef6ULL},
+       {"KFAIL_BATCH digest", 96, 0xd487fc021881ec92ULL, 0xc0019088daccd508ULL},
+       {"KFAIL_BATCH digest+deadline", 100, 0x1af7066933f7b0b2ULL, 0x6acb770ffc495b83ULL}},
   };
   static constexpr PinnedFrame kAnswerPins[4] = {
-      {"ANSWER_BATCH", 48, 0xf097443477b54c6eULL},
-      {"VITALITY_ANSWER", 80, 0x8867ec520c00e23cULL},
-      {"VICKREY_ANSWER", 72, 0xb4a2a256ce119efaULL},
-      {"KFAIL_ANSWER", 52, 0x05e5f2010ea3befcULL},
+      {"ANSWER_BATCH", 48, 0x4e7707b001baa26fULL, 0xcb07a57ff496d5a5ULL},
+      {"VITALITY_ANSWER", 80, 0xfebcafb3a744692bULL, 0x46edb59224411222ULL},
+      {"VICKREY_ANSWER", 72, 0x292d287605ef3e77ULL, 0x5379d775009264efULL},
+      {"KFAIL_ANSWER", 52, 0xf6296530d4dc4217ULL, 0x05d5df0c46608045ULL},
   };
 
   const std::vector<Query> pq{{0, 5, 3}, {17, 99, kNoEdge}};
@@ -1792,13 +1892,11 @@ TEST(NetServer, UnknownOpcodeProbeGetsErrorFrameThenClose) {
   EXPECT_EQ(ts.server.stats().protocol_errors, 1u);
 }
 
-TEST(NetServer, LegacyV2FramesAreByteIdenticalUnderV3Server) {
-  // Interop pin: a protocol-v2 client knows nothing of the workload
-  // opcodes. Its bytes — a flags==0 QUERY_BATCH — must produce an
-  // ANSWER_BATCH that is byte-for-byte what a v2 server would have sent,
-  // and the current HELLO must still announce sources/digest in the v1 layout
-  // (v2 clients accept any announced version >= their own frames' needs,
-  // so the payload shapes are load-bearing, not just the field values).
+TEST(NetServer, UntargetedPointBatchKeepsTheV1Layout) {
+  // Layout pin: an untargeted batch (flags == 0, no digest, no deadline)
+  // is the v1 QUERY_BATCH payload, the server answers it with the v1
+  // ANSWER_BATCH payload, and the HELLO still announces sources and digest
+  // in the v1 layout. Only the frame checksum rule changed since v1.
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   const std::vector<Query> queries = fx.random_queries(120, 15);
@@ -1813,7 +1911,6 @@ TEST(NetServer, LegacyV2FramesAreByteIdenticalUnderV3Server) {
   EXPECT_EQ(frames[0].type, FrameType::kHello);
   const net::HelloInfo hello = net::decode_hello(frames[0].payload);
   EXPECT_EQ(hello.version, net::kProtocolVersion);
-  EXPECT_GE(hello.version, net::kMinProtocolVersion);
   EXPECT_EQ(hello.sources, fx.sources);
 
   // Byte-compare the reply against a locally encoded ANSWER_BATCH.
@@ -1823,6 +1920,84 @@ TEST(NetServer, LegacyV2FramesAreByteIdenticalUnderV3Server) {
   FrameDecoder dec;
   dec.feed(expect);
   EXPECT_EQ(frames[1].payload, dec.next()->payload);
+}
+
+/// Rewrites the checksum field of every frame in `bytes` with the byte-wise
+/// FNV-1a that protocol v1–v4 used.
+void rechecksum_bytewise(std::vector<std::uint8_t>& bytes) {
+  for (std::size_t at = 0; at < bytes.size();) {
+    const std::uint32_t len = net::detail::get_u32(bytes.data() + at + 4);
+    const std::uint8_t* payload = bytes.data() + at + net::kFrameHeaderBytes;
+    std::uint64_t ck = fnv::mix_bytes(fnv::kOffset, payload, len);
+    for (int i = 0; i < 8; ++i, ck >>= 8) bytes[at + 16 + i] = static_cast<std::uint8_t>(ck);
+    at += net::kFrameHeaderBytes + len;
+  }
+}
+
+TEST(NetServer, PreV5ChecksumIsConnectionFatal) {
+  // A v1–v4 client's frames carry the byte-wise checksum: the server must
+  // refuse the first one like any corrupt frame, never serve it.
+  NetFixture fx;
+  TestServer ts(fx.svc, fx.oracle);
+  RawConn raw(ts.server.port());
+  std::vector<std::uint8_t> bytes;
+  net::append_batch(bytes, 7, fx.random_queries(20, 16));
+  rechecksum_bytewise(bytes);
+  raw.send(bytes);
+  const std::vector<Frame> frames = raw.read_all_frames();
+  ASSERT_EQ(frames.size(), 2u);  // HELLO, then connection-level ERROR + EOF
+  EXPECT_EQ(frames[0].type, FrameType::kHello);
+  ASSERT_EQ(frames[1].type, FrameType::kError);
+  const net::ErrorFrame err = net::decode_error(frames[1].payload);
+  EXPECT_EQ(err.request_id, 0u);
+  EXPECT_NE(err.message.find("checksum"), std::string::npos) << err.message;
+  EXPECT_EQ(ts.server.stats().protocol_errors, 1u);
+  EXPECT_EQ(ts.server.stats().batches_received, 0u);
+}
+
+TEST(NetClient, PreV5ServerHelloFailsTheHandshake) {
+  // A one-shot listener that greets like a v4 server: HELLO version 4
+  // under the byte-wise checksum.
+  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  ::sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<::sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  ::socklen_t len = sizeof addr;
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<::sockaddr*>(&addr), &len), 0);
+
+  std::vector<std::uint8_t> hello;
+  net::HelloInfo info;
+  info.version = 4;
+  info.num_vertices = 10;
+  info.sources = {0};
+  net::append_hello(hello, info);
+  rechecksum_bytewise(hello);
+  std::thread server([&] {
+    const int fd = ::accept(lfd, nullptr, nullptr);
+    if (fd < 0) return;
+    [[maybe_unused]] const ::ssize_t n = ::write(fd, hello.data(), hello.size());
+    std::uint8_t sink[64];
+    while (::read(fd, sink, sizeof sink) > 0) {
+    }
+    ::close(fd);
+  });
+
+  net::ClientOptions copts;
+  copts.port = ntohs(addr.sin_port);
+  std::string message;
+  try {
+    net::Client client(copts);
+  } catch (const std::runtime_error& ex) {
+    message = ex.what();
+  }
+  ::shutdown(lfd, SHUT_RDWR);  // unblocks accept() should the dial have failed
+  server.join();
+  ::close(lfd);
+  EXPECT_NE(message.find("checksum"), std::string::npos) << message;
 }
 
 TEST(NetServer, PeerResetMidReplyDoesNotKillServer) {
