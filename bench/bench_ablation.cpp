@@ -1,10 +1,12 @@
 // EXP-8 — ablating the paper's design choices.
 //
 //   a) Landmark-table method: MMG-per-pair (Section 3's building block)
-//      versus the Bernstein–Karger auxiliary graphs (Section 8). The BK
-//      route wins asymptotically; at practical sizes its aux-graph
-//      constants dominate — the measured crossover justifies the library's
-//      default.
+//      versus the Bernstein–Karger auxiliary graphs (Section 8). Each row
+//      times one full build on an ER graph (average degree 8, sigma = 4) at
+//      n = 128, 256 and 512 with one method. The BK route wins
+//      asymptotically; no crossover is recorded yet (no BENCH_*.json holds
+//      these rows), so they do not yet justify MMG-per-pair as the
+//      library's default.
 //   b) The scaling trick: bucketed landmark hierarchy L_k versus forcing a
 //      single dense level (emulated with near_scale large enough that every
 //      edge is near — the O~(n sqrt(n)) per-target regime the paper's

@@ -226,8 +226,7 @@ void QueryService::answer_points(std::shared_ptr<PointBatch> batch) {
       // to the in-process path below. The worker processes are the
       // parallelism; routing occupies only this thread, and the router's
       // collector enforces the deadline while answers are in flight. An
-      // empty batch (a workload expansion answered without point queries)
-      // stays in process, so it never spawns a router.
+      // empty batch stays in process, so it never spawns a router.
       b.answers = router_for(b.oracle)->query_batch(b.queries, b.deadline);
     } else {
       // In process every chunk is O(1) work per query on an immutable
@@ -296,8 +295,8 @@ void QueryService::finish(PointBatch& batch, std::exception_ptr error) {
 }
 
 void QueryService::check_before_answer(Deadline deadline) {
-  // delay action: burns the batch's budget right where a slow expansion or
-  // a saturated pool would, so deadline tests are exact.
+  // delay action: burns the batch's budget right where a slow answer or a
+  // saturated pool would, so deadline tests are exact.
   (void)MSRP_FAILPOINT("service.answer");
   if (deadline_expired(deadline)) {
     throw DeadlineExceeded("batch expired before answering");

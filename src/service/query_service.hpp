@@ -15,19 +15,23 @@
 ///     source's replacement table, so shards touch disjoint table slices
 ///     and the read path takes no locks (the oracle is immutable; answer
 ///     slots are disjoint by query index);
-///   * submit<W>() is the asynchronous flavour, for any workload: it
-///     enqueues one closure and returns, and a pool worker invokes the
-///     callback once the batch completes. Sync and async point batches run
-///     through one engine (answer_points): one validation pass, one
-///     inline-or-fan-out rule, one shard-router branch, one exactly-once
-///     completion. The sync caller waits for that completion; an async
-///     batch's callback fires from whichever task finishes last, so no
-///     worker ever waits on other pool tasks.
-///   * Options::shards > 1 moves the serving out of this process entirely:
-///     batches delegate to a ShardRouter (shard_router.hpp) that routes
-///     each query to one of K forked worker processes over shared-memory
-///     snapshot segments, bit-identical to the in-process path. A router
-///     is created per oracle on first use and lives as long as its oracle.
+///   * run<W>()/submit<W>() answer a batch of any workload; every
+///     workload but Point is one W::answer call straight from the
+///     Snapshot. submit<W>() is the asynchronous flavour: it enqueues one
+///     closure and returns, and a pool worker invokes the callback once
+///     the batch completes. Sync and async point batches run through one
+///     engine (answer_points): one validation pass, one inline-or-fan-out
+///     rule, one shard-router branch, one exactly-once completion. The
+///     sync caller waits for that completion; an async batch's callback
+///     fires from whichever task finishes last, so no worker ever waits on
+///     other pool tasks.
+///   * Options::shards >= 1 moves point batches out of this process: they
+///     delegate to a ShardRouter (shard_router.hpp) that routes each query
+///     to one of K forked worker processes over shared-memory snapshot
+///     segments, bit-identical to the in-process path. A router is created
+///     per oracle on its first point batch and lives as long as its
+///     oracle. Only point batches leave the process: the other workloads
+///     answer from the full Snapshot this process holds.
 ///
 /// Invalid queries are rejected before any answer is computed — thrown to
 /// the query_batch caller, delivered in WorkloadResult::error to a
@@ -136,13 +140,12 @@ class QueryService {
   // ----- any workload (see service/workloads.hpp) --------------------------
 
   /// Answers a batch of any workload. Point is query_batch itself; the
-  /// other workloads validate and expand into one point batch (one point
-  /// per canonical-path edge for vitality and Vickrey, the |F| == 1
-  /// queries for k-fail), answer it through query_batch — so the sharded
-  /// and in-process paths return byte-identical results — and assemble.
-  /// Validation failures throw std::invalid_argument before any work;
-  /// k-fail |F| == 2 needs the graph behind the oracle — attach_graph() it
-  /// (build() does so automatically) or the batch throws.
+  /// other workloads check the deadline once (DeadlineExceeded), then
+  /// W::answer validates the whole batch and answers it from the
+  /// Snapshot, on the calling thread. Validation failures throw
+  /// std::invalid_argument before any answer; k-fail |F| == 2 needs the
+  /// graph behind the oracle — attach_graph() it (build() does so
+  /// automatically) or the batch throws.
   template <class W>
   std::vector<typename W::Result> run(const Snapshot& oracle,
                                       std::span<const typename W::Query> queries,
@@ -150,12 +153,13 @@ class QueryService {
 
   /// The one asynchronous entry point: async flavour of run(). Returns
   /// once one closure is enqueued; the "service.answer" failpoint, the
-  /// deadline check, expansion, validation, and answering all run on the
-  /// pool, and `done` fires exactly once from a worker — with the answers
-  /// and the oracle, or with WorkloadResult::error set (validation failure,
+  /// deadline check, validation, and answering all run on the pool, and
+  /// `done` fires exactly once from a worker — with the answers and the
+  /// oracle, or with WorkloadResult::error set (validation failure,
   /// DeadlineExceeded, a missing attached graph). `deadline` is checked
-  /// before expansion and before answering, and enforced continuously
-  /// inside the shard router while answers are in flight.
+  /// before answering (and before each k-fail BFS); a sharded point batch
+  /// also has it enforced inside the shard router while answers are in
+  /// flight.
   template <class W>
   void submit(std::shared_ptr<const Snapshot> oracle, std::vector<typename W::Query> queries,
               WorkloadCallback<W> done, Deadline deadline = kNoDeadline);
@@ -217,7 +221,7 @@ class QueryService {
                            std::size_t lo, std::size_t hi);
 
   /// One point batch on its way through answer_points. A sync caller keeps
-  /// it on its stack and waits for `complete`; an async submit allocates
+  /// it on its stack and waits for `complete`; submit<Point> allocates
   /// it, and `owner`/`owned` keep the oracle and the queries alive until
   /// the last chunk task lets go.
   struct PointBatch {
@@ -236,8 +240,8 @@ class QueryService {
     std::atomic<bool> finished{false};    // the exactly-once latch
   };
 
-  /// The point engine, shared by query_batch and submit<W>. Routes `batch`
-  /// through the shard router when sharding; otherwise checks the
+  /// The point engine, shared by query_batch and submit<Point>. Routes
+  /// `batch` through the shard router when sharding; otherwise checks the
   /// deadline, validates and plans, and answers inline below
   /// min_parallel_batch or as (source, chunk) pool tasks. Completes the
   /// batch through finish() from whichever thread answers last, and never
@@ -246,12 +250,6 @@ class QueryService {
   /// Passes the latch at most once: on success counts the batch as served
   /// and hands `complete` the answers, otherwise hands it `error`.
   void finish(PointBatch& batch, std::exception_ptr error);
-  /// Pool-task body of submit<W>: the failpoint, the deadline check, and
-  /// `prepare` (which returns the batch's point queries), then the engine.
-  /// A throw from any of them completes the batch through the latch.
-  template <class Prepare>
-  void start_points(std::shared_ptr<PointBatch> batch, Prepare&& prepare);
-
   /// Returns (creating on first use) the shard router serving `oracle`,
   /// keyed by content digest; it lives as long as the oracle. An oracle no
   /// shared_ptr owns has no lifetime to follow and gets a router for this
@@ -278,7 +276,7 @@ class QueryService {
   void sweep_locked(std::vector<OracleSide>& doomed);
 
   /// The "service.answer" failpoint and the deadline check every async
-  /// batch passes before it expands or answers.
+  /// batch passes before it answers.
   static void check_before_answer(Deadline deadline);
   void note_served(std::size_t queries) {
     queries_served_.fetch_add(queries, std::memory_order_relaxed);
@@ -307,11 +305,12 @@ std::vector<typename W::Result> QueryService::run(const Snapshot& oracle,
   if constexpr (std::is_same_v<W, Point>) {
     return query_batch(oracle, queries, deadline);
   } else {
-    typename W::Plan plan = W::expand(*this, oracle, queries, deadline);
-    note_served(plan.answered_inline);
-    // query_batch counts the point queries itself.
-    const std::vector<Dist> answers = query_batch(oracle, plan.points, deadline);
-    return W::assemble(queries, plan, answers);
+    if (deadline_expired(deadline)) {
+      throw DeadlineExceeded("batch expired before answering");
+    }
+    std::vector<typename W::Result> answers = W::answer(*this, oracle, queries, deadline);
+    note_served(queries.size());
+    return answers;
   }
 }
 
@@ -321,51 +320,38 @@ void QueryService::submit(std::shared_ptr<const Snapshot> oracle,
                           Deadline deadline) {
   MSRP_REQUIRE(oracle != nullptr, "submit: null oracle");
   MSRP_REQUIRE(done != nullptr, "submit: null callback");
-  // Everything heavy — expansion, validation, answering — runs inside this
-  // one pool task (and the engine's chunk tasks); the caller only enqueues.
+  // Everything heavy — validation and answering — runs inside this one
+  // pool task (and, for points, the engine's chunk tasks); the caller only
+  // enqueues.
   pool_.submit([this, oracle = std::move(oracle), queries = std::move(queries),
                 done = std::move(done), deadline]() mutable {
     if constexpr (std::is_same_v<W, Point>) {
       auto batch = std::make_shared<PointBatch>(*oracle, deadline, std::move(done));
       batch->owner = std::move(oracle);
-      start_points(std::move(batch), [&] { return std::move(queries); });
+      batch->owned = std::move(queries);
+      batch->queries = batch->owned;
+      try {
+        check_before_answer(deadline);
+      } catch (...) {
+        finish(*batch, std::current_exception());
+        return;
+      }
+      answer_points(std::move(batch));
     } else {
-      // Assembly runs after the last point answer, so the completion
-      // co-owns the workload queries and the expansion plan it reads.
-      struct Expansion {
-        std::vector<typename W::Query> queries;
-        typename W::Plan plan;
-      };
-      auto x = std::make_shared<Expansion>(std::move(queries));
-      auto batch = std::make_shared<PointBatch>(
-          *oracle, deadline, [x, done = std::move(done)](BatchResult r) {
-            if (r.error != nullptr) {
-              done({{}, nullptr, r.error});
-              return;
-            }
-            done({W::assemble(x->queries, x->plan, r.answers), std::move(r.oracle), nullptr});
-          });
-      batch->owner = oracle;
-      start_points(std::move(batch), [&] {
-        x->plan = W::expand(*this, *oracle, x->queries, deadline);
-        note_served(x->plan.answered_inline);
-        return std::move(x->plan.points);
-      });
+      WorkloadResult<W> result;
+      try {
+        check_before_answer(deadline);
+        result.answers = W::answer(*this, *oracle, queries, deadline);
+        note_served(queries.size());
+        result.oracle = std::move(oracle);
+      } catch (...) {
+        result.error = std::current_exception();
+      }
+      // Outside the try: a callback that throws is not delivered again as
+      // a failure.
+      done(std::move(result));
     }
   });
-}
-
-template <class Prepare>
-void QueryService::start_points(std::shared_ptr<PointBatch> batch, Prepare&& prepare) {
-  try {
-    check_before_answer(batch->deadline);
-    batch->owned = prepare();
-    batch->queries = batch->owned;
-  } catch (...) {
-    finish(*batch, std::current_exception());
-    return;
-  }
-  answer_points(std::move(batch));
 }
 
 }  // namespace msrp::service

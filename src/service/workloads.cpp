@@ -24,22 +24,9 @@ Vertex random_source(std::span<const Vertex> sources, Rng& rng) {
   return sources[rng.next_below(sources.size())];
 }
 
-template <class WorkloadQuery>
-PathPlan expand_paths(const Snapshot& oracle, std::span<const WorkloadQuery> queries) {
-  PathPlan plan;
-  plan.offset.reserve(queries.size() + 1);
-  plan.offset.push_back(0);
-  plan.base.reserve(queries.size());
-  plan.paths.reserve(queries.size());
-  for (const WorkloadQuery& q : queries) {
-    MSRP_REQUIRE(oracle.is_source(q.s), "workload query source is not an oracle source");
-    MSRP_REQUIRE(q.t < oracle.num_vertices(), "workload query target out of range");
-    plan.base.push_back(oracle.shortest(q.s, q.t));
-    plan.paths.push_back(oracle.canonical_path(q.s, q.t));
-    for (EdgeId e : plan.paths.back()) plan.points.push_back(Query{q.s, q.t, e});
-    plan.offset.push_back(plan.points.size());
-  }
-  return plan;
+void require_endpoints(const Snapshot& oracle, Vertex s, Vertex t) {
+  MSRP_REQUIRE(oracle.is_source(s), "workload query source is not an oracle source");
+  MSRP_REQUIRE(t < oracle.num_vertices(), "workload query target out of range");
 }
 
 }  // namespace
@@ -93,35 +80,34 @@ Vitality::Query Vitality::random(std::span<const Vertex> sources, Vertex n, Edge
   return q;
 }
 
-PathPlan Vitality::expand(QueryService&, const Snapshot& oracle,
-                          std::span<const Query> queries, Deadline) {
+std::vector<VitalityResult> Vitality::answer(QueryService&, const Snapshot& oracle,
+                                             std::span<const Query> queries, Deadline) {
   for (const Query& q : queries) {
     MSRP_REQUIRE(q.k >= 1 && q.k <= kMaxTopKVital, "vitality k out of range");
+    require_endpoints(oracle, q.s, q.t);
   }
-  return expand_paths(oracle, queries);
-}
-
-std::vector<VitalityResult> Vitality::assemble(std::span<const Query> queries, Plan& plan,
-                                               std::span<const Dist> answers) {
+  // base is constant per query, so (vitality desc) == (replacement desc),
+  // and kInfDist — a bridge — is already the largest Dist. Positions are
+  // unique, so this is a strict total order: the same top k, in the same
+  // order, as rp::most_vital_edges.
+  const auto more_vital = [](const VitalityEntry& a, const VitalityEntry& b) {
+    if (a.replacement != b.replacement) return a.replacement > b.replacement;
+    return a.position < b.position;
+  };
   std::vector<VitalityResult> out(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
     VitalityResult& r = out[i];
-    r.base = plan.base[i];
-    const std::vector<EdgeId>& path = plan.paths[i];
+    r.base = oracle.shortest(q.s, q.t);
+    const std::span<const Dist> row = oracle.row(q.s, q.t);
+    const std::vector<EdgeId> path = oracle.canonical_path(q.s, q.t);
     r.edges.resize(path.size());
     for (std::size_t j = 0; j < path.size(); ++j) {
-      r.edges[j] = VitalityEntry{path[j], static_cast<std::uint32_t>(j),
-                                 answers[plan.offset[i] + j]};
+      r.edges[j] = VitalityEntry{path[j], static_cast<std::uint32_t>(j), row[j]};
     }
-    // base is constant per query, so (vitality desc) == (replacement desc),
-    // and kInfDist — a bridge — is already the largest Dist. Same order as
-    // rp::most_vital_edges.
-    std::sort(r.edges.begin(), r.edges.end(),
-              [](const VitalityEntry& a, const VitalityEntry& b) {
-                if (a.replacement != b.replacement) return a.replacement > b.replacement;
-                return a.position < b.position;
-              });
-    if (r.edges.size() > queries[i].k) r.edges.resize(queries[i].k);
+    const auto top = r.edges.begin() + std::min<std::size_t>(q.k, r.edges.size());
+    std::partial_sort(r.edges.begin(), top, r.edges.end(), more_vital);
+    r.edges.erase(top, r.edges.end());
   }
   return out;
 }
@@ -151,22 +137,19 @@ Vickrey::Query Vickrey::random(std::span<const Vertex> sources, Vertex n, EdgeId
   return q;
 }
 
-PathPlan Vickrey::expand(QueryService&, const Snapshot& oracle,
-                         std::span<const Query> queries, Deadline) {
-  return expand_paths(oracle, queries);
-}
-
-std::vector<VickreyResult> Vickrey::assemble(std::span<const Query> queries, Plan& plan,
-                                             std::span<const Dist> answers) {
+std::vector<VickreyResult> Vickrey::answer(QueryService&, const Snapshot& oracle,
+                                           std::span<const Query> queries, Deadline) {
+  for (const Query& q : queries) require_endpoints(oracle, q.s, q.t);
   std::vector<VickreyResult> out(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
     VickreyResult& r = out[i];
-    r.base = plan.base[i];
-    const std::vector<EdgeId>& path = plan.paths[i];
+    r.base = oracle.shortest(q.s, q.t);
+    const std::span<const Dist> row = oracle.row(q.s, q.t);
+    const std::vector<EdgeId> path = oracle.canonical_path(q.s, q.t);
     r.prices.resize(path.size());
     for (std::size_t j = 0; j < path.size(); ++j) {
-      const Dist repl = answers[plan.offset[i] + j];
-      r.prices[j] = VickreyCharge{path[j], repl == kInfDist ? kInfDist : repl - r.base};
+      r.prices[j] = VickreyCharge{path[j], row[j] == kInfDist ? kInfDist : row[j] - r.base};
     }
   }
   return out;
@@ -207,14 +190,10 @@ KFail::Query KFail::random(std::span<const Vertex> sources, Vertex n, EdgeId m, 
   return q;
 }
 
-KFailPlan KFail::expand(QueryService& svc, const Snapshot& oracle,
-                        std::span<const Query> queries, Deadline deadline) {
-  KFailPlan plan;
-  plan.out.assign(queries.size(), kInfDist);
-  std::shared_ptr<const Graph> graph;
-  KFailScratch scratch;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const Query& q = queries[i];
+std::vector<Dist> KFail::answer(QueryService& svc, const Snapshot& oracle,
+                                std::span<const Query> queries, Deadline deadline) {
+  bool needs_graph = false;
+  for (const Query& q : queries) {
     MSRP_REQUIRE(oracle.is_source(q.s), "k-fail query source is not an oracle source");
     MSRP_REQUIRE(q.t < oracle.num_vertices(), "k-fail query target out of range");
     MSRP_REQUIRE(q.fails.size() <= kMaxKFailEdges, "k-fail failure set too large");
@@ -224,36 +203,34 @@ KFailPlan KFail::expand(QueryService& svc, const Snapshot& oracle,
         MSRP_REQUIRE(q.fails[a] != q.fails[b], "k-fail duplicate edge in failure set");
       }
     }
+    needs_graph = needs_graph || q.fails.size() == 2;
+  }
+  std::shared_ptr<const Graph> graph;
+  if (needs_graph) {
+    graph = svc.graph_for(oracle.content_digest());
+    MSRP_REQUIRE(graph != nullptr,
+                 "k-fail |F| == 2 needs the graph behind the oracle — attach_graph() it");
+  }
+  std::vector<Dist> out(queries.size());
+  KFailScratch scratch;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
     switch (q.fails.size()) {
       case 0:
-        plan.out[i] = oracle.shortest(q.s, q.t);
+        out[i] = oracle.shortest(q.s, q.t);
         break;
       case 1:
-        plan.points.push_back(Point::Query{q.s, q.t, q.fails[0]});
-        plan.point_slot.push_back(i);
+        out[i] = oracle.avoiding(q.s, q.t, q.fails[0]);
         break;
-      default: {
-        if (!graph) {
-          graph = svc.graph_for(oracle.content_digest());
-          MSRP_REQUIRE(graph != nullptr,
-                       "k-fail |F| == 2 needs the graph behind the oracle — attach_graph() it");
-        }
+      default:
         if (deadline_expired(deadline)) {
           throw DeadlineExceeded("batch expired before answering");
         }
-        plan.out[i] = kfail_distance(*graph, q.s, q.t, q.fails, scratch);
+        out[i] = kfail_distance(*graph, q.s, q.t, q.fails, scratch);
         break;
-      }
     }
   }
-  plan.answered_inline = queries.size() - plan.points.size();
-  return plan;
-}
-
-std::vector<Dist> KFail::assemble(std::span<const Query>, Plan& plan,
-                                  std::span<const Dist> answers) {
-  for (std::size_t j = 0; j < answers.size(); ++j) plan.out[plan.point_slot[j]] = answers[j];
-  return std::move(plan.out);
+  return out;
 }
 
 }  // namespace msrp::service

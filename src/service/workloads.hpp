@@ -10,8 +10,8 @@
 /// Semantics (all relative to the oracle's canonical BFS trees, so every
 /// serving path — in-process, mmap, sharded, wire — answers identically):
 ///
-///   * Point (s, t, e): d(s, t, e), the primitive every other workload is
-///     assembled from. QueryService::query_batch executes it.
+///   * Point (s, t, e): d(s, t, e), one O(1) table read.
+///     QueryService::query_batch executes it.
 ///   * Vitality (s, t, k): the k edges of the canonical s->t path whose
 ///     removal hurts most. Each entry carries the edge id, its position on
 ///     the path (0 = incident to s), and the replacement distance
@@ -27,10 +27,12 @@
 ///     |F| == 2 needs the graph (a bounded BFS via the ftsub machinery);
 ///     |F| == 0 degenerates to the base distance.
 ///
-/// Vitality and Vickrey expand each query into one point query per
-/// canonical-path edge; KFail sends its |F| == 1 queries through the point
-/// path. Either way the point batch runs wherever point batches run, so
-/// every serving path returns the same bytes.
+/// Every workload but Point is answered by its trait's one `answer` step,
+/// straight from the Snapshot: Vitality and Vickrey read row(s, t) beside
+/// canonical_path(s, t), a KFail |F| <= 1 query reads shortest/avoiding.
+/// The process that answers always holds the full Snapshot (a sharded
+/// service keeps it beside its router), so every serving path returns the
+/// same bytes; only point batches ever leave the process.
 ///
 /// Record codecs are templates over the codec's writer (`u32(v)`) and
 /// reader (`u32()`, `expect_records(count, bytes)`, `fail(message)`), which
@@ -123,26 +125,6 @@ struct KFailQuery {
   friend bool operator==(const KFailQuery&, const KFailQuery&) = default;
 };
 
-/// A vitality or Vickrey batch flattened into point queries: one Query per
-/// canonical-path edge, per input query. Assembly reads the point answers
-/// back out by offset.
-struct PathPlan {
-  std::vector<Query> points;
-  std::size_t answered_inline = 0;         ///< always 0: every answer is a point
-  std::vector<std::size_t> offset;         ///< queries.size()+1 bounds into points
-  std::vector<Dist> base;                  ///< d(s, t) per input query
-  std::vector<std::vector<EdgeId>> paths;  ///< canonical path per input query
-};
-
-/// A K_FAIL batch after expansion: |F| == 0 and |F| == 2 answers already in
-/// `out`, the |F| == 1 queries left as `points` for `point_slot` slots.
-struct KFailPlan {
-  std::vector<Query> points;
-  std::size_t answered_inline = 0;  ///< queries answered without a point query
-  std::vector<Dist> out;
-  std::vector<std::size_t> point_slot;
-};
-
 /// Field-by-field layout of the trait members; see the \file comment.
 ///   Query, Result            in-process records
 ///   kBatchFrame, kAnswerFrame  request and reply frame types
@@ -154,7 +136,8 @@ struct KFailPlan {
 ///   put_query/get_query, put_result/get_result  record codec
 ///   parse, print             batch-file query line and answer line
 ///   random                   one uniform query (msrp_serve --random-queries)
-///   Plan, expand, assemble   execution in terms of point batches
+///   answer                   validates and answers a batch from the
+///                            Snapshot (every workload but Point)
 struct Point {
   using Query = service::Query;
   using Result = Dist;
@@ -257,13 +240,11 @@ struct Vitality {
   static void print(std::ostream& os, const Query& q, const Result& r);
   static Query random(std::span<const Vertex> sources, Vertex n, EdgeId m, Rng& rng);
 
-  using Plan = PathPlan;
-  /// Validates 1 <= k <= kMaxTopKVital and the endpoints, then expands.
-  static Plan expand(QueryService& svc, const Snapshot& oracle,
-                     std::span<const Query> queries, Deadline deadline);
-  /// Ranks each path (vitality desc, position asc) and truncates to k.
-  static std::vector<Result> assemble(std::span<const Query> queries, Plan& plan,
-                                      std::span<const Dist> answers);
+  /// Validates 1 <= k <= kMaxTopKVital and the endpoints of every query,
+  /// then ranks each canonical path (vitality desc, position asc) and keeps
+  /// the top k.
+  static std::vector<Result> answer(QueryService& svc, const Snapshot& oracle,
+                                    std::span<const Query> queries, Deadline deadline);
 };
 
 struct Vickrey {
@@ -319,12 +300,10 @@ struct Vickrey {
   static void print(std::ostream& os, const Query& q, const Result& r);
   static Query random(std::span<const Vertex> sources, Vertex n, EdgeId m, Rng& rng);
 
-  using Plan = PathPlan;
-  static Plan expand(QueryService& svc, const Snapshot& oracle,
-                     std::span<const Query> queries, Deadline deadline);
-  /// price(e) = d(s,t,e) - d(s,t) in path order, kInfDist for bridges.
-  static std::vector<Result> assemble(std::span<const Query> queries, Plan& plan,
-                                      std::span<const Dist> answers);
+  /// Validates the endpoints of every query, then prices
+  /// d(s,t,e) - d(s,t) in path order, kInfDist for bridges.
+  static std::vector<Result> answer(QueryService& svc, const Snapshot& oracle,
+                                    std::span<const Query> queries, Deadline deadline);
 };
 
 struct KFail {
@@ -379,14 +358,12 @@ struct KFail {
   static void print(std::ostream& os, const Query& q, Result d);
   static Query random(std::span<const Vertex> sources, Vertex n, EdgeId m, Rng& rng);
 
-  using Plan = KFailPlan;
-  /// Validates every query and answers |F| != 1 on the spot: the base
-  /// distance for |F| == 0, one bounded BFS of G - F for |F| == 2 (the
-  /// graph must be attached to `svc` for the oracle's digest).
-  static Plan expand(QueryService& svc, const Snapshot& oracle,
-                     std::span<const Query> queries, Deadline deadline);
-  static std::vector<Result> assemble(std::span<const Query> queries, Plan& plan,
-                                      std::span<const Dist> answers);
+  /// Validates every query, then answers: the base distance for
+  /// |F| == 0, one O(1) read for |F| == 1, one bounded BFS of G - F for
+  /// |F| == 2 (the graph must be attached to `svc` for the oracle's
+  /// digest; `deadline` is checked before each BFS).
+  static std::vector<Result> answer(QueryService& svc, const Snapshot& oracle,
+                                    std::span<const Query> queries, Deadline deadline);
 };
 
 /// Every served workload. The generic layers walk this list (frame

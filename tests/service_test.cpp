@@ -10,6 +10,7 @@
 #include <future>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "core/msrp.hpp"
 #include "graph/generators.hpp"
@@ -426,13 +427,54 @@ TEST(QueryService, ThrowingCallbackIsDeliveredOnce) {
       if (r.error != nullptr) failed_deliveries.fetch_add(1);
       if (deliveries.fetch_add(1) == 0) throw std::runtime_error("callback failed");
     };
-    // |F| = 0 k-fail is answered without a point query; the point batch
-    // exercises the engine's own completion.
+    // A k-fail batch is answered by KFail::answer and delivered by submit
+    // itself; the point batch exercises the engine's own completion.
     svc.submit<service::KFail>(oracle, {service::KFailQuery{0, 3, {}}}, throwing);
     svc.submit<service::Point>(oracle, {Query{0, 3, 0}}, throwing);
   }  // ~QueryService drains the pool
   EXPECT_EQ(deliveries.load(), 2);
   EXPECT_EQ(failed_deliveries.load(), 0);
+}
+
+// service.queries_served counts answered queries: a vitality, Vickrey or
+// k-fail query counts once on both entry points, however many edges its
+// canonical path has.
+TEST(QueryService, WorkloadQueriesCountOncePerQuery) {
+  Rng rng(71);
+  const Graph g = gen::connected_avg_degree(60, 4.0, rng);
+  service::QueryService svc({.threads = 2});
+  const auto oracle = svc.build(g, {0, 30});
+
+  std::vector<service::VitalityQuery> vitality;
+  std::vector<service::VickreyQuery> vickrey;
+  std::vector<service::KFailQuery> kfail;
+  std::size_t path_edges = 0;
+  for (Vertex t = 0; t < g.num_vertices(); ++t) {
+    vitality.push_back({0, t, 3});
+    vickrey.push_back({30, t});
+    std::vector<EdgeId> fails;
+    for (EdgeId e = 0; e < t % 3; ++e) fails.push_back(e);
+    kfail.push_back({0, t, fails});
+    path_edges += oracle->canonical_path(0, t).size();
+  }
+  ASSERT_GT(path_edges, vitality.size());  // a per-edge count would differ
+
+  std::uint64_t want = 0;
+  const auto run_both = [&]<class W>(std::type_identity<W>,
+                                     const std::vector<typename W::Query>& queries) {
+    SCOPED_TRACE(W::kName);
+    const auto sync = svc.run<W>(*oracle, queries);
+    want += queries.size();
+    EXPECT_EQ(svc.queries_served(), want);
+    const service::WorkloadResult<W> async = submit_and_wait<W>(svc, oracle, queries);
+    ASSERT_EQ(async.error, nullptr);
+    EXPECT_EQ(async.answers, sync);
+    want += queries.size();
+    EXPECT_EQ(svc.queries_served(), want);
+  };
+  run_both(std::type_identity<service::Vitality>{}, vitality);
+  run_both(std::type_identity<service::Vickrey>{}, vickrey);
+  run_both(std::type_identity<service::KFail>{}, kfail);
 }
 
 TEST(QueryService, StressConcurrentAsyncSubmitsRacingEntryExpiry) {

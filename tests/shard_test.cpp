@@ -3,21 +3,26 @@
 // death + single-flight respawn, and shared-memory cleanup on exit.
 //
 // These tests fork real worker processes. TSan cannot follow fork, so the
-// TSan job leaves them out; the ASan+UBSan job and the plain Debug and
-// Release matrix run them.
+// TSan job leaves them out (and the workload case skips itself under TSan,
+// like net_test's sharded legs); the ASan+UBSan job and the plain Debug
+// and Release matrix run them.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <future>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "baseline/baselines.hpp"
 #include "core/msrp.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
+#include "service/query_gen.hpp"
 #include "service/query_service.hpp"
 #include "service/shard_router.hpp"
 #include "util/shm.hpp"
@@ -33,6 +38,18 @@ using service::ShardPlan;
 using service::ShardRouter;
 using service::ShardRouterOptions;
 using service::Snapshot;
+
+#if defined(__SANITIZE_THREAD__)
+constexpr bool kTsanBuild = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr bool kTsanBuild = true;
+#else
+constexpr bool kTsanBuild = false;
+#endif
+#else
+constexpr bool kTsanBuild = false;
+#endif
 
 Snapshot demo_snapshot(Vertex n, std::uint32_t sigma, std::uint64_t seed) {
   Rng rng(seed);
@@ -454,6 +471,55 @@ TEST(QueryServiceShardingTest, RouterIsReleasedWithItsOracle) {
   for (const auto& name : names) {
     EXPECT_FALSE(ShmSegment::exists(name)) << name << " outlived its oracle";
   }
+}
+
+/// The batch-file answer lines for `answers` — the bytes `--out` writes.
+template <class W>
+std::string answer_lines(const std::vector<typename W::Query>& queries,
+                         const std::vector<typename W::Result>& answers) {
+  std::ostringstream os;
+  for (std::size_t i = 0; i < queries.size(); ++i) W::print(os, queries[i], answers[i]);
+  return os.str();
+}
+
+// Only point batches leave the process: vitality, Vickrey and k-fail
+// batches on a sharded service answer from the snapshot the front process
+// holds, in the same bytes as an in-process service, and never start a
+// shard router.
+TEST(QueryServiceShardingTest, WorkloadsAnswerFromTheSnapshotWithoutARouter) {
+  if (kTsanBuild) GTEST_SKIP() << "a sharded service forks workers, which TSan cannot follow";
+  Rng rng(0xFACE);
+  const Graph g = gen::connected_avg_degree(120, 5.0, rng);
+  const std::vector<Vertex> sources{0, 40, 80};
+
+  service::QueryService plain({.threads = 2});
+  service::QueryService::Options sharded_opts;
+  sharded_opts.threads = 2;
+  sharded_opts.shards = 2;
+  service::QueryService sharded(sharded_opts);
+  const auto oracle = plain.build(g, sources);
+  const auto sharded_oracle = sharded.build(g, sources);
+  ASSERT_EQ(oracle->content_digest(), sharded_oracle->content_digest());
+
+  const auto compare = [&]<class W>(std::type_identity<W>, std::uint64_t seed) {
+    SCOPED_TRACE(W::kName);
+    Rng qrng(seed);
+    const auto queries = service::random_query_batch<W>(sources, g.num_vertices(),
+                                                        g.num_edges(), 400, qrng);
+    const std::string want = answer_lines<W>(queries, plain.run<W>(*oracle, queries));
+    EXPECT_EQ(answer_lines<W>(queries, sharded.run<W>(*sharded_oracle, queries)), want);
+    std::promise<service::WorkloadResult<W>> delivered;
+    sharded.submit<W>(sharded_oracle, queries, [&](service::WorkloadResult<W> r) {
+      delivered.set_value(std::move(r));
+    });
+    const service::WorkloadResult<W> res = delivered.get_future().get();
+    ASSERT_EQ(res.error, nullptr);
+    EXPECT_EQ(answer_lines<W>(queries, res.answers), want);
+  };
+  compare(std::type_identity<service::Vitality>{}, 91);
+  compare(std::type_identity<service::Vickrey>{}, 92);
+  compare(std::type_identity<service::KFail>{}, 93);  // |F| drawn from 0..2
+  EXPECT_EQ(sharded.router(*sharded_oracle), nullptr);
 }
 
 TEST(QueryServiceShardingTest, ShardedAnswersMatchBruteForce) {

@@ -487,8 +487,8 @@ int main(int argc, char** argv) {
                            failed_ttl_ms, build_timeout_ms, metrics_addr, trace_sample_n);
     }
 
-    // Typed workloads are shard-aware like point queries: their
-    // replacement lookups route through the shard workers.
+    // Point batches route through the shard workers when sharding; the
+    // other workloads answer from the oracle this process holds.
     const LocalRun run{batch_path, out_path, random_queries, cfg.seed, repeat, shards >= 1};
     int rc = 0;
     tools::with_workload(workload, [&](auto tag) {
