@@ -17,7 +17,6 @@
 #include "bench_common.hpp"
 #include "service/query_gen.hpp"
 #include "service/query_service.hpp"
-#include "service/shard_router.hpp"
 
 namespace msrp {
 namespace {
@@ -58,25 +57,6 @@ void BM_QueryBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(batch.size()));
 }
 BENCHMARK(BM_QueryBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-// Multi-process flavour of the row above: the same 100k batch routed to
-// `shards` forked workers over shared-memory SPSC rings. Includes the full
-// routing overhead (validate, bucket, ring round-trips, merge); segment
-// placement and worker spawn happen once, outside the timed region.
-void BM_QueryBatchSharded(benchmark::State& state) {
-  const service::Snapshot& oracle = demo_oracle();
-  const std::vector<service::Query> batch = demo_batch(oracle);
-  service::ShardRouterOptions opts;
-  opts.shards = static_cast<unsigned>(state.range(0));
-  service::ShardRouter router(oracle, opts);
-  for (auto _ : state) {
-    auto answers = router.query_batch(batch);
-    benchmark::DoNotOptimize(answers.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch.size()));
-}
-BENCHMARK(BM_QueryBatchSharded)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // ------------------------------------------------------- cold-load latency ---
 

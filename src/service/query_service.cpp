@@ -7,7 +7,6 @@
 
 #include "core/msrp.hpp"
 #include "graph/io.hpp"
-#include "service/shard_router.hpp"
 #include "util/failpoint.hpp"
 
 namespace msrp::service {
@@ -89,10 +88,7 @@ void QueryService::sweep_locked(std::vector<OracleSide>& doomed) {
     OracleSide& side = it->second;
     const bool held = std::any_of(side.oracles.begin(), side.oracles.end(),
                                   [](const auto& o) { return !o.expired(); });
-    if (held) {
-      ++it;
-    } else if (side.keep_graph) {
-      if (side.router != nullptr) doomed.emplace_back().router = std::move(side.router);
+    if (held || side.keep_graph) {
       ++it;
     } else {
       doomed.push_back(std::move(side));
@@ -109,42 +105,6 @@ std::shared_ptr<const Snapshot> QueryService::load(const std::string& path,
   // from built oracles (config_fingerprint() never returns 0 in practice).
   OracleKey key{snap->content_digest(), snap->sources(), 0};
   return cache_.get_or_insert(key, std::move(snap));
-}
-
-std::shared_ptr<ShardRouter> QueryService::router_for(const Snapshot& oracle) {
-  const auto make_router = [&] {
-    ShardRouterOptions router_opts;
-    router_opts.shards = opts_.shards;
-    router_opts.worker_argv = opts_.shard_worker_argv;
-    return std::make_shared<ShardRouter>(oracle, router_opts);
-  };
-  const std::shared_ptr<const Snapshot> owner = oracle.weak_from_this().lock();
-  if (owner == nullptr) return make_router();
-  // Swept routers are destroyed AFTER the lock drops: a router teardown
-  // stops and reaps worker processes (seconds in the worst case), which
-  // must not stall other oracles' batches or the stats accessor.
-  std::vector<OracleSide> doomed;
-  std::lock_guard<std::mutex> lock(side_mu_);
-  OracleSide& side = side_[oracle.content_digest()];
-  follow(side, owner);
-  if (side.router == nullptr) {
-    // First batch against this oracle: shard it and spawn the workers.
-    // Deliberately under the lock so concurrent cold batches share one
-    // placement (single flight); routing itself never takes this lock
-    // again. The cost is that a cold router on oracle A briefly blocks
-    // batches and graph lookups on oracle B — acceptable until a workload
-    // actually interleaves many distinct sharded oracles.
-    side.router = make_router();
-    sweep_locked(doomed);
-  }
-  return side.router;
-}
-
-std::shared_ptr<const ShardRouter> QueryService::router(const Snapshot& oracle) {
-  if (!sharding()) return nullptr;
-  std::lock_guard<std::mutex> lock(side_mu_);
-  const auto it = side_.find(oracle.content_digest());
-  return it == side_.end() ? nullptr : it->second.router;
 }
 
 QueryService::BatchPlan QueryService::plan_shards(const Snapshot& oracle,
@@ -220,35 +180,24 @@ void QueryService::answer_points(std::shared_ptr<PointBatch> batch) {
   PointBatch& b = *batch;
   std::size_t chunk = 0;  // 0 = answered inline
   try {
-    if (sharding() && !b.queries.empty()) {
-      // Multi-process path: the router validates, routes each query to the
-      // worker owning its source, and merges in batch order — bit-identical
-      // to the in-process path below. The worker processes are the
-      // parallelism; routing occupies only this thread, and the router's
-      // collector enforces the deadline while answers are in flight. An
-      // empty batch stays in process, so it never spawns a router.
-      b.answers = router_for(b.oracle)->query_batch(b.queries, b.deadline);
+    // Every chunk is O(1) work per query on an immutable table, so an
+    // up-front check suffices.
+    if (deadline_expired(b.deadline)) {
+      throw DeadlineExceeded("batch expired before answering");
+    }
+    b.plan = plan_shards(b.oracle, b.queries);
+    b.answers.resize(b.queries.size());
+    if (b.queries.size() < opts_.min_parallel_batch || pool_.size() <= 1) {
+      for (std::uint32_t si = 0; si < b.oracle.num_sources(); ++si) {
+        answer_range(b.oracle, b.queries, b.plan, b.answers, si, b.plan.shard_begin[si],
+                     b.plan.shard_begin[si + 1]);
+      }
     } else {
-      // In process every chunk is O(1) work per query on an immutable
-      // table, so an up-front check suffices.
-      if (deadline_expired(b.deadline)) {
-        throw DeadlineExceeded("batch expired before answering");
-      }
-      b.plan = plan_shards(b.oracle, b.queries);
-      b.answers.resize(b.queries.size());
-      if (b.queries.size() < opts_.min_parallel_batch || pool_.size() <= 1) {
-        for (std::uint32_t si = 0; si < b.oracle.num_sources(); ++si) {
-          answer_range(b.oracle, b.queries, b.plan, b.answers, si, b.plan.shard_begin[si],
-                       b.plan.shard_begin[si + 1]);
-        }
-      } else {
-        // One task per (source, chunk): sharding by source keeps each
-        // worker in one source's table; chunking caps shard size so a
-        // skewed batch (all queries on one source) still spreads across
-        // the pool.
-        chunk =
-            std::max<std::size_t>(512, b.queries.size() / (std::size_t{pool_.size()} * 4));
-      }
+      // One task per (source, chunk): splitting by source keeps each
+      // worker in one source's table; chunking caps a source's share so a
+      // skewed batch (all queries on one source) still spreads across the
+      // pool.
+      chunk = std::max<std::size_t>(512, b.queries.size() / (std::size_t{pool_.size()} * 4));
     }
   } catch (...) {
     finish(b, std::current_exception());

@@ -11,8 +11,8 @@
 ///     config fingerprint) — a repeat build of an instance somebody still
 ///     holds is a hit, not a re-solve; the table itself owns no oracle;
 ///   * query_batch() answers a span of (s, t, e) queries on a fixed thread
-///     pool. The batch is sharded by source: every worker task reads one
-///     source's replacement table, so shards touch disjoint table slices
+///     pool. The batch is split by source: every worker task reads one
+///     source's replacement table, so tasks touch disjoint table slices
 ///     and the read path takes no locks (the oracle is immutable; answer
 ///     slots are disjoint by query index);
 ///   * run<W>()/submit<W>() answer a batch of any workload; every
@@ -21,17 +21,13 @@
 ///     closure and returns, and a pool worker invokes the callback once
 ///     the batch completes. Sync and async point batches run through one
 ///     engine (answer_points): one validation pass, one inline-or-fan-out
-///     rule, one shard-router branch, one exactly-once completion. The
-///     sync caller waits for that completion; an async batch's callback
-///     fires from whichever task finishes last, so no worker ever waits on
-///     other pool tasks.
-///   * Options::shards >= 1 moves point batches out of this process: they
-///     delegate to a ShardRouter (shard_router.hpp) that routes each query
-///     to one of K forked worker processes over shared-memory snapshot
-///     segments, bit-identical to the in-process path. A router is created
-///     per oracle on its first point batch and lives as long as its
-///     oracle. Only point batches leave the process: the other workloads
-///     answer from the full Snapshot this process holds.
+///     rule, one exactly-once completion. The sync caller waits for that
+///     completion; an async batch's callback fires from whichever task
+///     finishes last, so no worker ever waits on other pool tasks.
+///
+/// Every batch is answered in this process: a query is one O(1) read of an
+/// immutable table, so the source-chunked pool is all the parallelism
+/// serving needs.
 ///
 /// Invalid queries are rejected before any answer is computed — thrown to
 /// the query_batch caller, delivered in WorkloadResult::error to a
@@ -64,8 +60,6 @@
 
 namespace msrp::service {
 
-class ShardRouter;
-
 /// Outcome of one asynchronous batch of workload W (service/workloads.hpp).
 template <class W>
 struct WorkloadResult {
@@ -74,8 +68,7 @@ struct WorkloadResult {
   /// The oracle that answered; null when error is set. Holding it here
   /// keeps it alive for as long as the result lives.
   std::shared_ptr<const Snapshot> oracle;
-  /// Null on success; the validation, deadline, or routing failure
-  /// otherwise.
+  /// Null on success; the validation or deadline failure otherwise.
   std::exception_ptr error;
 };
 
@@ -98,17 +91,6 @@ class QueryService {
     /// Batches smaller than this answer inline on the calling thread —
     /// below it the fan-out overhead exceeds the O(1)-per-query work.
     std::size_t min_parallel_batch = 2048;
-    /// >= 1: serve through the multi-process shard router
-    /// (shard_router.hpp) instead of in-process table reads. Each oracle
-    /// is sharded across `shards` worker processes over shared-memory v2
-    /// snapshot segments (1 = a single worker process — still out of
-    /// process); answers are bit-identical to the in-process path. 0
-    /// (default) keeps everything in this process.
-    unsigned shards = 0;
-    /// argv to exec for each shard worker (e.g. {"/path/to/msrp_serve"};
-    /// the router appends "--shard-worker <base>:<k>"). Empty = plain fork
-    /// without exec. Only meaningful when sharding (shards >= 1).
-    std::vector<std::string> shard_worker_argv = {};
   };
 
   QueryService() : QueryService(Options{}) {}
@@ -131,9 +113,9 @@ class QueryService {
   /// query names a non-source s, or an out-of-range t or e; no partial
   /// answers are produced in that case. Safe to call from several threads
   /// concurrently: batches share the worker pool but track their own
-  /// completion. A non-default `deadline` bounds the wait: the sharded
-  /// path hands it to the router (whose collector enforces it mid-flight);
-  /// either path throws DeadlineExceeded instead of answering late.
+  /// completion. A `deadline` already past when the batch starts throws
+  /// DeadlineExceeded instead of answering; once started, a batch is O(1)
+  /// work per query and runs to completion.
   std::vector<Dist> query_batch(const Snapshot& oracle, std::span<const Query> queries,
                                 Deadline deadline = kNoDeadline);
 
@@ -157,9 +139,7 @@ class QueryService {
   /// `done` fires exactly once from a worker — with the answers and the
   /// oracle, or with WorkloadResult::error set (validation failure,
   /// DeadlineExceeded, a missing attached graph). `deadline` is checked
-  /// before answering (and before each k-fail BFS); a sharded point batch
-  /// also has it enforced inside the shard router while answers are in
-  /// flight.
+  /// before answering, and before each k-fail BFS.
   template <class W>
   void submit(std::shared_ptr<const Snapshot> oracle, std::vector<typename W::Query> queries,
               WorkloadCallback<W> done, Deadline deadline = kNoDeadline);
@@ -202,15 +182,9 @@ class QueryService {
     return queries_served_.load(std::memory_order_relaxed);
   }
 
-  /// Router stats for the oracle (nullptr when not sharding or the oracle
-  /// has no router yet). Tests use this to assert zero-copy placement.
-  std::shared_ptr<const ShardRouter> router(const Snapshot& oracle);
-
-  bool sharding() const { return opts_.shards >= 1; }
-
  private:
-  /// Validated counting-sort of a batch by source index (the in-process
-  /// fan-out axis; distinct from the multi-process ShardPlan).
+  /// Validated counting-sort of a batch by source index (the fan-out
+  /// axis).
   struct BatchPlan {
     std::vector<std::uint32_t> order;      // query indices, grouped by source
     std::vector<std::size_t> shard_begin;  // sigma+1 prefix bounds into order
@@ -240,9 +214,8 @@ class QueryService {
     std::atomic<bool> finished{false};    // the exactly-once latch
   };
 
-  /// The point engine, shared by query_batch and submit<Point>. Routes
-  /// `batch` through the shard router when sharding; otherwise checks the
-  /// deadline, validates and plans, and answers inline below
+  /// The point engine, shared by query_batch and submit<Point>. Checks
+  /// the deadline, validates and plans, and answers inline below
   /// min_parallel_batch or as (source, chunk) pool tasks. Completes the
   /// batch through finish() from whichever thread answers last, and never
   /// waits on pool tasks.
@@ -250,29 +223,22 @@ class QueryService {
   /// Passes the latch at most once: on success counts the batch as served
   /// and hands `complete` the answers, otherwise hands it `error`.
   void finish(PointBatch& batch, std::exception_ptr error);
-  /// Returns (creating on first use) the shard router serving `oracle`,
-  /// keyed by content digest; it lives as long as the oracle. An oracle no
-  /// shared_ptr owns has no lifetime to follow and gets a router for this
-  /// call alone.
-  std::shared_ptr<ShardRouter> router_for(const Snapshot& oracle);
 
   /// What the service keeps beside the oracles of one content digest: the
-  /// graph for |F| == 2 K_FAIL and the shard router. Equal digests mean
-  /// equal answers, so oracles with the same content (a built one and its
-  /// reloaded snapshot) share one entry, which lives while any of them
-  /// does. A graph attached by digest alone outlives them all.
+  /// graph for |F| == 2 K_FAIL. Equal digests mean equal answers, so
+  /// oracles with the same content (a built one and its reloaded snapshot)
+  /// share one entry, which lives while any of them does. A graph attached
+  /// by digest alone outlives them all.
   struct OracleSide {
     std::vector<std::weak_ptr<const Snapshot>> oracles;  // the entry's holders
     std::shared_ptr<const Graph> graph;
     bool keep_graph = false;  // attach_graph: no oracle to follow
-    std::shared_ptr<ShardRouter> router;
   };
   /// Adds `owner` to the entry's holders, forgetting expired ones.
   static void follow(OracleSide& side, const std::shared_ptr<const Snapshot>& owner);
   /// Moves the side tables whose holders have all expired into `doomed`, so
-  /// the caller destroys them (stopping router workers, unlinking shm,
-  /// freeing a graph) after side_mu_ is released. Runs whenever an entry
-  /// gains a graph or a router.
+  /// the caller frees their graphs after side_mu_ is released. Runs
+  /// whenever an entry gains a graph.
   void sweep_locked(std::vector<OracleSide>& doomed);
 
   /// The "service.answer" failpoint and the deadline check every async
@@ -285,13 +251,13 @@ class QueryService {
   Options opts_;
   OracleCache cache_;
   // Side tables by oracle content digest. Declared before pool_: pool tasks
-  // route through these, and the pool's destructor drains its queue before
-  // the routers shut their workers down.
+  // read graphs from these, and the pool's destructor drains its queue
+  // first.
   std::mutex side_mu_;
   std::unordered_map<std::uint64_t, OracleSide> side_;
   std::atomic<std::uint64_t> queries_served_{0};
   // Declared last so its destructor — which drains queued tasks — runs
-  // first: async tasks touch the cache, routers, and counters above.
+  // first: async tasks touch the cache, side tables, and counters above.
   ThreadPool pool_;
   // After pool_: unregistered before anything the snapshot callback reads
   // (cache_, queries_served_) is torn down.

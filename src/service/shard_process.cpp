@@ -112,8 +112,7 @@ int run_shard_worker(const ShardWorkerConfig& cfg) {
                                 ? oracle.avoiding_at(req.si, req.t, req.e)
                                 : kInfDist;
         // Crash window 2: answer computed, never pushed (same requeue
-        // obligation, later point of death). Armed with delay:USEC this is
-        // the "slow reply near the deadline edge" site.
+        // obligation, later point of death).
         (void)MSRP_FAILPOINT("shard_worker.reply");
         ShardResponse resp{req.tag, answer, 0};
         std::uint64_t full_spins = 0;

@@ -89,7 +89,6 @@ ShardRouter::ShardRouter(const Snapshot& oracle, const ShardRouterOptions& opts)
           out.counters.push_back({"router.queries_routed", st.queries_routed});
           out.counters.push_back({"router.batches_routed", st.batches_routed});
           out.counters.push_back({"router.respawns", st.respawns});
-          out.counters.push_back({"router.deadlines_expired", st.deadlines_expired});
           out.counters.push_back({"router.ready_wait_us", st.ready_wait_us});
           out.gauges.push_back(
               {"router.peak_inflight_batches",
@@ -353,20 +352,15 @@ void ShardRouter::stop_all_workers() noexcept {
   // ~ShmSegment unmaps and unlinks each owned segment when shards_ dies.
 }
 
-std::vector<Dist> ShardRouter::query_batch(std::span<const Query> queries,
-                                           Deadline deadline) {
+std::vector<Dist> ShardRouter::query_batch(std::span<const Query> queries) {
   const unsigned num_shards = plan_.num_shards();
   MSRP_REQUIRE(queries.size() <= 0xffffffffull,
                "shard router: batch exceeds the 2^32 tag-index space");
-  if (deadline_expired(deadline)) {
-    throw DeadlineExceeded("batch expired before routing");
-  }
 
   // Validate and bucket by owning shard before involving the collector.
   // Buckets keep batch order within a shard; tag indices are batch
   // indices, so the merge is a plain indexed store.
   Batch b;
-  b.deadline = deadline;
   b.queries = queries;
   b.local_si.resize(queries.size());
   b.buckets.resize(num_shards);
@@ -402,11 +396,7 @@ std::vector<Dist> ShardRouter::query_batch(std::span<const Query> queries,
     std::unique_lock<std::mutex> lk(mu_);
     done_cv_.wait(lk, [&] { return b.done; });
   }
-  if (!b.error.empty()) {
-    if (is_deadline_exceeded_message(b.error)) throw DeadlineExceeded(b.error.substr(
-        std::min(b.error.size(), kDeadlineExceededPrefix.size() + 2)));
-    throw std::runtime_error("shard router: " + b.error);
-  }
+  if (!b.error.empty()) throw std::runtime_error("shard router: " + b.error);
   return std::move(b.out);
 }
 
@@ -485,7 +475,6 @@ bool ShardRouter::drain_submissions() {
       b->ns = next_ns_++;
     } while (active_.count(b->ns) != 0);  // 2^32 wrap vs a still-live batch
     active_.emplace(b->ns, b);
-    if (b->deadline != kNoDeadline) any_deadline_ = true;
     for (unsigned k = 0; k < shards_.size(); ++k) {
       for (std::uint32_t qi : b->buckets[k]) pending_[k].push_back({b, qi});
     }
@@ -496,47 +485,8 @@ bool ShardRouter::drain_submissions() {
   return true;
 }
 
-bool ShardRouter::expire_batches() {
-  if (!any_deadline_) return false;
-  const auto now = std::chrono::steady_clock::now();
-  bool any_left = false;
-  bool expired_any = false;
-  for (auto it = active_.begin(); it != active_.end();) {
-    Batch* b = it->second;
-    if (b->deadline == kNoDeadline || now < b->deadline) {
-      any_left = any_left || b->deadline != kNoDeadline;
-      ++it;
-      continue;
-    }
-    // Abandon the batch: purge its unanswered queries everywhere so the
-    // deque fronts stay consistent; answers already in the response rings
-    // arrive for a namespace no longer active and are dropped by
-    // collector_poll. The worker-side work for them is wasted by design —
-    // the caller stopped caring at the deadline.
-    for (unsigned k = 0; k < shards_.size(); ++k) {
-      for (auto* q : {&pending_[k], &inflight_[k]}) {
-        q->erase(std::remove_if(q->begin(), q->end(),
-                                [&](const Entry& e) { return e.b == b; }),
-                 q->end());
-      }
-    }
-    it = active_.erase(it);
-    expired_any = true;
-    std::lock_guard<std::mutex> lk(mu_);
-    b->error = std::string(kDeadlineExceededPrefix) +
-               ": batch expired in shard router with " +
-               std::to_string(b->remaining) + " answers outstanding";
-    b->done = true;
-    stats_.deadlines_expired += 1;
-    done_cv_.notify_all();
-  }
-  any_deadline_ = any_left;
-  return expired_any;
-}
-
 bool ShardRouter::collector_poll() {
   bool progress = drain_submissions();
-  progress = expire_batches() || progress;
   bool popped = false;
 
   for (unsigned k = 0; k < shards_.size(); ++k) {
@@ -550,10 +500,10 @@ bool ShardRouter::collector_poll() {
       const std::uint32_t qi = tag_index(resp.tag);
       const auto it = active_.find(ns);
       if (it == active_.end()) {
-        // A late answer for a batch that already expired or failed: its
-        // bookkeeping was purged when it completed, so the answer is
-        // simply dropped. A namespace that was never issued at all is
-        // still an invariant breach.
+        // A late answer for a batch that already failed: its bookkeeping
+        // was purged when it completed, so the answer is simply dropped. A
+        // namespace that was never issued at all is still an invariant
+        // breach.
         MSRP_CHECK(ns < next_ns_, "shard router: response for unknown namespace");
         continue;
       }

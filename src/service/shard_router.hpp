@@ -57,7 +57,6 @@
 #include "service/shard_plan.hpp"
 #include "service/shard_process.hpp"
 #include "service/snapshot.hpp"
-#include "util/deadline.hpp"
 #include "util/shm.hpp"
 
 namespace msrp::service {
@@ -104,8 +103,6 @@ struct ShardRouterStats {
   /// path this is dominated by genuine worker startup (fork + attach),
   /// not polling granularity; shard_test asserts it stays sane.
   std::uint64_t ready_wait_us = 0;
-  /// Batches failed with DeadlineExceeded by the collector's expiry pass.
-  std::uint64_t deadlines_expired = 0;
 };
 
 class ShardRouter {
@@ -125,14 +122,7 @@ class ShardRouter {
   /// up front (same contract as QueryService::query_batch). Thread-safe;
   /// concurrent batches overlap in the rings under distinct tag
   /// namespaces instead of serializing.
-  ///
-  /// `deadline` bounds the wait: when it passes with answers still owed,
-  /// the collector abandons the batch (purging its unanswered queries and
-  /// dropping any late ring answers) and this call throws DeadlineExceeded
-  /// within one collector wake of the instant — no wait here is unbounded
-  /// unless the caller asked for that (kNoDeadline, the default).
-  std::vector<Dist> query_batch(std::span<const Query> queries,
-                                Deadline deadline = kNoDeadline);
+  std::vector<Dist> query_batch(std::span<const Query> queries);
 
   unsigned num_shards() const { return static_cast<unsigned>(shards_.size()); }
   const ShardPlan& plan() const { return plan_; }
@@ -167,7 +157,6 @@ class ShardRouter {
   /// mutex acquire both ways.
   struct Batch {
     std::uint32_t ns = 0;
-    Deadline deadline = kNoDeadline;
     std::span<const Query> queries;
     std::vector<std::uint32_t> local_si;               // per query
     std::vector<std::vector<std::uint32_t>> buckets;   // per shard, batch order
@@ -203,11 +192,6 @@ class ShardRouter {
   /// Moves newly submitted batches into the collector's queues; returns
   /// whether any arrived.
   bool drain_submissions();
-  /// Fails every active batch whose deadline has passed, purging its
-  /// queries from the pending/inflight queues (late ring answers for it
-  /// are then dropped by collector_poll). Collector-thread only; returns
-  /// whether any batch expired.
-  bool expire_batches();
   void requeue_inflight(unsigned k);
   /// After an exception escaped the collector: fail every in-flight batch,
   /// kill + respawn all workers, and empty the rings so stranded tags
@@ -250,9 +234,6 @@ class ShardRouter {
   // batch completes.
   std::vector<std::uint64_t> answers_unfolded_;
   std::uint32_t next_ns_ = 1;
-  // Whether any active batch carries a real deadline — gates the expiry
-  // scan so deadline-free workloads pay nothing per poll round.
-  bool any_deadline_ = false;
 
   std::thread collector_;
   // Last member: unregistered (blocking on any in-flight snapshot) before

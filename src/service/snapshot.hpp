@@ -50,9 +50,7 @@ struct SnapshotLoadOptions {
   bool verify_cells = true;
 };
 
-/// Shared-owned snapshots expose their owner (weak_from_this) so the query
-/// service can tie per-oracle side tables to the oracle's lifetime.
-class Snapshot : public std::enable_shared_from_this<Snapshot> {
+class Snapshot {
  public:
   using LoadOptions = SnapshotLoadOptions;
 

@@ -8,7 +8,7 @@
 /// and CLI each have one generic path instead of a copy per opcode.
 ///
 /// Semantics (all relative to the oracle's canonical BFS trees, so every
-/// serving path — in-process, mmap, sharded, wire — answers identically):
+/// serving path — in-process, mmap, wire — answers identically):
 ///
 ///   * Point (s, t, e): d(s, t, e), one O(1) table read.
 ///     QueryService::query_batch executes it.
@@ -30,9 +30,8 @@
 /// Every workload but Point is answered by its trait's one `answer` step,
 /// straight from the Snapshot: Vitality and Vickrey read row(s, t) beside
 /// canonical_path(s, t), a KFail |F| <= 1 query reads shortest/avoiding.
-/// The process that answers always holds the full Snapshot (a sharded
-/// service keeps it beside its router), so every serving path returns the
-/// same bytes; only point batches ever leave the process.
+/// The process that answers always holds the full Snapshot, so every
+/// serving path returns the same bytes.
 ///
 /// Record codecs are templates over the codec's writer (`u32(v)`) and
 /// reader (`u32()`, `expect_records(count, bytes)`, `fail(message)`), which

@@ -4,11 +4,11 @@
 // the caller an answer of "too late" rather than more waiting. It enters at
 // the wire (QUERY_BATCH flag bit 1 carries a relative budget in ms, pinned
 // to an absolute instant the moment the frame is decoded) and propagates by
-// value: Server -> FairDispatcher -> QueryService -> ShardRouter. Each
-// stage that can wait checks it; whichever stage notices expiry first fails
-// the batch with DeadlineExceeded, which the server maps to an ERROR frame
-// whose message begins with kDeadlineExceededPrefix — no new frame type,
-// so deadline-unaware clients still parse the reply.
+// value: Server -> FairDispatcher -> QueryService. Each stage that can
+// wait checks it; whichever stage notices expiry first fails the batch
+// with DeadlineExceeded, which the server maps to an ERROR frame whose
+// message begins with kDeadlineExceededPrefix — no new frame type, so
+// deadline-unaware clients still parse the reply.
 //
 // kNoDeadline (time_point::max) means "wait forever", the pre-deadline
 // behavior, and is the default everywhere.

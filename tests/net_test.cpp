@@ -2,7 +2,7 @@
 // adversarial inputs (truncation, corruption, oversize, splits), and the
 // epoll server + client end to end over loopback — byte-identical answers
 // vs the in-process QueryService for every serving mode (built oracle,
-// zero-copy mmap snapshot, multi-process shards), pipelining, concurrent
+// zero-copy mmap snapshot), pipelining, concurrent
 // clients, disconnect-mid-batch, backpressure, and graceful shutdown.
 // Protocol v2 coverage: wire registration of multiple tenants (the
 // differential matrix, scalable via MSRP_FUZZ_TENANTS), digest-targeted
@@ -39,7 +39,6 @@
 #include "registry/oracle_registry.hpp"
 #include "service/query_gen.hpp"
 #include "service/query_service.hpp"
-#include "service/shard_router.hpp"
 #include "util/fnv.hpp"
 #include "util/rng.hpp"
 
@@ -60,21 +59,6 @@ using service::Query;
 using service::Snapshot;
 using service::Vickrey;
 using service::Vitality;
-
-// Fork-without-exec shard workers and TSan do not mix (the forked child
-// inherits the sanitizer's threading state); the multi-process leg of the
-// serving-mode matrix is skipped under TSan, like shard_test is.
-#if defined(__SANITIZE_THREAD__)
-constexpr bool kTsanBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-constexpr bool kTsanBuild = true;
-#else
-constexpr bool kTsanBuild = false;
-#endif
-#else
-constexpr bool kTsanBuild = false;
-#endif
 
 // ----------------------------------------------------------- frame codec ---
 
@@ -947,8 +931,8 @@ TEST(NetServer, AnswersOverTcpMatchInProcessByteForByte) {
 }
 
 // The acceptance matrix: TCP answers must be byte-identical to the
-// in-process path for every serving mode — freshly built, zero-copy mmap
-// snapshot, and multi-process shards.
+// in-process path for every serving mode — freshly built and zero-copy
+// mmap snapshot.
 TEST(NetServer, EveryServingModeMatchesInProcess) {
   NetFixture fx;
   const std::vector<Query> queries = fx.random_queries(2000, 2);
@@ -961,14 +945,6 @@ TEST(NetServer, EveryServingModeMatchesInProcess) {
     const auto mapped = svc.load(path, {.use_mmap = true, .verify_cells = false});
     ASSERT_TRUE(mapped->is_mapped());
     TestServer ts(svc, mapped);
-    net::Client client(ts.client_options());
-    EXPECT_EQ(client.call(queries), want);
-  }
-
-  if (!kTsanBuild) {  // multi-process shards
-    service::QueryService svc({.threads = 2, .shards = 2});
-    const auto oracle = svc.build(fx.g, fx.sources);
-    TestServer ts(svc, oracle);
     net::Client client(ts.client_options());
     EXPECT_EQ(client.call(queries), want);
   }
@@ -1027,8 +1003,8 @@ TEST(NetServer, WorkloadOpcodesOverTcpMatchInProcess) {
 }
 
 // Workload serving-mode matrix: the same typed batches against a zero-copy
-// mmap snapshot (graph attached for the |F| == 2 tier) and against
-// multi-process shards must produce the same bytes as the built oracle.
+// mmap snapshot (graph attached for the |F| == 2 tier) must produce the
+// same bytes as the built oracle.
 TEST(NetServer, WorkloadOpcodesServeEveryMode) {
   NetFixture fx;
   const WorkloadBatches wb = random_workloads(fx, 150, 315);
@@ -1044,16 +1020,6 @@ TEST(NetServer, WorkloadOpcodesServeEveryMode) {
     ASSERT_TRUE(mapped->is_mapped());
     svc.attach_graph(mapped->content_digest(), std::make_shared<const Graph>(fx.g));
     TestServer ts(svc, mapped);
-    net::Client client(ts.client_options());
-    EXPECT_EQ(client.call<Vitality>(wb.vitality), vwant);
-    EXPECT_EQ(client.call<Vickrey>(wb.vickrey), pwant);
-    EXPECT_EQ(client.call<KFail>(wb.kfail), fwant);
-  }
-
-  if (!kTsanBuild) {  // multi-process shards
-    service::QueryService svc({.threads = 2, .shards = 2});
-    const auto oracle = svc.build(fx.g, fx.sources);
-    TestServer ts(svc, oracle);
     net::Client client(ts.client_options());
     EXPECT_EQ(client.call<Vitality>(wb.vitality), vwant);
     EXPECT_EQ(client.call<Vickrey>(wb.vickrey), pwant);

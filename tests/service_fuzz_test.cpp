@@ -12,10 +12,11 @@
 //   3. load  — snapshot saved to disk, bulk-read back into an owned buffer
 //              with the cells checksum verified
 //   4. mmap  — the same file, reloaded zero-copy through a memory mapping
-//   5. shm   — (MSRP_FUZZ_SHARDS=K > 0 only) a QueryService routing through
-//              K forked worker processes over shared-memory snapshot
-//              segments; off by default because the sanitizer jobs run this
-//              suite and fork under TSan is unsupported
+//   5. shm   — (MSRP_FUZZ_SHARDS=K > 0 only) a ShardRouter built over each
+//              oracle, routing the batch through K forked worker processes
+//              over shared-memory snapshot segments; off by default because
+//              the sanitizer jobs run this suite and fork under TSan is
+//              unsupported
 //
 // All paths must agree bit-for-bit with the O(sigma n m) brute-force
 // oracle. On any mismatch the failure message carries the iteration seed;
@@ -26,7 +27,7 @@
 // A second harness fuzzes the protocol v3 typed workloads (TOP_K_VITAL,
 // VICKREY_PRICES, K_FAIL) the same way: independent referees derived from
 // the brute-force oracle — and, for k-fail, a from-scratch BFS of G - F —
-// checked against the sync, async, mmap-reload, and sharded serving paths.
+// checked against the sync, async, and mmap-reload serving paths.
 // MSRP_FUZZ_WORKLOADS sets its instance budget.
 #include <gtest/gtest.h>
 
@@ -42,6 +43,7 @@
 #include "core/msrp.hpp"
 #include "graph/generators.hpp"
 #include "service/query_service.hpp"
+#include "service/shard_router.hpp"
 #include "service/workloads.hpp"
 
 namespace msrp {
@@ -80,14 +82,6 @@ TEST(ServiceFuzz, AllServingPathsMatchBruteForce) {
 
   service::QueryService svc({.threads = 4, .min_parallel_batch = 64});
   service::QueryService async_svc({.threads = 4});
-  std::unique_ptr<service::QueryService> sharded_svc;
-  if (shards > 0) {
-    service::QueryService::Options opts;
-    opts.threads = 2;
-    opts.min_parallel_batch = 64;
-    opts.shards = static_cast<unsigned>(shards);
-    sharded_svc = std::make_unique<service::QueryService>(opts);
-  }
   const auto submit_and_wait = [&async_svc](std::shared_ptr<const Snapshot> oracle,
                                             std::vector<Query> queries) {
     std::promise<service::BatchResult> delivered;
@@ -171,9 +165,11 @@ TEST(ServiceFuzz, AllServingPathsMatchBruteForce) {
 
     // Path 5 (opt-in): route the same batch through forked shard workers
     // over shared-memory segments.
-    if (sharded_svc != nullptr) {
-      ASSERT_EQ(sharded_svc->query_batch(*oracle, queries), want)
-          << "sharded path diverged, seed=" << seed;
+    if (shards > 0) {
+      service::ShardRouterOptions opts;
+      opts.shards = static_cast<unsigned>(shards);
+      service::ShardRouter router(*oracle, opts);
+      ASSERT_EQ(router.query_batch(queries), want) << "sharded path diverged, seed=" << seed;
     }
 
     // Paths 3 + 4: one saved file, served from an owned buffer and from
@@ -258,28 +254,18 @@ Dist referee_kfail(const Graph& g, Vertex s, Vertex t, std::span<const EdgeId> f
 
 // Differential fuzz for the three v3 workloads: every iteration answers the
 // same typed batches through the in-process path, the async submit path,
-// the v2 mmap reload in a *fresh* service (where |F| == 2 must demand an
-// explicit attach_graph), and — with MSRP_FUZZ_SHARDS — the forked-shard
-// path, all against the referees above. Rerun one instance with
-// MSRP_FUZZ_SEED=<seed> MSRP_FUZZ_WORKLOADS=1.
+// and the v2 mmap reload in a *fresh* service (where |F| == 2 must demand
+// an explicit attach_graph), all against the referees above. Rerun one
+// instance with MSRP_FUZZ_SEED=<seed> MSRP_FUZZ_WORKLOADS=1.
 TEST(ServiceFuzz, WorkloadOpcodesMatchBruteForce) {
   const std::uint64_t base_seed = env_u64("MSRP_FUZZ_SEED", 0x3B17A11DULL);
   const std::uint64_t num_graphs = env_u64("MSRP_FUZZ_WORKLOADS", 120);
-  const std::uint64_t shards = env_u64("MSRP_FUZZ_SHARDS", 0);
   const std::string dir = testing::TempDir();
 
   service::QueryService svc({.threads = 4, .min_parallel_batch = 64});
   // A second service that never built anything: oracles arrive here only as
   // mmap-loaded snapshots, so it exercises the attach_graph contract.
   service::QueryService reload_svc({.threads = 2, .min_parallel_batch = 64});
-  std::unique_ptr<service::QueryService> sharded_svc;
-  if (shards > 0) {
-    service::QueryService::Options opts;
-    opts.threads = 2;
-    opts.min_parallel_batch = 64;
-    opts.shards = static_cast<unsigned>(shards);
-    sharded_svc = std::make_unique<service::QueryService>(opts);
-  }
 
   for (std::uint64_t iter = 0; iter < num_graphs; ++iter) {
     const std::uint64_t seed = base_seed + iter;
@@ -378,20 +364,7 @@ TEST(ServiceFuzz, WorkloadOpcodesMatchBruteForce) {
       ASSERT_EQ(fr.answers, fwant) << "async kfail diverged, seed=" << seed;
     }
 
-    // Path 3 (opt-in): the forked shard workers. attach_graph supplies the
-    // BFS graph the |F| == 2 queries need, exactly as a sharded embedder
-    // would.
-    if (sharded_svc != nullptr) {
-      sharded_svc->attach_graph(oracle->content_digest(), std::make_shared<const Graph>(g));
-      ASSERT_EQ(sharded_svc->run<Vitality>(*oracle, vq), vwant)
-          << "sharded vitality diverged, seed=" << seed;
-      ASSERT_EQ(sharded_svc->run<Vickrey>(*oracle, pq), pwant)
-          << "sharded vickrey diverged, seed=" << seed;
-      ASSERT_EQ(sharded_svc->run<KFail>(*oracle, fq), fwant)
-          << "sharded kfail diverged, seed=" << seed;
-    }
-
-    // Path 4: v2 snapshot reloaded zero-copy into a service that never saw
+    // Path 3: v2 snapshot reloaded zero-copy into a service that never saw
     // the build. Vitality and Vickrey work from the mapping alone; a
     // two-edge failure set must first refuse (no graph behind the digest),
     // then answer identically once the graph is attached.

@@ -1,28 +1,24 @@
 // Multi-process sharded serving: plan/slice correctness, router-vs-
-// in-process differential checks, zero-copy placement accounting, worker
-// death + single-flight respawn, and shared-memory cleanup on exit.
+// in-process and router-vs-brute-force differential checks, zero-copy
+// placement accounting, worker death + single-flight respawn, and
+// shared-memory cleanup on exit.
 //
 // These tests fork real worker processes. TSan cannot follow fork, so the
-// TSan job leaves them out (and the workload case skips itself under TSan,
-// like net_test's sharded legs); the ASan+UBSan job and the plain Debug
-// and Release matrix run them.
+// TSan job leaves them out; the ASan+UBSan job and the plain Debug and
+// Release matrix run them.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
-#include <future>
 #include <numeric>
-#include <sstream>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "baseline/baselines.hpp"
 #include "core/msrp.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
-#include "service/query_gen.hpp"
 #include "service/query_service.hpp"
 #include "service/shard_router.hpp"
 #include "util/shm.hpp"
@@ -38,18 +34,6 @@ using service::ShardPlan;
 using service::ShardRouter;
 using service::ShardRouterOptions;
 using service::Snapshot;
-
-#if defined(__SANITIZE_THREAD__)
-constexpr bool kTsanBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-constexpr bool kTsanBuild = true;
-#else
-constexpr bool kTsanBuild = false;
-#endif
-#else
-constexpr bool kTsanBuild = false;
-#endif
 
 Snapshot demo_snapshot(Vertex n, std::uint32_t sigma, std::uint64_t seed) {
   Rng rng(seed);
@@ -400,139 +384,19 @@ TEST(ShardRouterTest, RejectsInvalidQueries) {
       std::invalid_argument);
 }
 
-TEST(QueryServiceShardingTest, ShardedServiceMatchesInProcess) {
-  Rng rng(0xC0FFEE);
-  const Graph g = gen::connected_avg_degree(160, 6.0, rng);
-  const std::vector<Vertex> sources{0, 40, 80, 120};
-
-  service::QueryService plain({.threads = 2, .min_parallel_batch = 64});
-  service::QueryService::Options sharded_opts;
-  sharded_opts.threads = 2;
-  sharded_opts.min_parallel_batch = 64;
-  sharded_opts.shards = 3;
-  service::QueryService sharded(sharded_opts);
-
-  const auto oracle = plain.build(g, sources);
-  const auto oracle2 = sharded.build(g, sources);
-  ASSERT_EQ(oracle->content_digest(), oracle2->content_digest());
-
-  const auto queries = random_queries(*oracle, 4000, 31);
-  const auto want = plain.query_batch(*oracle, queries);
-
-  // Sync path.
-  EXPECT_EQ(sharded.query_batch(*oracle2, queries), want);
-  // Async path (routing runs on the pool).
-  std::promise<service::BatchResult> delivered;
-  sharded.submit<service::Point>(oracle2, queries, [&delivered](service::BatchResult r) {
-    delivered.set_value(std::move(r));
-  });
-  const service::BatchResult res = delivered.get_future().get();
-  ASSERT_EQ(res.error, nullptr);
-  EXPECT_EQ(res.answers, want);
-  EXPECT_EQ(sharded.queries_served(), 2 * queries.size());
-
-  // The router was created once, placed once, and reused across both paths.
-  const auto router = sharded.router(*oracle2);
-  ASSERT_NE(router, nullptr);
-  const auto st = router->stats();
-  EXPECT_EQ(st.segments_placed, router->num_shards());
-  EXPECT_EQ(st.queries_routed, 2 * queries.size());
-}
-
-// A service's router lives as long as its oracle: once the oracle's last
-// holder drops it, the next router the service creates sweeps the old
-// one, so its worker exits and its shm segments (one a full copy of the
-// oracle's table) are unlinked.
-TEST(QueryServiceShardingTest, RouterIsReleasedWithItsOracle) {
-  service::QueryService::Options opts;
-  opts.threads = 1;
-  opts.shards = 1;
-  service::QueryService svc(opts);
-  Rng rng(0xD0D0);
-  const Graph g = gen::connected_avg_degree(80, 6.0, rng);
-
-  auto first = svc.build(g, {0, 40});
-  svc.query_batch(*first, random_queries(*first, 200, 81));
-  std::vector<std::string> names;
-  {
-    const auto router = svc.router(*first);
-    ASSERT_NE(router, nullptr);
-    names = router->segment_names();
-  }
-  ASSERT_EQ(names.size(), 3u);  // snapshot, channel, doorbell
-  for (const auto& name : names) EXPECT_TRUE(ShmSegment::exists(name)) << name;
-  first.reset();  // the oracle's last holder lets go
-
-  const auto second = svc.build(g, {10, 50});
-  const auto queries = random_queries(*second, 200, 82);
-  std::vector<Dist> want;
-  for (const Query& q : queries) want.push_back(second->avoiding(q.s, q.t, q.e));
-  EXPECT_EQ(svc.query_batch(*second, queries), want);
-  for (const auto& name : names) {
-    EXPECT_FALSE(ShmSegment::exists(name)) << name << " outlived its oracle";
-  }
-}
-
-/// The batch-file answer lines for `answers` — the bytes `--out` writes.
-template <class W>
-std::string answer_lines(const std::vector<typename W::Query>& queries,
-                         const std::vector<typename W::Result>& answers) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < queries.size(); ++i) W::print(os, queries[i], answers[i]);
-  return os.str();
-}
-
-// Only point batches leave the process: vitality, Vickrey and k-fail
-// batches on a sharded service answer from the snapshot the front process
-// holds, in the same bytes as an in-process service, and never start a
-// shard router.
-TEST(QueryServiceShardingTest, WorkloadsAnswerFromTheSnapshotWithoutARouter) {
-  if (kTsanBuild) GTEST_SKIP() << "a sharded service forks workers, which TSan cannot follow";
-  Rng rng(0xFACE);
-  const Graph g = gen::connected_avg_degree(120, 5.0, rng);
-  const std::vector<Vertex> sources{0, 40, 80};
-
-  service::QueryService plain({.threads = 2});
-  service::QueryService::Options sharded_opts;
-  sharded_opts.threads = 2;
-  sharded_opts.shards = 2;
-  service::QueryService sharded(sharded_opts);
-  const auto oracle = plain.build(g, sources);
-  const auto sharded_oracle = sharded.build(g, sources);
-  ASSERT_EQ(oracle->content_digest(), sharded_oracle->content_digest());
-
-  const auto compare = [&]<class W>(std::type_identity<W>, std::uint64_t seed) {
-    SCOPED_TRACE(W::kName);
-    Rng qrng(seed);
-    const auto queries = service::random_query_batch<W>(sources, g.num_vertices(),
-                                                        g.num_edges(), 400, qrng);
-    const std::string want = answer_lines<W>(queries, plain.run<W>(*oracle, queries));
-    EXPECT_EQ(answer_lines<W>(queries, sharded.run<W>(*sharded_oracle, queries)), want);
-    std::promise<service::WorkloadResult<W>> delivered;
-    sharded.submit<W>(sharded_oracle, queries, [&](service::WorkloadResult<W> r) {
-      delivered.set_value(std::move(r));
-    });
-    const service::WorkloadResult<W> res = delivered.get_future().get();
-    ASSERT_EQ(res.error, nullptr);
-    EXPECT_EQ(answer_lines<W>(queries, res.answers), want);
-  };
-  compare(std::type_identity<service::Vitality>{}, 91);
-  compare(std::type_identity<service::Vickrey>{}, 92);
-  compare(std::type_identity<service::KFail>{}, 93);  // |F| drawn from 0..2
-  EXPECT_EQ(sharded.router(*sharded_oracle), nullptr);
-}
-
-TEST(QueryServiceShardingTest, ShardedAnswersMatchBruteForce) {
+// The router against the O(sigma n m) brute-force oracle on every
+// (s, t, e) of a small instance, so the multi-process path is refereed by
+// something other than the in-process table it was sliced from.
+TEST(ShardRouterTest, ShardedAnswersMatchBruteForce) {
   Rng rng(0xBEEF);
   const Graph g = gen::connected_gnp(28, 0.2, rng);
   const std::vector<Vertex> sources{1, 9, 20};
   const MsrpResult truth = solve_msrp_brute_force(g, sources);
+  const Snapshot oracle = Snapshot::capture(solve_msrp(g, sources));
 
-  service::QueryService::Options opts;
-  opts.threads = 1;
+  ShardRouterOptions opts;
   opts.shards = 2;
-  service::QueryService svc(opts);
-  const auto oracle = svc.build(g, sources);
+  ShardRouter router(oracle, opts);
 
   std::vector<Query> queries;
   std::vector<Dist> want;
@@ -544,7 +408,7 @@ TEST(QueryServiceShardingTest, ShardedAnswersMatchBruteForce) {
       }
     }
   }
-  EXPECT_EQ(svc.query_batch(*oracle, queries), want);
+  EXPECT_EQ(router.query_batch(queries), want);
 }
 
 }  // namespace

@@ -33,18 +33,13 @@
 //   --random-queries N     generate N uniform random queries instead
 //   --threads N            worker threads (default: hardware concurrency)
 //   --repeat K             run the batch K times for throughput (default 1)
-//   --shards N             serve through N worker processes: the oracle is
-//                          partitioned by source into N shared-memory v2
-//                          segments, each served zero-copy by a forked
-//                          msrp_serve worker; answers are bit-identical to
-//                          the in-process path (see docs/OPERATIONS.md)
 //   --out <path>           write "s t e answer" lines for the batch
 //
 // Network serving (docs/NETWORK_PROTOCOL.md):
 //   --listen <port>        serve the oracle over TCP until SIGINT/SIGTERM
 //                          (0 = pick an ephemeral port; the bound port is
 //                          printed). Composes with every oracle mode —
-//                          --build, --load-snapshot [--mmap], --shards N.
+//                          --build, --demo, --load-snapshot [--mmap].
 //   --listen-addr <ip>     bind address (default 127.0.0.1)
 //   --idle-timeout-ms N    evict connections with no traffic for N ms
 //                          (0 = never, the default)
@@ -78,9 +73,10 @@
 //                          default)
 //
 // Internal:
-//   --shard-worker <base>:<k>   run as shard worker k of the supervisor
-//                               that owns shm prefix <base>; never invoked
-//                               by hand (the router passes it to exec)
+//   --shard-worker <base>:<k>   run as worker k of the shard router that
+//                               owns shm prefix <base>; never invoked by
+//                               hand (a router whose worker argv names this
+//                               binary passes it to exec)
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -120,7 +116,7 @@ namespace {
                "         [--save-snapshot <path>] [--mmap]\n"
                "         [--batch-file <path> | --random-queries N]\n"
                "         [--workload vitality|vickrey|kfail]\n"
-               "         [--threads N] [--repeat K] [--shards N]\n"
+               "         [--threads N] [--repeat K]\n"
                "         [--listen <port>] [--listen-addr <ip>] [--loops N]\n"
                "         [--idle-timeout-ms N] [--stall-timeout-ms N]\n"
                "         [--metrics-addr ip:port] [--trace-sample-n N]\n"
@@ -137,7 +133,6 @@ struct LocalRun {
   std::size_t random_queries = 0;
   std::uint64_t seed = 0;
   std::size_t repeat = 1;
-  bool sharded = false;
 };
 
 /// Answers one batch of workload W — read from --batch-file or drawn
@@ -164,12 +159,6 @@ int answer_local(service::QueryService& svc,
   const std::string kind = *W::kName ? std::string(W::kName) + " " : "";
   std::printf("answered %zu %squeries x%zu in %.1f ms  (%.0f queries/sec)\n", batch.size(),
               kind.c_str(), run.repeat, secs * 1e3, secs > 0 ? total / secs : 0.0);
-  if (run.sharded) {
-    // Router/cache/worker telemetry, rendered from the registry (the
-    // same series --listen serves over /metrics and STATS).
-    std::fputs(obs::render_stats_lines(obs::MetricsRegistry::instance().snapshot()).c_str(),
-               stderr);
-  }
   if (!run.out_path.empty()) {
     if (!tools::write_answer_file<W>(run.out_path, batch, answers)) return 1;
     std::printf("wrote answers to %s\n", run.out_path.c_str());
@@ -301,11 +290,11 @@ int serve_network(service::QueryService& svc, std::shared_ptr<const service::Sna
 int main(int argc, char** argv) {
   // A peer closing its socket mid-reply must surface as EPIPE from the
   // write, not kill the process. Applies to every mode (server loops,
-  // shard supervisors, workers) — set before anything can write a socket.
+  // shard workers) — set before anything can write a socket.
 #ifndef _WIN32
   std::signal(SIGPIPE, SIG_IGN);
 #endif
-  // Shard-worker mode first: the supervisor execs this binary with only the
+  // Shard-worker mode first: a shard router execs this binary with only the
   // worker spec, and the worker must never parse (or require) serving flags.
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--shard-worker") {
@@ -322,7 +311,6 @@ int main(int argc, char** argv) {
   std::size_t random_queries = 0;
   unsigned threads = 0;
   std::size_t repeat = 1;
-  unsigned shards = 0;
   bool use_mmap = false;
   bool listen = false;
   unsigned listen_port = 0;
@@ -373,8 +361,6 @@ int main(int argc, char** argv) {
       random_queries = tools::cli_u64(next(), "--random-queries");
     } else if (arg == "--threads") {
       threads = tools::cli_u32(next(), "--threads");
-    } else if (arg == "--shards") {
-      shards = tools::cli_u32(next(), "--shards");
     } else if (arg == "--listen") {
       listen = true;
       const std::uint64_t port = tools::cli_u64(next(), "--listen");
@@ -431,13 +417,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    service::QueryService::Options svc_opts;
-    svc_opts.threads = threads;
-    if (shards >= 1) {
-      svc_opts.shards = shards;
-      svc_opts.shard_worker_argv = {argv[0]};  // workers exec this binary
-    }
-    service::QueryService svc(svc_opts);
+    service::QueryService svc({.threads = threads});
     std::shared_ptr<const service::Snapshot> oracle;
 
     Timer build_timer;
@@ -480,16 +460,14 @@ int main(int argc, char** argv) {
 
     if (listen) {
       // TCP front end over whatever oracle mode was selected above
-      // (in-process build, mmap snapshot, sharded workers alike).
+      // (in-process build or snapshot, mmap or buffered, alike).
       return serve_network(svc, oracle, listen_addr,
                            static_cast<std::uint16_t>(listen_port), loops, use_registry,
                            max_tenants, registry_bytes, idle_timeout_ms, stall_timeout_ms,
                            failed_ttl_ms, build_timeout_ms, metrics_addr, trace_sample_n);
     }
 
-    // Point batches route through the shard workers when sharding; the
-    // other workloads answer from the oracle this process holds.
-    const LocalRun run{batch_path, out_path, random_queries, cfg.seed, repeat, shards >= 1};
+    const LocalRun run{batch_path, out_path, random_queries, cfg.seed, repeat};
     int rc = 0;
     tools::with_workload(workload, [&](auto tag) {
       rc = answer_local<typename decltype(tag)::type>(svc, oracle, run);
