@@ -75,8 +75,8 @@ bool OracleRegistry::register_graph(Vertex num_vertices,
     entries_[key].done = std::move(done);
     ++pending_;
   }
-  svc_.run_async([this, key, num_vertices, edges = std::move(edges),
-                  sources = std::move(sources), cfg]() mutable {
+  svc_.pool().submit([this, key, num_vertices, edges = std::move(edges),
+                      sources = std::move(sources), cfg]() mutable {
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = entries_.find(key);
@@ -125,7 +125,7 @@ bool OracleRegistry::register_snapshot(std::string path, RegisterCallback done,
     entries_[key].done = std::move(done);
     ++pending_;
   }
-  svc_.run_async([this, key, path = std::move(path)] {
+  svc_.pool().submit([this, key, path = std::move(path)] {
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = entries_.find(key);

@@ -1,7 +1,6 @@
 #include "service/query_service.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <mutex>
 #include <utility>
 
@@ -11,7 +10,7 @@
 
 namespace msrp::service {
 
-QueryService::QueryService(Options opts) : opts_(std::move(opts)), pool_(opts_.threads) {
+QueryService::QueryService(Options opts) : pool_(opts.threads) {
   collector_ = obs::MetricsRegistry::instance().register_collector(
       [this](obs::MetricsSnapshot& out) {
         out.counters.push_back({"service.queries_served", queries_served()});
@@ -105,142 +104,6 @@ std::shared_ptr<const Snapshot> QueryService::load(const std::string& path,
   // from built oracles (config_fingerprint() never returns 0 in practice).
   OracleKey key{snap->content_digest(), snap->sources(), 0};
   return cache_.get_or_insert(key, std::move(snap));
-}
-
-QueryService::BatchPlan QueryService::plan_shards(const Snapshot& oracle,
-                                                  std::span<const Query> queries) {
-  const Vertex n = oracle.num_vertices();
-  const EdgeId m = oracle.num_edges();
-  const std::uint32_t sigma = oracle.num_sources();
-
-  // Validate everything before any worker sees the batch, and counting-sort
-  // the query indices by source while at it (the sharding axis). The flat
-  // `order` array keeps each source's shard contiguous with one allocation —
-  // this pass is the only serial work per batch, so it stays lean.
-  BatchPlan plan;
-  std::vector<std::uint32_t> si_of(queries.size());
-  plan.shard_begin.assign(sigma + 1, 0);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const Query& q = queries[i];
-    MSRP_REQUIRE(oracle.is_source(q.s), "query source is not an oracle source");
-    MSRP_REQUIRE(q.t < n, "query target out of range");
-    MSRP_REQUIRE(q.e < m, "query edge out of range");
-    si_of[i] = oracle.source_index(q.s);
-    ++plan.shard_begin[si_of[i] + 1];
-  }
-  for (std::uint32_t si = 0; si < sigma; ++si) plan.shard_begin[si + 1] += plan.shard_begin[si];
-  plan.order.resize(queries.size());
-  std::vector<std::size_t> fill(plan.shard_begin.begin(), plan.shard_begin.end() - 1);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    plan.order[fill[si_of[i]]++] = static_cast<std::uint32_t>(i);
-  }
-  return plan;
-}
-
-void QueryService::answer_range(const Snapshot& oracle, std::span<const Query> queries,
-                                const BatchPlan& plan, std::span<Dist> out, std::uint32_t si,
-                                std::size_t lo, std::size_t hi) {
-  for (std::size_t j = lo; j < hi; ++j) {
-    const Query& q = queries[plan.order[j]];
-    out[plan.order[j]] = oracle.avoiding_at(si, q.t, q.e);
-  }
-}
-
-std::vector<Dist> QueryService::query_batch(const Snapshot& oracle,
-                                            std::span<const Query> queries,
-                                            Deadline deadline) {
-  struct Outcome {
-    std::mutex mu;
-    std::condition_variable done_cv;
-    bool done = false;
-    BatchResult result;
-  } outcome;
-  PointBatch batch(oracle, deadline, [&outcome](BatchResult r) {
-    // Notify under the lock: the waiter below may destroy `outcome` the
-    // moment it sees `done`.
-    std::lock_guard<std::mutex> lock(outcome.mu);
-    outcome.result = std::move(r);
-    outcome.done = true;
-    outcome.done_cv.notify_all();
-  });
-  batch.queries = queries;
-  // This frame owns the batch and outlives every chunk task (it waits for
-  // the completion below), so the engine gets a non-owning pointer: the
-  // aliasing constructor with an empty owner allocates no control block.
-  answer_points(std::shared_ptr<PointBatch>(std::shared_ptr<void>(), &batch));
-  {
-    std::unique_lock<std::mutex> lock(outcome.mu);
-    outcome.done_cv.wait(lock, [&outcome] { return outcome.done; });
-  }
-  if (outcome.result.error != nullptr) std::rethrow_exception(outcome.result.error);
-  return std::move(outcome.result.answers);
-}
-
-void QueryService::answer_points(std::shared_ptr<PointBatch> batch) {
-  PointBatch& b = *batch;
-  std::size_t chunk = 0;  // 0 = answered inline
-  try {
-    // Every chunk is O(1) work per query on an immutable table, so an
-    // up-front check suffices.
-    if (deadline_expired(b.deadline)) {
-      throw DeadlineExceeded("batch expired before answering");
-    }
-    b.plan = plan_shards(b.oracle, b.queries);
-    b.answers.resize(b.queries.size());
-    if (b.queries.size() < opts_.min_parallel_batch || pool_.size() <= 1) {
-      for (std::uint32_t si = 0; si < b.oracle.num_sources(); ++si) {
-        answer_range(b.oracle, b.queries, b.plan, b.answers, si, b.plan.shard_begin[si],
-                     b.plan.shard_begin[si + 1]);
-      }
-    } else {
-      // One task per (source, chunk): splitting by source keeps each
-      // worker in one source's table; chunking caps a source's share so a
-      // skewed batch (all queries on one source) still spreads across the
-      // pool.
-      chunk = std::max<std::size_t>(512, b.queries.size() / (std::size_t{pool_.size()} * 4));
-    }
-  } catch (...) {
-    finish(b, std::current_exception());
-    return;
-  }
-  if (chunk == 0) {
-    finish(b, nullptr);
-    return;
-  }
-  // Nobody waits on the chunks: the last one to finish completes the
-  // batch, so the pool stays deadlock-free however many batches are in
-  // flight, and concurrent batches never observe each other's tasks.
-  const std::uint32_t sigma = b.oracle.num_sources();
-  std::size_t num_chunks = 0;
-  for (std::uint32_t si = 0; si < sigma; ++si) {
-    num_chunks += (b.plan.shard_begin[si + 1] - b.plan.shard_begin[si] + chunk - 1) / chunk;
-  }
-  b.pending.store(num_chunks, std::memory_order_relaxed);
-  for (std::uint32_t si = 0; si < sigma; ++si) {
-    const std::size_t end = b.plan.shard_begin[si + 1];
-    for (std::size_t lo = b.plan.shard_begin[si]; lo < end; lo += chunk) {
-      const std::size_t hi = std::min(end, lo + chunk);
-      pool_.submit([this, batch, si, lo, hi] {
-        // Touches only validated indices; nothrow.
-        answer_range(batch->oracle, batch->queries, batch->plan, batch->answers, si, lo, hi);
-        if (batch->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          finish(*batch, nullptr);
-        }
-      });
-    }
-  }
-}
-
-void QueryService::finish(PointBatch& batch, std::exception_ptr error) {
-  // The latch keeps the once-only contract whatever path reports: a
-  // completion that throws cannot be followed by a second delivery.
-  if (batch.finished.exchange(true, std::memory_order_acq_rel)) return;
-  if (error != nullptr) {
-    batch.complete(BatchResult{{}, nullptr, std::move(error)});
-    return;
-  }
-  note_served(batch.queries.size());
-  batch.complete(BatchResult{std::move(batch.answers), batch.owner, nullptr});
 }
 
 void QueryService::check_before_answer(Deadline deadline) {

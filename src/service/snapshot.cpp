@@ -464,11 +464,6 @@ std::size_t Snapshot::footprint_bytes() const {
 
 // ------------------------------------------------------------ point reads ---
 
-std::uint32_t Snapshot::source_index(Vertex s) const {
-  MSRP_REQUIRE(s < n_ && source_index_[s] >= 0, "not a source in the snapshot");
-  return static_cast<std::uint32_t>(source_index_[s]);
-}
-
 Dist Snapshot::shortest(Vertex s, Vertex t) const {
   const std::uint32_t si = source_index(s);
   MSRP_REQUIRE(t < n_, "target out of range");

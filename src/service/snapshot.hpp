@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "core/result.hpp"
+#include "util/assert.hpp"
 
 namespace msrp::service {
 
@@ -117,7 +118,10 @@ class Snapshot {
   bool is_source(Vertex s) const { return s < n_ && source_index_[s] >= 0; }
 
   /// Index of source vertex s; throws if s is not a source.
-  std::uint32_t source_index(Vertex s) const;
+  std::uint32_t source_index(Vertex s) const {
+    MSRP_REQUIRE(is_source(s), "not a source in the snapshot");
+    return static_cast<std::uint32_t>(source_index_[s]);
+  }
 
   /// d(s, t); kInfDist if t is unreachable from s.
   Dist shortest(Vertex s, Vertex t) const;

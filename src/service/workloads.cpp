@@ -7,6 +7,7 @@
 #include "ftsub/kfail.hpp"
 #include "service/query_service.hpp"
 #include "util/assert.hpp"
+#include "util/thread_pool.hpp"
 
 namespace msrp::service {
 
@@ -51,6 +52,28 @@ Point::Query Point::random(std::span<const Vertex> sources, Vertex n, EdgeId m, 
   q.t = static_cast<Vertex>(rng.next_below(n));
   q.e = static_cast<EdgeId>(rng.next_below(m));
   return q;
+}
+
+std::vector<Dist> Point::answer(QueryService& svc, const Snapshot& oracle,
+                                std::span<const Query> queries, Deadline) {
+  const Vertex n = oracle.num_vertices();
+  const EdgeId m = oracle.num_edges();
+  std::vector<Dist> out(queries.size());
+  // Each chunk validates as it answers. parallel_for rethrows the failure
+  // of the lowest chunk, and a chunk stops at its first invalid query, so
+  // the error names the batch's first invalid query on any thread count.
+  const std::size_t chunks = (queries.size() + kPointChunk - 1) / kPointChunk;
+  maybe_parallel_for(&svc.pool(), chunks, [&](std::size_t c, std::size_t) {
+    const std::size_t end = std::min(queries.size(), (c + 1) * kPointChunk);
+    for (std::size_t i = c * kPointChunk; i < end; ++i) {
+      const Query& q = queries[i];
+      MSRP_REQUIRE(oracle.is_source(q.s), "query source is not an oracle source");
+      MSRP_REQUIRE(q.t < n, "query target out of range");
+      MSRP_REQUIRE(q.e < m, "query edge out of range");
+      out[i] = oracle.avoiding_at(oracle.source_index(q.s), q.t, q.e);
+    }
+  });
+  return out;
 }
 
 // ---------------------------------------------------------------- Vitality ---

@@ -11,7 +11,6 @@
 /// serving path — in-process, mmap, wire — answers identically):
 ///
 ///   * Point (s, t, e): d(s, t, e), one O(1) table read.
-///     QueryService::query_batch executes it.
 ///   * Vitality (s, t, k): the k edges of the canonical s->t path whose
 ///     removal hurts most. Each entry carries the edge id, its position on
 ///     the path (0 = incident to s), and the replacement distance
@@ -27,9 +26,11 @@
 ///     |F| == 2 needs the graph (a bounded BFS via the ftsub machinery);
 ///     |F| == 0 degenerates to the base distance.
 ///
-/// Every workload but Point is answered by its trait's one `answer` step,
-/// straight from the Snapshot: Vitality and Vickrey read row(s, t) beside
-/// canonical_path(s, t), a KFail |F| <= 1 query reads shortest/avoiding.
+/// Every workload is answered by its trait's one `answer` step, straight
+/// from the Snapshot: a Point query reads avoiding_at, Vitality and
+/// Vickrey read row(s, t) beside canonical_path(s, t), a KFail |F| <= 1
+/// query reads shortest/avoiding. Point alone splits a batch into
+/// kPointChunk-query chunks on the service pool's parallel_for.
 /// The process that answers always holds the full Snapshot, so every
 /// serving path returns the same bytes.
 ///
@@ -67,6 +68,11 @@ inline constexpr std::size_t kMaxKFailEdges = 2;
 /// Cap on TOP_K_VITAL's k. A path has fewer than n edges, so any larger
 /// request is either a typo or an attack on the reply allocator.
 inline constexpr std::uint32_t kMaxTopKVital = 1u << 16;
+
+/// Queries per chunk of a point batch. Point::answer hands the service
+/// pool's parallel_for one chunk per item, so a batch of at most this many
+/// queries is answered inline on the thread that runs it.
+inline constexpr std::size_t kPointChunk = 2048;
 
 struct VitalityQuery {
   Vertex s = 0;
@@ -136,7 +142,7 @@ struct KFailQuery {
 ///   parse, print             batch-file query line and answer line
 ///   random                   one uniform query (msrp_serve --random-queries)
 ///   answer                   validates and answers a batch from the
-///                            Snapshot (every workload but Point)
+///                            Snapshot
 struct Point {
   using Query = service::Query;
   using Result = Dist;
@@ -175,6 +181,13 @@ struct Point {
   static bool parse(std::span<const std::uint32_t> fields, Query& q);
   static void print(std::ostream& os, const Query& q, Result d);
   static Query random(std::span<const Vertex> sources, Vertex n, EdgeId m, Rng& rng);
+
+  /// Answers out[i] = d(queries[i]) in query order, kPointChunk queries per
+  /// item of the service pool's parallel_for. Throws std::invalid_argument
+  /// for the first query that names a non-source s or an out-of-range t
+  /// or e; the batch then yields no answers.
+  static std::vector<Result> answer(QueryService& svc, const Snapshot& oracle,
+                                    std::span<const Query> queries, Deadline deadline);
 };
 
 struct Vitality {

@@ -1,6 +1,9 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
 #include <utility>
 
 namespace msrp {
@@ -27,19 +30,8 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
-    ++in_flight_;
   }
   work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
 }
 
 namespace {
@@ -140,12 +132,7 @@ void ThreadPool::worker_loop() {
     try {
       task();
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) idle_cv_.notify_all();
+      // A throwing task must not take its worker down with it.
     }
   }
 }

@@ -1,44 +1,34 @@
 // Fixed-size worker pool shared by the query service and the parallel
 // oracle build (Config::build_pool).
 //
-// Tasks come in three flavours:
+// Tasks come in two flavours:
 //
-//   * submit() — fire-and-forget closures; the only synchronization point
-//     is wait_idle(), which blocks until every submitted task has finished
-//     and rethrows the first exception any of them threw. That matches the
-//     synchronous batch-serving pattern (submit one task per shard, wait,
-//     return answers).
-//   * submit_task() — returns a std::future for the closure's result, for
-//     callers that want one task's value or error back without touching the
-//     pool-wide wait_idle() channel. (The point engine in
-//     query_service.cpp manages its own completion counter instead: one
-//     completion per *batch*, not per chunk task.)
+//   * submit() — fire-and-forget closures. Nothing waits on them: a task
+//     that needs its outcome seen delivers it itself (QueryService::submit
+//     invokes the batch callback as its last step). A task that throws
+//     loses the exception; the worker survives and takes the next task.
 //   * parallel_for() — a blocking parallel loop in which the CALLING thread
 //     participates: items are claimed from a shared atomic cursor by the
 //     caller and by helper tasks on the pool, so the loop completes even
 //     when every worker is busy (or when the caller itself *is* a pool
-//     worker, as in a cold-cache oracle build running on the service pool).
-//     This is the one sanctioned way for a pool task to fan out onto its
-//     own pool without deadlocking.
+//     worker, as in a cold-cache oracle build or a point batch running on
+//     the service pool). This is the one sanctioned way for a pool task to
+//     fan out onto its own pool without deadlocking, and the one way to
+//     wait for work on the pool.
 //
-// Tasks must never block on other tasks of the same pool (the point
-// engine is written completion-driven for exactly this reason): with every
+// Tasks must never block on other tasks of the same pool: with every
 // worker parked in a wait there is nobody left to run the task being
 // waited for. parallel_for is safe because the waiter drains the loop
 // itself.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace msrp {
@@ -57,24 +47,9 @@ class ThreadPool {
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Enqueues a task. Never blocks.
+  /// Enqueues a task. Never blocks. An exception the task throws is
+  /// swallowed.
   void submit(std::function<void()> task);
-
-  /// Enqueues a task and returns a future for its result. Exceptions the
-  /// task throws surface through the future (and never through
-  /// wait_idle()'s first-error channel).
-  template <typename F>
-  auto submit_task(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> fut = task->get_future();
-    submit([task] { (*task)(); });  // packaged_task captures any exception
-    return fut;
-  }
-
-  /// Blocks until the queue is empty and no task is running, then rethrows
-  /// the first exception any task threw since the last wait_idle().
-  void wait_idle();
 
   /// Runs body(i, slot) for every i in [0, n), spreading items across the
   /// pool's workers AND the calling thread, then returns once all n items
@@ -101,10 +76,7 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   std::mutex mu_;
-  std::condition_variable work_cv_;   // workers wait for tasks
-  std::condition_variable idle_cv_;   // wait_idle waits for quiescence
-  std::size_t in_flight_ = 0;         // queued + running
-  std::exception_ptr first_error_;
+  std::condition_variable work_cv_;  // workers wait for tasks
   bool stop_ = false;
 };
 

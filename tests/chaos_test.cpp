@@ -281,7 +281,7 @@ TEST(FairDispatcherDeadline, ExpiredQueuedBatchFailsInsteadOfDispatching) {
 struct ChaosFixture {
   Graph g{0};
   std::vector<Vertex> sources{0, 11, 29};
-  service::QueryService svc{{.threads = 2, .min_parallel_batch = 64}};
+  service::QueryService svc{{.threads = 2}};
   std::shared_ptr<const Snapshot> oracle;
 
   ChaosFixture() {
@@ -351,7 +351,7 @@ std::promise<void> wedge_pool(service::QueryService& svc) {
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
   for (unsigned i = 0; i < svc.num_threads(); ++i) {
-    svc.run_async([gate] { gate.wait(); });
+    svc.pool().submit([gate] { gate.wait(); });
   }
   return release;
 }

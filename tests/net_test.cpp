@@ -684,7 +684,7 @@ TEST(FrameChecksum, DetectsEveryOneAndTwoBitFlipOfA64BytePayload) {
   EXPECT_GT(missed_flips(payload, plain_word_fnv), 0u);
 }
 
-TEST(FrameChecksum, DecoderRejectsEveryOneBitFlipOfAPointBatch) {
+TEST(FrameChecksum, DecoderRejectsEveryOneBitFlipOfAPointQueryBatch) {
   Rng rng(27);
   std::vector<Query> queries(512);
   for (Query& q : queries) {
@@ -866,7 +866,7 @@ TEST(Protocol, WireBytesMatchPinnedFrames) {
 struct NetFixture {
   Graph g{0};
   std::vector<Vertex> sources{0, 11, 29};
-  service::QueryService svc{{.threads = 2, .min_parallel_batch = 64}};
+  service::QueryService svc{{.threads = 2}};
   std::shared_ptr<const Snapshot> oracle;
 
   NetFixture() {
@@ -941,7 +941,7 @@ TEST(NetServer, EveryServingModeMatchesInProcess) {
   {  // v2 snapshot served zero-copy from a memory mapping
     const std::string path = testing::TempDir() + "/net_test_oracle.v2.snap";
     fx.oracle->save(path);
-    service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
+    service::QueryService svc({.threads = 2});
     const auto mapped = svc.load(path, {.use_mmap = true, .verify_cells = false});
     ASSERT_TRUE(mapped->is_mapped());
     TestServer ts(svc, mapped);
@@ -1015,7 +1015,7 @@ TEST(NetServer, WorkloadOpcodesServeEveryMode) {
   {  // v2 snapshot served zero-copy from a memory mapping
     const std::string path = testing::TempDir() + "/net_test_workload.v2.snap";
     fx.oracle->save(path);
-    service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
+    service::QueryService svc({.threads = 2});
     const auto mapped = svc.load(path, {.use_mmap = true, .verify_cells = false});
     ASSERT_TRUE(mapped->is_mapped());
     svc.attach_graph(mapped->content_digest(), std::make_shared<const Graph>(fx.g));
@@ -1034,7 +1034,7 @@ TEST(NetServer, TwoEdgeKFailWithoutGraphFailsTheBatchNotTheConnection) {
   NetFixture fx;
   const std::string path = testing::TempDir() + "/net_test_nograph.v2.snap";
   fx.oracle->save(path);
-  service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
+  service::QueryService svc({.threads = 2});
   const auto mapped = svc.load(path, {.use_mmap = true, .verify_cells = false});
   TestServer ts(svc, mapped);
   net::Client client(ts.client_options());
@@ -1387,7 +1387,7 @@ std::promise<void> wedge_pool(service::QueryService& svc) {
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
   for (unsigned i = 0; i < svc.num_threads(); ++i) {
-    svc.run_async([gate] { gate.wait(); });
+    svc.pool().submit([gate] { gate.wait(); });
   }
   return release;
 }
@@ -1397,7 +1397,7 @@ std::promise<void> wedge_pool(service::QueryService& svc) {
 // be byte-identical to a local QueryService building the same graphs.
 // MSRP_FUZZ_TENANTS widens the matrix (2..8 random tenant graphs).
 TEST(NetRegistry, WireRegisteredTenantsMatchInProcessByteForByte) {
-  service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
+  service::QueryService svc({.threads = 2});
   RegistryTestServer ts(svc, nullptr);  // no default oracle: registry only
   net::Client client(ts.client_options());
   EXPECT_TRUE(client.registry_enabled());
@@ -1408,7 +1408,7 @@ TEST(NetRegistry, WireRegisteredTenantsMatchInProcessByteForByte) {
     tenants = std::clamp<std::size_t>(std::strtoul(fuzz, nullptr, 10), 2, 8);
   }
 
-  service::QueryService local({.threads = 2, .min_parallel_batch = 64});
+  service::QueryService local({.threads = 2});
   struct Tenant {
     Graph g{0};
     std::vector<Vertex> sources;
@@ -1490,7 +1490,7 @@ TEST(NetRegistry, DefaultOracleServesV1AndDigestTargetedBatches) {
 }
 
 TEST(NetRegistry, NoDefaultOracleRejectsUntargetedBatches) {
-  service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
+  service::QueryService svc({.threads = 2});
   RegistryTestServer ts(svc, nullptr);
   net::Client client(ts.client_options());
   try {
@@ -1539,7 +1539,7 @@ TEST(NetRegistry, WorkloadBatchesTargetRegisteredTenants) {
       client.register_graph(g2.num_vertices(), g2.edges(), sources2);
   ASSERT_EQ(ack.state, registry::OracleState::kReady);
 
-  service::QueryService local({.threads = 2, .min_parallel_batch = 64});
+  service::QueryService local({.threads = 2});
   const auto oracle2 = local.build(g2, sources2);
   ASSERT_EQ(oracle2->content_digest(), ack.digest);
 
@@ -1627,7 +1627,7 @@ TEST(NetRegistry, AdmissionControlAnswersBusyAndRetrySucceeds) {
 }
 
 TEST(NetRegistry, UnregisterAndReRegisterOverTheWire) {
-  service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
+  service::QueryService svc({.threads = 2});
   RegistryTestServer ts(svc, nullptr);
   net::Client client(ts.client_options());
 
@@ -1661,7 +1661,7 @@ TEST(NetRegistry, UnregisterAndReRegisterOverTheWire) {
 }
 
 TEST(NetRegistry, UnregisterWhileInflightDrainsThenRetires) {
-  service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
+  service::QueryService svc({.threads = 2});
   RegistryTestServer ts(svc, nullptr);
   net::Client client(ts.client_options());
 
@@ -1858,7 +1858,7 @@ TEST(NetServer, UnknownOpcodeProbeGetsErrorFrameThenClose) {
   EXPECT_EQ(ts.server.stats().protocol_errors, 1u);
 }
 
-TEST(NetServer, UntargetedPointBatchKeepsTheV1Layout) {
+TEST(NetServer, UntargetedPointQueryBatchKeepsTheV1Layout) {
   // Layout pin: an untargeted batch (flags == 0, no digest, no deadline)
   // is the v1 QUERY_BATCH payload, the server answers it with the v1
   // ANSWER_BATCH payload, and the HELLO still announces sources and digest
@@ -1999,7 +1999,7 @@ TEST(NetServer, PeerResetMidReplyDoesNotKillServer) {
 }
 
 TEST(NetRegistry, TruncatedRegisterUploadLeavesNoTenantBehind) {
-  service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
+  service::QueryService svc({.threads = 2});
   RegistryTestServer ts(svc, nullptr);
   {
     // Half a REGISTER_GRAPH frame, then the uploader vanishes.
@@ -2030,7 +2030,7 @@ TEST(NetRegistry, TruncatedRegisterUploadLeavesNoTenantBehind) {
 }
 
 TEST(NetRegistry, RegisterRequestIdZeroIsRejected) {
-  service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
+  service::QueryService svc({.threads = 2});
   RegistryTestServer ts(svc, nullptr);
   RawConn raw(ts.server.port());
   net::RegisterGraphFrame reg;

@@ -174,7 +174,7 @@ TEST(FairDispatcher, TotalInflightCapBindsAcrossTenants) {
 struct RegistryFixture {
   Graph g{0};
   std::vector<Vertex> sources{0, 5, 9};
-  service::QueryService svc{{.threads = 2, .min_parallel_batch = 64}};
+  service::QueryService svc{{.threads = 2}};
 
   RegistryFixture() {
     Rng rng(5);

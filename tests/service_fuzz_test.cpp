@@ -5,10 +5,10 @@
 // batch through every serving path the service layer offers:
 //
 //   1. sync  — QueryService::query_batch against the built oracle
-//   2. async — QueryService::submit<Point> against the same oracle, on a
-//              service with default Options: the batch as drawn, and tiled
-//              past the default min_parallel_batch so both the inline and
-//              the fan-out branch of the point engine answer it
+//   2. async — QueryService::submit<Point> against the same oracle: the
+//              batch as drawn, and tiled past kPointChunk so both a
+//              one-chunk batch (answered inline) and a multi-chunk one
+//              (spread over the pool) answer it
 //   3. load  — snapshot saved to disk, bulk-read back into an owned buffer
 //              with the cells checksum verified
 //   4. mmap  — the same file, reloaded zero-copy through a memory mapping
@@ -80,7 +80,7 @@ TEST(ServiceFuzz, AllServingPathsMatchBruteForce) {
   const std::uint64_t shards = env_u64("MSRP_FUZZ_SHARDS", 0);
   const std::string dir = testing::TempDir();
 
-  service::QueryService svc({.threads = 4, .min_parallel_batch = 64});
+  service::QueryService svc({.threads = 4});
   service::QueryService async_svc({.threads = 4});
   const auto submit_and_wait = [&async_svc](std::shared_ptr<const Snapshot> oracle,
                                             std::vector<Query> queries) {
@@ -155,7 +155,7 @@ TEST(ServiceFuzz, AllServingPathsMatchBruteForce) {
     ASSERT_EQ(async_res.answers, want) << "async path diverged, seed=" << seed;
     std::vector<Query> tiled;
     std::vector<Dist> tiled_want;
-    while (tiled.size() < service::QueryService::Options{}.min_parallel_batch) {
+    while (tiled.size() <= service::kPointChunk) {
       tiled.insert(tiled.end(), queries.begin(), queries.end());
       tiled_want.insert(tiled_want.end(), want.begin(), want.end());
     }
@@ -262,10 +262,10 @@ TEST(ServiceFuzz, WorkloadOpcodesMatchBruteForce) {
   const std::uint64_t num_graphs = env_u64("MSRP_FUZZ_WORKLOADS", 120);
   const std::string dir = testing::TempDir();
 
-  service::QueryService svc({.threads = 4, .min_parallel_batch = 64});
+  service::QueryService svc({.threads = 4});
   // A second service that never built anything: oracles arrive here only as
   // mmap-loaded snapshots, so it exercises the attach_graph contract.
-  service::QueryService reload_svc({.threads = 2, .min_parallel_batch = 64});
+  service::QueryService reload_svc({.threads = 2});
 
   for (std::uint64_t iter = 0; iter < num_graphs; ++iter) {
     const std::uint64_t seed = base_seed + iter;

@@ -163,47 +163,17 @@ TEST(Snapshot, NonSourceAndOutOfRangeThrow) {
 // ------------------------------------------------------------ thread pool ---
 
 TEST(ThreadPool, RunsEveryTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
+  {
+    ThreadPool pool(4);
+    EXPECT_EQ(pool.size(), 4u);
+    // A throwing task neither kills its worker nor stops the rest.
+    pool.submit([] { throw std::runtime_error("boom"); });
+    for (int i = 0; i < 1000; ++i) {
+      pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
+    }
+  }  // ~ThreadPool runs every queued task before it joins
   EXPECT_EQ(counter.load(), 1000);
-}
-
-TEST(ThreadPool, PropagatesTaskException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // Pool stays usable afterwards.
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { ++counter; });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPool, SubmitTaskDeliversValuesAndExceptionsThroughTheFuture) {
-  ThreadPool pool(2);
-  std::future<int> value = pool.submit_task([] { return 6 * 7; });
-  EXPECT_EQ(value.get(), 42);
-
-  std::future<int> error =
-      pool.submit_task([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(error.get(), std::runtime_error);
-  // The exception travelled through the future, not the wait_idle channel.
-  EXPECT_NO_THROW(pool.wait_idle());
-
-  // Futures compose with fire-and-forget tasks on the same pool.
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  std::future<std::string> tail = pool.submit_task([] { return std::string("done"); });
-  EXPECT_EQ(tail.get(), "done");
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
 }
 
 // ---------------------------------------------------------- query service ---
@@ -213,7 +183,7 @@ TEST(QueryService, ConcurrentBatchMatchesBruteForceOracle) {
   const Graph g = gen::connected_gnp(80, 0.07, rng);
   const std::vector<Vertex> sources{0, 5, 9, 17};
 
-  service::QueryService svc({.threads = 4, .min_parallel_batch = 1});
+  service::QueryService svc({.threads = 4});
   const auto oracle = svc.build(g, sources);
 
   // Every (s, t, e) triple: sigma * n * m queries, answered on 4 threads.
@@ -245,7 +215,7 @@ TEST(QueryService, BatchAnswersMatchSerialAvoiding) {
   const std::vector<Vertex> sources{2, 60, 90};
   const MsrpResult res = solve_msrp(g, sources);
 
-  service::QueryService svc({.threads = 4, .min_parallel_batch = 1});
+  service::QueryService svc({.threads = 4});
   const auto oracle = svc.build(g, sources);
 
   Rng qrng(77);
@@ -267,7 +237,7 @@ TEST(QueryService, ConcurrentCallersShareThePool) {
   const std::vector<Vertex> sources{0, 30};
   const MsrpResult res = solve_msrp(g, sources);
 
-  service::QueryService svc({.threads = 4, .min_parallel_batch = 1});
+  service::QueryService svc({.threads = 4});
   const auto oracle = svc.build(g, sources);
 
   Rng qrng(13);
@@ -300,6 +270,14 @@ TEST(QueryService, ConcurrentCallersShareThePool) {
   EXPECT_EQ(svc.queries_served(), batch.size() * kCallers * kRounds);
 }
 
+/// A valid batch of at least three kPointChunk chunks whose only invalid
+/// query, `bad`, is the very last one.
+std::vector<Query> multi_chunk_batch_ending_in(Query bad) {
+  std::vector<Query> batch(3 * service::kPointChunk, Query{0, 1, 0});
+  batch.back() = bad;
+  return batch;
+}
+
 TEST(QueryService, RejectsInvalidQueries) {
   const Graph g = gen::cycle(10);
   service::QueryService svc({.threads = 2});
@@ -310,6 +288,13 @@ TEST(QueryService, RejectsInvalidQueries) {
                std::invalid_argument);  // target out of range
   EXPECT_THROW(svc.query_batch(*oracle, std::vector<Query>{{0, 2, 99}}),
                std::invalid_argument);  // edge out of range
+  // The same rejection when the bad query sits in the last chunk of a
+  // batch spread over the pool: no answers, nothing counted as served.
+  for (const Query bad : {Query{1, 2, 0}, Query{0, 99, 0}, Query{0, 2, 99}}) {
+    EXPECT_THROW(svc.query_batch(*oracle, multi_chunk_batch_ending_in(bad)),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(svc.queries_served(), 0u);
 }
 
 TEST(QueryService, RepeatBuildHitsCache) {
@@ -357,9 +342,9 @@ std::vector<Query> random_batch(const Graph& g, const std::vector<Vertex>& sourc
   return batch;
 }
 
-// Sync and async share one engine; both of its in-process branches — the
-// inline one below min_parallel_batch and the chunked fan-out — must agree
-// with the sync answers (which Snapshot tests pin against the solver).
+// Sync and async share Point::answer; a one-chunk batch (answered inline)
+// and a multi-chunk one (spread over the pool) must both agree with the
+// sync answers (which Snapshot tests pin against the solver).
 TEST(QueryService, AsyncBatchMatchesSync) {
   Rng rng(61);
   const Graph g = gen::connected_avg_degree(100, 5.0, rng);
@@ -368,7 +353,7 @@ TEST(QueryService, AsyncBatchMatchesSync) {
   const auto oracle = svc.build(g, sources);
 
   for (const std::size_t count : {std::size_t{100}, std::size_t{20000}}) {
-    SCOPED_TRACE(count);  // below and above the default min_parallel_batch
+    SCOPED_TRACE(count);  // one chunk and several
     const std::vector<Query> batch = random_batch(g, sources, count, 62);
     const std::vector<Dist> want = svc.query_batch(*oracle, batch);
     const service::BatchResult res = submit_and_wait<service::Point>(svc, oracle, batch);
@@ -382,7 +367,7 @@ TEST(QueryService, AsyncCallbackDeliversOnAPoolThread) {
   Rng rng(64);
   const Graph g = gen::connected_gnp(40, 0.15, rng);
   const std::vector<Vertex> sources{0, 20};
-  service::QueryService svc({.threads = 2, .min_parallel_batch = 1});
+  service::QueryService svc({.threads = 2});
   const auto oracle = svc.build(g, sources);
 
   std::vector<Query> batch;
@@ -405,13 +390,17 @@ TEST(QueryService, AsyncValidationErrorsArriveInBatchResult) {
   const auto oracle = svc.build(g, {0});
 
   for (const Query bad : {Query{1, 2, 0}, Query{0, 99, 0}, Query{0, 2, 99}}) {
-    const service::BatchResult res =
-        submit_and_wait<service::Point>(svc, oracle, std::vector<Query>{{0, 1, 0}, bad});
-    ASSERT_NE(res.error, nullptr);
-    EXPECT_TRUE(res.answers.empty());
-    EXPECT_EQ(res.oracle, nullptr);
-    EXPECT_THROW(std::rethrow_exception(res.error), std::invalid_argument);
+    for (const std::vector<Query>& batch :
+         {std::vector<Query>{{0, 1, 0}, bad}, multi_chunk_batch_ending_in(bad)}) {
+      SCOPED_TRACE(batch.size());
+      const service::BatchResult res = submit_and_wait<service::Point>(svc, oracle, batch);
+      ASSERT_NE(res.error, nullptr);
+      EXPECT_TRUE(res.answers.empty());
+      EXPECT_EQ(res.oracle, nullptr);
+      EXPECT_THROW(std::rethrow_exception(res.error), std::invalid_argument);
+    }
   }
+  EXPECT_EQ(svc.queries_served(), 0u);
 }
 
 // A callback that throws must still be delivered exactly once: the
@@ -427,8 +416,7 @@ TEST(QueryService, ThrowingCallbackIsDeliveredOnce) {
       if (r.error != nullptr) failed_deliveries.fetch_add(1);
       if (deliveries.fetch_add(1) == 0) throw std::runtime_error("callback failed");
     };
-    // A k-fail batch is answered by KFail::answer and delivered by submit
-    // itself; the point batch exercises the engine's own completion.
+    // Both batches are delivered by submit's one pool task.
     svc.submit<service::KFail>(oracle, {service::KFailQuery{0, 3, {}}}, throwing);
     svc.submit<service::Point>(oracle, {Query{0, 3, 0}}, throwing);
   }  // ~QueryService drains the pool
@@ -500,7 +488,7 @@ TEST(QueryService, StressConcurrentAsyncSubmitsRacingEntryExpiry) {
     truths.push_back(solve_msrp(graphs.back(), sources.back()));
   }
 
-  service::QueryService svc({.threads = 4, .min_parallel_batch = 16});
+  service::QueryService svc({.threads = 4});
   std::atomic<int> failures{0};
   std::vector<std::thread> callers;
   for (int c = 0; c < kCallers; ++c) {

@@ -67,7 +67,7 @@ TEST(ShardPipelineTest, FutexDoorbellWakesPromptly) {
 }
 
 TEST(ShardPipelineTest, OverlappingBatchesMatchInProcess) {
-  service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
+  service::QueryService svc({.threads = 2});
   Rng rng(0x7E57);
   const Graph g = gen::connected_avg_degree(120, 6.0, rng);
   const std::vector<Vertex> sources{0, 30, 60, 90};

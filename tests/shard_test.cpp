@@ -135,7 +135,7 @@ TEST(SnapshotSliceTest, SliceRoundTripsThroughAttach) {
 }
 
 TEST(ShardRouterTest, MatchesInProcessOnRandomGraphs) {
-  service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
+  service::QueryService svc({.threads = 2});
   for (std::uint64_t iter = 0; iter < 6; ++iter) {
     Rng rng(0x5AADD + iter);
     const Vertex n = static_cast<Vertex>(20 + rng.next_below(80));
@@ -284,7 +284,7 @@ TEST(ShardRouterTest, ConcurrentBatchesOverlapAndMatchInProcess) {
   // under distinct tag namespaces and still merge each one bit-identically
   // to the in-process service. peak_inflight_batches > 1 pins down that
   // they really overlapped rather than serializing.
-  service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
+  service::QueryService svc({.threads = 2});
   Rng rng(0xA11CE);
   const Graph g = gen::connected_avg_degree(140, 6.0, rng);
   const std::vector<Vertex> sources{0, 35, 70, 105};
@@ -322,7 +322,7 @@ TEST(ShardRouterTest, KillMidPipelineRespawnsAndAnswersAllBatches) {
   // Kill a worker while several batches are in flight: the respawn must
   // requeue the unanswered tags of every namespace, and all batches must
   // complete with answers identical to the in-process service.
-  service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
+  service::QueryService svc({.threads = 2});
   Rng rng(0xD1E);
   const Graph g = gen::connected_avg_degree(140, 6.0, rng);
   const std::vector<Vertex> sources{0, 35, 70, 105};
