@@ -1,14 +1,25 @@
 // EXP-3 — where the MSRP algorithm overtakes the exact baselines.
 //
-// Three algorithms on the same workload:
+// Four algorithms on the same workload, one thread each:
 //   msrp       O~(m sqrt(n sigma) + sigma n^2)   (this paper)
 //   per_pair   O~(sigma n (m + n) log n)         (Section 3's "inefficient")
 //   brute      Theta(sigma n m)                  (delete-and-BFS)
+//   subtree    sigma * sum_t deg(t) depth(t)     (per-column BFS inside
+//              subtree(c); what the query service builds with)
 //
 // The paper's claim is asymptotic; the reproduction question is where the
 // crossover actually falls at practical constants, on both low-diameter
 // (ER: replacement structure shallow) and high-diameter (chorded path:
 // replacement structure deep) inputs.
+//
+// Finding (4-core Xeon VM, sigma = 4, n = 256 -> 2048, one run): msrp
+// overtakes brute force at n = 512 on dense ER (22 vs 29 ms), between 1024
+// and 2048 on ER (69 vs 66 ms, then 183 vs 301 ms), and not yet at 2048 on
+// the chorded path (200 vs 179 ms). It never overtakes subtree. Subtree is 20x (ER), 21x (dense) and 13x
+// (chorded path) faster at n = 256, and 51x, 48x and 35x at n = 2048: the
+// gap widens with n on every family. Its worst case, sigma * m * depth on
+// a graph both deep and dense, is where the paper's m sqrt(n sigma) term
+// wins asymptotically; none of these families comes near it.
 #include "bench_common.hpp"
 
 #include <cmath>
@@ -22,7 +33,7 @@ using namespace msrp::benchutil;
 
 constexpr std::uint32_t kSigma = 4;
 
-enum class Algo : int { kMsrp = 0, kPerPair = 1, kBrute = 2 };
+enum class Algo : int { kMsrp = 0, kPerPair = 1, kBrute = 2, kSubtree = 3 };
 
 template <typename MakeGraph>
 void run(benchmark::State& state, MakeGraph make) {
@@ -40,11 +51,15 @@ void run(benchmark::State& state, MakeGraph make) {
       case Algo::kBrute:
         benchmark::DoNotOptimize(output_cells(solve_msrp_brute_force(g, sources), g));
         break;
+      case Algo::kSubtree:
+        benchmark::DoNotOptimize(output_cells(solve_msrp_subtree(g, sources), g));
+        break;
     }
   }
   state.counters["n"] = g.num_vertices();
   state.counters["m"] = g.num_edges();
-  state.SetLabel(algo == Algo::kMsrp ? "msrp" : algo == Algo::kPerPair ? "per_pair" : "brute");
+  static constexpr const char* kLabels[] = {"msrp", "per_pair", "brute", "subtree"};
+  state.SetLabel(kLabels[static_cast<int>(algo)]);
 }
 
 void BM_Crossover_ER(benchmark::State& state) {
@@ -66,7 +81,7 @@ void BM_Crossover_ChordedPath(benchmark::State& state) {
 
 void add_args(benchmark::internal::Benchmark* b) {
   for (const std::int64_t n : {256, 512, 1024, 2048}) {
-    for (const std::int64_t algo : {0, 1, 2}) b->Args({n, algo});
+    for (const std::int64_t algo : {0, 1, 2, 3}) b->Args({n, algo});
   }
 }
 

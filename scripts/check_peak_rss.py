@@ -3,8 +3,8 @@
 
 Reads perfbench/run.py's standard output from RESULT_FILE, takes the JSON
 result on its last line, and exits 1 if its `peak_rss_mb` is above LIMIT_MB
-(or missing). The CI perfbench job holds build_grid and build_er to the
-build-memory targets of ROADMAP.md item 5 with it.
+(or missing). The CI perfbench job holds build_grid and build_er to their
+build-memory bounds with it.
 
 Usage: scripts/check_peak_rss.py RESULT_FILE LIMIT_MB
 """

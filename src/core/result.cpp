@@ -16,14 +16,11 @@ MsrpResult::MsrpResult(const Graph& g, std::vector<Vertex> sources)
     source_index_[s] = static_cast<std::int32_t>(i);
   }
 
-  source_trees_.resize(sources_.size(), nullptr);
+  trees_.reserve(sources_.size());
   row_offset_.resize(sources_.size());
   rows_.resize(sources_.size());
   for (std::uint32_t si = 0; si < sources_.size(); ++si) {
-    auto owned = std::make_unique<RootedTree>(g, sources_[si]);
-    source_trees_[si] = owned.get();
-    owned_.push_back(std::move(owned));
-    const BfsTree& t = source_trees_[si]->tree;
+    const BfsTree& t = trees_.emplace_back(g, sources_[si]).tree;
     auto& off = row_offset_[si];
     off.assign(static_cast<std::size_t>(n) + 1, 0);
     for (Vertex v = 0; v < n; ++v) {
@@ -37,10 +34,6 @@ MsrpResult::MsrpResult(const Graph& g, std::vector<Vertex> sources)
 std::uint32_t MsrpResult::source_index(Vertex s) const {
   MSRP_REQUIRE(s < source_index_.size() && source_index_[s] >= 0, "not a source");
   return static_cast<std::uint32_t>(source_index_[s]);
-}
-
-const RootedTree& MsrpResult::rooted(Vertex s) const {
-  return *source_trees_[source_index(s)];
 }
 
 std::span<const Dist> MsrpResult::row(Vertex s, Vertex t) const {
@@ -59,7 +52,7 @@ Dist MsrpResult::avoiding(Vertex s, Vertex t, EdgeId e) const {
   const std::uint32_t si = source_index(s);
   MSRP_REQUIRE(t < g_->num_vertices(), "target out of range");
   MSRP_REQUIRE(e < g_->num_edges(), "edge out of range");
-  const RootedTree& rt = *source_trees_[si];
+  const RootedTree& rt = trees_[si];
   if (!rt.tree.reachable(t)) return kInfDist;
   const auto [u, v] = g_->endpoints(e);
   // e lies on the canonical s->t path iff it is a tree edge whose deeper

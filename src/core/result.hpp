@@ -21,6 +21,10 @@
 
 namespace msrp {
 
+namespace service {
+class Snapshot;
+}
+
 /// Sizes and counters recorded during a run (EXP-4 / EXP-8 use these).
 struct MsrpStats {
   std::size_t num_landmarks = 0;
@@ -63,7 +67,7 @@ class MsrpResult {
 
   /// The canonical tree of s (also exposes the st paths the rows refer to).
   const BfsTree& tree(Vertex s) const { return rooted(s).tree; }
-  const RootedTree& rooted(Vertex s) const;
+  const RootedTree& rooted(Vertex s) const { return trees_[source_index(s)]; }
 
   MsrpStats& stats() { return stats_; }
   const MsrpStats& stats() const { return stats_; }
@@ -95,14 +99,13 @@ class MsrpResult {
  private:
   const Graph* g_;
   std::vector<Vertex> sources_;
-  std::vector<std::int32_t> source_index_;          // vertex -> source index or -1
-  std::vector<const RootedTree*> source_trees_;     // owned by the engine's pool
-  std::vector<std::unique_ptr<RootedTree>> owned_;  // keeps trees alive
+  std::vector<std::int32_t> source_index_;  // vertex -> source index or -1
+  std::vector<RootedTree> trees_;           // by source index
   std::vector<std::vector<std::uint64_t>> row_offset_;
   std::vector<std::vector<Dist>> rows_;
   MsrpStats stats_;
 
-  friend class MsrpEngine;
+  friend class service::Snapshot;  // capture() adopts rows_ and row_offset_
 };
 
 }  // namespace msrp

@@ -223,8 +223,9 @@ class Client {
   // ----- registry control (protocol v2) -----------------------------------
 
   /// Uploads an edge list and blocks until the server's oracle is ready.
-  /// `seed` is the solver Config::seed for the build; nullopt uses the
-  /// library default, which is what local differential tests build with.
+  /// `seed` is the Config::seed that keys the server's oracle cache (the
+  /// build is exact, so it changes no answer); nullopt uses the library
+  /// default, which is what local differential tests build with.
   /// Returns the ack carrying the oracle's content digest — the handle
   /// every subsequent batch targets. Throws std::runtime_error when the
   /// server rejects or the build fails, BusyError when admission says no.

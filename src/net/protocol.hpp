@@ -194,7 +194,7 @@ struct RegisterGraphFrame {
   std::uint64_t request_id = 0;
   RegisterMode mode = RegisterMode::kEdgeList;
   // kEdgeList payload:
-  std::uint64_t seed = 0;  ///< solver Config::seed for the build
+  std::uint64_t seed = 0;  ///< Config::seed: keys the oracle cache (the build is exact)
   std::uint32_t num_vertices = 0;
   std::vector<Vertex> sources;
   std::vector<std::pair<Vertex, Vertex>> edges;

@@ -249,17 +249,18 @@ void Server::run() {
 }
 
 void Server::shutdown() {
-  bool expected = false;
-  if (!draining_.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-    return;  // idempotent: the winner already posted the drain everywhere
-  }
-  // Written before any loop can observe draining_ == true via its posted
-  // closure below.
-  drain_deadline_ = std::chrono::steady_clock::now() + kDrainTimeout;
-  for (auto& lsp : loops_) {
-    LoopShard* ls = lsp.get();
-    ls->loop.post([this, ls] { drain_loop(*ls); });
-  }
+  // Idempotent: the first call posts the drain everywhere, and a
+  // concurrent one returns once it has.
+  std::call_once(shutdown_once_, [this] {
+    // A loop reads the deadline once it sees draining_, from its posted
+    // drain or from its own tick, so it is written before the release.
+    drain_deadline_ = std::chrono::steady_clock::now() + kDrainTimeout;
+    draining_.store(true, std::memory_order_release);
+    for (auto& lsp : loops_) {
+      LoopShard* ls = lsp.get();
+      ls->loop.post([this, ls] { drain_loop(*ls); });
+    }
+  });
 }
 
 void Server::drain_loop(LoopShard& ls) {

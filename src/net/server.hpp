@@ -262,9 +262,9 @@ class Server {
   std::uint16_t port_ = 0;
   std::vector<std::uint8_t> hello_bytes_;  // encoded once, sent per accept
 
+  std::once_flag shutdown_once_;
   std::atomic<bool> draining_{false};
-  // Written once by the shutdown() call that wins the draining_ CAS,
-  // before any loop observes draining_ == true.
+  // Written once by the first shutdown() call, before it sets draining_.
   std::chrono::steady_clock::time_point drain_deadline_{};
 
   // Batches inside the QueryService whose callback has not yet returned;

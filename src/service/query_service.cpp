@@ -4,7 +4,7 @@
 #include <mutex>
 #include <utility>
 
-#include "core/msrp.hpp"
+#include "baseline/baselines.hpp"
 #include "graph/io.hpp"
 #include "util/failpoint.hpp"
 
@@ -25,15 +25,15 @@ QueryService::QueryService(Options opts) : pool_(opts.threads) {
 std::shared_ptr<const Snapshot> QueryService::build(const Graph& g,
                                                     const std::vector<Vertex>& sources,
                                                     const Config& cfg) {
+  // The exact table is unique, so cfg selects no algorithm; its fingerprint
+  // still keys the cache, so a new seed is a real build. The pool never
+  // enters the key: parallel builds are bit-identical to sequential ones,
+  // and builds running ON a pool worker stay safe because the solver's loop
+  // is a caller-participating parallel_for.
   OracleKey key{io::graph_digest(g), sources, config_fingerprint(cfg)};
-  // The pool never enters the key: parallel builds are bit-identical to
-  // sequential ones, and builds running ON a pool worker stay safe because
-  // the solver's phase loops use caller-participating parallel_for.
   auto snap = cache_.get_or_build(key, [&] {
-    Config build_cfg = cfg;
-    build_cfg.build_pool = &pool_;
-    const MsrpResult res = solve_msrp(g, sources, build_cfg);
-    return std::make_shared<const Snapshot>(Snapshot::capture(res));
+    return std::make_shared<const Snapshot>(
+        Snapshot::capture(solve_msrp_subtree(g, sources, &pool_)));
   });
   // 2-edge-failure queries need the graph itself, and the caller is holding
   // it right here — attach a copy on first sight of this oracle so K_FAIL

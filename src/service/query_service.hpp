@@ -1,10 +1,15 @@
 /// \file
 /// Batched replacement-path query serving.
 ///
-/// The solver's preprocessing is O~(m sqrt(n sigma) + sigma n^2); a point
-/// query d(s, t, e) is O(1). A serving deployment therefore builds (or
-/// snapshot-loads) an oracle once and amortizes it over millions of
-/// queries. QueryService packages that split:
+/// A build computes the exact replacement table by subtree recompute
+/// (solve_msrp_subtree, baseline/baselines.hpp): sum_t deg(t) * depth(t)
+/// arc visits per source, which is O(sigma n^2) for m = O(n) and
+/// O(sigma m depth) at worst. The paper's whp-exact solve_msrp
+/// (core/msrp.hpp) yields the same bytes; it stays the library's
+/// implementation of the paper, benchmarked and pinned by the tests, but
+/// serving does not run it. A point query d(s, t, e) is O(1), so a serving
+/// deployment builds (or snapshot-loads) an oracle once and amortizes it
+/// over millions of queries. QueryService packages that split:
 ///
 ///   * build()/load() produce immutable Snapshot oracles through a
 ///     single-flight table of live oracles keyed by (graph digest, sources,
@@ -81,17 +86,18 @@ class QueryService {
  public:
   struct Options {
     /// Worker threads; 0 = hardware concurrency. Oracle builds run their
-    /// phase loops on this same pool.
+    /// column loop on this same pool.
     unsigned threads = 0;
   };
 
   QueryService() : QueryService(Options{}) {}
   explicit QueryService(Options opts);
 
-  /// Solves MSRP for (g, sources, cfg) — or returns the live oracle of an
-  /// identical instance somebody still holds — and hands back an immutable
-  /// snapshot oracle. Concurrent builds of the same instance are
-  /// single-flighted.
+  /// Builds the exact MSRP table of (g, sources) on this service's pool —
+  /// or returns the live oracle of an identical instance somebody still
+  /// holds — and hands back an immutable snapshot oracle. `cfg` selects no
+  /// algorithm (an exact table is unique); its fingerprint keys the cache.
+  /// Concurrent builds of the same instance are single-flighted.
   std::shared_ptr<const Snapshot> build(const Graph& g, const std::vector<Vertex>& sources,
                                         const Config& cfg = {});
 

@@ -56,7 +56,7 @@ void Snapshot::SourceTable::adopt_owned() {
   cells = cells_store;
 }
 
-Snapshot Snapshot::capture(const MsrpResult& res) {
+Snapshot Snapshot::capture(MsrpResult res) {
   Snapshot snap;
   snap.n_ = res.graph().num_vertices();
   snap.m_ = res.graph().num_edges();
@@ -76,10 +76,8 @@ Snapshot Snapshot::capture(const MsrpResult& res) {
       tab.parent_store[v] = tree.parent(v);
       tab.parent_edge_store[v] = tree.parent_edge(v);
     }
-    const auto offsets = res.row_offsets(si);
-    const auto cells = res.raw_rows(si);
-    tab.row_offset_store.assign(offsets.begin(), offsets.end());
-    tab.cells_store.assign(cells.begin(), cells.end());
+    tab.row_offset_store = std::move(res.row_offset_[si]);
+    tab.cells_store = std::move(res.rows_[si]);
     tab.adopt_owned();
   }
   snap.build_derived();

@@ -65,9 +65,11 @@ class Snapshot {
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
 
-  /// Copies the replacement tables and canonical trees out of a solved
-  /// result into a self-contained, query-ready oracle.
-  static Snapshot capture(const MsrpResult& res);
+  /// Turns a solved result into a self-contained, query-ready oracle. The
+  /// canonical trees are copied; each source's cells and row offsets are
+  /// adopted, so a caller that moves its result in (QueryService::build)
+  /// never holds the table twice, and an lvalue caller pays one copy.
+  static Snapshot capture(MsrpResult res);
 
   /// Copies the tables of the given source indices (in the given order)
   /// into a self-contained sub-oracle over the same graph. The slice

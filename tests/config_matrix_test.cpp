@@ -1,9 +1,12 @@
 // Configuration-matrix sweep: the solver must stay exact (vs the brute
 // oracle) across the cross product of graph family x sigma x landmark
 // method x constant regime. This is the widest single correctness net in
-// the suite; each combination runs on its own fixed seed.
+// the suite; each combination runs on its own fixed seed. The exact subtree
+// solver that serving builds with is held to the same oracle on every
+// combination's instance.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "baseline/baselines.hpp"
@@ -63,37 +66,58 @@ Config make_config(Regime r, LandmarkRpMethod method, std::uint64_t seed) {
 
 using Combo = std::tuple<int /*Family*/, int /*sigma*/, int /*method*/, int /*Regime*/>;
 
-class ConfigMatrixTest : public testing::TestWithParam<Combo> {};
+/// The combination's graph and sources, drawn from its own fixed seed.
+struct Instance {
+  std::uint64_t seed;
+  Graph g;
+  std::vector<Vertex> sources;
+};
 
-TEST_P(ConfigMatrixTest, ExactAgainstOracle) {
-  const auto [fam_i, sigma, method_i, regime_i] = GetParam();
-  const auto fam = static_cast<Family>(fam_i);
-  const auto method =
-      method_i == 0 ? LandmarkRpMethod::kMmgPerPair : LandmarkRpMethod::kBkAuxGraphs;
-  const auto regime = static_cast<Regime>(regime_i);
-
+Instance make_instance(const Combo& combo) {
+  const auto [fam_i, sigma, method_i, regime_i] = combo;
   const std::uint64_t seed =
       1000 * static_cast<std::uint64_t>(fam_i) + 100 * sigma + 10 * method_i + regime_i;
   Rng rng(seed);
-  const Graph g = make_family(fam, rng);
+  Graph g = make_family(static_cast<Family>(fam_i), rng);
   const auto picks =
       rng.sample_without_replacement(g.num_vertices(), static_cast<std::uint32_t>(sigma));
-  const std::vector<Vertex> sources(picks.begin(), picks.end());
+  return {seed, std::move(g), {picks.begin(), picks.end()}};
+}
 
-  const MsrpResult got = solve_msrp(g, sources, make_config(regime, method, seed));
-  const MsrpResult want = solve_msrp_brute_force(g, sources);
-  for (const Vertex s : sources) {
-    for (Vertex t = 0; t < g.num_vertices(); ++t) {
+/// Every row of `got` equals brute force's.
+void expect_exact(const Instance& in, const MsrpResult& got, const std::string& label) {
+  const MsrpResult want = solve_msrp_brute_force(in.g, in.sources);
+  for (const Vertex s : in.sources) {
+    for (Vertex t = 0; t < in.g.num_vertices(); ++t) {
       const auto wrow = want.row(s, t);
       const auto grow = got.row(s, t);
       ASSERT_EQ(grow.size(), wrow.size());
       for (std::size_t i = 0; i < wrow.size(); ++i) {
-        ASSERT_EQ(grow[i], wrow[i])
-            << family_name(fam) << " sigma=" << sigma << " method=" << method_i
-            << " regime=" << regime_i << " s=" << s << " t=" << t << " pos=" << i;
+        ASSERT_EQ(grow[i], wrow[i]) << label << " s=" << s << " t=" << t << " pos=" << i;
       }
     }
   }
+}
+
+class ConfigMatrixTest : public testing::TestWithParam<Combo> {};
+
+TEST_P(ConfigMatrixTest, ExactAgainstOracle) {
+  const auto [fam_i, sigma, method_i, regime_i] = GetParam();
+  const auto method =
+      method_i == 0 ? LandmarkRpMethod::kMmgPerPair : LandmarkRpMethod::kBkAuxGraphs;
+  const auto regime = static_cast<Regime>(regime_i);
+  const Instance in = make_instance(GetParam());
+  expect_exact(in, solve_msrp(in.g, in.sources, make_config(regime, method, in.seed)),
+               std::string(family_name(static_cast<Family>(fam_i))) +
+                   " sigma=" + std::to_string(sigma) + " method=" + std::to_string(method_i) +
+                   " regime=" + std::to_string(regime_i));
+}
+
+// The exact solver the query service builds with, on the same instances.
+// The solver knobs do not reach it; the combination only picks the graph.
+TEST_P(ConfigMatrixTest, SubtreeSolverAgainstOracle) {
+  const Instance in = make_instance(GetParam());
+  expect_exact(in, solve_msrp_subtree(in.g, in.sources), "seed=" + std::to_string(in.seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Matrix, ConfigMatrixTest,

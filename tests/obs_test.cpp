@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -423,9 +425,24 @@ TEST(ObsHttp, ServesMetricsHealthzAndTraces) {
   EXPECT_NE(missing.find("404"), std::string::npos);
 }
 
+/// The process's open socket fds, by number and /proc/self/fd target.
+std::vector<std::pair<int, std::string>> open_sockets() {
+  std::vector<std::pair<int, std::string>> out;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const std::string target = std::filesystem::read_symlink(entry.path(), ec).string();
+    if (ec || target.rfind("socket:", 0) != 0) continue;
+    out.emplace_back(std::stoi(entry.path().filename().string()), target);
+  }
+  return out;
+}
+
 TEST(ObsHttp, SocketsAreCloseOnExec) {
   // A socket without FD_CLOEXEC leaks into every exec'd shard worker, which
-  // then holds the /metrics port and delays a scraper's EOF.
+  // then holds the /metrics port and delays a scraper's EOF. Sockets the
+  // process already held when the test began (a test runner may hand its
+  // children a socket as stdin) are not the server's, and are skipped.
+  const auto inherited = open_sockets();
   obs::MetricsRegistry reg;
   obs::MetricsHttpServer http(reg, nullptr, {});
   const int scrape = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -443,11 +460,11 @@ TEST(ObsHttp, SocketsAreCloseOnExec) {
   ASSERT_NE(http_get(http.host(), http.port(), "/healthz").find("200 OK"), std::string::npos);
 
   std::size_t sockets = 0;
-  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
-    std::error_code ec;
-    const std::string target = std::filesystem::read_symlink(entry.path(), ec).string();
-    if (ec || target.rfind("socket:", 0) != 0) continue;
-    const int fd = std::stoi(entry.path().filename().string());
+  for (const auto& [fd, target] : open_sockets()) {
+    if (std::find(inherited.begin(), inherited.end(), std::pair{fd, target}) !=
+        inherited.end()) {
+      continue;
+    }
     ++sockets;
     EXPECT_NE(::fcntl(fd, F_GETFD) & FD_CLOEXEC, 0) << "fd " << fd << " -> " << target;
   }

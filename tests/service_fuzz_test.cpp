@@ -24,7 +24,10 @@
 // that instance. MSRP_FUZZ_GRAPHS raises the default 200-instance budget
 // for soak runs.
 //
-// A second harness fuzzes the protocol v3 typed workloads (TOP_K_VITAL,
+// SubtreeSolverMatchesBruteForce holds the exact solver every build runs
+// to the same brute-force oracle directly, with sigma up to n.
+//
+// A third harness fuzzes the protocol v3 typed workloads (TOP_K_VITAL,
 // VICKREY_PRICES, K_FAIL) the same way: independent referees derived from
 // the brute-force oracle — and, for k-fail, a from-scratch BFS of G - F —
 // checked against the sync, async, and mmap-reload serving paths.
@@ -45,6 +48,7 @@
 #include "service/query_service.hpp"
 #include "service/shard_router.hpp"
 #include "service/workloads.hpp"
+#include "util/thread_pool.hpp"
 
 namespace msrp {
 namespace {
@@ -112,17 +116,18 @@ TEST(ServiceFuzz, AllServingPathsMatchBruteForce) {
     Config cfg;
     cfg.seed = rng.next_u64();
     cfg.exact = rng.next_bernoulli(0.25);
-    // Randomize the build thread count. The service itself always builds on
-    // its own pool (ignoring build_threads), so the direct solve below
-    // cross-checks bit-identity between a build at this thread count and
-    // the pool build — content digests cover trees and every row cell.
+    // Randomize the paper's solver: exact mode, seed and thread count. The
+    // service builds the exact table by subtree recompute whatever cfg
+    // says, so the direct solve below cross-checks the paper's build
+    // against the exact one — content digests cover trees and every row
+    // cell.
     cfg.build_threads = 1 + static_cast<unsigned>(rng.next_below(4));
 
     const MsrpResult truth = solve_msrp_brute_force(g, sources);
     const auto oracle = svc.build(g, sources, cfg);
     ASSERT_EQ(Snapshot::capture(solve_msrp(g, sources, cfg)).content_digest(),
               oracle->content_digest())
-        << "threads=" << cfg.build_threads << " diverged from pool build, seed=" << seed;
+        << "threads=" << cfg.build_threads << " diverged from the exact build, seed=" << seed;
 
     // Exhaustive queries when the instance is small, random sample otherwise.
     std::vector<Query> queries;
@@ -190,6 +195,40 @@ TEST(ServiceFuzz, AllServingPathsMatchBruteForce) {
           << "v2 mmap path diverged, seed=" << seed;
     }
     std::remove(v2_path.c_str());
+  }
+}
+
+// The exact solver the service builds with, cell for cell against brute
+// force on the fuzz instances (disconnected graphs, trees whose every edge
+// is a bridge, barbells) with sigma anywhere up to n. Both return the same
+// canonical trees, so equal row offsets and cells are equal tables.
+TEST(ServiceFuzz, SubtreeSolverMatchesBruteForce) {
+  const std::uint64_t base_seed = env_u64("MSRP_FUZZ_SEED", 0x5B7EE5EEDULL);
+  const std::uint64_t num_graphs = env_u64("MSRP_FUZZ_GRAPHS", 200);
+  ThreadPool pool(3);
+  for (std::uint64_t iter = 0; iter < num_graphs; ++iter) {
+    const std::uint64_t seed = base_seed + iter;
+    SCOPED_TRACE("fuzz seed " + std::to_string(seed));
+    Rng rng(seed);
+    const Graph g = random_instance(rng);
+    const Vertex n = g.num_vertices();
+    const std::uint32_t sigma =
+        iter % 4 == 0 ? n : 1 + static_cast<std::uint32_t>(rng.next_below(n));
+    const auto picks = rng.sample_without_replacement(n, sigma);
+    const std::vector<Vertex> sources(picks.begin(), picks.end());
+
+    const MsrpResult want = solve_msrp_brute_force(g, sources);
+    const MsrpResult got = solve_msrp_subtree(g, sources, iter % 2 == 0 ? &pool : nullptr);
+    for (std::uint32_t si = 0; si < sigma; ++si) {
+      const auto wo = want.row_offsets(si);
+      const auto go = got.row_offsets(si);
+      ASSERT_TRUE(std::equal(wo.begin(), wo.end(), go.begin(), go.end())) << "si=" << si;
+      const auto wc = want.raw_rows(si);
+      const auto gc = got.raw_rows(si);
+      for (std::size_t i = 0; i < wc.size(); ++i) {
+        ASSERT_EQ(gc[i], wc[i]) << "source " << sources[si] << " cell " << i;
+      }
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <thread>
 #include <type_traits>
 
+#include "baseline/baselines.hpp"
 #include "core/msrp.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -313,6 +314,24 @@ TEST(QueryService, RepeatBuildHitsCache) {
   exact.exact = true;
   const auto fourth = svc.build(g, {0, 20}, exact);
   EXPECT_NE(first.get(), fourth.get());
+}
+
+// A build is the exact subtree table on the service's pool, whatever the
+// config says; the config only keys the cache.
+TEST(QueryService, BuildServesTheSubtreeSolversTable) {
+  Rng rng(11);
+  const Graph g = gen::connected_gnp(80, 0.06, rng);
+  const std::vector<Vertex> sources{3, 40, 77};
+  const std::uint64_t want =
+      Snapshot::capture(solve_msrp_subtree(g, sources)).content_digest();
+  service::QueryService svc({.threads = 4});
+  EXPECT_EQ(svc.build(g, sources)->content_digest(), want);
+  Config other;
+  other.seed = 99;
+  other.exact = true;
+  const auto rebuilt = svc.build(g, sources, other);
+  EXPECT_EQ(svc.cache().misses(), 2u);  // a new config is a real build
+  EXPECT_EQ(rebuilt->content_digest(), want);
 }
 
 // --------------------------------------------------------------- async API ---

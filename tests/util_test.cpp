@@ -5,6 +5,7 @@
 
 #include "util/cuckoo_hash.hpp"
 #include "util/distance.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -30,6 +31,26 @@ TEST(Distance, SatAddFiniteValues) {
   EXPECT_EQ(sat_add(1, 2, 3), 6u);
   EXPECT_TRUE(is_finite(7));
   EXPECT_FALSE(is_finite(kInfDist));
+}
+
+// --------------------------------------------------------------------- fnv
+
+// mix_u64 folds a value below 256 in one multiply; every value must still
+// hash exactly as its eight little-endian bytes do, or every content digest
+// and Determinism pin moves.
+TEST(Fnv, MixU64IsTheByteWiseFoldOfItsLittleEndianBytes) {
+  Rng rng(7);
+  std::vector<std::uint64_t> values = {256, 257, 0xFFFF, kInfDist, ~std::uint64_t{0}};
+  for (std::uint64_t v = 0; v < 256; ++v) values.push_back(v);
+  for (int i = 0; i < 200; ++i) values.push_back(rng.next_u64() >> (i % 64));
+  std::uint64_t h = fnv::kOffset;
+  for (const std::uint64_t v : values) {
+    std::uint8_t bytes[8];
+    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    const std::uint64_t expect = fnv::mix_bytes(h, bytes, 8);
+    ASSERT_EQ(fnv::mix_u64(h, v), expect) << "value " << v;
+    h = expect;
+  }
 }
 
 // --------------------------------------------------------------------- rng

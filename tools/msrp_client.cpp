@@ -59,7 +59,9 @@
 //                          its oracle (requires --sources; needs a
 //                          --registry server)
 //   --sources a,b,c        source vertices for --register
-//   --build-seed N         solver seed for --register (default: library)
+//   --build-seed N         seed for --register: keys the server's oracle
+//                          cache; the exact build ignores it (default:
+//                          library)
 //   --digest HEX           target a registered oracle (16 hex digits, as
 //                          printed by the tools); unknown digests are a
 //                          usage error listing what the server has

@@ -1,7 +1,8 @@
 // msrp_serve — build-once/serve-many front end for the service layer.
 //
-// Builds an oracle (solving MSRP) or loads a binary snapshot, then answers
-// batched d(s, t, e) queries on a thread pool and reports throughput.
+// Builds an oracle (the exact MSRP table, by subtree recompute) or loads a
+// binary snapshot, then answers batched d(s, t, e) queries on a thread pool
+// and reports throughput.
 //
 // Usage:
 //   msrp_serve --build <graph-file> --sources a,b,c [options]
@@ -10,10 +11,9 @@
 //
 // Oracle options:
 //   --sources a,b,c        source vertices (required with --build)
-//   --seed N               solver RNG seed (default 42)
-//   --oversample X         sampling multiplier
-//   --exact                deterministic exact mode
-//   --bk                   Section 8 landmark-table machinery
+//   --seed N               seeds the demo graph and --random-queries, and
+//                          keys the oracle cache (default 42); the built
+//                          table is exact, so it changes no answer
 //   --save-snapshot <path> persist the oracle after building
 //   --mmap                 serve --load-snapshot zero-copy from a memory
 //                          mapping (skips the cells checksum)
@@ -112,8 +112,7 @@ namespace {
                "usage: msrp_serve --build <graph-file> --sources a,b,c [options]\n"
                "       msrp_serve --demo [options]\n"
                "       msrp_serve --load-snapshot <path> [options]\n"
-               "options: [--seed N] [--oversample X] [--exact] [--bk]\n"
-               "         [--save-snapshot <path>] [--mmap]\n"
+               "options: [--seed N] [--save-snapshot <path>] [--mmap]\n"
                "         [--batch-file <path> | --random-queries N]\n"
                "         [--workload vitality|vickrey|kfail]\n"
                "         [--threads N] [--repeat K]\n"
@@ -342,12 +341,6 @@ int main(int argc, char** argv) {
       sources = tools::cli_u32_list(next(), "--sources");
     } else if (arg == "--seed") {
       cfg.seed = tools::cli_u64(next(), "--seed");
-    } else if (arg == "--oversample") {
-      cfg.oversample = tools::cli_double(next(), "--oversample");
-    } else if (arg == "--exact") {
-      cfg.exact = true;
-    } else if (arg == "--bk") {
-      cfg.landmark_rp = LandmarkRpMethod::kBkAuxGraphs;
     } else if (arg == "--save-snapshot") {
       save_path = next();
     } else if (arg == "--mmap") {
