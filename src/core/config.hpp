@@ -28,8 +28,6 @@
 
 namespace msrp {
 
-class ThreadPool;  // util/thread_pool.hpp
-
 /// How the table d(s, r, e) (source -> landmark replacement paths) is built.
 enum class LandmarkRpMethod {
   /// The MMG single-pair replacement paths of every (source, landmark): the
@@ -54,21 +52,15 @@ struct Config {
   bool paper_constants = false;
   bool exact = false;
 
-  // ---- execution knobs ----------------------------------------------------
-  // These control HOW the build runs, never WHAT it computes: the parallel
+  // ---- execution knob -----------------------------------------------------
+  // This controls HOW the build runs, never WHAT it computes: the parallel
   // build is bit-identical to the sequential one (every parallel item writes
-  // item-private state; shared counters are commutative sums), so none of
-  // these fields enter service::config_fingerprint().
+  // item-private state; shared counters are commutative sums), so this
+  // field does not enter service::config_fingerprint().
 
   /// Worker threads for the build: 1 = sequential (default), 0 = hardware
-  /// concurrency, k = a transient pool of k threads. Ignored when
-  /// build_pool is set.
+  /// concurrency, k = a transient pool of k threads.
   unsigned build_threads = 1;
-
-  /// External pool to run the build on instead of spawning one (the query
-  /// service passes its serving pool, so cold-cache builds use the same
-  /// workers as query shards). Not owned; must outlive the solve call.
-  ThreadPool* build_pool = nullptr;
 };
 
 /// Parameters derived from (n, sigma, Config); one immutable instance per run.

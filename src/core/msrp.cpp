@@ -37,13 +37,9 @@ class MsrpEngine {
     // The parallel build is bit-identical to the sequential one: every
     // parallel item writes item-private rows/tables/slots, and the only
     // shared accumulations are commutative sums merged in a fixed order.
-    ThreadPool* exec = cfg_.build_pool;
     std::unique_ptr<ThreadPool> owned_pool;
-    if (exec == nullptr && cfg_.build_threads != 1) {
-      owned_pool = std::make_unique<ThreadPool>(cfg_.build_threads);
-      exec = owned_pool.get();
-    }
-    if (exec != nullptr && exec->size() <= 1) exec = nullptr;  // sequential anyway
+    if (cfg_.build_threads != 1) owned_pool = std::make_unique<ThreadPool>(cfg_.build_threads);
+    ThreadPool* exec = owned_pool && owned_pool->size() > 1 ? owned_pool.get() : nullptr;
     ScratchPool scratches(exec != nullptr ? exec->max_parallelism() : 1);
 
     // ---- sampling (Definition 3) + preprocessing BFS trees ---------------

@@ -15,9 +15,9 @@
 /// is exactly optimal with high probability. Config::exact = true switches
 /// to a deterministic exact mode (slower; used as a cross-check).
 ///
-/// Builds parallelize over Config::build_threads / Config::build_pool and
-/// are bit-identical to sequential runs; see docs/ARCHITECTURE.md for the
-/// phase structure and the determinism argument.
+/// Builds parallelize over Config::build_threads and are bit-identical to
+/// sequential runs; see docs/ARCHITECTURE.md for the phase structure and
+/// the determinism argument.
 #pragma once
 
 #include "core/config.hpp"

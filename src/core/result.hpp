@@ -5,10 +5,12 @@
 // edge e_i on the canonical s->t path (the paper's output: "length of all
 // replacement paths from s to t where s in S and t in V").
 //
-// Rows are stored flat per source (offset table indexed by t), which is the
-// Theta(sigma * n^2)-word output representation the second term of
-// Theorem 26's running time pays for. avoiding(s, t, e) answers for
-// arbitrary edge ids in O(1) via the source tree's ancestor index.
+// The rows live in the same per-source table a service::Snapshot serves:
+// flat per source (offset table indexed by t), the Theta(sigma * n^2)-word
+// output representation the second term of Theorem 26's running time pays
+// for. The solvers write its cells in place, every read below forwards to
+// it, and Snapshot::capture takes it over. avoiding(s, t, e) answers for
+// arbitrary edge ids in O(1) via the table's ancestor index.
 #pragma once
 
 #include <map>
@@ -17,13 +19,10 @@
 #include <vector>
 
 #include "core/landmarks.hpp"
+#include "service/snapshot.hpp"
 #include "util/timer.hpp"
 
 namespace msrp {
-
-namespace service {
-class Snapshot;
-}
 
 /// Sizes and counters recorded during a run (EXP-4 / EXP-8 use these).
 struct MsrpStats {
@@ -44,26 +43,21 @@ class MsrpResult {
  public:
   MsrpResult(const Graph& g, std::vector<Vertex> sources);
 
-  const std::vector<Vertex>& sources() const { return sources_; }
-  std::uint32_t num_sources() const { return static_cast<std::uint32_t>(sources_.size()); }
-
-  /// The graph the result was solved on (outlives the result by contract).
-  const Graph& graph() const { return *g_; }
+  const std::vector<Vertex>& sources() const { return table_.sources(); }
+  std::uint32_t num_sources() const { return table_.num_sources(); }
 
   /// Index of source vertex s; throws if s is not a source.
-  std::uint32_t source_index(Vertex s) const;
+  std::uint32_t source_index(Vertex s) const { return table_.source_index(s); }
 
   /// Canonical shortest-path distance d(s, t).
-  Dist shortest(Vertex s, Vertex t) const { return tree(s).dist(t); }
+  Dist shortest(Vertex s, Vertex t) const { return table_.shortest(s, t); }
 
   /// Replacement distances for every edge on the canonical s->t path, in
   /// path order. Empty if t is unreachable from s or t == s.
-  std::span<const Dist> row(Vertex s, Vertex t) const;
+  std::span<const Dist> row(Vertex s, Vertex t) const { return table_.row(s, t); }
 
-  /// d(s, t, e) for an arbitrary edge id: the stored row value when e lies on
-  /// the canonical s->t path, d(s, t) otherwise (deleting an off-path edge
-  /// leaves the canonical path intact). kInfDist if t is unreachable.
-  Dist avoiding(Vertex s, Vertex t, EdgeId e) const;
+  /// d(s, t, e) for an arbitrary edge id (Snapshot::avoiding's contract).
+  Dist avoiding(Vertex s, Vertex t, EdgeId e) const { return table_.avoiding(s, t, e); }
 
   /// The canonical tree of s (also exposes the st paths the rows refer to).
   const BfsTree& tree(Vertex s) const { return rooted(s).tree; }
@@ -72,40 +66,25 @@ class MsrpResult {
   MsrpStats& stats() { return stats_; }
   const MsrpStats& stats() const { return stats_; }
 
-  // ----- bulk read access (service snapshots copy rows wholesale) ---------
-
   /// All rows of source index si as one flat array; row_offsets(si) indexes
   /// it: row (si, t) occupies [offsets[t], offsets[t+1]).
-  std::span<const Dist> raw_rows(std::uint32_t si) const {
-    return {rows_[si].data(), rows_[si].size()};
-  }
+  std::span<const Dist> raw_rows(std::uint32_t si) const { return table_.raw_rows(si); }
 
   /// n+1 prefix sums into raw_rows(si), indexed by target vertex.
   std::span<const std::uint64_t> row_offsets(std::uint32_t si) const {
-    return {row_offset_[si].data(), row_offset_[si].size()};
+    return table_.row_offsets(si);
   }
 
-  // ----- engine-facing mutation (rows are written once, then read-only) ----
-
-  /// Mutable access to the row of (source index si, target t).
-  std::span<Dist> mutable_row(std::uint32_t si, Vertex t);
-
-  /// Lowers row[pos] of (si, t) to `value` if smaller.
-  void relax(std::uint32_t si, Vertex t, std::uint32_t pos, Dist value) {
-    Dist& cell = rows_[si][row_offset_[si][t] + pos];
-    if (value < cell) cell = value;
-  }
+  /// Mutable access to the row of (source index si, target t); the solvers
+  /// write each row once, then it is read-only.
+  std::span<Dist> mutable_row(std::uint32_t si, Vertex t) { return table_.mutable_row(si, t); }
 
  private:
-  const Graph* g_;
-  std::vector<Vertex> sources_;
-  std::vector<std::int32_t> source_index_;  // vertex -> source index or -1
-  std::vector<RootedTree> trees_;           // by source index
-  std::vector<std::vector<std::uint64_t>> row_offset_;
-  std::vector<std::vector<Dist>> rows_;
+  std::vector<RootedTree> trees_;  // by source index; what the solvers walk
+  service::Snapshot table_;        // the rows, and every read of them
   MsrpStats stats_;
 
-  friend class service::Snapshot;  // capture() adopts rows_ and row_offset_
+  friend class service::Snapshot;  // capture() takes table_
 };
 
 }  // namespace msrp

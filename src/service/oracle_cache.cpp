@@ -10,7 +10,7 @@ namespace msrp::service {
 
 std::uint64_t config_fingerprint(const Config& cfg) {
   // Only fields that affect solver OUTPUT enter the fingerprint. The
-  // execution knobs (build_threads, build_pool) are deliberately excluded:
+  // execution knob build_threads is deliberately excluded:
   // the parallel build is bit-identical to the sequential one, so oracles
   // built at different thread counts are interchangeable cache entries.
   std::uint64_t h = fnv::kOffset;

@@ -14,7 +14,7 @@ ShardPlan ShardPlan::build(const Snapshot& oracle, unsigned shards) {
   for (std::uint32_t si = 0; si < sigma; ++si) {
     // +n so that sources with tiny tables (near the root of a star, say)
     // still carry the fixed per-source cost of their tree arrays.
-    weight[si] = oracle.cells_for_source(si) + oracle.num_vertices();
+    weight[si] = oracle.raw_rows(si).size() + oracle.num_vertices();
     remaining += weight[si];
   }
 

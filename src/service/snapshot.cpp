@@ -9,8 +9,8 @@
 #include <istream>
 #include <ostream>
 
+#include "core/result.hpp"
 #include "service/mmap_file.hpp"
-#include "tree/bfs_tree.hpp"
 #include "util/failpoint.hpp"
 #include "util/fnv.hpp"
 
@@ -56,31 +56,50 @@ void Snapshot::SourceTable::adopt_owned() {
   cells = cells_store;
 }
 
-Snapshot Snapshot::capture(MsrpResult res) {
-  Snapshot snap;
-  snap.n_ = res.graph().num_vertices();
-  snap.m_ = res.graph().num_edges();
-  snap.sources_ = res.sources();
-  snap.tables_.resize(snap.sources_.size());
-
-  for (std::uint32_t si = 0; si < snap.sources_.size(); ++si) {
-    const Vertex s = snap.sources_[si];
-    const BfsTree& tree = res.tree(s);
-    SourceTable& tab = snap.tables_[si];
-    tab.root = s;
-    tab.dist_store.resize(snap.n_);
-    tab.parent_store.resize(snap.n_);
-    tab.parent_edge_store.resize(snap.n_);
-    for (Vertex v = 0; v < snap.n_; ++v) {
-      tab.dist_store[v] = tree.dist(v);
+Snapshot::Snapshot(const Graph& g, std::vector<Vertex> sources,
+                   const std::vector<RootedTree>& trees)
+    : n_(g.num_vertices()), m_(g.num_edges()), sources_(std::move(sources)) {
+  tables_.resize(sources_.size());
+  for (std::uint32_t si = 0; si < tables_.size(); ++si) {
+    const BfsTree& tree = trees[si].tree;
+    SourceTable& tab = tables_[si];
+    tab.root = sources_[si];
+    tab.dist_store = tree.dists();
+    tab.parent_store.resize(n_);
+    tab.parent_edge_store.resize(n_);
+    auto& off = tab.row_offset_store;
+    off.assign(std::size_t{n_} + 1, 0);
+    for (Vertex v = 0; v < n_; ++v) {
       tab.parent_store[v] = tree.parent(v);
       tab.parent_edge_store[v] = tree.parent_edge(v);
+      const Dist d = tab.dist_store[v];
+      off[v + 1] = off[v] + (d == kInfDist ? 0 : d);
     }
-    tab.row_offset_store = std::move(res.row_offset_[si]);
-    tab.cells_store = std::move(res.rows_[si]);
+    tab.cells_store.assign(off[n_], kInfDist);
     tab.adopt_owned();
   }
-  snap.build_derived();
+  build_derived();
+}
+
+Snapshot::Snapshot(const Snapshot& other)
+    : n_(other.n_),
+      m_(other.m_),
+      sources_(other.sources_),
+      source_index_(other.source_index_),
+      tables_(other.tables_),
+      content_digest_(other.content_digest_),
+      encoded_size_(other.encoded_size_),
+      mapped_(other.mapped_),
+      anchor_(other.anchor_) {
+  // An owned table always stores its n >= 1 distances; a mapped one stores
+  // nothing, and its views stay valid under the shared anchor.
+  for (SourceTable& tab : tables_) {
+    if (!tab.dist_store.empty()) tab.adopt_owned();
+  }
+}
+
+Snapshot Snapshot::capture(MsrpResult res) {
+  Snapshot snap = std::move(res.table_);
   snap.content_digest_ = snap.compute_content_digest();
   return snap;
 }

@@ -23,10 +23,12 @@
 ///
 /// The snapshot stores the canonical trees as well as the rows, so a
 /// loaded snapshot answers avoiding(s, t, e) for arbitrary edge ids in
-/// O(1) with no Graph in hand — exactly the MsrpResult::avoiding contract
-/// the query service needs. The same bytes serve from a file, an owned
-/// buffer (encode()/attach()), or a shared-memory segment (the
-/// multi-process shard transport; see shard_router.hpp).
+/// O(1) with no Graph in hand. It is also where a solve lands: every
+/// MsrpResult owns one (the solvers write its cells in place) and reads
+/// through it, so a solved result, a captured snapshot and a loaded file
+/// share one implementation of every cell read. The same bytes serve from
+/// a file, an owned buffer (encode()/attach()), or a shared-memory segment
+/// (the multi-process shard transport; see shard_router.hpp).
 #pragma once
 
 #include <cstdint>
@@ -36,8 +38,14 @@
 #include <string>
 #include <vector>
 
-#include "core/result.hpp"
+#include "graph/graph.hpp"
 #include "util/assert.hpp"
+#include "util/distance.hpp"
+
+namespace msrp {
+class MsrpResult;   // core/result.hpp
+struct RootedTree;  // tree/ancestry.hpp
+}  // namespace msrp
 
 namespace msrp::service {
 
@@ -58,17 +66,17 @@ class Snapshot {
   Snapshot() = default;
 
   // The tables alias either owned storage or a mapped file; both survive a
-  // move (vector moves keep their heap buffers, the anchor is shared), but
-  // a memberwise copy would alias the source object's buffers.
+  // move (vector moves keep their heap buffers, the anchor is shared). A
+  // copy re-points the views of owned tables at its own vectors.
   Snapshot(Snapshot&&) noexcept = default;
   Snapshot& operator=(Snapshot&&) noexcept = default;
-  Snapshot(const Snapshot&) = delete;
-  Snapshot& operator=(const Snapshot&) = delete;
+  Snapshot(const Snapshot& other);
+  Snapshot& operator=(const Snapshot& other) { return *this = Snapshot(other); }
 
-  /// Turns a solved result into a self-contained, query-ready oracle. The
-  /// canonical trees are copied; each source's cells and row offsets are
-  /// adopted, so a caller that moves its result in (QueryService::build)
-  /// never holds the table twice, and an lvalue caller pays one copy.
+  /// Turns a solved result into a self-contained, query-ready oracle: takes
+  /// the result's table and computes its content digest. A caller that
+  /// moves its result in (QueryService::build) copies no cell and no tree
+  /// array; an lvalue caller pays one copy of the result.
   static Snapshot capture(MsrpResult res);
 
   /// Copies the tables of the given source indices (in the given order)
@@ -131,14 +139,20 @@ class Snapshot {
   /// Replacement row for (s, t): d(s, t, e_i) per canonical-path position i.
   std::span<const Dist> row(Vertex s, Vertex t) const;
 
-  /// Total replacement-table cells of source index si (the weight the shard
-  /// planner balances on).
-  std::uint64_t cells_for_source(std::uint32_t si) const {
-    return tables_[si].cells.size();
+  /// All rows of source index si as one flat array: row (si, t) occupies
+  /// [row_offsets(si)[t], row_offsets(si)[t + 1]). Its size is the weight
+  /// the shard planner balances on.
+  std::span<const Dist> raw_rows(std::uint32_t si) const { return tables_[si].cells; }
+
+  /// n+1 prefix sums into raw_rows(si), indexed by target vertex.
+  std::span<const std::uint64_t> row_offsets(std::uint32_t si) const {
+    return tables_[si].row_offset;
   }
 
-  /// d(s, t, e) for an arbitrary edge id, O(1); same contract as
-  /// MsrpResult::avoiding.
+  /// d(s, t, e) for an arbitrary edge id, O(1): the stored row value when e
+  /// lies on the canonical s->t path, d(s, t) otherwise (deleting an
+  /// off-path edge leaves the canonical path intact). kInfDist if t is
+  /// unreachable.
   Dist avoiding(Vertex s, Vertex t, EdgeId e) const;
 
   /// Edge ids of the canonical s->t shortest path in path order: element i
@@ -183,7 +197,7 @@ class Snapshot {
   struct SourceTable {
     Vertex root = kNoVertex;
     // Views over the primary arrays; alias the owned *_store vectors for
-    // captured or sliced snapshots, or the image for loaded ones.
+    // solved, captured or sliced snapshots, or the image for loaded ones.
     std::span<const Dist> dist;                // n; kInfDist = unreachable
     std::span<const Vertex> parent;            // n; kNoVertex for root/unreachable
     std::span<const EdgeId> parent_edge;       // n; kNoEdge for root/unreachable
@@ -202,6 +216,21 @@ class Snapshot {
     /// Points the views at the owned storage (after the vectors are final).
     void adopt_owned();
   };
+
+  friend class msrp::MsrpResult;  // solves into a table over its own trees
+
+  /// An owned table over the canonical trees (trees[si] is rooted at
+  /// sources[si]) with every cell kInfDist, validated like a load. The
+  /// solver fills the cells through mutable_row(); capture() computes the
+  /// digest once they are final.
+  Snapshot(const Graph& g, std::vector<Vertex> sources, const std::vector<RootedTree>& trees);
+
+  /// Writable row (si, t) of an owned table.
+  std::span<Dist> mutable_row(std::uint32_t si, Vertex t) {
+    SourceTable& tab = tables_[si];
+    return {tab.cells_store.data() + tab.row_offset[t],
+            tab.cells_store.data() + tab.row_offset[t + 1]};
+  }
 
   static constexpr std::uint32_t kNoStamp = static_cast<std::uint32_t>(-1);
 

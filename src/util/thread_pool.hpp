@@ -1,5 +1,5 @@
 // Fixed-size worker pool shared by the query service and the parallel
-// oracle builds (solve_msrp_subtree's pool, Config::build_pool).
+// oracle builds (solve_msrp_subtree's pool, Config::build_threads).
 //
 // Tasks come in two flavours:
 //

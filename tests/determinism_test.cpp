@@ -281,27 +281,5 @@ TEST(Determinism, LandmarkRpRowsMatchPinnedDigests) {
   }
 }
 
-TEST(Determinism, SharedExternalPoolMatchesSequential) {
-  // One pool reused across several solves (the QueryService pattern):
-  // scratch arenas inside the solver are per-solve, so state cannot leak
-  // from one solve into the next through the pool.
-  ThreadPool pool(4);
-  Rng rng(0xCAFEBABEULL);
-  for (int iter = 0; iter < 6; ++iter) {
-    const Graph g = random_instance(rng);
-    const std::vector<Vertex> sources{0};
-
-    Config cfg;
-    cfg.seed = rng.next_u64();
-    cfg.landmark_rp =
-        (iter % 2 == 0) ? LandmarkRpMethod::kMmgPerPair : LandmarkRpMethod::kBkAuxGraphs;
-    const MsrpResult sequential = solve_msrp(g, sources, cfg);
-
-    cfg.build_pool = &pool;
-    const MsrpResult pooled = solve_msrp(g, sources, cfg);
-    expect_identical(sequential, pooled, g, "pooled iter=" + std::to_string(iter));
-  }
-}
-
 }  // namespace
 }  // namespace msrp

@@ -161,6 +161,56 @@ TEST(Snapshot, NonSourceAndOutOfRangeThrow) {
   EXPECT_THROW(snap.avoiding(0, 2, 99), std::invalid_argument);
 }
 
+TEST(Snapshot, RvalueCaptureAdoptsTheSolversCells) {
+  Rng rng(11);
+  const Graph g = gen::connected_gnp(40, 0.1, rng);
+  const std::vector<Vertex> sources{0, 20, 39};
+  MsrpResult res = solve_msrp(g, sources);
+  std::vector<const Dist*> before;
+  for (const Vertex s : sources) {
+    for (Vertex t = 0; t < g.num_vertices(); ++t) before.push_back(res.row(s, t).data());
+  }
+
+  const Snapshot snap = Snapshot::capture(std::move(res));
+  std::size_t i = 0;
+  for (const Vertex s : sources) {
+    for (Vertex t = 0; t < g.num_vertices(); ++t) {
+      ASSERT_EQ(snap.row(s, t).data(), before[i++]) << "s=" << s << " t=" << t;
+    }
+  }
+}
+
+TEST(Snapshot, CopiedResultOutlivesItsOriginal) {
+  // An 8-cycle with two chords, a path 8-9-10 of bridges, and isolated 11:
+  // source 9 reaches only its own component, and every other source sees
+  // targets 8..11 as unreachable.
+  const Graph g(12, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 0},
+                     {0, 4}, {2, 6}, {8, 9}, {9, 10}});
+  const std::vector<Vertex> sources{0, 3, 9};
+  auto original = std::make_unique<MsrpResult>(solve_msrp(g, sources));
+  const Snapshot want = Snapshot::capture(*original);
+  const MsrpResult copied(*original);
+  MsrpResult assigned = solve_msrp(g, {1});
+  assigned = *original;
+  original.reset();  // a view left pointing into it now dangles
+
+  const MsrpResult* const results[] = {&copied, &assigned};
+  for (const MsrpResult* res : results) {
+    for (const Vertex s : sources) {
+      for (Vertex t = 0; t < g.num_vertices(); ++t) {
+        ASSERT_EQ(res->shortest(s, t), want.shortest(s, t)) << "s=" << s << " t=" << t;
+        for (EdgeId e = 0; e < g.num_edges(); ++e) {
+          ASSERT_EQ(res->avoiding(s, t, e), want.avoiding(s, t, e))
+              << "s=" << s << " t=" << t << " e=" << e;
+        }
+      }
+    }
+    EXPECT_EQ(Snapshot::capture(*res).content_digest(), want.content_digest());
+  }
+  EXPECT_EQ(want.shortest(0, 8), kInfDist);
+  EXPECT_EQ(want.avoiding(9, 10, want.canonical_path(9, 10)[0]), kInfDist);  // a bridge
+}
+
 // ------------------------------------------------------------ thread pool ---
 
 TEST(ThreadPool, RunsEveryTask) {

@@ -78,7 +78,7 @@ TEST(ShardPlanTest, ContiguousCoveringPartition) {
     }
     std::uint64_t want_cells = 0;
     for (std::uint32_t si = 0; si < oracle.num_sources(); ++si) {
-      want_cells += oracle.cells_for_source(si) + oracle.num_vertices();
+      want_cells += oracle.raw_rows(si).size() + oracle.num_vertices();
     }
     EXPECT_EQ(cells, want_cells);
   }
@@ -100,7 +100,7 @@ TEST(ShardPlanTest, SkewedWeightsStayBalanced) {
   std::uint64_t heaviest = 0;
   for (std::uint32_t si = 0; si < oracle.num_sources(); ++si) {
     heaviest = std::max(heaviest,
-                        oracle.cells_for_source(si) + oracle.num_vertices());
+                        oracle.raw_rows(si).size() + oracle.num_vertices());
   }
   EXPECT_LE(max_cells, total / plan.num_shards() + heaviest);
 }

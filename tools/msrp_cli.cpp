@@ -90,6 +90,24 @@ void print_row(Vertex s, Vertex t, Dist shortest, std::span<const Dist> row) {
   std::printf("\n");
 }
 
+/// Prints the --query answers, then with --rows every replacement row: the
+/// one read path of both modes. Returns the exit code.
+int answer(const service::Snapshot& snap, const std::vector<std::vector<std::uint32_t>>& queries,
+           bool print_rows) {
+  for (const auto& q : queries) {
+    if (!validate_query(q, snap.sources(), snap.num_vertices(), snap.num_edges())) return 1;
+    print_query(q[0], q[1], q[2], snap.avoiding(q[0], q[1], q[2]));
+  }
+  if (print_rows) {
+    for (const Vertex s : snap.sources()) {
+      for (Vertex t = 0; t < snap.num_vertices(); ++t) {
+        print_row(s, t, snap.shortest(s, t), snap.row(s, t));
+      }
+    }
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -144,23 +162,11 @@ int main(int argc, char** argv) {
       const service::Snapshot snap = service::Snapshot::load(load_path);
       std::printf("loaded: n=%u m=%u sigma=%u\n", snap.num_vertices(), snap.num_edges(),
                   snap.num_sources());
-      for (const auto& q : queries) {
-        if (!validate_query(q, snap.sources(), snap.num_vertices(), snap.num_edges()))
-          return 1;
-        print_query(q[0], q[1], q[2], snap.avoiding(q[0], q[1], q[2]));
-      }
-      if (print_rows) {
-        for (const Vertex s : snap.sources()) {
-          for (Vertex t = 0; t < snap.num_vertices(); ++t) {
-            print_row(s, t, snap.shortest(s, t), snap.row(s, t));
-          }
-        }
-      }
+      return answer(snap, queries, print_rows);
     } catch (const std::exception& ex) {
       std::fprintf(stderr, "error: %s\n", ex.what());
       return 1;
     }
-    return 0;
   }
 
   // ------------------------------------------------------------ solve mode --
@@ -202,10 +208,11 @@ int main(int argc, char** argv) {
 
   std::printf("solved: n=%u m=%u sigma=%zu landmarks=%zu\n", g.num_vertices(),
               g.num_edges(), sources.size(), res.stats().num_landmarks);
+  const MsrpStats st = std::move(res.stats());
+  const service::Snapshot snap = service::Snapshot::capture(std::move(res));
 
   if (!save_path.empty()) {
     try {
-      const service::Snapshot snap = service::Snapshot::capture(res);
       snap.save(save_path);
       std::printf("saved snapshot to %s (%zu bytes)\n", save_path.c_str(),
                   snap.encoded_size());
@@ -215,20 +222,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  for (const auto& q : queries) {
-    print_query(q[0], q[1], q[2], res.avoiding(q[0], q[1], q[2]));
-  }
-
-  if (print_rows) {
-    for (const Vertex s : sources) {
-      for (Vertex t = 0; t < g.num_vertices(); ++t) {
-        print_row(s, t, res.shortest(s, t), res.row(s, t));
-      }
-    }
-  }
+  if (const int rc = answer(snap, queries, print_rows); rc != 0) return rc;
 
   if (print_stats) {
-    const auto& st = res.stats();
     std::printf("landmarks=%zu centers=%zu trees=%zu near_small_arcs=%zu\n",
                 st.num_landmarks, st.num_centers, st.num_trees, st.near_small_aux_arcs);
     for (const auto& [phase, secs] : st.phase_seconds) {
